@@ -26,7 +26,6 @@ from .action import (
 from .criteria import (
     Analysis,
     CriterionResult,
-    LocalContractionResult,
     PropertyPair,
     PropertyReport,
     analyze,

@@ -25,7 +25,7 @@ from .errors import (
     TheoremViolation,
 )
 from .semigroup import InverseSemigroup
-from .spectrum import Character, Filter, TightSpectrum, validate_character
+from .spectrum import Character, TightSpectrum, validate_character
 
 
 def discrete_interior(subset: frozenset) -> frozenset:
@@ -173,42 +173,35 @@ def standard_action(spectrum: TightSpectrum) -> FiniteAction:
     """The action of the semigroup on its tight spectrum.
 
     The domain of an idempotent e is the set of tight filters containing
-    e, and an element s sends a filter to the up-closure of the
-    conjugates s e s* of its members.  The result is validated and every
-    image is located among the tight points; a missing image would mean
-    the tight spectrum is not invariant, which is impossible, so it is
-    flagged as a hard error rather than reported.
+    e.  In general an element s sends a filter to the up-closure of the
+    conjugates s e s* of its members; a tight point is the up-set of an
+    atom e, and that up-closure is the up-set of the atom s e s*, so s
+    sends the point of e, when e lies below s*s, to the point of s e s*.
+    The result is validated, and a conjugate that is not a tight point
+    would mean the tight spectrum is not invariant, which is impossible,
+    so it is flagged as a hard error rather than reported.
     """
     sg = spectrum.semigroup
     pts = spectrum.points
     if not pts:
         raise EmptySpectrum("cannot act on an empty spectrum")
-    idem_list = sg.idempotent_list()
+    index_of = {f.min: i for i, f in enumerate(pts)}
     table = sg.table
     maps = {}
     for s in sg.elements():
         star = sg.star[s]
         ss = table[star][s]
         out = []
-        for xi, filt in enumerate(pts):
+        for filt in pts:
             if ss not in filt.members:
                 out.append(None)
                 continue
-            conj = {table[table[s][e]][star] for e in filt.members}
-            members = frozenset(
-                f for f in idem_list
-                if any(table[b][f] == b for b in conj)
-            )
-            mn = None
-            for f in members:
-                mn = f if mn is None else table[mn][f]
-            image = Filter(mn, members)
-            try:
-                out.append(spectrum.index(image))
-            except NotInDomain:
+            image = index_of.get(table[table[s][filt.min]][star])
+            if image is None:
                 raise TheoremViolation(
                     "tight_spectrum_invariance", True, False,
                     f"element {s} pushes a tight filter outside the spectrum")
+            out.append(image)
         maps[s] = tuple(out)
     labels = tuple(f"^{sg.name_of(f.min)}" for f in pts)
     action = FiniteAction(sg, len(pts), maps, labels)
@@ -331,6 +324,10 @@ class ContractionVerdict:
         return self.value
 
 
+# carriers up to this size also run the exhaustive contraction search
+SEARCH_MAX_POINTS = 6
+
+
 def search_contraction_action(action: FiniteAction):
     """Exhaustive search for the contraction pattern of the definition.
 
@@ -361,20 +358,19 @@ def search_contraction_action(action: FiniteAction):
     return True, workable[0]
 
 
-def is_locally_contracting_action(action: FiniteAction,
-                                  search_limit: int = 6) -> ContractionVerdict:
+def is_locally_contracting_action(action: FiniteAction) -> ContractionVerdict:
     """Always False on a finite carrier, with the counting argument as
     the reason: the elements act injectively, so the image of any finite
     V has the same cardinality as V and can never be a proper subset.
 
-    For carriers up to `search_limit` the exhaustive search runs as well
+    For carriers up to SEARCH_MAX_POINTS the exhaustive search runs as well
     and must agree; disagreement is a hard failure, not a verdict.  An
     empty carrier has no nonempty open subset to witness anything and is
     reported through its own reason tag.
     """
     if action.points == 0:
         return ContractionVerdict(False, "EmptySpectrum")
-    if action.points <= search_limit:
+    if action.points <= SEARCH_MAX_POINTS:
         found, _ = search_contraction_action(action)
         if found:
             raise TheoremViolation(

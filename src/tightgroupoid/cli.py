@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -47,8 +46,6 @@ def _parser() -> argparse.ArgumentParser:
     an.add_argument("--json", dest="json_path", help="write the JSON report here")
     an.add_argument("--dot", dest="dot_path", help="write the groupoid as DOT here")
     an.add_argument("--check", choices=[*CHECK_NAMES, "all"], default="all")
-    an.add_argument("--max-F", dest="max_family", type=int, default=None,
-                    help="cap on the contraction family size")
     an.add_argument("--seed", type=int, default=0, help="corpus random seed")
     an.add_argument("--corpus", type=int, default=None, metavar="N",
                     help="analyze N seeded random instances instead of a file")
@@ -57,13 +54,6 @@ def _parser() -> argparse.ArgumentParser:
     an.add_argument("--timing", action="store_true",
                     help="include wall-clock timings in JSON output")
     return parser
-
-
-def _max_family(args) -> int | None:
-    if args.max_family is not None:
-        return args.max_family
-    env = os.environ.get("ISG_MAX_F")
-    return int(env) if env else None
 
 
 def _write(path: str | None, text: str) -> None:
@@ -133,7 +123,7 @@ def _analyze_single(args) -> int:
 
     start = time.perf_counter()
     try:
-        analysis = criteria.analyze(sg, _max_family(args), name)
+        analysis = criteria.analyze(sg, name)
     except EmptySpectrum as exc:
         payload = report.error_payload(name, "EmptySpectrum", str(exc),
                                        elements=sg.size,
@@ -180,10 +170,9 @@ def _analyze_single(args) -> int:
 
 
 def _corpus_worker(item):
-    index, name, sg, max_family = item
+    index, name, sg = item
     try:
-        analysis, checks = criteria.verify_instance(sg, name, seed=index,
-                                                    max_family=max_family)
+        analysis, checks = criteria.verify_instance(sg, name, seed=index)
         doc = report.build_document(analysis, name)
         return index, "ok", doc.payload, sorted(checks)
     except TheoremViolation as exc:
@@ -197,8 +186,7 @@ def _analyze_corpus(args) -> int:
         print("--corpus excludes a file or --fixture", file=sys.stderr)
         return 2
     instances = fixtures.corpus(args.corpus, args.seed)
-    work = [(i, name, sg, _max_family(args))
-            for i, (name, sg) in enumerate(instances)]
+    work = [(i, name, sg) for i, (name, sg) in enumerate(instances)]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = sorted(pool.map(_corpus_worker, work))

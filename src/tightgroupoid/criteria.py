@@ -19,12 +19,7 @@ from dataclasses import dataclass, field
 from . import action as action_mod
 from . import germs as germs_mod
 from . import spectrum as spectrum_mod
-from .errors import (
-    EmptySpectrum,
-    PreconditionViolated,
-    SearchCapExceeded,
-    TheoremViolation,
-)
+from .errors import EmptySpectrum, PreconditionViolated, TheoremViolation
 from .semigroup import Ideal, InverseSemigroup
 
 
@@ -35,25 +30,6 @@ class CriterionResult:
     witness: dict = field(default_factory=dict, compare=False)
 
     def __bool__(self) -> bool:
-        return self.value
-
-
-@dataclass(frozen=True)
-class LocalContractionResult:
-    """Verdict of the contraction-family search.
-
-    `value` None with `cap_exceeded` True marks an inconclusive capped
-    search, deliberately distinct from False.
-    """
-
-    value: bool | None
-    vacuous: bool = False
-    cap_exceeded: bool = False
-    witness: dict = field(default_factory=dict, compare=False)
-
-    def __bool__(self) -> bool:
-        if self.value is None:
-            raise SearchCapExceeded("contraction search was capped before a verdict")
         return self.value
 
 
@@ -201,39 +177,25 @@ def minimal_criterion(sg: InverseSemigroup) -> CriterionResult:
 
 # --------------------------------------------------- local contractiveness
 
-def _family_cap(sg: InverseSemigroup, max_family: int | None) -> int | None:
-    if max_family is not None:
-        return max_family
-    # full subset sweep on small semilattices, a size cap beyond
-    return None if len(sg.idempotents) <= 12 else 4
-
-
-def locally_contracting_criterion(sg: InverseSemigroup,
-                                  max_family: int | None = None) -> LocalContractionResult:
+def locally_contracting_criterion(sg: InverseSemigroup) -> CriterionResult:
     """Search, for every nonzero idempotent e, for an element s and a
     finite family F of nonzero idempotents below e s*s such that F outer
     covers each conjugate s f s* and a designated member annihilates s F.
 
-    The family size is capped (`max_family`, default: unlimited when the
-    semilattice has at most 12 idempotents, else 4).  Idempotents are
-    visited smallest ideal first, so a definitive refutation at a minimal
-    idempotent, where the candidate pool has at most one member and the
-    search is exhaustive regardless of cap, is found immediately.  A cap
-    that binds without a verdict yields the inconclusive result, never a
-    False.
+    Idempotents are visited smallest ideal first, so atoms come first.
+    At an atom e the candidate pool is {e} or empty, so the search there
+    is exhaustive, and it always refutes: s e s* meeting e forces
+    s e s* = e, and then e s e = s e is nonzero.
     """
     table = sg.table
     star = sg.star
     zero = sg.zero
     nz = sorted(sg.nonzero_idempotents(), key=lambda e: (len(sg.below(e)), e))
     if not nz:
-        return LocalContractionResult(True, vacuous=True)
-    cap = _family_cap(sg, max_family)
+        return CriterionResult(True, vacuous=True)
     per_e = {}
-    unresolved = []
     for e in nz:
         found = None
-        capped = False
         row_e = table[e]
         for s in sg.elements():
             t = row_e[table[star[s]][s]]
@@ -242,31 +204,20 @@ def locally_contracting_criterion(sg: InverseSemigroup,
             cands = [f for f in sg.below(t) if f != zero]
             if not cands:
                 continue
-            limit = len(cands) if cap is None else min(cap, len(cands))
-            if limit < len(cands):
-                capped = True
-            found = _contraction_family(sg, s, cands, limit)
+            found = _contraction_family(sg, s, cands)
             if found is not None:
                 found = (s,) + found
                 break
-        if found is not None:
-            per_e[e] = found
-            continue
-        if capped:
-            unresolved.append(e)
-            continue
-        return LocalContractionResult(False, witness={"e": e})
-    if unresolved:
-        return LocalContractionResult(None, cap_exceeded=True,
-                                      witness={"unresolved": unresolved})
-    return LocalContractionResult(True, witness={"families": per_e})
+        if found is None:
+            return CriterionResult(False, witness={"e": e})
+        per_e[e] = found
+    return CriterionResult(True, witness={"families": per_e})
 
 
-def _contraction_family(sg, s, cands, limit):
+def _contraction_family(sg, s, cands):
     table = sg.table
-    star = sg.star
     zero = sg.zero
-    for size in range(1, limit + 1):
+    for size in range(1, len(cands) + 1):
         for family in itertools.combinations(cands, size):
             for f0 in family:
                 f0s = table[f0][s]
@@ -387,8 +338,7 @@ class Analysis:
     report: PropertyReport
 
 
-def analyze(sg: InverseSemigroup, max_family: int | None = None,
-            name: str = "S") -> Analysis:
+def analyze(sg: InverseSemigroup, name: str = "S") -> Analysis:
     """Build the whole pipeline for one semigroup and compute the report,
     asserting pairwise agreement of every criterion with its direct
     groupoid-level counterpart."""
@@ -414,16 +364,13 @@ def analyze(sg: InverseSemigroup, max_family: int | None = None,
         raise TheoremViolation("irreducibility", m_crit.value, irred, name)
     m_pair = _pair("minimal", name, m_crit.value, gpd.is_minimal(), m_crit.witness)
 
-    lc_crit = locally_contracting_criterion(sg, max_family)
-    if lc_crit.cap_exceeded:
-        raise SearchCapExceeded(
-            f"instance {name}: contraction search capped without verdict")
+    lc_crit = locally_contracting_criterion(sg)
     lc_action = action_mod.is_locally_contracting_action(act)
     lc_gpd = gpd.locally_contracting_verdict()
     if lc_crit.value != lc_action.value:
         raise TheoremViolation("locally_contracting_action", lc_crit.value,
                                lc_action.value, name)
-    lc_pair = _pair("locally_contracting", name, bool(lc_crit.value),
+    lc_pair = _pair("locally_contracting", name, lc_crit.value,
                     lc_gpd.value,
                     {"criterion": lc_crit.witness,
                      "action_reason": lc_action.reason,
@@ -436,9 +383,8 @@ def analyze(sg: InverseSemigroup, max_family: int | None = None,
     return Analysis(sg, spec, act, gpd, report)
 
 
-def full_report(sg: InverseSemigroup, max_family: int | None = None,
-                name: str = "S") -> PropertyReport:
-    return analyze(sg, max_family, name).report
+def full_report(sg: InverseSemigroup, name: str = "S") -> PropertyReport:
+    return analyze(sg, name).report
 
 
 # ------------------------------------------------------ identity harness
@@ -455,8 +401,7 @@ def _domain_union(act, members) -> frozenset:
     return frozenset(out)
 
 
-def verify_instance(sg: InverseSemigroup, name: str = "S", seed: int = 0,
-                    max_family: int | None = None):
+def verify_instance(sg: InverseSemigroup, name: str = "S", seed: int = 0):
     """Run every theorem-backed identity on one instance.
 
     Raises TheoremViolation on the first failure; returns the Analysis
@@ -464,7 +409,7 @@ def verify_instance(sg: InverseSemigroup, name: str = "S", seed: int = 0,
     re-derive both sides independently instead of reusing each other's
     intermediate values wherever the two sides have distinct mechanisms.
     """
-    analysis = analyze(sg, max_family, name)
+    analysis = analyze(sg, name)
     act = analysis.action
     gpd = analysis.groupoid
     spec = analysis.spectrum

@@ -111,10 +111,6 @@ class PreconditionViolated(TightGroupoidError):
     """An operation's stated precondition does not hold for the inputs."""
 
 
-class SearchCapExceeded(TightGroupoidError):
-    """A bounded search ended without reaching a definite verdict."""
-
-
 class TheoremViolation(TightGroupoidError):
     """Two provably-equal verdicts disagreed; always a bug, never a report state."""
 

@@ -2,10 +2,17 @@
 
 A germ is a class of pairs (element, point) where the element is defined;
 two pairs at the same point collapse when some idempotent whose domain
-holds the point equalizes the elements on the right.  The groupoid of a
-finite discrete action is itself finite and discrete: every singleton
-arrow set is a slice, so interiors and closures of arrow sets are the
-sets themselves (see the corresponding helpers in the action module).
+holds the point equalizes the elements on the right.  The idempotents
+whose domain holds a point x form a filter with a least member m_x, and
+any witness e gives s m_x = s e m_x = t e m_x = t m_x, so the germ of s
+at x is determined by the product s m_x.  The quotient is built by
+keying every defined pair on that product; the pairwise witness search
+is kept in the test suite as the oracle it is checked against.
+
+The groupoid of a finite discrete action is itself finite and discrete:
+every singleton arrow set is a slice, so interiors and closures of arrow
+sets are the sets themselves (see the corresponding helpers in the
+action module).
 """
 
 from __future__ import annotations
@@ -20,52 +27,33 @@ from .action import (
     trivial_fixed_points,
     validate_action,
 )
-from .errors import DomainViolation, InvalidAction, TheoremViolation
+from .errors import DomainViolation, TheoremViolation
 
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        p = self.parent
-        while p[i] != i:
-            p[i] = p[p[i]]
-            i = p[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
+# groupoids with up to this many arrows also run the exhaustive
+# bisection search
+SEARCH_MAX_ARROWS = 10
 
 
 def germ_equal(action: FiniteAction, s: int, t: int, x: int) -> bool:
     """Whether s and t have the same germ at x: some idempotent e with x
     in its domain satisfies s e = t e."""
-    sg = action.semigroup
-    table = sg.table
-    for e in _idempotents_at(action, x):
-        if table[s][e] == table[t][e]:
-            return True
-    return False
+    table = action.semigroup.table
+    return any(
+        table[s][e] == table[t][e]
+        for e in action.semigroup.idempotent_list() if x in action.edomains[e]
+    )
 
 
-def _idempotents_at(action: FiniteAction, x: int):
-    """Idempotents whose domain contains x, smallest one first.
-
-    The set is a filter of the semilattice (domains intersect along
-    meets and grow along the order), so it has a minimum; trying the
-    minimum first lets the witness search above exit immediately in the
-    common case.
-    """
-    sg = action.semigroup
-    es = [e for e in sg.idempotent_list() if x in action.edomains[e]]
-    mn = es[0]
-    for e in es[1:]:
-        mn = sg.table[mn][e]
-    ordered = [mn] + [e for e in es if e != mn]
-    return ordered
+def _least_idempotents(action: FiniteAction) -> tuple:
+    """Per carrier point x, the least idempotent m_x whose domain holds x:
+    the meet of all such idempotents, since domains meet along products."""
+    table = action.semigroup.table
+    least = [None] * action.points
+    for e in action.semigroup.idempotent_list():
+        for x in action.edomains[e]:
+            m = least[x]
+            least[x] = e if m is None else table[m][e]
+    return tuple(least)
 
 
 class GermGroupoid:
@@ -74,7 +62,8 @@ class GermGroupoid:
     Attributes:
         action: the acting system the groupoid was built from.
         arrows: canonical representatives (element, point), one per germ
-            class, the smallest pair of the class in index order.
+            class, the smallest pair of the class in index order, sorted
+            by (point, element).
         source, target: per arrow, carrier points.
         units: frozenset of arrow ids forming the unit space.
         unit_at: per carrier point, the unit arrow over it.
@@ -87,16 +76,14 @@ class GermGroupoid:
         self._class_of = class_of
         self.source = tuple(x for _, x in self.arrows)
         self.target = tuple(action.apply(s, x) for s, x in self.arrows)
-        units = []
-        unit_at = {}
-        for i, (s, x) in enumerate(self.arrows):
-            for e in _idempotents_at(action, x):
-                if germ_equal(action, s, e, x):
-                    units.append(i)
-                    unit_at[x] = i
-                    break
-        self.units = frozenset(units)
-        self.unit_at = unit_at
+        # [s, x] is a unit when it is the germ of m_x, i.e. s m_x = m_x
+        least = _least_idempotents(action)
+        table = self.semigroup.table
+        self.unit_at = {
+            x: i for i, (s, x) in enumerate(self.arrows)
+            if table[s][least[x]] == least[x]
+        }
+        self.units = frozenset(self.unit_at.values())
 
     def __repr__(self):
         return f"GermGroupoid(arrows={len(self.arrows)}, units={len(self.units)})"
@@ -193,15 +180,15 @@ class GermGroupoid:
         roots = {find(x) for x in range(self.action.points)}
         return len(roots) <= 1
 
-    def locally_contracting_verdict(self, search_limit: int = 10) -> ContractionVerdict:
+    def locally_contracting_verdict(self) -> ContractionVerdict:
         """Always False for a finite groupoid with nonempty unit space: a
         bisection acts injectively on units, so it cannot push a finite
         set inside a proper subset of itself.  Groupoids with up to
-        `search_limit` arrows also run the exhaustive bisection search,
+        SEARCH_MAX_ARROWS arrows also run the exhaustive bisection search,
         which must agree."""
         if self.action.points == 0:
             return ContractionVerdict(False, "EmptySpectrum")
-        if len(self.arrows) <= search_limit:
+        if len(self.arrows) <= SEARCH_MAX_ARROWS:
             found, _ = search_contraction_groupoid(self)
             if found:
                 raise TheoremViolation(
@@ -251,50 +238,25 @@ class GermGroupoid:
 def build_germ_groupoid(action: FiniteAction) -> GermGroupoid:
     """Quotient the defined (element, point) pairs by germ equivalence.
 
-    Witnesses are searched over the idempotents whose domain holds the
-    point; transitivity of the relation is delegated to a union-find,
-    which is sound because germ equality is an equivalence relation.
-    Canonical representatives are the smallest pairs in lexicographic
-    index order.
+    Each pair (s, x) is keyed on the product s m_x (see the module
+    docstring), which holds for any validated action.  The representative
+    of a class is its first element in index order, so it is the smallest
+    pair of the class; arrows are sorted by (point, element).
     """
-    try:
-        validate_action(action)
-    except InvalidAction:
-        raise
-    sg = action.semigroup
-    omega = [
-        (s, x) for s in sg.elements() for x in sorted(action.domain(s))
-    ]
-    index = {pair: i for i, pair in enumerate(omega)}
-    uf = _UnionFind(len(omega))
-    table = sg.table
-    by_point = {}
-    for s, x in omega:
-        by_point.setdefault(x, []).append(s)
-    for x, elems in by_point.items():
-        witnesses = _idempotents_at(action, x)
-        for a in range(len(elems)):
-            s = elems[a]
-            i = index[(s, x)]
-            for b in range(a + 1, len(elems)):
-                t = elems[b]
-                j = index[(t, x)]
-                if uf.find(i) == uf.find(j):
-                    continue
-                if any(table[s][e] == table[t][e] for e in witnesses):
-                    uf.union(i, j)
-
-    reps = {}
-    for pair in omega:
-        root = uf.find(index[pair])
-        if root not in reps or pair < reps[root]:
-            reps[root] = pair
-    ordered_roots = sorted(reps, key=lambda r: (reps[r][1], reps[r][0]))
-    arrow_of_root = {root: i for i, root in enumerate(ordered_roots)}
-    class_of = {
-        pair: arrow_of_root[uf.find(index[pair])] for pair in omega
+    validate_action(action)
+    table = action.semigroup.table
+    least = _least_idempotents(action)
+    key_of = {
+        (s, x): (x, table[s][least[x]])
+        for s in action.semigroup.elements() for x in action.domain(s)
     }
-    arrows = [reps[root] for root in ordered_roots]
+    first = {}
+    for (s, _), key in key_of.items():
+        first.setdefault(key, s)
+    keys = sorted(first, key=lambda key: (key[0], first[key]))
+    arrow_of_key = {key: i for i, key in enumerate(keys)}
+    class_of = {pair: arrow_of_key[key] for pair, key in key_of.items()}
+    arrows = [(first[key], key[0]) for key in keys]
     return GermGroupoid(action, arrows, class_of)
 
 

@@ -6,6 +6,11 @@ filter is stored as that minimum plus the derived member set, and two
 filters over the same semigroup compare equal exactly when their minima
 do.  Enumeration outputs are always sorted by minimum index so results
 are deterministic regardless of evaluation order.
+
+The tight spectrum is computed in closed form: on a finite semilattice
+the tight filters are the ultrafilters, which are the up-sets of the
+atoms.  The general search over constraint ideals is kept in the test
+suite as the oracle this closed form is checked against.
 """
 
 from __future__ import annotations
@@ -184,100 +189,42 @@ def basic_open(sg: InverseSemigroup, contains: Iterable[int],
 
 # ----------------------------------------------------------- tightness
 
-def _default_apart_cap(sg: InverseSemigroup) -> int | None:
-    # no cap for small semilattices; depth 8 guards pathological inputs
-    return None if len(sg.idempotents) <= 20 else 8
+def _is_atom(sg: InverseSemigroup, e: int) -> bool:
+    """A nonzero idempotent with nothing but zero strictly below it."""
+    return e != sg.zero and len(sg.below(e)) == 2
 
 
-def tightness_obstruction(sg: InverseSemigroup, f: Filter,
-                          max_apart: int | None = None):
-    """Search for a witness that `f` is not tight.
+def tightness_obstruction(sg: InverseSemigroup, f: Filter):
+    """A witness that `f` is not tight, or None when it is.
 
-    A filter fails tightness exactly when some constraint ideal I,
-    built from a part of the filter and a set of idempotents outside it,
-    is covered by its own nonzero members lying outside the filter.  Two
-    reductions shrink the search without losing witnesses:
-
-    * the "below" side collapses to a single idempotent of the filter
-      (or nothing), because the constraint ideal only depends on the
-      meet of that side and filters are meet-closed;
-    * among covers avoiding the filter it suffices to test the largest
-      candidate, all nonzero members of I outside the filter, since any
-      cover stays a cover after adding more elements of I.
-
-    The "apart" side is explored as a depth-first walk over the distinct
-    constraint ideals it can produce, one representative per distinct
-    orthogonal-complement ideal, which visits the same ideals the full
-    subset sweep would (adding an element that does not shrink the ideal
-    never changes any outcome downstream).  `max_apart` caps the number
-    of "apart" constraints; None picks a default from the semilattice
-    size.
+    A filter fails tightness exactly when some constraint ideal I, built
+    from a part of the filter and a set of idempotents outside it, is
+    covered by nonzero members of I lying outside the filter.  On a
+    finite semilattice the tight filters are the ultrafilters, the
+    up-sets of atoms.  When `f.min` is not an atom, some atom lies
+    strictly below it and so outside `f`, and every member of `f` meets
+    that atom; the empty constraint (I = all idempotents) is then
+    covered by the nonzero idempotents outside `f`.
 
     Returns None when tight, else a triple (below, apart, cover).
     """
-    if max_apart is None:
-        max_apart = _default_apart_cap(sg)
-    zero = sg.zero
-    outside = [y for y in sg.idempotent_list() if y != zero and y not in f.members]
-    # one representative per distinct orthogonal-complement ideal
-    perps = {}
-    for y in outside:
-        key = sg.ideal_perp(sg.principal_ideal(y)).members
-        perps.setdefault(key, y)
-    constraints = sorted(perps.items(), key=lambda kv: kv[1])
-
-    def covered_by_outsiders(ideal_members):
-        cover = [z for z in ideal_members if z != zero and z not in f.members]
-        for g in ideal_members:
-            if g == zero or g not in f.members:
-                continue
-            row = sg.table[g]
-            if not any(row[z] != zero for z in cover):
-                return None
-        return sorted(cover)
-
-    seen = set()
-
-    def walk(ideal_members, apart, budget):
-        if ideal_members in seen:
-            return None
-        seen.add(ideal_members)
-        cover = covered_by_outsiders(ideal_members)
-        if cover is not None:
-            return apart, cover
-        if budget == 0:
-            return None
-        for perp, y in constraints:
-            shrunk = ideal_members & perp
-            if shrunk == ideal_members:
-                continue
-            hit = walk(shrunk, apart + (y,), budget - 1)
-            if hit is not None:
-                return hit
+    if _is_atom(sg, f.min):
         return None
-
-    budget = max_apart if max_apart is not None else len(constraints)
-    full = frozenset(sg.idempotent_list())
-    for below in (None, *sorted(f.members)):
-        seen.clear()
-        base = full if below is None else frozenset(sg.below(below))
-        hit = walk(base, (), budget)
-        if hit is not None:
-            apart, cover = hit
-            below_part = () if below is None else (below,)
-            return below_part, apart, tuple(cover)
-    return None
+    return (), (), tuple(e for e in sg.nonzero_idempotents()
+                         if e not in f.members)
 
 
-def is_tight_filter(sg: InverseSemigroup, f: Filter,
-                    max_apart: int | None = None) -> bool:
+def is_tight_filter(sg: InverseSemigroup, f: Filter) -> bool:
     """True when no finite cover of a compatible constraint ideal avoids
-    the filter; see :func:`tightness_obstruction` for the search."""
-    return tightness_obstruction(sg, f, max_apart) is None
+    the filter; see :func:`tightness_obstruction`."""
+    return tightness_obstruction(sg, f) is None
 
 
-def tight_spectrum(sg: InverseSemigroup,
-                   max_apart: int | None = None) -> TightSpectrum:
-    """All tight filters, sorted by minimum index."""
-    points = tuple(f for f in all_filters(sg) if is_tight_filter(sg, f, max_apart))
+def tight_spectrum(sg: InverseSemigroup) -> TightSpectrum:
+    """All tight filters, the up-sets of the atoms, sorted by minimum
+    index."""
+    nz = sg.nonzero_idempotents()
+    if not nz:
+        raise EmptySpectrum("the semilattice is {0}")
+    points = tuple(filter_from_min(sg, e) for e in nz if _is_atom(sg, e))
     return TightSpectrum(sg, points)

@@ -1,5 +1,6 @@
 """Brute-force oracles, kept independent of the library code paths they
-check: everything here enumerates straight from the definitions."""
+check: everything here enumerates straight from the definitions, or runs
+the general search the library replaces with a finite closed form."""
 
 from __future__ import annotations
 
@@ -170,3 +171,214 @@ def orbit_classes_by_bfs(action):
         seen |= block
         classes.append(frozenset(block))
     return set(classes)
+
+
+# ------------------------------------------------- general routes (search)
+
+def _default_apart_cap(sg):
+    # no cap for small semilattices; depth 8 guards pathological inputs
+    return None if len(sg.idempotents) <= 20 else 8
+
+
+def search_tightness_obstruction(sg, f, max_apart=None):
+    """Search for a witness that `f` is not tight.
+
+    A filter fails tightness exactly when some constraint ideal I,
+    built from a part of the filter and a set of idempotents outside it,
+    is covered by its own nonzero members lying outside the filter.  Two
+    reductions shrink the search without losing witnesses:
+
+    * the "below" side collapses to a single idempotent of the filter
+      (or nothing), because the constraint ideal only depends on the
+      meet of that side and filters are meet-closed;
+    * among covers avoiding the filter it suffices to test the largest
+      candidate, all nonzero members of I outside the filter, since any
+      cover stays a cover after adding more elements of I.
+
+    The "apart" side is explored as a depth-first walk over the distinct
+    constraint ideals it can produce, one representative per distinct
+    orthogonal-complement ideal, which visits the same ideals the full
+    subset sweep would (adding an element that does not shrink the ideal
+    never changes any outcome downstream).  `max_apart` caps the number
+    of "apart" constraints; None picks a default from the semilattice
+    size.
+
+    Returns None when tight, else a triple (below, apart, cover).
+    """
+    if max_apart is None:
+        max_apart = _default_apart_cap(sg)
+    zero = sg.zero
+    outside = [y for y in sg.idempotent_list() if y != zero and y not in f.members]
+    # one representative per distinct orthogonal-complement ideal
+    perps = {}
+    for y in outside:
+        key = sg.ideal_perp(sg.principal_ideal(y)).members
+        perps.setdefault(key, y)
+    constraints = sorted(perps.items(), key=lambda kv: kv[1])
+
+    def covered_by_outsiders(ideal_members):
+        cover = [z for z in ideal_members if z != zero and z not in f.members]
+        for g in ideal_members:
+            if g == zero or g not in f.members:
+                continue
+            row = sg.table[g]
+            if not any(row[z] != zero for z in cover):
+                return None
+        return sorted(cover)
+
+    seen = set()
+
+    def walk(ideal_members, apart, budget):
+        if ideal_members in seen:
+            return None
+        seen.add(ideal_members)
+        cover = covered_by_outsiders(ideal_members)
+        if cover is not None:
+            return apart, cover
+        if budget == 0:
+            return None
+        for perp, y in constraints:
+            shrunk = ideal_members & perp
+            if shrunk == ideal_members:
+                continue
+            hit = walk(shrunk, apart + (y,), budget - 1)
+            if hit is not None:
+                return hit
+        return None
+
+    budget = max_apart if max_apart is not None else len(constraints)
+    full = frozenset(sg.idempotent_list())
+    for below in (None, *sorted(f.members)):
+        seen.clear()
+        base = full if below is None else frozenset(sg.below(below))
+        hit = walk(base, (), budget)
+        if hit is not None:
+            apart, cover = hit
+            below_part = () if below is None else (below,)
+            return below_part, apart, tuple(cover)
+    return None
+
+
+def search_tight_filters(sg):
+    """Minima of the filters the tightness search finds no witness for."""
+    from tightgroupoid import all_filters
+
+    return [f.min for f in all_filters(sg)
+            if search_tightness_obstruction(sg, f) is None]
+
+
+def conjugate_filter_maps(spectrum):
+    """The standard action's maps by the general route: s sends a filter
+    to the up-closure of the conjugates s e s* of its members, located
+    among the tight points."""
+    from tightgroupoid import Filter
+
+    sg = spectrum.semigroup
+    pts = spectrum.points
+    idem_list = sg.idempotent_list()
+    table = sg.table
+    maps = {}
+    for s in sg.elements():
+        star = sg.star[s]
+        ss = table[star][s]
+        out = []
+        for filt in pts:
+            if ss not in filt.members:
+                out.append(None)
+                continue
+            conj = {table[table[s][e]][star] for e in filt.members}
+            members = frozenset(
+                f for f in idem_list
+                if any(table[b][f] == b for b in conj)
+            )
+            mn = None
+            for f in members:
+                mn = f if mn is None else table[mn][f]
+            out.append(spectrum.index(Filter(mn, members)))
+        maps[s] = tuple(out)
+    return maps
+
+
+class _UnionFind:
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, i):
+        p = self.parent
+        while p[i] != i:
+            p[i] = p[p[i]]
+            i = p[i]
+        return i
+
+    def union(self, i, j):
+        ri, rj = self.find(i), self.find(j)
+        if ri != rj:
+            self.parent[max(ri, rj)] = min(ri, rj)
+
+
+def _idempotents_at(action, x):
+    """Idempotents whose domain contains x, smallest one first.
+
+    The set is a filter of the semilattice (domains intersect along
+    meets and grow along the order), so it has a minimum; trying the
+    minimum first lets the witness search exit immediately in the
+    common case.
+    """
+    sg = action.semigroup
+    es = [e for e in sg.idempotent_list() if x in action.edomains[e]]
+    mn = es[0]
+    for e in es[1:]:
+        mn = sg.table[mn][e]
+    return [mn] + [e for e in es if e != mn]
+
+
+def union_find_germs(action):
+    """Germ classes by the general route: every pair of elements defined
+    at a point is compared over all witnesses whose domain holds the
+    point, transitivity is delegated to a union-find, representatives
+    are the smallest pairs of their class, and a class is a unit when
+    its representative has the germ of some idempotent at its point.
+
+    Returns (arrows, class_of, units) laid out as GermGroupoid has them.
+    """
+    from tightgroupoid.germs import germ_equal
+
+    sg = action.semigroup
+    omega = [
+        (s, x) for s in sg.elements() for x in sorted(action.domain(s))
+    ]
+    index = {pair: i for i, pair in enumerate(omega)}
+    uf = _UnionFind(len(omega))
+    table = sg.table
+    by_point = {}
+    for s, x in omega:
+        by_point.setdefault(x, []).append(s)
+    for x, elems in by_point.items():
+        witnesses = _idempotents_at(action, x)
+        for a in range(len(elems)):
+            s = elems[a]
+            i = index[(s, x)]
+            for b in range(a + 1, len(elems)):
+                t = elems[b]
+                j = index[(t, x)]
+                if uf.find(i) == uf.find(j):
+                    continue
+                if any(table[s][e] == table[t][e] for e in witnesses):
+                    uf.union(i, j)
+
+    reps = {}
+    for pair in omega:
+        root = uf.find(index[pair])
+        if root not in reps or pair < reps[root]:
+            reps[root] = pair
+    ordered_roots = sorted(reps, key=lambda r: (reps[r][1], reps[r][0]))
+    arrow_of_root = {root: i for i, root in enumerate(ordered_roots)}
+    class_of = {
+        pair: arrow_of_root[uf.find(index[pair])] for pair in omega
+    }
+    arrows = [reps[root] for root in ordered_roots]
+    units = frozenset(
+        i for i, (s, x) in enumerate(arrows)
+        if any(germ_equal(action, s, e, x) for e in _idempotents_at(action, x))
+    )
+    return arrows, class_of, units

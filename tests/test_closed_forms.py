@@ -1,0 +1,61 @@
+"""The closed forms the library computes on finite instances against the
+general routes they replace (kept in oracles.py): tight points and
+tightness witnesses, the standard action, and the germ quotient."""
+
+from __future__ import annotations
+
+import pytest
+
+import tightgroupoid as tg
+
+import oracles
+
+NAMES = ("I2", "B2", "Z2z", "E4", "In(3)", "Bn(8)", "Pow(5)")
+
+
+@pytest.fixture(scope="module")
+def instances(corpus100):
+    return [(name, tg.build_fixture(name)) for name in NAMES] + list(corpus100)
+
+
+def test_tight_points_match_search(instances):
+    for name, sg in instances:
+        got = [f.min for f in tg.tight_spectrum(sg).points]
+        assert got == oracles.search_tight_filters(sg), name
+
+
+def test_tightness_witnesses_match_search(instances):
+    for name, sg in instances:
+        for f in tg.all_filters(sg):
+            assert tg.tightness_obstruction(sg, f) == \
+                oracles.search_tightness_obstruction(sg, f), (name, f.min)
+
+
+def carriers(sg):
+    """The tight spectrum, and the space of all filters, on which the same
+    conjugation formula acts; there the least idempotent at a point need
+    not be an atom."""
+    yield "tight", tg.tight_spectrum(sg)
+    yield "filters", tg.TightSpectrum(sg, tuple(tg.all_filters(sg)))
+
+
+def test_standard_action_matches_conjugate_filters(instances):
+    for name, sg in instances:
+        for carrier, spec in carriers(sg):
+            act = tg.standard_action(spec)
+            assert act.maps == oracles.conjugate_filter_maps(spec), \
+                (name, carrier)
+
+
+def test_germ_quotient_matches_union_find(instances):
+    for name, sg in instances:
+        for carrier, spec in carriers(sg):
+            act = tg.standard_action(spec)
+            g = tg.build_germ_groupoid(act)
+            arrows, class_of, units = oracles.union_find_germs(act)
+            assert list(g.arrows) == arrows, (name, carrier)
+            assert g.units == units, (name, carrier)
+            for s in sg.elements():
+                for x in act.domain(s):
+                    assert g.arrow_of(s, x) == class_of[(s, x)], \
+                        (name, carrier, s, x)

@@ -163,18 +163,8 @@ def test_violation_reproducer_round_trips(tmp_path, monkeypatch):
     assert rebuilt.table == sg.table
 
 
-def test_env_overrides_family_cap(monkeypatch, capsys):
-    calls = {}
-    real = cli.criteria.analyze
-
-    def spy(sg, max_family=None, name="S"):
-        calls["max_family"] = max_family
-        return real(sg, max_family, name)
-
-    monkeypatch.setattr(cli.criteria, "analyze", spy)
-    monkeypatch.setenv("ISG_MAX_F", "3")
-    assert cli.run_cli(["analyze", "--fixture", "E4"]) == 0
-    assert calls["max_family"] == 3
-    monkeypatch.setenv("ISG_MAX_F", "2")
-    assert cli.run_cli(["analyze", "--fixture", "E4", "--max-F", "5"]) == 0
-    assert calls["max_family"] == 5
+def test_family_cap_flag_is_gone(capsys):
+    # the contraction criterion refutes at an atom with an exhaustive
+    # one-member search, so there is no family cap left to set
+    assert cli.run_cli(["analyze", "--fixture", "E4", "--max-F", "5"]) == 2
+    assert "--max-F" in capsys.readouterr().err

@@ -196,7 +196,7 @@ def test_tight_spectrum_fixtures():
 
 
 def test_tightness_three_mechanisms_agree():
-    # reduced checker, literal sweep, ultrafilter equality
+    # closed form (atoms), literal sweep, ultrafilter equality
     for sg in SAMPLES:
         if len(sg.idempotents) > 8:
             continue
