@@ -21,7 +21,6 @@ from .errors import (
     InverseMismatch,
     InvalidAction,
     NotInDomain,
-    PreconditionViolated,
     TheoremViolation,
 )
 from .semigroup import InverseSemigroup
@@ -377,10 +376,3 @@ def is_locally_contracting_action(action: FiniteAction) -> ContractionVerdict:
                 "locally_contracting_action", False, True,
                 "search found a contraction on a finite carrier")
     return ContractionVerdict(False, "CardinalityObstruction")
-
-
-# ----------------------------------------------------------- validation aid
-
-def require_in_domain(action: FiniteAction, s: int, x: int) -> None:
-    if action.maps[s][x] is None:
-        raise PreconditionViolated(f"point {x} outside the domain of {s}")

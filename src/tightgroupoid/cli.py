@@ -163,7 +163,7 @@ def _analyze_single(args) -> int:
         _print_property(sg, pname, pairs[pname])
 
     if args.json_path:
-        _write(args.json_path, report.emit_report(doc, include_timing=args.timing))
+        _write(args.json_path, report.emit_report(doc))
     if args.dot_path:
         _write(args.dot_path, report.emit_dot(analysis.groupoid, name))
     return 0

@@ -16,22 +16,20 @@ SYMMETRIC_CAP = 4
 def symmetric_inverse_monoid(n: int, cap: int = SYMMETRIC_CAP) -> InverseSemigroup:
     """All partial injections of an n point set.
 
-    The element count is the sum over k of C(n,k)^2 k!, which grows fast;
-    `cap` guards against accidental huge closures.
+    The n-cycle and the transposition (0 1) generate the symmetric group,
+    and with the partial identity of rank n-1 they generate every partial
+    injection.  The element count is the sum over k of C(n,k)^2 k!, which
+    grows fast; `cap` guards against accidental huge closures.
     """
     if n < 1:
         raise DegreeMismatch("need at least one point")
     if n > cap:
         raise CapExceeded(f"symmetric inverse monoid capped at degree {cap}")
-    maps = []
-    for k in range(n + 1):
-        for dom in itertools.combinations(range(n), k):
-            for img in itertools.permutations(range(n), k):
-                m = [None] * n
-                for x, y in zip(dom, img):
-                    m[x] = y
-                maps.append(tuple(m))
-    sg = from_partial_maps(n, maps)
+    gens = [tuple((x + 1) % n for x in range(n)),
+            tuple(range(n - 1)) + (None,)]
+    if n > 1:
+        gens.append((1, 0) + tuple(range(2, n)))
+    sg = from_partial_maps(n, gens)
     expected = sum(math.comb(n, k) ** 2 * math.factorial(k)
                    for k in range(n + 1))
     assert sg.size == expected

@@ -2,7 +2,7 @@
 
 Serialized output is byte stable for fixed inputs: keys are sorted,
 collections are emitted in sorted order, and wall-clock timings stay out
-of the payload unless explicitly requested.
+of the payload unless the document was built with them.
 """
 
 from __future__ import annotations
@@ -136,9 +136,11 @@ def error_payload(name: str, code: str, message: str, **instance) -> dict:
     }
 
 
-def emit_report(doc: ReportDocument, include_timing: bool = False) -> str:
+def emit_report(doc: ReportDocument) -> str:
+    """The document as sorted, indented JSON; `timing` appears exactly
+    when the document carries one."""
     payload = dict(doc.payload)
-    if include_timing and doc.timing is not None:
+    if doc.timing is not None:
         payload["timing"] = doc.timing
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 

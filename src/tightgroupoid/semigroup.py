@@ -385,7 +385,11 @@ def from_partial_maps(degree: int, generators: Sequence[Sequence],
     The closure is the smallest set of partial injections of
     ``{0..degree-1}`` containing the generators; it is automatically an
     inverse semigroup because idempotent partial injections (partial
-    identities) commute.  `max_size` aborts runaway closures.
+    identities) commute.  The inverse of a word is the reversed word of
+    inverse letters, so the closure is the set of words over the
+    generators and their inverses: one breadth-first walk right-multiplies
+    every map found by each of those letters.  `max_size` aborts runaway
+    closures at the first map past the cap.
     """
     if degree < 1:
         raise DegreeMismatch("degree must be at least 1")
@@ -395,27 +399,21 @@ def from_partial_maps(degree: int, generators: Sequence[Sequence],
         gens.append(_check_partial_map(g, degree, label))
 
     empty = tuple([None] * degree)
-    elems = set(gens) | {empty}
-    frontier = list(elems)
-    while frontier:
-        fresh = []
-        for f in frontier:
-            inv = invert_map(f)
-            if inv not in elems:
-                elems.add(inv)
-                fresh.append(inv)
-        current = list(elems)
-        for f in frontier:
-            for g in current:
-                for h in (compose_maps(f, g), compose_maps(g, f)):
-                    if h not in elems:
-                        elems.add(h)
-                        fresh.append(h)
-        if max_size is not None and len(elems) > max_size:
-            raise CapExceeded(f"closure exceeded {max_size} elements")
-        frontier = fresh
+    letters = list(dict.fromkeys(gens + [invert_map(g) for g in gens]))
+    found = list(dict.fromkeys([empty, *letters]))
+    seen = set(found)
+    if max_size is not None and len(found) > max_size:
+        raise CapExceeded(f"closure exceeded {max_size} elements")
+    for f in found:  # the list grows while it is walked
+        for a in letters:
+            h = compose_maps(f, a)
+            if h not in seen:
+                seen.add(h)
+                found.append(h)
+                if max_size is not None and len(found) > max_size:
+                    raise CapExceeded(f"closure exceeded {max_size} elements")
 
-    order = sorted(elems, key=lambda f: tuple(-1 if v is None else v for v in f))
+    order = sorted(found, key=lambda f: tuple(-1 if v is None else v for v in f))
     index = {f: i for i, f in enumerate(order)}
     table = [[index[compose_maps(a, b)] for b in order] for a in order]
     names = [map_name(f) for f in order]

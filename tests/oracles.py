@@ -382,3 +382,36 @@ def union_find_germs(action):
         if any(germ_equal(action, s, e, x) for e in _idempotents_at(action, x))
     )
     return arrows, class_of, units
+
+
+# ------------------------------------------- general route (closure)
+
+def two_sided_closure(degree, gens, max_size=None):
+    """The set of maps generated by checked partial injections, by the
+    round-based closure: invert every new map, compose each frontier map
+    on both sides with every map found so far, and test the size cap once
+    per round.  Returns the map set, empty map included."""
+    from tightgroupoid.errors import CapExceeded
+    from tightgroupoid.semigroup import compose_maps, invert_map
+
+    empty = tuple([None] * degree)
+    elems = set(gens) | {empty}
+    frontier = list(elems)
+    while frontier:
+        fresh = []
+        for f in frontier:
+            inv = invert_map(f)
+            if inv not in elems:
+                elems.add(inv)
+                fresh.append(inv)
+        current = list(elems)
+        for f in frontier:
+            for g in current:
+                for h in (compose_maps(f, g), compose_maps(g, f)):
+                    if h not in elems:
+                        elems.add(h)
+                        fresh.append(h)
+        if max_size is not None and len(elems) > max_size:
+            raise CapExceeded(f"closure exceeded {max_size} elements")
+        frontier = fresh
+    return elems

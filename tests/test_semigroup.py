@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tightgroupoid as tg
-from tightgroupoid import errors
+from tightgroupoid import errors, semigroup
+from tightgroupoid.fixtures import random_partial_injection
 
 import oracles
 
@@ -89,6 +92,59 @@ def test_non_injective_generator_rejected():
 def test_degree_mismatch_rejected():
     with pytest.raises(errors.DegreeMismatch):
         tg.from_partial_maps(2, [(0, 1, None)])
+
+
+def closure_or_cap(build):
+    try:
+        return set(build())
+    except errors.CapExceeded:
+        return "CapExceeded"
+
+
+def three_generators(n):
+    """The n-cycle, the transposition (0 1) and the rank n-1 partial
+    identity, which generate all partial injections of n points."""
+    gens = [tuple((x + 1) % n for x in range(n)),
+            tuple(range(n - 1)) + (None,)]
+    if n > 1:
+        gens.append((1, 0) + tuple(range(2, n)))
+    return gens
+
+
+def test_closure_matches_two_sided_oracle():
+    # degree 1 with cap 1 exceeds its cap before any product is formed
+    cases = [(2, [(1, 0), (0, None)], None), (1, [(0,)], 1),
+             (5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4), (0, 1, 2, 3, None)], None)]
+    cases += [(n, three_generators(n), None) for n in range(1, 5)]
+    rng = random.Random(0)
+    for _ in range(500):
+        degree = rng.randint(1, 5)
+        gens = [random_partial_injection(rng, degree)
+                for _ in range(rng.randint(1, 3))]
+        cases.append((degree, gens, rng.choice([None, 20, 50, 300])))
+    for degree, gens, cap in cases:
+        got = closure_or_cap(lambda: tg.from_partial_maps(
+            degree, gens, max_size=cap).partial_maps)
+        want = closure_or_cap(lambda: oracles.two_sided_closure(
+            degree, gens, cap))
+        assert got == want, (degree, gens, cap)
+
+
+def test_closure_stops_at_first_map_past_cap(monkeypatch):
+    gens = three_generators(6)
+    letters = set(gens) | {semigroup.invert_map(g) for g in gens}
+    calls = 0
+    compose = semigroup.compose_maps
+
+    def counting(f, g):
+        nonlocal calls
+        calls += 1
+        return compose(f, g)
+
+    monkeypatch.setattr(semigroup, "compose_maps", counting)
+    with pytest.raises(errors.CapExceeded):
+        tg.from_partial_maps(6, gens, max_size=50)
+    assert calls <= 51 * len(letters)
 
 
 # ----------------------------------------------------------------- order
