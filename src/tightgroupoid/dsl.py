@@ -32,102 +32,121 @@ class SemigroupSpec:
     generators: tuple | None = None    # ((name, images-with-None), ...)
 
 
-def _tokens(text: str):
-    """Significant lines as (line_number, [(column, token), ...])."""
+def _lines(text: str):
+    """Significant lines as (line_number, text before any comment,
+    tokens)."""
     out = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
-        toks = []
-        col = 0
-        for tok in line.split():
-            col = line.index(tok, col)
-            toks.append((col + 1, tok))
-            col += len(tok)
+        toks = line.split()
         if toks:
-            out.append((ln, toks))
+            out.append((ln, line, toks))
     return out
 
 
+def _at(where, i):
+    """(line, 1-based column) of token i of a significant line.  Columns
+    are worked out only for error reports."""
+    ln, line, toks = where
+    col = 0
+    for tok in toks[:i]:
+        col = line.index(tok, col) + len(tok)
+    return ln, line.index(toks[i], col) + 1
+
+
 def parse_spec(text: str) -> SemigroupSpec:
-    lines = _tokens(text)
+    lines = _lines(text)
     if not lines:
         raise DslSyntaxError(1, 1, "a 'semigroup <name>' header")
-    ln, toks = lines[0]
-    if len(toks) != 2 or toks[0][1] != "semigroup":
-        raise DslSyntaxError(ln, toks[0][0], "'semigroup <name>'")
-    name = toks[1][1]
+    ln, _, toks = lines[0]
+    if len(toks) != 2 or toks[0] != "semigroup":
+        raise DslSyntaxError(*_at(lines[0], 0), "'semigroup <name>'")
+    name = toks[1]
     if len(lines) < 2:
         raise DslSyntaxError(ln, 1, "a 'table' or 'points' declaration")
-    ln, toks = lines[1]
-    head = toks[0][1]
+    decl, rest = lines[1], lines[2:]
+    head = decl[2][0]
     if head == "table":
-        return _parse_table(name, ln, toks, lines[2:])
+        return _parse_table(name, decl, rest)
     if head == "points":
-        return _parse_generators(name, ln, toks, lines[2:])
-    raise DslSyntaxError(ln, toks[0][0], "'table' or 'points'")
+        return _parse_generators(name, decl, rest)
+    raise DslSyntaxError(*_at(decl, 0), "'table' or 'points'")
 
 
-def _int_token(ln, col, tok, what):
+def _int_token(where, i, what):
     try:
-        return int(tok)
+        return int(where[2][i])
     except ValueError:
-        raise DslSyntaxError(ln, col, f"an integer {what}")
+        raise DslSyntaxError(*_at(where, i), f"an integer {what}")
 
 
-def _parse_table(name, ln, toks, rest):
-    if len(toks) != 4 or toks[2][1] != "zero":
-        raise DslSyntaxError(ln, toks[0][0], "'table <n> zero <k>'")
-    n = _int_token(ln, toks[1][0], toks[1][1], "size")
-    zero = _int_token(ln, toks[3][0], toks[3][1], "zero index")
+def _parse_table(name, decl, rest):
+    ln, _, toks = decl
+    if len(toks) != 4 or toks[2] != "zero":
+        raise DslSyntaxError(*_at(decl, 0), "'table <n> zero <k>'")
+    n = _int_token(decl, 1, "size")
+    zero = _int_token(decl, 3, "zero index")
     if n < 1:
-        raise DslRangeError(ln, toks[1][0], "size must be at least 1")
+        raise DslRangeError(*_at(decl, 1), "size must be at least 1")
     if not 0 <= zero < n:
-        raise DslRangeError(ln, toks[3][0], f"zero index {zero} outside 0..{n - 1}")
+        raise DslRangeError(*_at(decl, 3), f"zero index {zero} outside 0..{n - 1}")
     if len(rest) != n:
         where = rest[-1][0] if rest else ln
         raise DslSyntaxError(where, 1, f"{n} table rows")
     rows = []
-    for rln, rtoks in rest:
+    for row_line in rest:
+        rtoks = row_line[2]
         if len(rtoks) != n:
-            raise DslSyntaxError(rln, rtoks[0][0], f"{n} entries in the row")
-        row = []
-        for col, tok in rtoks:
-            v = _int_token(rln, col, tok, "table entry")
-            if not 0 <= v < n:
-                raise DslRangeError(rln, col, f"entry {v} outside 0..{n - 1}")
-            row.append(v)
-        rows.append(tuple(row))
+            raise DslSyntaxError(*_at(row_line, 0), f"{n} entries in the row")
+        try:
+            row = tuple(map(int, rtoks))
+        except ValueError:
+            row = None
+        if row is None or min(row) < 0 or max(row) >= n:
+            _raise_entry_error(row_line, n)
+        rows.append(row)
     return SemigroupSpec(name, "table", size=n, zero=zero, rows=tuple(rows))
 
 
-def _parse_generators(name, ln, toks, rest):
+def _raise_entry_error(row_line, n):
+    """Report the first bad entry of a table row, scanning left to right:
+    a token that is not an integer, or an entry outside 0..n-1."""
+    for i in range(len(row_line[2])):
+        v = _int_token(row_line, i, "table entry")
+        if not 0 <= v < n:
+            raise DslRangeError(*_at(row_line, i), f"entry {v} outside 0..{n - 1}")
+
+
+def _parse_generators(name, decl, rest):
+    ln, _, toks = decl
     if len(toks) != 2:
-        raise DslSyntaxError(ln, toks[0][0], "'points <m>'")
-    degree = _int_token(ln, toks[1][0], toks[1][1], "point count")
+        raise DslSyntaxError(*_at(decl, 0), "'points <m>'")
+    degree = _int_token(decl, 1, "point count")
     if degree < 1:
-        raise DslRangeError(ln, toks[1][0], "point count must be at least 1")
+        raise DslRangeError(*_at(decl, 1), "point count must be at least 1")
     gens = []
     names = set()
     if not rest:
         raise DslSyntaxError(ln, 1, "at least one 'gen' line")
-    for gln, gtoks in rest:
-        if gtoks[0][1] != "gen":
-            raise DslSyntaxError(gln, gtoks[0][0], "'gen <name> = <images>'")
-        if len(gtoks) != 3 + degree or gtoks[2][1] != "=":
-            raise DslSyntaxError(gln, gtoks[0][0],
+    for gen_line in rest:
+        gln, _, gtoks = gen_line
+        if gtoks[0] != "gen":
+            raise DslSyntaxError(*_at(gen_line, 0), "'gen <name> = <images>'")
+        if len(gtoks) != 3 + degree or gtoks[2] != "=":
+            raise DslSyntaxError(*_at(gen_line, 0),
                                  f"'gen <name> = ' followed by {degree} tokens")
-        gname = gtoks[1][1]
+        gname = gtoks[1]
         if gname in names:
             raise DuplicateName(gname, gln)
         names.add(gname)
         images = []
-        for col, tok in gtoks[3:]:
-            if tok == "_":
+        for i in range(3, len(gtoks)):
+            if gtoks[i] == "_":
                 images.append(None)
                 continue
-            v = _int_token(gln, col, tok, "image")
+            v = _int_token(gen_line, i, "image")
             if not 0 <= v < degree:
-                raise DslRangeError(gln, col, f"image {v} outside 0..{degree - 1}")
+                raise DslRangeError(*_at(gen_line, i), f"image {v} outside 0..{degree - 1}")
             images.append(v)
         gens.append((gname, tuple(images)))
     return SemigroupSpec(name, "generators", degree=degree, generators=tuple(gens))

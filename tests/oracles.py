@@ -415,3 +415,38 @@ def two_sided_closure(degree, gens, max_size=None):
             raise CapExceeded(f"closure exceeded {max_size} elements")
         frontier = fresh
     return elems
+
+
+# --------------------------- general route (table and action axioms)
+
+def cubic_associativity(table):
+    """First triple (a, b, c) with (a b) c != a (b c), or None.  Scans the
+    first argument a, comparing the whole (b, c) square for each a."""
+    import numpy as np
+
+    m = np.array(table, dtype=np.intp)
+    for a in range(len(m)):
+        lhs = m[m[a], :]          # (b,c) -> (a b) c
+        rhs = m[a][m]             # (b,c) -> a (b c)
+        if not np.array_equal(lhs, rhs):
+            b, c = map(int, np.argwhere(lhs != rhs)[0])
+            return a, b, c
+    return None
+
+
+def all_pairs_composition(action):
+    """First (s, t, x), over every pair of elements and every point, where
+    the map of s t disagrees with the map of s after the map of t; or
+    None."""
+    sg = action.semigroup
+    maps = action.maps
+    for s in sg.elements():
+        ms = maps[s]
+        for t in sg.elements():
+            mt = maps[t]
+            mst = maps[sg.table[s][t]]
+            for x in range(action.points):
+                y = mt[x]
+                if (ms[y] if y is not None else None) != mst[x]:
+                    return s, t, x
+    return None

@@ -130,21 +130,34 @@ def test_closure_matches_two_sided_oracle():
         assert got == want, (degree, gens, cap)
 
 
-def test_closure_stops_at_first_map_past_cap(monkeypatch):
-    gens = three_generators(6)
-    letters = set(gens) | {semigroup.invert_map(g) for g in gens}
-    calls = 0
+@pytest.fixture
+def compose_calls(monkeypatch):
+    """Counts the `compose_maps` calls the test makes, in a one-item list."""
+    calls = [0]
     compose = semigroup.compose_maps
 
     def counting(f, g):
-        nonlocal calls
-        calls += 1
+        calls[0] += 1
         return compose(f, g)
 
     monkeypatch.setattr(semigroup, "compose_maps", counting)
+    return calls
+
+
+def test_closure_stops_at_first_map_past_cap(compose_calls):
+    gens = three_generators(6)
+    letters = set(gens) | {semigroup.invert_map(g) for g in gens}
     with pytest.raises(errors.CapExceeded):
         tg.from_partial_maps(6, gens, max_size=50)
-    assert calls <= 51 * len(letters)
+    assert compose_calls[0] <= 51 * len(letters)
+
+
+def test_table_fill_composes_only_along_the_walk(compose_calls):
+    # In(4) has 209 elements and 4 distinct letters: one composition per
+    # edge of the right Cayley graph, none per table cell
+    sg = tg.from_partial_maps(4, three_generators(4))
+    assert sg.size == 209
+    assert compose_calls[0] <= 209 * 4
 
 
 # ----------------------------------------------------------------- order
