@@ -11,7 +11,6 @@ them are provably equal.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import (
@@ -325,62 +324,21 @@ class ContractionVerdict:
 
     value: bool
     reason: str
-    witness: tuple = ()
 
     def __bool__(self) -> bool:
         return self.value
 
 
-# carriers up to this size also run the exhaustive contraction search
-SEARCH_MAX_POINTS = 6
-
-
-def search_contraction_action(action: FiniteAction):
-    """Exhaustive search for the contraction pattern of the definition.
-
-    In general one asks: inside every nonempty open U there are an open V
-    and an element s with closure(V) inside the domain of s*s and the
-    image of closure(V) a proper subset of V.  Here closure(V) = V, so the
-    search enumerates every pair (V, s) with V inside the domain of s and
-    the image of V a proper subset of V, then checks that every nonempty
-    U contains a workable V.  Returns (verdict, witness_or_failing_U).
-    """
-    workable = []
-    for s in action.semigroup.elements():
-        dom = sorted(action.domain(s))
-        m = action.maps[s]
-        for r in range(len(dom) + 1):
-            for vs in itertools.combinations(dom, r):
-                v = frozenset(vs)
-                if frozenset(m[x] for x in v) < discrete_closure(v):
-                    workable.append((v, s))
-    if not workable:
-        return False, None
-    carrier = list(range(action.points))
-    for r in range(1, len(carrier) + 1):
-        for us in itertools.combinations(carrier, r):
-            u = frozenset(us)
-            if not any(v <= u for v, _ in workable):
-                return False, ("no contraction inside", u)
-    return True, workable[0]
-
-
 def is_locally_contracting_action(action: FiniteAction) -> ContractionVerdict:
     """Always False on a finite carrier, with the counting argument as
-    the reason: the elements act injectively, so the image of any finite
-    V has the same cardinality as V and can never be a proper subset.
-
-    For carriers up to SEARCH_MAX_POINTS the exhaustive search runs as well
-    and must agree; disagreement is a hard failure, not a verdict.  An
-    empty carrier has no nonempty open subset to witness anything and is
-    reported through its own reason tag.
+    the reason.  In general one asks that inside every nonempty open U
+    there be an open V and an element s with closure(V) inside the domain
+    of s*s and the image of closure(V) a proper subset of V.  Here
+    closure(V) = V, and the elements act injectively, so the image of any
+    finite V has the same cardinality as V and can never be a proper
+    subset.  An empty carrier has no nonempty open subset to witness
+    anything and is reported through its own reason tag.
     """
     if action.points == 0:
         return ContractionVerdict(False, "EmptySpectrum")
-    if action.points <= SEARCH_MAX_POINTS:
-        found, _ = search_contraction_action(action)
-        if found:
-            raise TheoremViolation(
-                "locally_contracting_action", False, True,
-                "search found a contraction on a finite carrier")
     return ContractionVerdict(False, "CardinalityObstruction")

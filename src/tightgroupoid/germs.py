@@ -17,8 +17,6 @@ action module).
 
 from __future__ import annotations
 
-import itertools
-
 from .action import (
     ContractionVerdict,
     FiniteAction,
@@ -28,10 +26,6 @@ from .action import (
     validate_action,
 )
 from .errors import DomainViolation, TheoremViolation
-
-# groupoids with up to this many arrows also run the exhaustive
-# bisection search
-SEARCH_MAX_ARROWS = 10
 
 
 def germ_equal(action: FiniteAction, s: int, t: int, x: int) -> bool:
@@ -183,17 +177,9 @@ class GermGroupoid:
     def locally_contracting_verdict(self) -> ContractionVerdict:
         """Always False for a finite groupoid with nonempty unit space: a
         bisection acts injectively on units, so it cannot push a finite
-        set inside a proper subset of itself.  Groupoids with up to
-        SEARCH_MAX_ARROWS arrows also run the exhaustive bisection search,
-        which must agree."""
+        set inside a proper subset of itself."""
         if self.action.points == 0:
             return ContractionVerdict(False, "EmptySpectrum")
-        if len(self.arrows) <= SEARCH_MAX_ARROWS:
-            found, _ = search_contraction_groupoid(self)
-            if found:
-                raise TheoremViolation(
-                    "locally_contracting_groupoid", False, True,
-                    "bisection search found a contraction on a finite groupoid")
         return ContractionVerdict(False, "CardinalityObstruction")
 
     # --------------------------------------------------------- validation
@@ -259,41 +245,3 @@ def build_germ_groupoid(action: FiniteAction) -> GermGroupoid:
     arrows = [(first[key], key[0]) for key in keys]
     return GermGroupoid(action, arrows, class_of)
 
-
-def search_contraction_groupoid(g: GermGroupoid):
-    """Exhaustive bisection search for the contraction pattern.
-
-    In general: inside every nonempty open unit set U there are an open
-    V and an open bisection S with closure(V) inside the source units of
-    S and the conjugate of closure(V) under S a proper subset of V.
-    Everything is clopen here, and for a bisection S the source units of
-    S are exactly the units covered by S while conjugation moves a unit
-    along the one arrow of S starting there.  The search enumerates every
-    bisection (arrow sets with injective source and target), collects the
-    workable (V, S) pairs, and then checks the for-every-U clause.
-    """
-    n = len(g.arrows)
-    arrow_ids = list(range(n))
-    workable = []
-    for r in range(n + 1):
-        for combo in itertools.combinations(arrow_ids, r):
-            srcs = [g.source[i] for i in combo]
-            tgts = [g.target[i] for i in combo]
-            if len(set(srcs)) != len(combo) or len(set(tgts)) != len(combo):
-                continue
-            move = dict(zip(srcs, tgts))
-            source_units = frozenset(srcs)
-            for k in range(len(source_units) + 1):
-                for vs in itertools.combinations(sorted(source_units), k):
-                    v = frozenset(vs)
-                    if frozenset(move[x] for x in v) < discrete_closure(v):
-                        workable.append((v, frozenset(combo)))
-    if not workable:
-        return False, None
-    carrier = list(range(g.action.points))
-    for r in range(1, len(carrier) + 1):
-        for us in itertools.combinations(carrier, r):
-            u = frozenset(us)
-            if not any(v <= u for v, _ in workable):
-                return False, ("no contraction inside", u)
-    return True, workable[0]

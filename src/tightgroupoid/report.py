@@ -75,13 +75,6 @@ def _contraction_witness(sg, witness):
            "groupoid_reason": witness.get("groupoid_reason")}
     if "e" in crit:
         out["refuted_at"] = sg.name_of(crit["e"])
-    if "families" in crit:
-        out["families"] = {
-            sg.name_of(e): {"s": sg.name_of(s),
-                            "family": _names(sg, family),
-                            "f0": sg.name_of(f0)}
-            for e, (s, family, f0) in sorted(crit["families"].items())
-        }
     return out
 
 

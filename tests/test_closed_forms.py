@@ -1,6 +1,7 @@
 """The closed forms the library computes on finite instances against the
 general routes they replace (kept in oracles.py): tight points and
-tightness witnesses, the standard action, and the germ quotient."""
+tightness witnesses, the standard action, the germ quotient, and the
+local-contraction criterion."""
 
 from __future__ import annotations
 
@@ -59,3 +60,10 @@ def test_germ_quotient_matches_union_find(instances):
                 for x in act.domain(s):
                     assert g.arrow_of(s, x) == class_of[(s, x)], \
                         (name, carrier, s, x)
+
+
+def test_contraction_criterion_matches_family_search(instances):
+    for name, sg in instances:
+        got = tg.locally_contracting_criterion(sg)
+        want = oracles.search_locally_contracting(sg)
+        assert (got.value, got.witness) == (want.value, want.witness), name

@@ -158,11 +158,23 @@ def test_contraction_refutation_at_e4_atom(named_fixtures, corpus100):
     res = tg.locally_contracting_criterion(e4)
     assert res.witness["e"] in (1, 2)
     # the refutation always lands on an atom, where the one-member family
-    # search is exhaustive; this is why the family search needs no cap
+    # is the only candidate
     for name, sg in list(named_fixtures.items()) + list(corpus100):
         res = tg.locally_contracting_criterion(sg)
         assert res.value is False, name
         assert len(sg.below(res.witness["e"])) == 2, name
+
+
+def test_contraction_criterion_raises_on_contracting_atom():
+    # not an inverse semigroup (the constructor trusts its inputs): at the
+    # atom e=1, s=2 has e s e = 0 while s e s* = e, so the one-member
+    # family {e} qualifies, which no inverse semigroup allows
+    sg = tg.InverseSemigroup([[0, 0, 0], [0, 1, 0], [0, 2, 1]], 0,
+                             [0, 1, 2], {0, 1}, (0, 1, 2))
+    with pytest.raises(errors.TheoremViolation) as info:
+        tg.locally_contracting_criterion(sg)
+    assert info.value.property == "locally_contracting_criterion"
+    assert (info.value.criterion, info.value.direct) == (True, False)
 
 
 def test_degenerate_semigroup_is_vacuously_contracting():
