@@ -11,13 +11,11 @@ from .action import (
     ContractionVerdict,
     FiniteAction,
     OrbitPartition,
-    act_on_character,
     fixed_points,
     is_free,
     is_irreducible,
     is_locally_contracting_action,
     is_topologically_free,
-    orbit,
     orbit_partition,
     standard_action,
     trivial_fixed_points,
@@ -30,8 +28,6 @@ from .criteria import (
     PropertyReport,
     analyze,
     easier_loc_contr_criterion,
-    ess_principal_and_hausdorff_criterion,
-    full_report,
     hausdorff_criterion,
     locally_contracting_criterion,
     minimal_criterion,
@@ -51,7 +47,7 @@ from .fixtures import (
     random_instance,
     symmetric_inverse_monoid,
 )
-from .germs import GermGroupoid, build_germ_groupoid, germ_equal
+from .germs import GermGroupoid, build_germ_groupoid
 from .report import ReportDocument, build_document, emit_dot, emit_report
 from .semigroup import (
     Ideal,

@@ -2,9 +2,9 @@
 
 The carrier is a finite set of points carrying the discrete topology, so
 the topological notions in the definitions below collapse: the interior
-and the closure of any subset are the subset itself.  The collapsed form
-is used by each predicate, and the general form is kept in the docstring
-next to it so the collapse stays auditable.  The test suite asserts,
+and the closure of any subset are the subset itself.  Each predicate
+uses the subset directly, and its docstring keeps the general form next
+to the collapse so the collapse stays auditable.  The test suite asserts,
 rather than assumes, that the collapsed predicates agree wherever two of
 them are provably equal.
 """
@@ -23,19 +23,7 @@ from .errors import (
     TheoremViolation,
 )
 from .semigroup import InverseSemigroup
-from .spectrum import Character, TightSpectrum, validate_character
-
-
-def discrete_interior(subset: frozenset) -> frozenset:
-    """Interior of a subset of a finite discrete space: the subset itself,
-    since every singleton is open."""
-    return subset
-
-
-def discrete_closure(subset: frozenset) -> frozenset:
-    """Closure of a subset of a finite discrete space: the subset itself,
-    since every singleton is closed."""
-    return subset
+from .spectrum import TightSpectrum
 
 
 class FiniteAction:
@@ -158,23 +146,6 @@ def validate_action(action: FiniteAction) -> None:
 
 # ------------------------------------------------------- standard action
 
-def act_on_character(sg: InverseSemigroup, s: int, c: Character) -> Character:
-    """The dual action on characters: the result sends e to c(s* e s).
-
-    Defined when c(s*s) = 1; the result is never the zero map because it
-    takes value 1 at ss*.
-    """
-    validate_character(sg, c)
-    star = sg.star[s]
-    if sg.table[star][s] not in c.ones:
-        raise NotInDomain("character vanishes at s*s")
-    ones = frozenset(
-        e for e in sg.idempotent_list()
-        if sg.table[sg.table[star][e]][s] in c.ones
-    )
-    return Character(ones)
-
-
 def standard_action(spectrum: TightSpectrum) -> FiniteAction:
     """The action of the semigroup on its tight spectrum.
 
@@ -250,7 +221,7 @@ def is_topologically_free(action: FiniteAction) -> bool:
     this collapses to containment of the full fixed point set; the test
     suite asserts the collapse makes this agree with :func:`is_free`."""
     return all(
-        discrete_interior(fixed_points(action, s)) <= trivial_fixed_points(action, s)
+        fixed_points(action, s) <= trivial_fixed_points(action, s)
         for s in action.semigroup.elements()
     )
 
@@ -271,14 +242,10 @@ class OrbitPartition:
         raise NotInDomain(f"point {x} not in any class")
 
 
-def orbit_partition(action: FiniteAction) -> OrbitPartition:
-    """Partition the carrier into trajectory classes.
-
-    Two points are equivalent when some element moves one onto the
-    other; the relation is already transitive (compose the movers), so a
-    union-find closure over all one-step moves computes exactly it.
-    """
-    parent = list(range(action.points))
+def components(points: int, pairs) -> tuple:
+    """Connected components of the graph on 0..points-1 with an edge for
+    each (x, y) in `pairs`, as frozensets ordered by smallest member."""
+    parent = list(range(points))
 
     def find(x):
         while parent[x] != x:
@@ -286,22 +253,28 @@ def orbit_partition(action: FiniteAction) -> OrbitPartition:
             x = parent[x]
         return x
 
-    for s in action.semigroup.elements():
-        m = action.maps[s]
-        for x in action.domain(s):
-            rx, ry = find(x), find(m[x])
-            if rx != ry:
-                parent[max(rx, ry)] = min(rx, ry)
+    for x, y in pairs:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
 
     buckets = {}
-    for x in range(action.points):
+    for x in range(points):
         buckets.setdefault(find(x), set()).add(x)
-    classes = tuple(sorted((frozenset(c) for c in buckets.values()), key=min))
-    return OrbitPartition(classes)
+    return tuple(sorted((frozenset(c) for c in buckets.values()), key=min))
 
 
-def orbit(action: FiniteAction, x: int) -> frozenset:
-    return orbit_partition(action).class_of(x)
+def orbit_partition(action: FiniteAction) -> OrbitPartition:
+    """Partition the carrier into trajectory classes.
+
+    Two points are equivalent when some element moves one onto the
+    other; the relation is already transitive (compose the movers), so
+    the components of the graph of all one-step moves are exactly it.
+    """
+    maps = action.maps
+    return OrbitPartition(components(action.points, (
+        (x, maps[s][x])
+        for s in action.semigroup.elements() for x in action.domain(s))))
 
 
 def is_irreducible(action: FiniteAction) -> bool:

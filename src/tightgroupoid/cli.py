@@ -114,7 +114,7 @@ def _analyze_single(args) -> int:
                 spec = parse_spec(fh.read())
             name = spec.name
             sg = build_semigroup(spec)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return 1
     except TightGroupoidError as exc:
@@ -226,6 +226,10 @@ def run_cli(argv=None) -> int:
     parser = _parser()
     try:
         args = parser.parse_args(argv)
+        if args.corpus is not None and args.corpus < 0:
+            parser.error("--corpus must be at least 0")
+        if args.jobs < 1:
+            parser.error("--jobs must be at least 1")
     except SystemExit as exc:
         return int(exc.code or 0)
     if args.corpus is not None:

@@ -76,10 +76,9 @@ def _minimize_cover(sg, candidates, ideal_members):
     """Greedy removal pass; keeps the witness small for readability,
     correctness never depends on the result being minimum."""
     chosen = sorted(candidates)
-    nz = [f for f in ideal_members if f != sg.zero]
     for c in list(chosen):
         rest = [d for d in chosen if d != c]
-        if all(any(sg.table[f][d] != sg.zero for d in rest) for f in nz):
+        if sg.first_uncovered(rest, ideal_members) is None:
             chosen = rest
     return tuple(chosen)
 
@@ -105,13 +104,7 @@ def top_free_criterion(sg: InverseSemigroup) -> CriterionResult:
             if e == zero or not weakly_fixed(sg, e, s):
                 continue
             fixed_cands = [c for c in sg.below(e) if c != zero and table[s][c] == c]
-            uncovered = None
-            for f in sg.below(e):
-                if f == zero:
-                    continue
-                if not any(table[f][c] != zero for c in fixed_cands):
-                    uncovered = f
-                    break
+            uncovered = sg.first_uncovered(fixed_cands, sg.below(e))
             if uncovered is None:
                 covers[(s, e)] = _minimize_cover(sg, fixed_cands, sg.below(e))
             else:
@@ -119,16 +112,6 @@ def top_free_criterion(sg: InverseSemigroup) -> CriterionResult:
     if failures:
         return CriterionResult(False, witness={"failures": failures})
     return CriterionResult(True, witness={"fixed_covers": covers})
-
-
-def ess_principal_and_hausdorff_criterion(sg: InverseSemigroup) -> CriterionResult:
-    """Conjunction of the finite-cover condition and the fixed-cover
-    condition; matches the groupoid being both Hausdorff and essentially
-    principal."""
-    h = hausdorff_criterion(sg)
-    t = top_free_criterion(sg)
-    return CriterionResult(h.value and t.value,
-                           witness={"hausdorff": h.witness, "top_free": t.witness})
 
 
 # ------------------------------------------------------------- minimality
@@ -163,13 +146,7 @@ def minimal_criterion(sg: InverseSemigroup) -> CriterionResult:
         for f in nz:
             cands = conjugate_sets[f]
             if cands not in decided:
-                uncovered = None
-                for g in sg.below(e):
-                    if g == zero:
-                        continue
-                    if not any(table[g][c] != zero for c in cands):
-                        uncovered = g
-                        break
+                uncovered = sg.first_uncovered(cands, sg.below(e))
                 small = None
                 if uncovered is None:
                     small = _minimize_cover(sg, cands, sg.below(e))
@@ -270,7 +247,7 @@ class PropertyReport:
     """The four verdict pairs plus the final-theorem flags.
 
     Pair equality is enforced at construction time by
-    :func:`full_report`; a mismatch raises instead of being stored.
+    :func:`analyze`; a mismatch raises instead of being stored.
     """
 
     hausdorff: PropertyPair
@@ -360,10 +337,6 @@ def analyze(sg: InverseSemigroup, name: str = "S") -> Analysis:
     report = PropertyReport(h_pair, e_pair, m_pair, lc_pair, flags,
                             _conclusions(flags))
     return Analysis(sg, spec, act, gpd, report)
-
-
-def full_report(sg: InverseSemigroup, name: str = "S") -> PropertyReport:
-    return analyze(sg, name).report
 
 
 # ------------------------------------------------------ identity harness

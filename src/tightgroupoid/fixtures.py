@@ -10,21 +10,23 @@ import re
 from .errors import CapExceeded, DegreeMismatch
 from .semigroup import InverseSemigroup, from_partial_maps, from_table
 
-SYMMETRIC_CAP = 4
+SYMMETRIC_CAP = 4       # largest degree of a symmetric inverse monoid
+RANDOM_MAX_SIZE = 300   # closure cap of a random instance
+RANDOM_MIN_IDEMPOTENTS = 2
 
 
-def symmetric_inverse_monoid(n: int, cap: int = SYMMETRIC_CAP) -> InverseSemigroup:
+def symmetric_inverse_monoid(n: int) -> InverseSemigroup:
     """All partial injections of an n point set.
 
     The n-cycle and the transposition (0 1) generate the symmetric group,
     and with the partial identity of rank n-1 they generate every partial
     injection.  The element count is the sum over k of C(n,k)^2 k!, which
-    grows fast; `cap` guards against accidental huge closures.
+    grows fast; `SYMMETRIC_CAP` guards against accidental huge closures.
     """
     if n < 1:
         raise DegreeMismatch("need at least one point")
-    if n > cap:
-        raise CapExceeded(f"symmetric inverse monoid capped at degree {cap}")
+    if n > SYMMETRIC_CAP:
+        raise CapExceeded(f"symmetric inverse monoid capped at degree {SYMMETRIC_CAP}")
     gens = [tuple((x + 1) % n for x in range(n)),
             tuple(range(n - 1)) + (None,)]
     if n > 1:
@@ -173,31 +175,31 @@ def random_partial_injection(rng: random.Random, degree: int) -> tuple:
     return tuple(out)
 
 
-def random_instance(rng: random.Random, max_size: int = 300,
-                    min_idempotents: int = 2) -> InverseSemigroup:
+def random_instance(rng: random.Random) -> InverseSemigroup:
     """One random generator-closed instance.
 
-    Degree 2..4, one to three generators, closure capped at `max_size`
-    elements; oversized or spectrum-degenerate draws are resampled so the
-    result always supports the full analysis pipeline.
+    Degree 2..4, one to three generators, closure capped at
+    `RANDOM_MAX_SIZE` elements; oversized draws, and draws with fewer than
+    `RANDOM_MIN_IDEMPOTENTS` idempotents (an empty spectrum), are
+    resampled so the result always supports the full analysis pipeline.
     """
     while True:
         degree = rng.choice([2, 3, 4])
         gens = [random_partial_injection(rng, degree)
                 for _ in range(rng.randint(1, 3))]
         try:
-            sg = from_partial_maps(degree, gens, max_size=max_size)
+            sg = from_partial_maps(degree, gens, max_size=RANDOM_MAX_SIZE)
         except CapExceeded:
             continue
-        if len(sg.idempotents) < min_idempotents:
+        if len(sg.idempotents) < RANDOM_MIN_IDEMPOTENTS:
             continue
         return sg
 
 
-def corpus(count: int, seed: int, max_size: int = 300) -> list:
+def corpus(count: int, seed: int) -> list:
     """Deterministic list of (name, semigroup) pairs for a seed."""
     rng = random.Random(seed)
     out = []
     for i in range(count):
-        out.append((f"corpus-{seed}-{i:03d}", random_instance(rng, max_size)))
+        out.append((f"corpus-{seed}-{i:03d}", random_instance(rng)))
     return out

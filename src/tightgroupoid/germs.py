@@ -11,8 +11,8 @@ is kept in the test suite as the oracle it is checked against.
 
 The groupoid of a finite discrete action is itself finite and discrete:
 every singleton arrow set is a slice, so interiors and closures of arrow
-sets are the sets themselves (see the corresponding helpers in the
-action module).
+sets are the sets themselves, and the verdicts below use the sets
+directly.
 """
 
 from __future__ import annotations
@@ -20,22 +20,11 @@ from __future__ import annotations
 from .action import (
     ContractionVerdict,
     FiniteAction,
-    discrete_closure,
-    discrete_interior,
+    components,
     trivial_fixed_points,
     validate_action,
 )
 from .errors import DomainViolation, TheoremViolation
-
-
-def germ_equal(action: FiniteAction, s: int, t: int, x: int) -> bool:
-    """Whether s and t have the same germ at x: some idempotent e with x
-    in its domain satisfies s e = t e."""
-    table = action.semigroup.table
-    return any(
-        table[s][e] == table[t][e]
-        for e in action.semigroup.idempotent_list() if x in action.edomains[e]
-    )
 
 
 def _least_idempotents(action: FiniteAction) -> tuple:
@@ -63,15 +52,15 @@ class GermGroupoid:
         unit_at: per carrier point, the unit arrow over it.
     """
 
-    def __init__(self, action: FiniteAction, arrows, class_of):
+    def __init__(self, action: FiniteAction, arrows, class_of, least):
         self.action = action
         self.semigroup = action.semigroup
         self.arrows = tuple(arrows)
         self._class_of = class_of
         self.source = tuple(x for _, x in self.arrows)
         self.target = tuple(action.apply(s, x) for s, x in self.arrows)
-        # [s, x] is a unit when it is the germ of m_x, i.e. s m_x = m_x
-        least = _least_idempotents(action)
+        # least[x] is m_x, and [s, x] is a unit when it is the germ of
+        # m_x, i.e. s m_x = m_x
         table = self.semigroup.table
         self.unit_at = {
             x: i for i, (s, x) in enumerate(self.arrows)
@@ -119,23 +108,14 @@ class GermGroupoid:
             i for i in range(len(self.arrows)) if self.source[i] == self.target[i]
         )
 
-    def isotropy_group(self, x: int) -> frozenset:
-        return frozenset(
-            i for i in self.isotropy_bundle() if self.source[i] == x
-        )
-
     # ----------------------------------------------------------- verdicts
-
-    def is_principal(self) -> bool:
-        """The isotropy bundle is exactly the unit space."""
-        return self.isotropy_bundle() == self.units
 
     def is_essentially_principal(self) -> bool:
         """The interior of the isotropy bundle is the unit space.  The
         groupoid is discrete, so the interior is the bundle itself and
         this coincides with principality; the agreement is asserted by
         the test suite rather than silently assumed."""
-        return discrete_interior(self.isotropy_bundle()) == self.units
+        return self.isotropy_bundle() == self.units
 
     def is_hausdorff(self) -> bool:
         """Units form a closed set, which over a discrete groupoid always
@@ -152,27 +132,14 @@ class GermGroupoid:
                 raise TheoremViolation(
                     "slice_unit_identity", sorted(lhs), sorted(rhs),
                     f"element {s}")
-        closed = discrete_closure(self.units) == self.units
-        return closed
+        return True
 
     def is_minimal(self) -> bool:
         """No invariant open set of units except the trivial two.  All
         unit sets are open here, so this says the arrows connect the unit
         space into a single block."""
-        parent = list(range(self.action.points))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i in range(len(self.arrows)):
-            a, b = find(self.source[i]), find(self.target[i])
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-        roots = {find(x) for x in range(self.action.points)}
-        return len(roots) <= 1
+        pairs = zip(self.source, self.target)
+        return len(components(self.action.points, pairs)) <= 1
 
     def locally_contracting_verdict(self) -> ContractionVerdict:
         """Always False for a finite groupoid with nonempty unit space: a
@@ -243,5 +210,5 @@ def build_germ_groupoid(action: FiniteAction) -> GermGroupoid:
     arrow_of_key = {key: i for i, key in enumerate(keys)}
     class_of = {pair: arrow_of_key[key] for pair, key in key_of.items()}
     arrows = [(first[key], key[0]) for key in keys]
-    return GermGroupoid(action, arrows, class_of)
+    return GermGroupoid(action, arrows, class_of, least)
 

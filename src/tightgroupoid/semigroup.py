@@ -3,8 +3,9 @@
 Elements are dense indices ``0..size-1`` backed by a full multiplication
 table, so every predicate in this package reduces to a finite scan and
 every theorem to an exhaustive check.  Instances are immutable after
-construction and safe to share between threads; nothing here mutates
-shared state after ``__init__`` returns.
+construction and safe to share between threads; after ``__init__`` only
+the caches of ``below`` and ``fixed_idempotents`` fill, each entry with
+the one value its key determines.
 """
 
 from __future__ import annotations
@@ -87,6 +88,7 @@ class InverseSemigroup:
         self.partial_maps = tuple(partial_maps) if partial_maps else None
         self._idem_sorted = tuple(sorted(self.idempotents))
         self._below = {}
+        self._fixed = {}
 
     # ------------------------------------------------------------ basics
 
@@ -103,9 +105,6 @@ class InverseSemigroup:
         if self.element_names is not None:
             return self.element_names[s]
         return f"s{s}"
-
-    def is_idempotent(self, e: int) -> bool:
-        return e in self.idempotents
 
     def idempotent_list(self) -> tuple:
         """All idempotents in increasing index order."""
@@ -217,25 +216,35 @@ class InverseSemigroup:
 
         These are exactly the idempotents fixed under left multiplication
         by s; the set is always an ideal, but not a principal one unless
-        s is itself idempotent.
+        s is itself idempotent.  Cached per element.
         """
-        row = self.table[s]
-        return Ideal(frozenset(e for e in self._idem_sorted if row[e] == e))
+        got = self._fixed.get(s)
+        if got is None:
+            row = self.table[s]
+            got = Ideal(frozenset(e for e in self._idem_sorted if row[e] == e))
+            self._fixed[s] = got
+        return got
 
     # ------------------------------------------------------------- covers
+
+    def first_uncovered(self, cover, members: Iterable[int]):
+        """The first nonzero idempotent of `members`, in their order, that
+        intersects no element of `cover`; None when there is none.  The
+        cover is scanned once per member, so it must be a collection."""
+        zero = self.zero
+        for f in members:
+            if f == zero:
+                continue
+            row = self.table[f]
+            if not any(row[c] != zero for c in cover):
+                return f
+        return None
 
     def is_outer_cover(self, cover: Iterable[int], ideal: Ideal) -> bool:
         """True when every nonzero member of the ideal intersects some
         element of `cover`.  The cover need not sit inside the ideal."""
         mem = self._checked_members(ideal)
-        cov = tuple(cover)
-        for f in mem:
-            if f == self.zero:
-                continue
-            row = self.table[f]
-            if not any(row[c] != self.zero for c in cov):
-                return False
-        return True
+        return self.first_uncovered(tuple(cover), mem) is None
 
     def is_cover(self, cover: Iterable[int], ideal: Ideal) -> bool:
         """An outer cover that moreover lies inside the ideal."""

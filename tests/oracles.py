@@ -173,6 +173,64 @@ def orbit_classes_by_bfs(action):
     return set(classes)
 
 
+# ------------------------------- definitions the package does not need
+
+def act_on_character(sg, s, c):
+    """The dual action on characters: the result sends e to c(s* e s).
+
+    Defined when c(s*s) = 1; the result is never the zero map because it
+    takes value 1 at ss*.
+    """
+    from tightgroupoid.errors import NotInDomain
+    from tightgroupoid.spectrum import Character, validate_character
+
+    validate_character(sg, c)
+    star = sg.star[s]
+    if sg.table[star][s] not in c.ones:
+        raise NotInDomain("character vanishes at s*s")
+    ones = frozenset(
+        e for e in sg.idempotent_list()
+        if sg.table[sg.table[star][e]][s] in c.ones
+    )
+    return Character(ones)
+
+
+def germ_equal(action, s, t, x):
+    """Whether s and t have the same germ at x: some idempotent e with x
+    in its domain satisfies s e = t e."""
+    table = action.semigroup.table
+    return any(
+        table[s][e] == table[t][e]
+        for e in action.semigroup.idempotent_list() if x in action.edomains[e]
+    )
+
+
+def isotropy_group(g, x):
+    """The arrows of the groupoid g that start and end at the unit x."""
+    return frozenset(i for i in g.isotropy_bundle() if g.source[i] == x)
+
+
+def is_principal(g):
+    """The isotropy bundle of the groupoid g is exactly its unit space."""
+    return g.isotropy_bundle() == g.units
+
+
+def ess_principal_and_hausdorff_criterion(sg):
+    """Conjunction of the finite-cover condition and the fixed-cover
+    condition; matches the groupoid being both Hausdorff and essentially
+    principal."""
+    from tightgroupoid.criteria import (
+        CriterionResult,
+        hausdorff_criterion,
+        top_free_criterion,
+    )
+
+    h = hausdorff_criterion(sg)
+    t = top_free_criterion(sg)
+    return CriterionResult(h.value and t.value,
+                           witness={"hausdorff": h.witness, "top_free": t.witness})
+
+
 # ------------------------------------------------- general routes (search)
 
 def _default_apart_cap(sg):
@@ -341,8 +399,6 @@ def union_find_germs(action):
 
     Returns (arrows, class_of, units) laid out as GermGroupoid has them.
     """
-    from tightgroupoid.germs import germ_equal
-
     sg = action.semigroup
     omega = [
         (s, x) for s in sg.elements() for x in sorted(action.domain(s))
@@ -464,8 +520,6 @@ def search_contraction_action(action):
     the image of V a proper subset of V, then checks that every nonempty
     U contains a workable V.  Returns (verdict, witness_or_failing_U).
     """
-    from tightgroupoid.action import discrete_closure
-
     workable = []
     for s in action.semigroup.elements():
         dom = sorted(action.domain(s))
@@ -473,7 +527,7 @@ def search_contraction_action(action):
         for r in range(len(dom) + 1):
             for vs in itertools.combinations(dom, r):
                 v = frozenset(vs)
-                if frozenset(m[x] for x in v) < discrete_closure(v):
+                if frozenset(m[x] for x in v) < v:
                     workable.append((v, s))
     if not workable:
         return False, None
@@ -498,8 +552,6 @@ def search_contraction_groupoid(g):
     bisection (arrow sets with injective source and target), collects the
     workable (V, S) pairs, and then checks the for-every-U clause.
     """
-    from tightgroupoid.action import discrete_closure
-
     n = len(g.arrows)
     arrow_ids = list(range(n))
     workable = []
@@ -514,7 +566,7 @@ def search_contraction_groupoid(g):
             for k in range(len(source_units) + 1):
                 for vs in itertools.combinations(sorted(source_units), k):
                     v = frozenset(vs)
-                    if frozenset(move[x] for x in v) < discrete_closure(v):
+                    if frozenset(move[x] for x in v) < v:
                         workable.append((v, frozenset(combo)))
     if not workable:
         return False, None

@@ -197,9 +197,9 @@ def test_easier_criterion_fixtures(named_fixtures):
 # -------------------------------------------------------------- conjunction
 
 def test_hausdorff_and_principal_conjunction(named_fixtures):
-    assert tg.ess_principal_and_hausdorff_criterion(named_fixtures["I2"]).value
-    assert tg.ess_principal_and_hausdorff_criterion(named_fixtures["B2"]).value
-    assert not tg.ess_principal_and_hausdorff_criterion(named_fixtures["Z2z"]).value
+    assert oracles.ess_principal_and_hausdorff_criterion(named_fixtures["I2"]).value
+    assert oracles.ess_principal_and_hausdorff_criterion(named_fixtures["B2"]).value
+    assert not oracles.ess_principal_and_hausdorff_criterion(named_fixtures["Z2z"]).value
 
 
 # -------------------------------------------------------------- full report
@@ -233,7 +233,7 @@ def test_conclusions_track_flags(analyses):
 
 def test_full_report_requires_points():
     with pytest.raises(errors.EmptySpectrum):
-        tg.full_report(tg.from_table([[0]], 0))
+        tg.analyze(tg.from_table([[0]], 0))
 
 
 def test_pair_mismatch_is_loud():
@@ -252,7 +252,7 @@ def test_verify_instance_runs_everything(named_fixtures):
 
 def test_conjunction_matches_direct_groupoid(analyses, named_fixtures):
     for name, sg in named_fixtures.items():
-        combined = tg.ess_principal_and_hausdorff_criterion(sg)
+        combined = oracles.ess_principal_and_hausdorff_criterion(sg)
         g = analyses[name].groupoid
         assert combined.value == (g.is_hausdorff() and g.is_essentially_principal())
 

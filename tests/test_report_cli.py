@@ -170,3 +170,18 @@ def test_family_cap_flag_is_gone(capsys):
     # one-member search, so there is no family cap left to set
     assert cli.run_cli(["analyze", "--fixture", "E4", "--max-F", "5"]) == 2
     assert "--max-F" in capsys.readouterr().err
+
+
+def test_cli_undecodable_input(tmp_path, capsys):
+    path = tmp_path / "binary.isg"
+    path.write_bytes(b"\xff\xfe")
+    assert cli.run_cli(["analyze", str(path)]) == 1
+    assert "cannot read input" in capsys.readouterr().err
+
+
+def test_cli_rejects_negative_counts(capsys):
+    assert cli.run_cli(["analyze", "--corpus", "-1"]) == 2
+    assert "--corpus must be at least 0" in capsys.readouterr().err
+    for argv in (["--corpus", "2", "--jobs", "0"], ["--fixture", "I2", "--jobs", "-3"]):
+        assert cli.run_cli(["analyze", *argv]) == 2
+        assert "--jobs must be at least 1" in capsys.readouterr().err
