@@ -125,17 +125,16 @@ def validate_action(action: FiniteAction) -> None:
         expected = tuple(seen.get(x) for x in range(action.points))
         if inv != expected:
             raise InverseMismatch(s)
-        if action._domains[s] != action.edomains[sg.table[sg.star[s]][s]]:
+        if action._domains[s] != action.edomains[sg.d[s]]:
             raise InvalidAction(f"domain of {s} differs from the domain of s*s")
-        if frozenset(seen) != action.edomains[sg.table[s][sg.star[s]]]:
+        if frozenset(seen) != action.edomains[sg.r[s]]:
             raise InvalidAction(f"range of {s} differs from the domain of ss*")
 
-    table = sg.table
     for s in sg.elements():
         ms = maps[s]
-        for t in sg.generators:
+        for t, st in zip(sg.generators, sg.right[s]):
             mt = maps[t]
-            mst = maps[table[s][t]]
+            mst = maps[st]
             for x in range(action.points):
                 y = mt[x]
                 composite = ms[y] if y is not None else None
@@ -163,17 +162,16 @@ def standard_action(spectrum: TightSpectrum) -> FiniteAction:
     if not pts:
         raise EmptySpectrum("cannot act on an empty spectrum")
     index_of = {f.min: i for i, f in enumerate(pts)}
-    table = sg.table
     maps = {}
     for s in sg.elements():
-        star = sg.star[s]
-        ss = table[star][s]
+        ss = sg.d[s]
+        row = sg.slab[s]
         out = []
         for filt in pts:
             if ss not in filt.members:
                 out.append(None)
                 continue
-            image = index_of.get(table[table[s][filt.min]][star])
+            image = index_of.get(sg.r[row[filt.min]])
             if image is None:
                 raise TheoremViolation(
                     "tight_spectrum_invariance", True, False,

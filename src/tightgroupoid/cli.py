@@ -18,6 +18,15 @@ from .dsl import SemigroupSpec, build_semigroup, format_spec, parse_spec
 from .errors import EmptySpectrum, TheoremViolation, TightGroupoidError
 from .semigroup import InverseSemigroup
 
+# Caps on the closure of a generator file.  MAX_SIZE stops the walk: I6,
+# all partial injections of 6 points, has 13,327 elements and fits; I7 has
+# 130,922 and does not.  Memory grows with the |S| x |E| slab, which
+# MAX_SLAB_CELLS bounds before it is built: I6 needs 852,928 cells, while
+# the partial identities of 14 points close to a semilattice of 16,383
+# elements under MAX_SIZE whose slab would need about 2.7e8.
+MAX_SIZE = 20_000
+MAX_SLAB_CELLS = 2_000_000
+
 CHECK_NAMES = {
     "hausdorff": "hausdorff",
     "esspr": "essentially_principal",
@@ -27,7 +36,15 @@ CHECK_NAMES = {
 
 
 def spec_of_semigroup(sg: InverseSemigroup, name: str) -> SemigroupSpec:
-    """Table-shaped spec reproducing the instance exactly."""
+    """Spec reproducing the instance exactly.  A closure-built instance
+    is given by the partial maps of its generators, whose closure has the
+    same elements in the same order, so its table is never filled; any
+    other instance by its table."""
+    if sg.partial_maps is not None:
+        gens = tuple((f"g{j}", sg.partial_maps[g])
+                     for j, g in enumerate(sg.generators))
+        return SemigroupSpec(name, "generators",
+                             degree=len(sg.partial_maps[0]), generators=gens)
     return SemigroupSpec(name, "table", size=sg.size, zero=sg.zero,
                          rows=sg.table)
 
@@ -113,7 +130,8 @@ def _analyze_single(args) -> int:
             with open(args.file, encoding="utf-8") as fh:
                 spec = parse_spec(fh.read())
             name = spec.name
-            sg = build_semigroup(spec)
+            sg = build_semigroup(spec, max_size=MAX_SIZE,
+                                 max_cells=MAX_SLAB_CELLS)
     except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return 1

@@ -59,28 +59,44 @@ def hausdorff_criterion(sg: InverseSemigroup) -> CriterionResult:
 def weakly_fixed(sg: InverseSemigroup, e: int, s: int) -> bool:
     """e (below s*s) is weakly fixed under s when every nonzero
     idempotent below e intersects its own conjugate s f s*."""
-    table = sg.table
-    star = sg.star
-    if e not in sg.idempotents or table[e][table[star[s]][s]] != e:
+    slab = sg.slab
+    if e not in sg.idempotents or slab[e][sg.d[s]] != e:
         raise PreconditionViolated(f"idempotent {e} does not lie below s*s for s={s}")
+    row, r = slab[s], sg.r
     for f in sg.below(e):
         if f == sg.zero:
             continue
-        conj = table[table[s][f]][star[s]]
-        if table[conj][f] == sg.zero:
+        if slab[r[row[f]]][f] == sg.zero:
             return False
     return True
 
 
 def _minimize_cover(sg, candidates, ideal_members):
-    """Greedy removal pass; keeps the witness small for readability,
-    correctness never depends on the result being minimum."""
-    chosen = sorted(candidates)
-    for c in list(chosen):
-        rest = [d for d in chosen if d != c]
-        if sg.first_uncovered(rest, ideal_members) is None:
-            chosen = rest
-    return tuple(chosen)
+    """Greedy removal pass over a cover of the ideal; keeps the witness
+    small for readability, correctness never depends on the result being
+    minimum.
+
+    In increasing order, a candidate c is dropped when every member it
+    meets is met by another element still chosen, which is exactly when
+    the rest still covers.  Per member, a count of the chosen elements it
+    meets makes that test one pass over the members c meets.
+    """
+    zero = sg.zero
+    slab = sg.slab
+    members = [f for f in ideal_members if f != zero]
+    met = {c: [f for f in members if slab[f][c] != zero] for c in candidates}
+    count = dict.fromkeys(members, 0)
+    for fs in met.values():
+        for f in fs:
+            count[f] += 1
+    kept = []
+    for c in sorted(candidates):
+        if all(count[f] > 1 for f in met[c]):
+            for f in met[c]:
+                count[f] -= 1
+        else:
+            kept.append(c)
+    return tuple(kept)
 
 
 def top_free_criterion(sg: InverseSemigroup) -> CriterionResult:
@@ -93,17 +109,15 @@ def top_free_criterion(sg: InverseSemigroup) -> CriterionResult:
     cover inside the same ideal keeps it a cover, so testing the full
     candidate set decides existence.
     """
-    table = sg.table
-    star = sg.star
     zero = sg.zero
     failures = []
     covers = {}
     for s in sg.elements():
-        ss = table[star[s]][s]
-        for e in sg.below(ss):
+        row = sg.slab[s]
+        for e in sg.below(sg.d[s]):
             if e == zero or not weakly_fixed(sg, e, s):
                 continue
-            fixed_cands = [c for c in sg.below(e) if c != zero and table[s][c] == c]
+            fixed_cands = [c for c in sg.below(e) if c != zero and row[c] == c]
             uncovered = sg.first_uncovered(fixed_cands, sg.below(e))
             if uncovered is None:
                 covers[(s, e)] = _minimize_cover(sg, fixed_cands, sg.below(e))
@@ -126,15 +140,14 @@ def minimal_criterion(sg: InverseSemigroup) -> CriterionResult:
     as the witness.  f enters only through the set of its conjugates, so
     each e is decided once per distinct conjugate set.
     """
-    table = sg.table
-    star = sg.star
+    slab, r = sg.slab, sg.r
     zero = sg.zero
     nz = sg.nonzero_idempotents()
     conjugators = {}
     for f in nz:
         seen = {}
         for s in sg.elements():
-            c = table[table[s][f]][star[s]]
+            c = r[slab[s][f]]
             if c != zero and c not in seen:
                 seen[c] = s
         conjugators[f] = seen
@@ -177,18 +190,16 @@ def locally_contracting_criterion(sg: InverseSemigroup) -> CriterionResult:
     e s e = s e s* s e = s e is nonzero.  A qualifying family therefore
     means the table is not an inverse semigroup, and raises.
     """
-    table = sg.table
-    star = sg.star
+    slab, d, r = sg.slab, sg.d, sg.r
     zero = sg.zero
     e = next((f for f in sg.nonzero_idempotents() if len(sg.below(f)) == 2), None)
     if e is None:
         return CriterionResult(True, vacuous=True)
-    row_e = table[e]
+    row_e = slab[e]
     for s in sg.elements():
-        if row_e[table[star[s]][s]] == zero:
+        if row_e[d[s]] == zero:
             continue
-        conj = table[table[s][e]][star[s]]
-        if table[row_e[s]][e] == zero and table[conj][e] != zero:
+        if slab[sg.left(e, s)][e] == zero and slab[r[slab[s][e]]][e] != zero:
             raise TheoremViolation(
                 "locally_contracting_criterion", True, False,
                 f"atom e={e} with s={s}")
@@ -199,8 +210,7 @@ def easier_loc_contr_criterion(sg: InverseSemigroup) -> CriterionResult:
     """Stronger but simpler contraction pattern: a nested pair f0 <= f1
     below e s*s with s f1 s* <= f1 and f0 s f1 = 0.  Whenever this holds
     the full criterion holds with the two-member family."""
-    table = sg.table
-    star = sg.star
+    slab, d, r = sg.slab, sg.d, sg.r
     zero = sg.zero
     nz = sg.nonzero_idempotents()
     if not nz:
@@ -208,19 +218,20 @@ def easier_loc_contr_criterion(sg: InverseSemigroup) -> CriterionResult:
     per_e = {}
     for e in nz:
         found = None
-        row_e = table[e]
+        row_e = slab[e]
         for s in sg.elements():
-            t = row_e[table[star[s]][s]]
+            t = row_e[d[s]]
             if t == zero:
                 continue
+            row_s = slab[s]
             for f1 in sg.below(t):
                 if f1 == zero:
                     continue
-                conj = table[table[s][f1]][star[s]]
-                if table[conj][f1] != conj:
+                conj = r[row_s[f1]]
+                if slab[conj][f1] != conj:
                     continue
                 for f0 in sg.below(f1):
-                    if f0 != zero and table[table[f0][s]][f1] == zero:
+                    if f0 != zero and slab[sg.left(f0, s)][f1] == zero:
                         found = (s, f0, f1)
                         break
                 if found:
@@ -365,8 +376,7 @@ def verify_instance(sg: InverseSemigroup, name: str = "S", seed: int = 0):
     act = analysis.action
     gpd = analysis.groupoid
     spec = analysis.spectrum
-    table = sg.table
-    star = sg.star
+    slab, r = sg.slab, sg.r
     zero = sg.zero
     checks = {}
 
@@ -378,9 +388,8 @@ def verify_instance(sg: InverseSemigroup, name: str = "S", seed: int = 0):
 
     # weakly fixed idempotents match pointwise-fixed domains
     for s in sg.elements():
-        ss = table[star[s]][s]
         m = act.maps[s]
-        for e in sg.below(ss):
+        for e in sg.below(sg.d[s]):
             if e == zero:
                 continue
             lhs = weakly_fixed(sg, e, s)
@@ -433,7 +442,7 @@ def verify_instance(sg: InverseSemigroup, name: str = "S", seed: int = 0):
         for f in idem:
             src = act.edomains[f] & dom
             img = act.image(s, src)
-            conj = table[table[s][f]][star[s]]
+            conj = r[slab[s][f]]
             _identity("conjugated_domains", img, act.edomains[conj],
                       f"{name} s={s} f={f}")
     checks["conjugated_domains"] = True
@@ -484,9 +493,8 @@ def verify_instance(sg: InverseSemigroup, name: str = "S", seed: int = 0):
     checks["estar_implications"] = True
 
     for s in sg.elements():
-        ss = table[star[s]][s]
-        for e in sg.below(ss):
-            if e != zero and table[s][e] == e:
+        for e in sg.below(sg.d[s]):
+            if e != zero and slab[s][e] == e:
                 _identity("fixed_implies_weakly_fixed",
                           weakly_fixed(sg, e, s), True, f"{name} s={s} e={e}")
     checks["fixed_implies_weakly_fixed"] = True

@@ -167,11 +167,14 @@ def format_spec(spec: SemigroupSpec) -> str:
     return "\n".join(out) + "\n"
 
 
-def build_semigroup(spec: SemigroupSpec,
-                    max_size: int | None = None) -> InverseSemigroup:
-    """Realize a parsed spec; semigroup axioms are enforced here."""
+def build_semigroup(spec: SemigroupSpec, max_size: int | None = None,
+                    max_cells: int | None = None) -> InverseSemigroup:
+    """Realize a parsed spec; semigroup axioms are enforced here.  The
+    caps bound a generator spec's closure, as in
+    :func:`~tightgroupoid.semigroup.from_partial_maps`."""
     if spec.mode == "table":
         return from_table(spec.rows, spec.zero)
     labels = [gname for gname, _ in spec.generators]
     gens = [images for _, images in spec.generators]
-    return from_partial_maps(spec.degree, gens, labels, max_size=max_size)
+    return from_partial_maps(spec.degree, gens, labels, max_size=max_size,
+                             max_cells=max_cells)

@@ -82,12 +82,12 @@ def group_with_zero(table, names=None) -> InverseSemigroup:
         names = ["0", *names]
     sg = from_table(out, 0, names)
     idents = [u for u in range(1, size)
-              if all(sg.table[u][s] == s == sg.table[s][u] for s in range(1, size))]
+              if all(sg.mul(u, s) == s == sg.mul(s, u) for s in range(1, size))]
     if len(idents) != 1:
         raise DegreeMismatch("input table is not a group: no two-sided identity")
     u = idents[0]
     for s in range(1, size):
-        if sg.table[s][sg.star[s]] != u:
+        if sg.r[s] != u:
             raise DegreeMismatch("input table is not a group: missing inverses")
     return sg
 

@@ -30,12 +30,12 @@ from .errors import DomainViolation, TheoremViolation
 def _least_idempotents(action: FiniteAction) -> tuple:
     """Per carrier point x, the least idempotent m_x whose domain holds x:
     the meet of all such idempotents, since domains meet along products."""
-    table = action.semigroup.table
+    slab = action.semigroup.slab
     least = [None] * action.points
     for e in action.semigroup.idempotent_list():
         for x in action.edomains[e]:
             m = least[x]
-            least[x] = e if m is None else table[m][e]
+            least[x] = e if m is None else slab[m][e]
     return tuple(least)
 
 
@@ -61,10 +61,10 @@ class GermGroupoid:
         self.target = tuple(action.apply(s, x) for s, x in self.arrows)
         # least[x] is m_x, and [s, x] is a unit when it is the germ of
         # m_x, i.e. s m_x = m_x
-        table = self.semigroup.table
+        slab = self.semigroup.slab
         self.unit_at = {
             x: i for i, (s, x) in enumerate(self.arrows)
-            if table[s][least[x]] == least[x]
+            if slab[s][least[x]] == least[x]
         }
         self.units = frozenset(self.unit_at.values())
 
@@ -87,7 +87,7 @@ class GermGroupoid:
             return None
         s, _ = self.arrows[i]
         t, x = self.arrows[j]
-        return self.arrow_of(self.semigroup.table[s][t], x)
+        return self.arrow_of(self.semigroup.mul(s, t), x)
 
     def inverse(self, i: int) -> int:
         """[s,x] inverts to [s*, image of x]."""
@@ -197,10 +197,10 @@ def build_germ_groupoid(action: FiniteAction) -> GermGroupoid:
     pair of the class; arrows are sorted by (point, element).
     """
     validate_action(action)
-    table = action.semigroup.table
+    slab = action.semigroup.slab
     least = _least_idempotents(action)
     key_of = {
-        (s, x): (x, table[s][least[x]])
+        (s, x): (x, slab[s][least[x]])
         for s in action.semigroup.elements() for x in action.domain(s)
     }
     first = {}

@@ -1,10 +1,18 @@
 """Finite inverse semigroups with zero.
 
-Elements are dense indices ``0..size-1`` backed by a full multiplication
-table, so every predicate in this package reduces to a finite scan and
-every theorem to an exhaustive check.  Instances are immutable after
-construction and safe to share between threads; after ``__init__`` only
-the caches of ``below`` and ``fixed_idempotents`` fill, each entry with
+Elements are dense indices ``0..size-1``.  The analysis reads only a few
+kinds of product, each stored as a field: the involution s -> s*, the
+idempotents s*s and ss*, the products s e with an idempotent e (the
+slab, |S| x |E| cells), and the products s g with a generator g (the
+right Cayley graph).  A product e s is (s* e)*.  Every predicate in this
+package reduces to a finite scan of these and every theorem to an
+exhaustive check.  The full
+multiplication table is an attribute too, but an instance closed from
+partial maps only fills it when a general product is asked for.
+
+Instances are immutable after construction and safe to share between
+threads; after ``__init__`` only the table of a closure-built instance
+and the caches of ``below`` and ``fixed_idempotents`` fill, each with
 the one value its key determines.
 """
 
@@ -58,12 +66,18 @@ class InverseSemigroup:
 
     Build instances through :func:`from_table` or
     :func:`from_partial_maps`; the constructor itself trusts its inputs.
+    Given a table it derives ``d``, ``r``, ``slab`` and ``right`` from it;
+    given ``table=None`` it takes them as keyword arguments.
 
     Attributes:
         size: number of elements.
-        table: multiplication table, ``table[a][b]`` is the product.
         zero: index of the absorbing element.
         star: involution, ``star[s]`` is the unique generalized inverse.
+        d: ``d[s]`` is the idempotent s*s, the domain of s.
+        r: ``r[s]`` is the idempotent ss*, the range of s.
+        slab: ``slab[s]`` maps every idempotent e, in increasing index
+            order, to the product s e, which is s restricted to the domain
+            of e.  The conjugate s e s* is ``r[slab[s][e]]``.
         idempotents: frozenset of idempotent indices (the semilattice).
         generators: element indices whose closure under right
             multiplication by one another is the whole semigroup: every
@@ -71,24 +85,47 @@ class InverseSemigroup:
             of :func:`from_table` and the homomorphism check of
             :func:`~tightgroupoid.action.validate_action` run against this
             set instead of every element.
+        right: ``right[s][j]`` is the product of s and ``generators[j]``.
+        table: multiplication table, ``table[a][b]`` is the product.  A
+            closure-built instance fills it from ``right`` on first
+            access; nothing :func:`~tightgroupoid.criteria.analyze` calls
+            reads it.
         element_names: optional printable names, index aligned.
         partial_maps: for closure-built instances, the concrete partial
             injection realizing each element; otherwise None.
     """
 
     def __init__(self, table, zero, star, idempotents, generators,
-                 element_names=None, partial_maps=None):
-        self.table = tuple(tuple(row) for row in table)
-        self.size = len(self.table)
+                 element_names=None, partial_maps=None, *,
+                 d=None, r=None, slab=None, right=None):
         self.zero = zero
         self.star = tuple(star)
+        self.size = len(self.star)
         self.idempotents = frozenset(idempotents)
         self.generators = tuple(generators)
+        self._idem_sorted = tuple(sorted(self.idempotents))
+        if table is not None:
+            table = tuple(tuple(row) for row in table)
+            star = self.star
+            d = [table[star[s]][s] for s in range(self.size)]
+            r = [table[s][star[s]] for s in range(self.size)]
+            slab = [{e: row[e] for e in self._idem_sorted} for row in table]
+            right = [tuple(row[g] for g in self.generators) for row in table]
+        self._table = table
+        self.d = tuple(d)
+        self.r = tuple(r)
+        self.slab = tuple(slab)
+        self.right = tuple(right)
         self.element_names = tuple(element_names) if element_names else None
         self.partial_maps = tuple(partial_maps) if partial_maps else None
-        self._idem_sorted = tuple(sorted(self.idempotents))
         self._below = {}
         self._fixed = {}
+
+    @property
+    def table(self) -> tuple:
+        if self._table is None:
+            self._table = _cayley_table(self.right, self.generators)
+        return self._table
 
     # ------------------------------------------------------------ basics
 
@@ -99,7 +136,14 @@ class InverseSemigroup:
         return range(self.size)
 
     def mul(self, a: int, b: int) -> int:
+        """The general product; fills the table of a closure-built
+        instance on the first call."""
         return self.table[a][b]
+
+    def left(self, e: int, s: int) -> int:
+        """The product e s of an idempotent e and any element s: in an
+        inverse semigroup it is (s* e)*, read off the slab."""
+        return self.star[self.slab[self.star[s]][e]]
 
     def name_of(self, s: int) -> str:
         if self.element_names is not None:
@@ -121,23 +165,25 @@ class InverseSemigroup:
 
     def nat_leq(self, s: int, t: int) -> bool:
         """Natural partial order: s <= t iff s = t s* s."""
-        return s == self.table[t][self.table[self.star[s]][s]]
+        return s == self.slab[t][self.d[s]]
 
     def leq_e(self, e: int, f: int) -> bool:
         """Semilattice order on idempotents: e <= f iff e = ef."""
-        return self.table[e][f] == e
+        self._require_idempotent(e)
+        self._require_idempotent(f)
+        return self.slab[e][f] == e
 
     def meet(self, e: int, f: int) -> int:
         """Greatest lower bound of two idempotents; equals their product."""
         self._require_idempotent(e)
         self._require_idempotent(f)
-        return self.table[e][f]
+        return self.slab[e][f]
 
     def orthogonal(self, e: int, f: int) -> bool:
         """Two idempotents are orthogonal when their product is zero."""
         self._require_idempotent(e)
         self._require_idempotent(f)
-        return self.table[e][f] == self.zero
+        return self.slab[e][f] == self.zero
 
     def intersects(self, e: int, f: int) -> bool:
         """Negation of orthogonality: the product is nonzero."""
@@ -147,8 +193,7 @@ class InverseSemigroup:
         """Idempotents <= e, cached; the member tuple of the principal ideal."""
         got = self._below.get(e)
         if got is None:
-            row = self.table[e]
-            got = tuple(f for f in self._idem_sorted if row[f] == f)
+            got = tuple(f for f, ef in self.slab[e].items() if ef == f)
             self._below[e] = got
         return got
 
@@ -163,9 +208,8 @@ class InverseSemigroup:
             if e not in self.idempotents:
                 raise NotAnIdeal(f"member {e} is not idempotent")
         for e in mem:
-            row = self.table[e]
-            for f in self._idem_sorted:
-                if row[f] not in mem:
+            for f, ef in self.slab[e].items():
+                if ef not in mem:
                     raise NotAnIdeal(f"not downward closed: {e}*{f} escapes")
         return Ideal(mem)
 
@@ -179,7 +223,7 @@ class InverseSemigroup:
         mem = self._checked_members(ideal)
         out = frozenset(
             f for f in self._idem_sorted
-            if all(self.table[f][e] == self.zero for e in mem)
+            if all(self.slab[f][e] == self.zero for e in mem)
         )
         return Ideal(out)
 
@@ -204,10 +248,10 @@ class InverseSemigroup:
             self._require_idempotent(x)
         out = set(self._idem_sorted)
         for x in below:
-            row = self.table[x]
+            row = self.slab[x]
             out = {f for f in out if row[f] == f}
         for y in apart:
-            row = self.table[y]
+            row = self.slab[y]
             out = {f for f in out if row[f] == self.zero}
         return Ideal(frozenset(out))
 
@@ -220,8 +264,7 @@ class InverseSemigroup:
         """
         got = self._fixed.get(s)
         if got is None:
-            row = self.table[s]
-            got = Ideal(frozenset(e for e in self._idem_sorted if row[e] == e))
+            got = Ideal(frozenset(e for e, se in self.slab[s].items() if se == e))
             self._fixed[s] = got
         return got
 
@@ -230,12 +273,15 @@ class InverseSemigroup:
     def first_uncovered(self, cover, members: Iterable[int]):
         """The first nonzero idempotent of `members`, in their order, that
         intersects no element of `cover`; None when there is none.  The
-        cover is scanned once per member, so it must be a collection."""
+        cover is scanned once per member, so it must be a collection of
+        idempotents."""
+        for c in cover:
+            self._require_idempotent(c)
         zero = self.zero
         for f in members:
             if f == zero:
                 continue
-            row = self.table[f]
+            row = self.slab[f]
             if not any(row[c] != zero for c in cover):
                 return f
         return None
@@ -265,7 +311,7 @@ class InverseSemigroup:
         nz = [f for f in sorted(mem) if f != self.zero]
         maximal = [
             f for f in nz
-            if not any(g != f and self.table[f][g] == f for g in nz)
+            if not any(g != f and self.slab[f][g] == f for g in nz)
         ]
         return frozenset(maximal)
 
@@ -323,8 +369,8 @@ def from_table(table: Sequence[Sequence[int]], zero: int,
     return _checked(np.array(rows, dtype=np.int32), rows, zero, element_names)
 
 
-def _checked(m: np.ndarray, rows: list, zero: int, element_names=None,
-             partial_maps=None) -> InverseSemigroup:
+def _checked(m: np.ndarray, rows: list, zero: int,
+             element_names=None) -> InverseSemigroup:
     """The axiom checks of :func:`from_table` on a square table whose
     entries and zero are in range, given both as an int32 array `m` and as
     the row tuples `rows` the instance keeps."""
@@ -363,8 +409,7 @@ def _checked(m: np.ndarray, rows: list, zero: int, element_names=None,
     sub = m[np.ix_(el, el)]
     assert np.array_equal(sub, sub.T), "idempotents failed to commute"
 
-    return InverseSemigroup(rows, zero, star, idem, gens, element_names,
-                            partial_maps)
+    return InverseSemigroup(rows, zero, star, idem, gens, element_names)
 
 
 def _right_generators(m: np.ndarray) -> list:
@@ -387,6 +432,39 @@ def _right_generators(m: np.ndarray) -> list:
             reached[fresh] = True
             fresh = m[np.ix_(fresh, gens)].ravel()
     return gens
+
+
+def _cayley_table(right, generators) -> tuple:
+    """The full table from the right Cayley graph (Froidure & Pin,
+    "Algorithms for computing finite semigroups", 1997).
+
+    Column g of the table, x -> x g, is column j of `right` for the
+    generator g = ``generators[j]``.  Walking the graph breadth first from
+    the generators reaches every element y as some p g with p reached
+    before, and then column y, x -> x y = (x p) g, is column p sent
+    through column g: one array gather per element, n^2 cells in all.
+    """
+    by_gen = np.array(right, dtype=np.int32).T.copy()
+    n = by_gen.shape[1]
+    cols = np.empty((n, n), dtype=np.int32)   # cols[y][x] = x * y
+    reached = [False] * n
+    walk = []
+    for j, g in enumerate(generators):
+        if not reached[g]:
+            cols[g] = by_gen[j]
+            reached[g] = True
+            walk.append(g)
+    for p in walk:                             # the list grows while walked
+        for j, y in enumerate(right[p]):
+            if not reached[y]:
+                cols[y] = by_gen[j][cols[p]]
+                reached[y] = True
+                walk.append(y)
+    assert len(walk) == n, "the generators do not reach every element"
+    table = np.ascontiguousarray(cols.T)
+    del cols
+    ids = list(range(n))                       # one int object per index, shared
+    return tuple(tuple(map(ids.__getitem__, row)) for row in table.tolist())
 
 
 # ------------------------------------------------------ partial map model
@@ -437,10 +515,11 @@ def _check_partial_map(g: Sequence, degree: int, label: str) -> PartialMap:
 
 def from_partial_maps(degree: int, generators: Sequence[Sequence],
                       labels: Sequence[str] | None = None,
-                      max_size: int | None = None) -> InverseSemigroup:
+                      max_size: int | None = None,
+                      max_cells: int | None = None) -> InverseSemigroup:
     """Close a family of partial injections under composition and
     inversion, adjoin the empty map as zero if absent, and return the
-    resulting table-backed semigroup.
+    resulting semigroup.
 
     The closure is the smallest set of partial injections of
     ``{0..degree-1}`` containing the generators; it is automatically an
@@ -449,16 +528,26 @@ def from_partial_maps(degree: int, generators: Sequence[Sequence],
     inverse letters, so the closure is the set of words over the
     generators and their inverses: one breadth-first walk right-multiplies
     every map found by each of those letters.  `max_size` aborts runaway
-    closures at the first map past the cap.
+    closures at the first map past the cap; `max_cells` rejects, after
+    the walk and before the slab is built, a closure whose slab would
+    have more than that many cells, |S| times |E|.  The walk is the right Cayley
+    graph (Froidure & Pin, "Algorithms for computing finite semigroups",
+    1997): maps are composed once per edge, |S| times the number of
+    letters, and its edges are kept as ``right`` with the letters as
+    ``generators``, plus the zero when no product reaches it.
 
-    That walk is the right Cayley graph, and it fills the table too
-    (Froidure & Pin, "Algorithms for computing finite semigroups", 1997):
-    each map found is its parent times one letter, y = p a, so column y of
-    the table, x -> x y = (x p) a, is column p sent through the letter's
-    right-multiplication column.  Maps are composed once per edge of the
-    walk, |S| times the number of letters, and the n^2 cells are filled by
-    array gathers.  The filled table then goes through the axiom checks of
-    :func:`from_table`, without a second conversion of its rows.
+    Every other field comes from array operations on the n x degree array
+    of maps, with no multiplication table.  A map is coded as the base
+    (degree + 1) number whose digits are its images plus one, 0 where
+    undefined, first point most significant; codes sort as the image
+    tuples do with -1 for undefined, which fixes the element order, and
+    ``searchsorted`` finds the index of any coded map.  The inverse, s*s
+    (the identity on the domain), ss* (the identity on the range) and each
+    s e (s restricted to the domain of e) are coded directly from the
+    image arrays.  The maps are associative and the empty map absorbing
+    by construction, so the axiom checks of :func:`from_table` are not
+    needed; what is asserted, at O(n degree), is that every inverse lies
+    in S, that s s* s = s, and that the empty map is the zero.
     """
     if degree < 1:
         raise DegreeMismatch("degree must be at least 1")
@@ -473,47 +562,77 @@ def from_partial_maps(degree: int, generators: Sequence[Sequence],
     pos = {f: i for i, f in enumerate(found)}
     if max_size is not None and len(found) > max_size:
         raise CapExceeded(f"closure exceeded {max_size} elements")
-    # parent[i] = (p, j) records found[i] = found[p] * letters[j]; letters
-    # have p = None, and the empty map has no parent unless it is a letter
-    parent = [None] * len(found)
-    for j, a in enumerate(letters):
-        parent[pos[a]] = (None, j)
     right = []                       # right[i][j]: index of found[i] * letters[j]
-    for i, f in enumerate(found):    # the list grows while it is walked
+    for f in found:                  # the list grows while it is walked
         row = []
-        for j, a in enumerate(letters):
+        for a in letters:
             h = compose_maps(f, a)
             k = pos.get(h)
             if k is None:
                 k = pos[h] = len(found)
                 found.append(h)
-                parent.append((i, j))
                 if max_size is not None and len(found) > max_size:
                     raise CapExceeded(f"closure exceeded {max_size} elements")
             row.append(k)
         right.append(row)
 
-    # Fill the table in sorted index space, one column per map: the column
-    # of a letter is its right-multiplication column, and for y = p * a,
-    # x * y = (x * p) * a, so column y is column p sent through letter a.
     n = len(found)
-    order = sorted(range(n), key=lambda i: tuple(-1 if v is None else v
-                                                for v in found[i]))
-    rank = np.empty(n, dtype=np.int32)
-    rank[order] = np.arange(n, dtype=np.int32)
-    by_letter = rank[np.array(right, dtype=np.int32)[order]].T.copy()
-    cols = np.empty((n, n), dtype=np.int32)  # cols[y][x] = x * y
-    for i, via in enumerate(parent):
-        if via is None:
-            cols[rank[i]] = rank[0]          # x * empty = empty
-        elif via[0] is None:
-            cols[rank[i]] = by_letter[via[1]]
-        else:
-            cols[rank[i]] = by_letter[via[1]][cols[rank[via[0]]]]
-    table = np.ascontiguousarray(cols.T)
-    del cols, by_letter
-    ids = list(range(n))             # one int object per index, shared
-    rows = [tuple(map(ids.__getitem__, row.tolist())) for row in table]
-    maps = [found[i] for i in order]
-    names = [map_name(f) for f in maps]
-    return _checked(table, rows, ids[rank[0]], names, maps)
+    maps = np.array([[-1 if v is None else v for v in f] for f in found],
+                    dtype=np.int64).reshape(n, degree)
+    base = degree + 1
+    kind = np.int64 if base ** degree <= 2 ** 63 else object
+    weight = np.array([base ** (degree - 1 - x) for x in range(degree)] + [0],
+                      dtype=kind)             # weight[-1] = 0 for undefined
+    order = np.argsort((maps + 1).astype(kind) @ weight[:-1], kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    maps = maps[order]
+    digits = (maps + 1).astype(kind) * weight[:-1]     # code = digits.sum(1)
+    codes = digits.sum(axis=1)
+    walked = np.array(right, dtype=np.int64).reshape(n, len(letters))
+
+    def index_of(coded):
+        at = np.minimum(np.searchsorted(codes, coded), n - 1)
+        assert np.array_equal(codes[at], coded), "a product escapes the closure"
+        return at
+
+    assert codes[0] == 0, "the empty map is not the zero"
+    points = np.arange(degree)
+    defined = maps >= 0
+    in_range = np.zeros((n, degree + 1), dtype=bool)
+    in_range[np.arange(n)[:, None], maps] = True          # -1 lands in the pad
+    identity_code = (points + 1).astype(kind) * weight[:-1]
+    star = index_of(((points + 1).astype(kind) * weight[maps]).sum(axis=1))
+    d = index_of(defined.astype(kind) @ identity_code)
+    r = index_of(in_range[:, :degree].astype(kind) @ identity_code)
+    idem = np.flatnonzero(((maps == points) | ~defined).all(axis=1))
+    if max_cells is not None and n * idem.size > max_cells:
+        raise CapExceeded(f"closure of {n} elements and {idem.size} "
+                          f"idempotents exceeds {max_cells} slab cells")
+    slab = index_of(digits @ defined[idem].T.astype(kind))
+
+    # row s of padded[star] after row s of maps is s*s; -1 stays undefined
+    padded = np.concatenate([maps, np.full((n, 1), -1)], axis=1)
+    sss = np.take_along_axis(
+        padded, np.take_along_axis(padded[star], maps, axis=1), axis=1)
+    assert np.array_equal(sss, maps), "s s* s differs from s"
+
+    gen_ids = [int(rank[pos[a]]) for a in letters]
+    # found[0] is the empty map; it is reached when it is a letter or the
+    # product of a nonempty map and a letter
+    zero_reached = empty in letters or bool((walked[1:] == 0).any())
+    ids = list(range(n))                 # one int object per index, shared
+    get = ids.__getitem__
+    right_rows = rank[walked[order]].tolist()
+    if not zero_reached:
+        gen_ids.append(0)
+        for row in right_rows:
+            row.append(0)
+    idem_ids = idem.tolist()
+    ordered = [found[i] for i in order.tolist()]
+    return InverseSemigroup(
+        None, 0, map(get, star.tolist()), idem_ids, gen_ids,
+        [map_name(f) for f in ordered], ordered,
+        d=map(get, d.tolist()), r=map(get, r.tolist()),
+        slab=[dict(zip(idem_ids, map(get, row))) for row in slab.tolist()],
+        right=[tuple(map(get, row)) for row in right_rows])

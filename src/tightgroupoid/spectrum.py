@@ -87,7 +87,7 @@ def filter_from_min(sg: InverseSemigroup, e: int) -> Filter:
         raise ZeroGeneratesNoFilter("the up-set of zero contains zero")
     if e not in sg.idempotents:
         raise errors.NotIdempotent(e)
-    members = frozenset(f for f in sg.idempotent_list() if sg.table[e][f] == e)
+    members = frozenset(f for f, ef in sg.slab[e].items() if ef == e)
     return Filter(e, members)
 
 
@@ -107,7 +107,7 @@ def validate_filter(sg: InverseSemigroup, f: Filter) -> None:
             raise errors.NotIdempotent(e)
     for a in f.members:
         for b in f.members:
-            if sg.table[a][b] not in f.members:
+            if sg.slab[a][b] not in f.members:
                 raise errors.NotAnIdeal("filter not closed under meets")
     for a in f.members:
         for b in sg.idempotent_list():
@@ -129,7 +129,7 @@ def filter_of(sg: InverseSemigroup, c: Character) -> Filter:
     validate_character(sg, c)
     m = None
     for e in c.ones:
-        m = e if m is None else sg.table[m][e]
+        m = e if m is None else sg.slab[m][e]
     f = Filter(m, frozenset(c.ones))
     validate_filter(sg, f)
     return f
@@ -145,7 +145,7 @@ def validate_character(sg: InverseSemigroup, c: Character) -> None:
             raise errors.NotIdempotent(e)
     for e in sg.idempotent_list():
         for f in sg.idempotent_list():
-            lhs = 1 if sg.table[e][f] in c.ones else 0
+            lhs = 1 if sg.slab[e][f] in c.ones else 0
             if lhs != c(e) * c(f):
                 raise NotInDomain(f"character not multiplicative at ({e},{f})")
 

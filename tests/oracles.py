@@ -641,3 +641,74 @@ def _outer_covers_conjugate(sg, s, fi, family):
         if not any(table[h][c] != sg.zero for c in family):
             return False
     return True
+
+
+def checked_twin(sg):
+    """The instance rebuilt from its full multiplication table through the
+    axiom checks of `from_table`.
+
+    A closure-built instance gets its table by composing every pair of
+    its maps: a map is looked up by its digits (images plus one, 0 where
+    undefined) in a dense array over all (degree + 1)^degree codes, so the
+    degree must be small.  A table-built instance passes its own table.
+    """
+    import numpy as np
+
+    from tightgroupoid.semigroup import _checked
+
+    if sg.partial_maps is None:
+        rows = [tuple(row) for row in sg.table]
+    else:
+        degree = len(sg.partial_maps[0])
+        assert degree <= 6, "dense code lookup meant for small degrees"
+        maps = np.array([[-1 if v is None else v for v in f]
+                         for f in sg.partial_maps]).reshape(sg.size, degree)
+        shape = (degree + 1,) * degree
+        lookup = np.full((degree + 1) ** degree, -1)
+        lookup[np.ravel_multi_index(tuple((maps + 1).T), shape)] = np.arange(sg.size)
+        padded = np.concatenate([maps, np.full((sg.size, 1), -1)], axis=1)
+        rows = []
+        for a in range(sg.size):
+            ab = padded[a][maps]           # a after every b
+            rows.append(tuple(lookup[np.ravel_multi_index(tuple((ab + 1).T), shape)].tolist()))
+        assert min(map(min, rows)) >= 0, "a product escapes the closure"
+    return _checked(np.array(rows, dtype=np.int32), rows, sg.zero,
+                    sg.element_names)
+
+
+def table_free_fields_mismatch(sg):
+    """Where the fields `analyze` reads disagree with the table route of
+    :func:`checked_twin`; None when they all agree.
+
+    Compares the involution, the idempotents, s*s, ss*, every slab cell,
+    e s through `left`, every edge of `right`, and that the generators
+    reach every element by right multiplication.  Run it before anything
+    fills the table of `sg`, so that `left` reads the slab."""
+    ref = checked_twin(sg)
+    t = ref.table
+    if sg.star != ref.star:
+        return "star"
+    if sg.idempotents != ref.idempotents:
+        return "idempotents"
+    idem = ref.idempotent_list()
+    for s in range(sg.size):
+        if sg.d[s] != t[ref.star[s]][s]:
+            return f"d[{s}]"
+        if sg.r[s] != t[s][ref.star[s]]:
+            return f"r[{s}]"
+        if list(sg.slab[s].items()) != [(e, t[s][e]) for e in idem]:
+            return f"slab[{s}]"
+        if any(sg.left(e, s) != t[e][s] for e in idem):
+            return f"left at {s}"
+        if sg.right[s] != tuple(t[s][g] for g in sg.generators):
+            return f"right[{s}]"
+    reached = set(sg.generators)
+    todo = list(reached)
+    for x in todo:
+        for g in sg.generators:
+            if t[x][g] not in reached:
+                reached.add(t[x][g])
+                todo.append(t[x][g])
+    if reached != set(range(sg.size)):
+        return "generators"
+    return None

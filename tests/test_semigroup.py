@@ -188,6 +188,20 @@ def test_meet_examples():
         tg.build_fixture("Z2z").meet(2, 1)
 
 
+def test_idempotent_arguments_are_checked():
+    # the slab has a cell for each idempotent only; a non-idempotent
+    # argument is refused, not looked up
+    for sg in (tg.build_fixture("Z2z"), tg.symmetric_inverse_monoid(2)):
+        s = next(x for x in sg.elements() if x not in sg.idempotents)
+        e = max(sg.idempotents)
+        whole = sg.principal_ideal(e)
+        for call in (lambda: sg.leq_e(s, e), lambda: sg.leq_e(e, s),
+                     lambda: sg.is_outer_cover({s}, whole),
+                     lambda: sg.first_uncovered((s,), whole)):
+            with pytest.raises(errors.NotIdempotent):
+                call()
+
+
 def test_orthogonality_examples():
     e4 = tg.build_fixture("E4")
     assert e4.orthogonal(1, 0)

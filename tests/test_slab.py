@@ -1,0 +1,179 @@
+"""The fields `analyze` reads (involution, s*s, ss*, the slab of products
+s e, the right Cayley graph) checked against the full-table route they
+replace, and a guard that the analysis of a closure-built instance never
+fills its table."""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+import tightgroupoid as tg
+from tightgroupoid import cli, semigroup
+from tightgroupoid.errors import TheoremViolation
+from tightgroupoid.semigroup import map_name
+
+import oracles
+from conftest import CORPUS_COUNT, CORPUS_SEED
+
+MONOID5_TEXT = """semigroup monoid5
+points 5
+gen a = 1 2 3 4 0
+gen b = 1 0 2 3 4
+gen c = 0 1 2 3 _
+"""
+
+
+def three_generators_text(name, n):
+    """`.isg` text of In(n): the n-cycle, the transposition (0 1) and the
+    rank n-1 partial identity."""
+    cycle = " ".join(str((x + 1) % n) for x in range(n))
+    swap = " ".join(map(str, [1, 0, *range(2, n)]))
+    partial = " ".join([*map(str, range(n - 1)), "_"])
+    return (f"semigroup {name}\npoints {n}\ngen a = {cycle}\n"
+            f"gen b = {swap}\ngen c = {partial}\n")
+
+
+def closure_built():
+    """Fresh instances, so that no other test has filled their tables."""
+    out = [(f"In({n})", tg.symmetric_inverse_monoid(n)) for n in range(1, 5)]
+    out.append(("monoid5", tg.build_semigroup(tg.parse_spec(MONOID5_TEXT))))
+    return out + tg.corpus(CORPUS_COUNT, CORPUS_SEED)
+
+
+def test_closure_fields_match_checked_table():
+    for name, sg in closure_built():
+        assert sg._table is None, name
+        assert oracles.table_free_fields_mismatch(sg) is None, name
+        # the order of the elements is the image-tuple order, -1 for
+        # undefined, and the empty map is the zero
+        key = [tuple(-1 if v is None else v for v in f) for f in sg.partial_maps]
+        assert key == sorted(key), name
+        assert sg.element_names == tuple(map(map_name, sg.partial_maps)), name
+        assert sg.zero == 0 and all(v is None for v in sg.partial_maps[0]), name
+
+
+def test_table_fields_match_checked_table():
+    for name in ("B2", "Z2z", "Bn(8)"):
+        sg = tg.build_fixture(name)
+        assert oracles.table_free_fields_mismatch(sg) is None, name
+
+
+def test_generators_are_the_letters_plus_unreached_zero():
+    # a permutation group never reaches the empty map, so the zero joins
+    # the letters; a partial map does reach it
+    group = tg.from_partial_maps(3, [(1, 2, 0)])
+    assert [group.partial_maps[g] for g in group.generators] == \
+        [(1, 2, 0), (2, 0, 1), (None, None, None)]
+    assert all(row[-1] == group.zero for row in group.right)
+    shrink = tg.from_partial_maps(2, [(1, None)])
+    assert [shrink.partial_maps[g] for g in shrink.generators] == \
+        [(1, None), (None, 0)]
+
+
+def test_analysis_never_fills_the_table(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the multiplication table was filled")
+
+    monkeypatch.setattr(semigroup, "_cayley_table", refuse)
+    spec = tg.parse_spec(MONOID5_TEXT)
+    sg = tg.build_semigroup(spec)
+    analysis = tg.analyze(sg, name=spec.name)
+    doc = tg.build_document(analysis, spec.name)
+    assert tg.emit_report(doc) and tg.emit_dot(analysis.groupoid, spec.name)
+    assert len(tg.all_filters(sg)) == 31
+    assert sg._table is None
+    with pytest.raises(AssertionError, match="table was filled"):
+        sg.mul(1, 2)
+
+
+# ------------------------------------------------------------- size cap
+
+def partial_identities_text(name, n):
+    """`.isg` text of the n rank n-1 partial identities of n points, which
+    close to a semilattice of 2^n - 1 elements, all idempotent."""
+    lines = [f"semigroup {name}", f"points {n}"]
+    for x in range(n):
+        cells = ["_" if y == x else str(y) for y in range(n)]
+        lines.append(f"gen p{x} = " + " ".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def test_default_caps_admit_i6_and_stop_i7():
+    # |In(n)| is the sum over k of C(n,k)^2 k!: 13,327 for n = 6 and
+    # 130,922 for n = 7; I6 has 2^6 idempotents
+    assert 13_327 <= cli.MAX_SIZE < 130_922
+    assert 13_327 * 2 ** 6 <= cli.MAX_SLAB_CELLS
+
+
+def test_size_cap_is_exact(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "i3.isg"
+    path.write_text(three_generators_text("I3", 3))
+    monkeypatch.setattr(cli, "MAX_SIZE", 34)
+    assert cli.run_cli(["analyze", str(path)]) == 0
+    assert "|S|=34" in capsys.readouterr().out
+    monkeypatch.setattr(cli, "MAX_SIZE", 33)
+    assert cli.run_cli(["analyze", str(path)]) == 1
+    assert "invalid input: closure exceeded 33 elements" in capsys.readouterr().err
+
+
+def test_size_cap_stops_i7_at_the_first_map_past_it(tmp_path, capsys, monkeypatch):
+    calls = [0]
+    compose = semigroup.compose_maps
+
+    def counting(f, g):
+        calls[0] += 1
+        return compose(f, g)
+
+    monkeypatch.setattr(semigroup, "compose_maps", counting)
+    monkeypatch.setattr(cli, "MAX_SIZE", 200)
+    path = tmp_path / "i7.isg"
+    path.write_text(three_generators_text("I7", 7))
+    assert cli.run_cli(["analyze", str(path)]) == 1
+    assert "invalid input" in capsys.readouterr().err
+    # four distinct letters: the cycle, its inverse, the swap and the
+    # partial identity; the walk stops within the row of map 201
+    assert calls[0] <= 201 * 4
+
+
+def test_slab_cap_is_exact(tmp_path, capsys, monkeypatch):
+    # I3: 34 elements, 8 of them idempotent
+    path = tmp_path / "i3.isg"
+    path.write_text(three_generators_text("I3", 3))
+    monkeypatch.setattr(cli, "MAX_SLAB_CELLS", 272)
+    assert cli.run_cli(["analyze", str(path)]) == 0
+    assert "|S|=34 |E|=8" in capsys.readouterr().out
+    monkeypatch.setattr(cli, "MAX_SLAB_CELLS", 271)
+    assert cli.run_cli(["analyze", str(path)]) == 1
+    assert ("invalid input: closure of 34 elements and 8 idempotents "
+            "exceeds 271 slab cells") in capsys.readouterr().err
+
+
+def test_default_slab_cap_stops_a_large_semilattice(tmp_path, capsys):
+    # 14 points: 16,383 elements pass the size cap, but the slab would
+    # have 16,383^2 cells; the run stops before it is built
+    path = tmp_path / "p14.isg"
+    path.write_text(partial_identities_text("P14", 14))
+    assert cli.run_cli(["analyze", str(path)]) == 1
+    assert "invalid input: closure of 16383 elements and 16383 idempotents" \
+        in capsys.readouterr().err
+
+
+# ----------------------------------------------------------- reproducer
+
+def test_closure_reproducer_never_fills_the_table(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the multiplication table was filled")
+
+    monkeypatch.setattr(semigroup, "_cayley_table", refuse)
+    monkeypatch.chdir(tmp_path)
+    sg = tg.build_semigroup(tg.parse_spec(MONOID5_TEXT))
+    exc = TheoremViolation("demo", True, False, "forced for the test")
+    body = json.loads((tmp_path / cli._dump_violation(sg, "monoid5", exc)).read_text())
+    spec = tg.parse_spec(body["isg"])
+    assert spec.mode == "generators"
+    again = tg.build_semigroup(spec)
+    assert again.partial_maps == sg.partial_maps
+    assert again.element_names == sg.element_names
+    assert (again.star, again.slab, again.right) == (sg.star, sg.slab, sg.right)
