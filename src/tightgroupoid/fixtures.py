@@ -81,8 +81,8 @@ def group_with_zero(table, names=None) -> InverseSemigroup:
     if names is not None:
         names = ["0", *names]
     sg = from_table(out, 0, names)
-    idents = [u for u in range(1, size)
-              if all(sg.mul(u, s) == s == sg.mul(s, u) for s in range(1, size))]
+    idents = [u for u in sg.nonzero_idempotents()
+              if all(sg.slab[s][u] == s == sg.left(u, s) for s in range(1, size))]
     if len(idents) != 1:
         raise DegreeMismatch("input table is not a group: no two-sided identity")
     u = idents[0]

@@ -6,14 +6,15 @@ idempotents s*s and ss*, the products s e with an idempotent e (the
 slab, |S| x |E| cells), and the products s g with a generator g (the
 right Cayley graph).  A product e s is (s* e)*.  Every predicate in this
 package reduces to a finite scan of these and every theorem to an
-exhaustive check.  The full
-multiplication table is an attribute too, but an instance closed from
-partial maps only fills it when a general product is asked for.
+exhaustive check.  Both builders hand the constructor the involution,
+s*s, ss* and the Cayley graph; the slab, and the full multiplication
+table when a general product is first asked for, are columns read off
+the graph by one routine, :func:`_columns`.
 
 Instances are immutable after construction and safe to share between
-threads; after ``__init__`` only the table of a closure-built instance
-and the caches of ``below`` and ``fixed_idempotents`` fill, each with
-the one value its key determines.
+threads; after ``__init__`` only the table and the caches of ``below``
+and ``fixed_idempotents`` fill, each with the one value its key
+determines.
 """
 
 from __future__ import annotations
@@ -66,8 +67,8 @@ class InverseSemigroup:
 
     Build instances through :func:`from_table` or
     :func:`from_partial_maps`; the constructor itself trusts its inputs.
-    Given a table it derives ``d``, ``r``, ``slab`` and ``right`` from it;
-    given ``table=None`` it takes them as keyword arguments.
+    It takes the involution, ``d``, ``r`` and the right Cayley graph, and
+    derives the slab from the graph.
 
     Attributes:
         size: number of elements.
@@ -86,36 +87,32 @@ class InverseSemigroup:
             :func:`~tightgroupoid.action.validate_action` run against this
             set instead of every element.
         right: ``right[s][j]`` is the product of s and ``generators[j]``.
-        table: multiplication table, ``table[a][b]`` is the product.  A
-            closure-built instance fills it from ``right`` on first
-            access; nothing :func:`~tightgroupoid.criteria.analyze` calls
-            reads it.
+        table: multiplication table, ``table[a][b]`` is the product,
+            filled from ``right`` on first access; nothing
+            :func:`~tightgroupoid.criteria.analyze` calls reads it.
         element_names: optional printable names, index aligned.
         partial_maps: for closure-built instances, the concrete partial
             injection realizing each element; otherwise None.
     """
 
-    def __init__(self, table, zero, star, idempotents, generators,
-                 element_names=None, partial_maps=None, *,
-                 d=None, r=None, slab=None, right=None):
-        self.zero = zero
-        self.star = tuple(star)
+    def __init__(self, zero, star, idempotents, generators, d, r, right,
+                 element_names=None, partial_maps=None):
+        ids = list(range(len(star)))         # one int object per index, shared
+        get = ids.__getitem__
+        self.zero = get(zero)
+        self.star = tuple(map(get, star))
         self.size = len(self.star)
-        self.idempotents = frozenset(idempotents)
-        self.generators = tuple(generators)
-        self._idem_sorted = tuple(sorted(self.idempotents))
-        if table is not None:
-            table = tuple(tuple(row) for row in table)
-            star = self.star
-            d = [table[star[s]][s] for s in range(self.size)]
-            r = [table[s][star[s]] for s in range(self.size)]
-            slab = [{e: row[e] for e in self._idem_sorted} for row in table]
-            right = [tuple(row[g] for g in self.generators) for row in table]
-        self._table = table
-        self.d = tuple(d)
-        self.r = tuple(r)
-        self.slab = tuple(slab)
-        self.right = tuple(right)
+        self._idem_sorted = tuple(map(get, sorted(idempotents)))
+        self.idempotents = frozenset(self._idem_sorted)
+        self.generators = tuple(map(get, generators))
+        self.d = tuple(map(get, d))
+        self.r = tuple(map(get, r))
+        self.right = tuple(tuple(map(get, row)) for row in right)
+        idem = self._idem_sorted
+        self.slab = tuple(
+            dict(zip(idem, map(get, row)))
+            for row in _columns(self.right, self.generators, idem).T.tolist())
+        self._table = None
         self.element_names = tuple(element_names) if element_names else None
         self.partial_maps = tuple(partial_maps) if partial_maps else None
         self._below = {}
@@ -136,8 +133,7 @@ class InverseSemigroup:
         return range(self.size)
 
     def mul(self, a: int, b: int) -> int:
-        """The general product; fills the table of a closure-built
-        instance on the first call."""
+        """The general product; fills the table on the first call."""
         return self.table[a][b]
 
     def left(self, e: int, s: int) -> int:
@@ -366,15 +362,14 @@ def from_table(table: Sequence[Sequence[int]], zero: int,
         raise NoZero(f"zero index {zero!r} out of range")
     if element_names is not None and len(element_names) != n:
         raise DegreeMismatch("element_names length does not match the table")
-    return _checked(np.array(rows, dtype=np.int32), rows, zero, element_names)
+    return _checked(np.array(rows, dtype=np.int32), zero, element_names)
 
 
-def _checked(m: np.ndarray, rows: list, zero: int,
-             element_names=None) -> InverseSemigroup:
-    """The axiom checks of :func:`from_table` on a square table whose
-    entries and zero are in range, given both as an int32 array `m` and as
-    the row tuples `rows` the instance keeps."""
-    n = len(rows)
+def _checked(m: np.ndarray, zero: int, element_names=None) -> InverseSemigroup:
+    """The axiom checks of :func:`from_table` on a square int32 table `m`
+    whose entries and zero are in range; the instance keeps its involution,
+    s*s, ss* and the columns of its generators, not the table."""
+    n = len(m)
     gens = _right_generators(m)
     for g in gens:
         lhs = m[m[:, g], :]       # (x, y) -> (x g) y
@@ -409,7 +404,9 @@ def _checked(m: np.ndarray, rows: list, zero: int,
     sub = m[np.ix_(el, el)]
     assert np.array_equal(sub, sub.T), "idempotents failed to commute"
 
-    return InverseSemigroup(rows, zero, star, idem, gens, element_names)
+    return InverseSemigroup(zero, star, idem, gens, m[star, ar].tolist(),
+                            m[ar, star].tolist(), m[:, gens].tolist(),
+                            element_names)
 
 
 def _right_generators(m: np.ndarray) -> list:
@@ -434,35 +431,51 @@ def _right_generators(m: np.ndarray) -> list:
     return gens
 
 
-def _cayley_table(right, generators) -> tuple:
-    """The full table from the right Cayley graph (Froidure & Pin,
-    "Algorithms for computing finite semigroups", 1997).
+def _columns(right, generators, wanted) -> np.ndarray:
+    """Columns x -> x y of the multiplication table for each y in
+    `wanted`, as the rows of an int32 array, read off the right Cayley
+    graph (Froidure & Pin, "Algorithms for computing finite semigroups",
+    1997).
 
-    Column g of the table, x -> x g, is column j of `right` for the
-    generator g = ``generators[j]``.  Walking the graph breadth first from
-    the generators reaches every element y as some p g with p reached
-    before, and then column y, x -> x y = (x p) g, is column p sent
-    through column g: one array gather per element, n^2 cells in all.
+    Column g of the table is column j of `right` for the generator
+    g = ``generators[j]``.  Walking the graph breadth first from the
+    generators reaches every element y as some p g with p reached before,
+    its parent, and then column y, x -> x y = (x p) g, is column p sent
+    through column g: one array gather per element.  Columns are kept
+    along the parent chains of the wanted elements, so every column costs
+    at most one gather.
     """
-    by_gen = np.array(right, dtype=np.int32).T.copy()
-    n = by_gen.shape[1]
-    cols = np.empty((n, n), dtype=np.int32)   # cols[y][x] = x * y
-    reached = [False] * n
-    walk = []
+    n = len(right)
+    by_gen = np.array(right, dtype=np.int32).reshape(n, len(generators)).T.copy()
+    cols = {}                                  # y -> column x -> x y
     for j, g in enumerate(generators):
-        if not reached[g]:
-            cols[g] = by_gen[j]
-            reached[g] = True
-            walk.append(g)
+        cols.setdefault(g, by_gen[j])
+    parent = dict.fromkeys(cols)               # y -> (p, j) with y = p g_j
+    walk = list(cols)
     for p in walk:                             # the list grows while walked
         for j, y in enumerate(right[p]):
-            if not reached[y]:
-                cols[y] = by_gen[j][cols[p]]
-                reached[y] = True
+            if y not in parent:
+                parent[y] = (p, j)
                 walk.append(y)
     assert len(walk) == n, "the generators do not reach every element"
-    table = np.ascontiguousarray(cols.T)
-    del cols
+    out = np.empty((len(wanted), n), dtype=np.int32)
+    for i, y in enumerate(wanted):
+        chain = []
+        while y not in cols:
+            chain.append(y)
+            y = parent[y][0]
+        col = cols[y]
+        for y in reversed(chain):
+            col = cols[y] = by_gen[parent[y][1]][col]
+        out[i] = col
+    return out
+
+
+def _cayley_table(right, generators) -> tuple:
+    """The full table, ``table[x][y]`` = x y: every column of
+    :func:`_columns`."""
+    n = len(right)
+    table = _columns(right, generators, range(n)).T
     ids = list(range(n))                       # one int object per index, shared
     return tuple(tuple(map(ids.__getitem__, row)) for row in table.tolist())
 
@@ -536,18 +549,15 @@ def from_partial_maps(degree: int, generators: Sequence[Sequence],
     letters, and its edges are kept as ``right`` with the letters as
     ``generators``, plus the zero when no product reaches it.
 
-    Every other field comes from array operations on the n x degree array
-    of maps, with no multiplication table.  A map is coded as the base
-    (degree + 1) number whose digits are its images plus one, 0 where
-    undefined, first point most significant; codes sort as the image
-    tuples do with -1 for undefined, which fixes the element order, and
-    ``searchsorted`` finds the index of any coded map.  The inverse, s*s
-    (the identity on the domain), ss* (the identity on the range) and each
-    s e (s restricted to the domain of e) are coded directly from the
-    image arrays.  The maps are associative and the empty map absorbing
-    by construction, so the axiom checks of :func:`from_table` are not
-    needed; what is asserted, at O(n degree), is that every inverse lies
-    in S, that s s* s = s, and that the empty map is the zero.
+    The elements are ordered as their image tuples, with -1 for
+    undefined, so the empty map is the zero.  The inverse, s*s (the
+    identity on the domain) and the idempotents (the partial identities)
+    are read per map and looked up by the walk's own index; ss* is d of
+    the inverse, and the constructor derives the slab from ``right``.  The
+    maps are associative and the empty map absorbing by construction, so
+    the axiom checks of :func:`from_table` are not needed; what is
+    asserted, at O(|S| degree), is that every inverse and domain lies in
+    S, that s s* s = s, and that the empty map is the zero.
     """
     if degree < 1:
         raise DegreeMismatch("degree must be at least 1")
@@ -577,62 +587,40 @@ def from_partial_maps(degree: int, generators: Sequence[Sequence],
         right.append(row)
 
     n = len(found)
-    maps = np.array([[-1 if v is None else v for v in f] for f in found],
-                    dtype=np.int64).reshape(n, degree)
-    base = degree + 1
-    kind = np.int64 if base ** degree <= 2 ** 63 else object
-    weight = np.array([base ** (degree - 1 - x) for x in range(degree)] + [0],
-                      dtype=kind)             # weight[-1] = 0 for undefined
-    order = np.argsort((maps + 1).astype(kind) @ weight[:-1], kind="stable")
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    maps = maps[order]
-    digits = (maps + 1).astype(kind) * weight[:-1]     # code = digits.sum(1)
-    codes = digits.sum(axis=1)
-    walked = np.array(right, dtype=np.int64).reshape(n, len(letters))
+    order = sorted(range(n), key=lambda i: tuple(-1 if v is None else v
+                                                 for v in found[i]))
+    rank = [0] * n
+    for k, i in enumerate(order):
+        rank[i] = k
+    maps = [found[i] for i in order]
+    assert maps[0] == empty, "the empty map is not the zero"
 
-    def index_of(coded):
-        at = np.minimum(np.searchsorted(codes, coded), n - 1)
-        assert np.array_equal(codes[at], coded), "a product escapes the closure"
-        return at
+    def index_of(f):
+        i = pos.get(f)
+        assert i is not None, "a product escapes the closure"
+        return rank[i]
 
-    assert codes[0] == 0, "the empty map is not the zero"
-    points = np.arange(degree)
-    defined = maps >= 0
-    in_range = np.zeros((n, degree + 1), dtype=bool)
-    in_range[np.arange(n)[:, None], maps] = True          # -1 lands in the pad
-    identity_code = (points + 1).astype(kind) * weight[:-1]
-    star = index_of(((points + 1).astype(kind) * weight[maps]).sum(axis=1))
-    d = index_of(defined.astype(kind) @ identity_code)
-    r = index_of(in_range[:, :degree].astype(kind) @ identity_code)
-    idem = np.flatnonzero(((maps == points) | ~defined).all(axis=1))
-    if max_cells is not None and n * idem.size > max_cells:
-        raise CapExceeded(f"closure of {n} elements and {idem.size} "
+    star, d, idem = [], [], []
+    for s, f in enumerate(maps):
+        inv = invert_map(f)
+        dom = tuple(None if v is None else x for x, v in enumerate(f))
+        star.append(index_of(inv))
+        d.append(index_of(dom))
+        assert all(v is None or f[inv[v]] == v for v in f), \
+            "s s* s differs from s"
+        if f == dom:                 # a partial identity
+            idem.append(s)
+    if max_cells is not None and n * len(idem) > max_cells:
+        raise CapExceeded(f"closure of {n} elements and {len(idem)} "
                           f"idempotents exceeds {max_cells} slab cells")
-    slab = index_of(digits @ defined[idem].T.astype(kind))
 
-    # row s of padded[star] after row s of maps is s*s; -1 stays undefined
-    padded = np.concatenate([maps, np.full((n, 1), -1)], axis=1)
-    sss = np.take_along_axis(
-        padded, np.take_along_axis(padded[star], maps, axis=1), axis=1)
-    assert np.array_equal(sss, maps), "s s* s differs from s"
-
-    gen_ids = [int(rank[pos[a]]) for a in letters]
-    # found[0] is the empty map; it is reached when it is a letter or the
+    gen_ids = [rank[pos[a]] for a in letters]
+    right = [[rank[k] for k in right[i]] for i in order]
+    # element 0 is the empty map; it is reached when it is a letter or the
     # product of a nonempty map and a letter
-    zero_reached = empty in letters or bool((walked[1:] == 0).any())
-    ids = list(range(n))                 # one int object per index, shared
-    get = ids.__getitem__
-    right_rows = rank[walked[order]].tolist()
-    if not zero_reached:
+    if empty not in letters and not any(0 in row for row in right[1:]):
         gen_ids.append(0)
-        for row in right_rows:
+        for row in right:
             row.append(0)
-    idem_ids = idem.tolist()
-    ordered = [found[i] for i in order.tolist()]
-    return InverseSemigroup(
-        None, 0, map(get, star.tolist()), idem_ids, gen_ids,
-        [map_name(f) for f in ordered], ordered,
-        d=map(get, d.tolist()), r=map(get, r.tolist()),
-        slab=[dict(zip(idem_ids, map(get, row))) for row in slab.tolist()],
-        right=[tuple(map(get, row)) for row in right_rows])
+    return InverseSemigroup(0, star, idem, gen_ids, d, [d[t] for t in star],
+                            right, [map_name(f) for f in maps], maps)

@@ -643,21 +643,23 @@ def _outer_covers_conjugate(sg, s, fi, family):
     return True
 
 
-def checked_twin(sg):
+def checked_twin(sg, table=None):
     """The instance rebuilt from its full multiplication table through the
-    axiom checks of `from_table`.
+    axiom checks of `from_table`, and that table as row tuples.
 
     A closure-built instance gets its table by composing every pair of
     its maps: a map is looked up by its digits (images plus one, 0 where
     undefined) in a dense array over all (degree + 1)^degree codes, so the
-    degree must be small.  A table-built instance passes its own table.
+    degree must be small.  A table-built instance must be given the
+    `table` it was validated from, since its own table is filled from the
+    Cayley graph under test.
     """
     import numpy as np
 
     from tightgroupoid.semigroup import _checked
 
     if sg.partial_maps is None:
-        rows = [tuple(row) for row in sg.table]
+        rows = [tuple(row) for row in table]
     else:
         degree = len(sg.partial_maps[0])
         assert degree <= 6, "dense code lookup meant for small degrees"
@@ -672,20 +674,20 @@ def checked_twin(sg):
             ab = padded[a][maps]           # a after every b
             rows.append(tuple(lookup[np.ravel_multi_index(tuple((ab + 1).T), shape)].tolist()))
         assert min(map(min, rows)) >= 0, "a product escapes the closure"
-    return _checked(np.array(rows, dtype=np.int32), rows, sg.zero,
-                    sg.element_names)
+    return _checked(np.array(rows, dtype=np.int32), sg.zero,
+                    sg.element_names), rows
 
 
-def table_free_fields_mismatch(sg):
+def table_free_fields_mismatch(sg, table=None):
     """Where the fields `analyze` reads disagree with the table route of
-    :func:`checked_twin`; None when they all agree.
+    :func:`checked_twin`; None when they all agree.  A table-built
+    instance is compared against the `table` it was built from.
 
     Compares the involution, the idempotents, s*s, ss*, every slab cell,
     e s through `left`, every edge of `right`, and that the generators
     reach every element by right multiplication.  Run it before anything
     fills the table of `sg`, so that `left` reads the slab."""
-    ref = checked_twin(sg)
-    t = ref.table
+    ref, t = checked_twin(sg, table)
     if sg.star != ref.star:
         return "star"
     if sg.idempotents != ref.idempotents:

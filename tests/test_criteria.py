@@ -170,10 +170,10 @@ def test_contraction_criterion_raises_on_contracting_atom():
     # has domain and range the atom e=1 but is given the inverse 0, so
     # e s = (s* e)* = 0 and e s e = 0 while s e s* = e; the one-member
     # family {e} qualifies, which no inverse semigroup allows
-    sg = tg.InverseSemigroup(None, 0, [0, 1, 0], {0, 1}, (0, 1, 2),
+    sg = tg.InverseSemigroup(0, [0, 1, 0], {0, 1}, (0, 1, 2),
                              d=[0, 1, 1], r=[0, 1, 1],
-                             slab=[{0: 0, 1: 0}, {0: 0, 1: 1}, {0: 0, 1: 2}],
                              right=[(0, 0, 0), (0, 1, 0), (0, 2, 1)])
+    assert sg.slab == ({0: 0, 1: 0}, {0: 0, 1: 1}, {0: 0, 1: 2})
     with pytest.raises(errors.TheoremViolation) as info:
         tg.locally_contracting_criterion(sg)
     assert info.value.property == "locally_contracting_criterion"

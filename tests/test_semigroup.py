@@ -130,6 +130,53 @@ def test_closure_matches_two_sided_oracle():
         assert got == want, (degree, gens, cap)
 
 
+def test_high_degree_closures_match_per_map_definitions():
+    # at degrees 15-24 a map coded as one base (degree + 1) number would
+    # not fit in 64 bits; every field is checked against its definition
+    # on the maps themselves
+    rng = random.Random(1408)
+    checked = 0
+    while checked < 6:
+        degree = rng.randint(15, 24)
+        gens = [random_partial_injection(rng, degree)
+                for _ in range(rng.randint(1, 2))]
+        try:
+            sg = tg.from_partial_maps(degree, gens, max_size=2000)
+        except errors.CapExceeded:
+            continue
+        checked += 1
+        maps = sg.partial_maps
+        assert maps == tuple(sorted(
+            oracles.two_sided_closure(degree, gens),
+            key=lambda f: tuple(-1 if v is None else v for v in f))), gens
+        index = {f: i for i, f in enumerate(maps)}
+        compose = semigroup.compose_maps
+        for s, f in enumerate(maps):
+            inv = semigroup.invert_map(f)
+            assert sg.star[s] == index[inv]
+            assert sg.d[s] == index[compose(inv, f)]
+            assert sg.r[s] == index[compose(f, inv)]
+            assert (s in sg.idempotents) == (compose(f, f) == f)
+            assert list(sg.slab[s].items()) == [
+                (e, index[compose(f, maps[e])]) for e in sg.idempotent_list()]
+
+
+def test_wide_identity_closure_stays_small():
+    # one generator on 10,000 points closes to two maps; the build must
+    # not grow with anything but |S| times the degree
+    import tracemalloc
+
+    identity = tuple(range(10_000))
+    tracemalloc.start()
+    try:
+        sg = tg.from_partial_maps(10_000, [identity])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sg.size == 2 and sg.partial_maps[1] == identity
+    assert peak < 16 * 2 ** 20, peak
+
+
 @pytest.fixture
 def compose_calls(monkeypatch):
     """Counts the `compose_maps` calls the test makes, in a one-item list."""

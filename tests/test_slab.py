@@ -6,16 +6,21 @@ fills its table."""
 from __future__ import annotations
 
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
 import tightgroupoid as tg
-from tightgroupoid import cli, semigroup
+from tightgroupoid import cli, fixtures, semigroup
 from tightgroupoid.errors import TheoremViolation
 from tightgroupoid.semigroup import map_name
 
 import oracles
 from conftest import CORPUS_COUNT, CORPUS_SEED
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 MONOID5_TEXT = """semigroup monoid5
 points 5
@@ -54,10 +59,25 @@ def test_closure_fields_match_checked_table():
         assert sg.zero == 0 and all(v is None for v in sg.partial_maps[0]), name
 
 
-def test_table_fields_match_checked_table():
-    for name in ("B2", "Z2z", "Bn(8)"):
-        sg = tg.build_fixture(name)
-        assert oracles.table_free_fields_mismatch(sg) is None, name
+def test_table_fields_match_checked_table(monkeypatch):
+    # each fixture's validated input, recorded on its way to from_table,
+    # is the reference; the instance's own table comes from the Cayley
+    # graph under test
+    inputs = []
+
+    def recording(table, zero, names=None):
+        inputs.append([tuple(row) for row in table])
+        return tg.from_table(table, zero, names)
+
+    monkeypatch.setattr(fixtures, "from_table", recording)
+    built = [(name, tg.build_fixture(name), inputs[-1])
+             for name in ("B2", "Z2z", "E4", "Bn(8)", "Pow(5)", "Cz(7)")]
+    spec = tg.parse_spec(workloads.brandt_text(15))
+    built.append(("brandt15", tg.build_semigroup(spec), list(spec.rows)))
+    for name, sg, table in built:
+        assert oracles.table_free_fields_mismatch(sg, table) is None, name
+        assert sg._table is None, name
+        assert sg.table == tuple(map(tuple, table)), name
 
 
 def test_generators_are_the_letters_plus_unreached_zero():
@@ -86,6 +106,18 @@ def test_analysis_never_fills_the_table(monkeypatch):
     assert sg._table is None
     with pytest.raises(AssertionError, match="table was filled"):
         sg.mul(1, 2)
+
+
+def test_group_with_zero_analysis_never_fills_the_table(monkeypatch):
+    # the identity of a group with zero is read from the slab, so neither
+    # the fixture nor its analysis asks for a general product
+    def refuse(*args):
+        raise AssertionError("the multiplication table was filled")
+
+    monkeypatch.setattr(semigroup, "_cayley_table", refuse)
+    sg = tg.build_fixture("Cz(7)")
+    tg.analyze(sg, name="Cz(7)")
+    assert sg._table is None
 
 
 # ------------------------------------------------------------- size cap
@@ -177,3 +209,22 @@ def test_closure_reproducer_never_fills_the_table(tmp_path, monkeypatch):
     assert again.partial_maps == sg.partial_maps
     assert again.element_names == sg.element_names
     assert (again.star, again.slab, again.right) == (sg.star, sg.slab, sg.right)
+
+
+@pytest.mark.parametrize("name", ["B2", "I2"])
+def test_verdict_mismatch_exits_3_with_a_replayable_reproducer(
+        name, tmp_path, capsys, monkeypatch):
+    # a direct decision that lies must surface as exit 3, and the
+    # reproducer must rebuild the same instance
+    is_minimal = tg.GermGroupoid.is_minimal
+    monkeypatch.setattr(tg.GermGroupoid, "is_minimal",
+                        lambda self: not is_minimal(self))
+    monkeypatch.chdir(tmp_path)
+    assert cli.run_cli(["analyze", "--fixture", name]) == 3
+    assert "verdict mismatch" in capsys.readouterr().err
+    body = json.loads((tmp_path / cli._violation_path(name)).read_text())
+    assert body["property"] == "minimal"
+    sg = tg.build_fixture(name)
+    again = tg.build_semigroup(tg.parse_spec(body["isg"]))
+    for field in ("star", "d", "r", "slab", "right", "table"):
+        assert getattr(again, field) == getattr(sg, field), field
