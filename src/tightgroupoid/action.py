@@ -39,7 +39,8 @@ class FiniteAction:
         point_labels: optional printable names for carrier points.
 
     The constructor stores what it is given; :func:`validate_action`
-    checks the axioms exhaustively.
+    checks the axioms exhaustively.  :func:`trivial_fixed_points` caches
+    its set per element on the action.
     """
 
     def __init__(self, semigroup: InverseSemigroup, points: int, maps,
@@ -53,6 +54,7 @@ class FiniteAction:
             for s, m in self.maps.items()
         }
         self.edomains = {e: self._domains[e] for e in semigroup.idempotents}
+        self._trivial = {}
         self._validated = False
 
     def __repr__(self):
@@ -68,7 +70,14 @@ class FiniteAction:
         return y
 
     def image(self, s: int, subset) -> frozenset:
-        return frozenset(self.apply(s, x) for x in subset)
+        m = self.maps[s]
+        out = []
+        for x in subset:
+            y = m[x]
+            if y is None:
+                raise NotInDomain(f"point {x} outside the domain of element {s}")
+            out.append(y)
+        return frozenset(out)
 
     def label_of(self, x: int) -> str:
         if self.point_labels is not None:
@@ -192,17 +201,24 @@ def fixed_points(action: FiniteAction, s: int) -> frozenset:
     return frozenset(x for x in action.domain(s) if m[x] == x)
 
 
+_NO_POINTS = frozenset()      # shared by the elements with no trivially fixed point
+
+
 def trivial_fixed_points(action: FiniteAction, s: int) -> frozenset:
     """Union of the domains of the idempotents fixed by s.
 
     A point is trivially fixed when it sits in the domain of some
     idempotent e with s e = e; the union over the fixed ideal of s is
     exactly that set, and it is always contained in the fixed points.
+    Cached per element on the action.
     """
-    out = set()
-    for e in action.semigroup.fixed_idempotents(s):
-        out |= action.edomains[e]
-    return frozenset(out)
+    got = action._trivial.get(s)
+    if got is None:
+        out = set()
+        for e in action.semigroup.fixed_idempotents(s).members:
+            out |= action.edomains[e]
+        got = action._trivial[s] = frozenset(out) if out else _NO_POINTS
+    return got
 
 
 def is_free(action: FiniteAction) -> bool:

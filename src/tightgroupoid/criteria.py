@@ -371,6 +371,9 @@ def verify_instance(sg: InverseSemigroup, name: str = "S", seed: int = 0):
     together with a dict naming every identity that ran.  The identities
     re-derive both sides independently instead of reusing each other's
     intermediate values wherever the two sides have distinct mechanisms.
+    An identity checked once per element, pair or cover compares first
+    and formats its instance label (``s=...``, ``J=... C=...``) only when
+    it fails.
     """
     analysis = analyze(sg, name)
     act = analysis.action
@@ -394,7 +397,9 @@ def verify_instance(sg: InverseSemigroup, name: str = "S", seed: int = 0):
                 continue
             lhs = weakly_fixed(sg, e, s)
             rhs = all(m[x] == x for x in act.edomains[e])
-            _identity("weakly_fixed_vs_fixed_points", lhs, rhs, f"{name} s={s} e={e}")
+            if lhs != rhs:
+                raise TheoremViolation("weakly_fixed_vs_fixed_points", lhs, rhs,
+                                       f"{name} s={s} e={e}")
     checks["weakly_fixed_vs_fixed_points"] = True
 
     # outer covers match inclusions of domain unions
@@ -411,24 +416,30 @@ def verify_instance(sg: InverseSemigroup, name: str = "S", seed: int = 0):
             closed.update(sg.below(e))
         ideals.append(sg.ideal(closed))
     dedup = {ideal.members: ideal for ideal in ideals}
+    all_nonzero = frozenset(sg.nonzero_idempotents())
     for ideal in dedup.values():
-        candidates = [sg.canonical_cover(ideal), frozenset(),
-                      frozenset(sg.nonzero_idempotents())]
-        cc = sorted(sg.canonical_cover(ideal))
+        members = ideal.members
+        canonical = sg.canonical_cover(ideal)
+        candidates = [canonical, frozenset(), all_nonzero]
+        cc = sorted(canonical)
         if cc:
             candidates.append(frozenset(cc[1:]))
         for _ in range(2):
             candidates.append(frozenset(rng.sample(idem, k=min(len(idem), 2))))
+        ideal_union = _domain_union(act, members)
         for cov in candidates:
             lhs = sg.is_outer_cover(cov, ideal)
-            rhs = _domain_union(act, ideal.members) <= _domain_union(act, cov)
-            _identity("outer_cover_vs_domain_union", lhs, rhs,
-                      f"{name} J={sorted(ideal.members)} C={sorted(cov)}")
-            if cov <= ideal.members:
-                lhs2 = sg.is_cover(cov, ideal)
-                rhs2 = _domain_union(act, ideal.members) == _domain_union(act, cov)
-                _identity("cover_vs_domain_equality", lhs2, rhs2,
-                          f"{name} J={sorted(ideal.members)} C={sorted(cov)}")
+            cov_union = _domain_union(act, cov)
+            rhs = ideal_union <= cov_union
+            if lhs != rhs:
+                raise TheoremViolation("outer_cover_vs_domain_union", lhs, rhs,
+                                       f"{name} J={sorted(members)} C={sorted(cov)}")
+            if cov <= members:
+                lhs = sg.is_cover(cov, ideal)
+                rhs = ideal_union == cov_union
+                if lhs != rhs:
+                    raise TheoremViolation("cover_vs_domain_equality", lhs, rhs,
+                                           f"{name} J={sorted(members)} C={sorted(cov)}")
     checks["outer_cover_vs_domain_union"] = True
     checks["cover_vs_domain_equality"] = True
 
@@ -439,19 +450,21 @@ def verify_instance(sg: InverseSemigroup, name: str = "S", seed: int = 0):
     # conjugation carries domains onto domains
     for s in sg.elements():
         dom = act.domain(s)
+        row = slab[s]
         for f in idem:
-            src = act.edomains[f] & dom
-            img = act.image(s, src)
-            conj = r[slab[s][f]]
-            _identity("conjugated_domains", img, act.edomains[conj],
-                      f"{name} s={s} f={f}")
+            img = act.image(s, act.edomains[f] & dom)
+            conj_dom = act.edomains[r[row[f]]]
+            if img != conj_dom:
+                raise TheoremViolation("conjugated_domains", img, conj_dom,
+                                       f"{name} s={s} f={f}")
     checks["conjugated_domains"] = True
 
     # the action preserves ultrafilters
+    in_ultra = [p.min in ultra for p in spec.points]
     for s in sg.elements():
         m = act.maps[s]
         for x in act.domain(s):
-            if spec.points[x].min in ultra and spec.points[m[x]].min not in ultra:
+            if in_ultra[x] and not in_ultra[m[x]]:
                 raise TheoremViolation("ultrafilter_preserved", True, False,
                                        f"{name} s={s} x={x}")
     checks["ultrafilter_preserved"] = True
@@ -462,10 +475,11 @@ def verify_instance(sg: InverseSemigroup, name: str = "S", seed: int = 0):
     for s in sg.elements():
         tf = action_mod.trivial_fixed_points(act, s)
         fp = action_mod.fixed_points(act, s)
-        _identity("trivial_fixed_subset_fixed", tf <= fp, True, f"{name} s={s}")
-        for x in fp:
-            if spec.points[x].min in ultra and x not in tf:
-                cond_iii = False
+        if not tf <= fp:
+            raise TheoremViolation("trivial_fixed_subset_fixed", False, True,
+                                   f"{name} s={s}")
+        if cond_iii:
+            cond_iii = all(x in tf for x in fp if in_ultra[x])
     checks["trivial_fixed_subset_fixed"] = True
 
     # three equivalent readings of topological freeness
@@ -487,16 +501,20 @@ def verify_instance(sg: InverseSemigroup, name: str = "S", seed: int = 0):
         for s in sg.elements():
             if s in sg.idempotents:
                 continue
-            _identity("estar_trivial_fixed_empty",
-                      action_mod.trivial_fixed_points(act, s), frozenset(),
-                      f"{name} s={s}")
+            tf = action_mod.trivial_fixed_points(act, s)
+            if tf:
+                raise TheoremViolation("estar_trivial_fixed_empty", tf,
+                                       frozenset(), f"{name} s={s}")
     checks["estar_implications"] = True
 
     for s in sg.elements():
+        row = slab[s]
         for e in sg.below(sg.d[s]):
-            if e != zero and slab[s][e] == e:
-                _identity("fixed_implies_weakly_fixed",
-                          weakly_fixed(sg, e, s), True, f"{name} s={s} e={e}")
+            if e != zero and row[e] == e:
+                lhs = weakly_fixed(sg, e, s)
+                if not lhs:
+                    raise TheoremViolation("fixed_implies_weakly_fixed", lhs,
+                                           True, f"{name} s={s} e={e}")
     checks["fixed_implies_weakly_fixed"] = True
 
     easier = easier_loc_contr_criterion(sg)

@@ -168,12 +168,15 @@ def format_spec(spec: SemigroupSpec) -> str:
 
 
 def build_semigroup(spec: SemigroupSpec, max_size: int | None = None,
-                    max_cells: int | None = None) -> InverseSemigroup:
-    """Realize a parsed spec; semigroup axioms are enforced here.  The
-    caps bound a generator spec's closure, as in
-    :func:`~tightgroupoid.semigroup.from_partial_maps`."""
+                    max_cells: int | None = None,
+                    max_work: int | None = None) -> InverseSemigroup:
+    """Realize a parsed spec; semigroup axioms are enforced here.
+    `max_size` and `max_cells` bound a generator spec's closure, as in
+    :func:`~tightgroupoid.semigroup.from_partial_maps`; `max_work` bounds
+    a table spec's associativity test, as in
+    :func:`~tightgroupoid.semigroup.from_table`."""
     if spec.mode == "table":
-        return from_table(spec.rows, spec.zero)
+        return from_table(spec.rows, spec.zero, max_work=max_work)
     labels = [gname for gname, _ in spec.generators]
     gens = [images for _, images in spec.generators]
     return from_partial_maps(spec.degree, gens, labels, max_size=max_size,

@@ -129,13 +129,89 @@ def error_payload(name: str, code: str, message: str, **instance) -> dict:
     }
 
 
+_string = json.encoder.encode_basestring_ascii
+
+
+def _json(obj, indent: str) -> str:
+    """`obj` as ``json.dumps(obj, indent=2, sort_keys=True)`` writes it,
+    nested at `indent`.  With an indent the standard library runs its
+    pure-Python encoder; this is the same walk without its generators.
+    Strings go through the C escaper that encoder uses, integers through
+    ``int.__repr__``, and any other scalar (the floats of `timing`)
+    through ``json.dumps`` itself.  The exact types a report holds are
+    tested first, subclasses and tuples after."""
+    kind = type(obj)
+    if kind is str:
+        return _string(obj)
+    if kind is dict:
+        return _object(obj, indent)
+    if kind is list:
+        return _array(obj, indent)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if kind is int:
+        return int.__repr__(obj)
+    if isinstance(obj, str):
+        return _string(obj)
+    if isinstance(obj, dict):
+        return _object(obj, indent)
+    if isinstance(obj, (list, tuple)):
+        return _array(obj, indent)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    return json.dumps(obj)
+
+
+def _object(obj, indent: str) -> str:
+    if not obj:
+        return "{}"
+    inner = indent + "  "
+    items = []
+    for k in sorted(obj):
+        v = obj[k]
+        items.append(_string(k if type(k) is str else _key(k)) + ": "
+                     + (_string(v) if type(v) is str else _json(v, inner)))
+    return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+
+
+def _array(obj, indent: str) -> str:
+    if not obj:
+        return "[]"
+    inner = indent + "  "
+    return ("[\n" + inner + (",\n" + inner).join([
+        _string(v) if type(v) is str else _json(v, inner) for v in obj])
+        + "\n" + indent + "]")
+
+
+def _key(key) -> str:
+    """A key as the encoder writes it before quoting."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {type(key).__name__}")
+
+
+def json_text(obj) -> str:
+    """The one JSON writer of the package: byte for byte
+    ``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline."""
+    return _json(obj, "") + "\n"
+
+
 def emit_report(doc: ReportDocument) -> str:
     """The document as sorted, indented JSON; `timing` appears exactly
-    when the document carries one."""
+    when the document carries one.  The text is byte-identical to
+    ``json.dumps(payload, indent=2, sort_keys=True)`` plus a newline,
+    written by :func:`json_text`."""
     payload = dict(doc.payload)
     if doc.timing is not None:
         payload["timing"] = doc.timing
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json_text(payload)
 
 
 def emit_dot(gpd: GermGroupoid, graph_name: str = "germs") -> str:

@@ -217,11 +217,16 @@ class InverseSemigroup:
     def ideal_perp(self, ideal: Ideal) -> Ideal:
         """Idempotents orthogonal to every member of the given ideal."""
         mem = self._checked_members(ideal)
-        out = frozenset(
-            f for f in self._idem_sorted
-            if all(self.slab[f][e] == self.zero for e in mem)
-        )
-        return Ideal(out)
+        zero, slab = self.zero, self.slab
+        out = []
+        for f in self._idem_sorted:
+            row = slab[f]
+            for e in mem:
+                if row[e] != zero:
+                    break
+            else:
+                out.append(f)
+        return Ideal(frozenset(out))
 
     def _checked_members(self, ideal: Ideal) -> frozenset:
         if not isinstance(ideal, Ideal):
@@ -271,14 +276,18 @@ class InverseSemigroup:
         intersects no element of `cover`; None when there is none.  The
         cover is scanned once per member, so it must be a collection of
         idempotents."""
-        for c in cover:
-            self._require_idempotent(c)
-        zero = self.zero
+        if not self.idempotents.issuperset(cover):
+            for c in cover:
+                self._require_idempotent(c)
+        zero, slab = self.zero, self.slab
         for f in members:
             if f == zero:
                 continue
-            row = self.slab[f]
-            if not any(row[c] != zero for c in cover):
+            row = slab[f]
+            for c in cover:
+                if row[c] != zero:
+                    break
+            else:
                 return f
         return None
 
@@ -305,10 +314,14 @@ class InverseSemigroup:
         """
         mem = self._checked_members(ideal)
         nz = [f for f in sorted(mem) if f != self.zero]
-        maximal = [
-            f for f in nz
-            if not any(g != f and self.slab[f][g] == f for g in nz)
-        ]
+        maximal = []
+        for f in nz:
+            row = self.slab[f]
+            for g in nz:
+                if row[g] == f and g != f:
+                    break
+            else:
+                maximal.append(f)
         return frozenset(maximal)
 
     # ------------------------------------------------------------- global
@@ -327,7 +340,8 @@ class InverseSemigroup:
 # -------------------------------------------------------------- builders
 
 def from_table(table: Sequence[Sequence[int]], zero: int,
-               element_names: Sequence[str] | None = None) -> InverseSemigroup:
+               element_names: Sequence[str] | None = None,
+               max_work: int | None = None) -> InverseSemigroup:
     """Validate a multiplication table and return the semigroup.
 
     Checks associativity, the absorbing zero, and existence of a unique
@@ -347,6 +361,10 @@ def from_table(table: Sequence[Sequence[int]], zero: int,
     associative exactly when it passes, at O(n^2) per generator instead of
     O(n^3).  A failure raises :class:`NotAssociative` with a failing
     triple ``(x, g, y)``.  The generating set is kept as ``generators``.
+    `max_work` caps n^2 times the number of generators, the cells Light's
+    test compares, and is checked once the generators are known, before
+    the test runs: a semilattice of n - 1 orthogonal atoms has n - 1
+    generators and costs O(n^3).
     """
     rows = [tuple(map(int, row)) for row in table]
     n = len(rows)
@@ -362,15 +380,21 @@ def from_table(table: Sequence[Sequence[int]], zero: int,
         raise NoZero(f"zero index {zero!r} out of range")
     if element_names is not None and len(element_names) != n:
         raise DegreeMismatch("element_names length does not match the table")
-    return _checked(np.array(rows, dtype=np.int32), zero, element_names)
+    return _checked(np.array(rows, dtype=np.int32), zero, element_names,
+                    max_work)
 
 
-def _checked(m: np.ndarray, zero: int, element_names=None) -> InverseSemigroup:
+def _checked(m: np.ndarray, zero: int, element_names=None,
+             max_work: int | None = None) -> InverseSemigroup:
     """The axiom checks of :func:`from_table` on a square int32 table `m`
     whose entries and zero are in range; the instance keeps its involution,
     s*s, ss* and the columns of its generators, not the table."""
     n = len(m)
     gens = _right_generators(m)
+    if max_work is not None and n * n * len(gens) > max_work:
+        raise CapExceeded(f"table of {n} elements with {len(gens)} generators "
+                          f"needs {n * n * len(gens)} associativity checks, "
+                          f"over the cap of {max_work}")
     for g in gens:
         lhs = m[m[:, g], :]       # (x, y) -> (x g) y
         rhs = m[:, m[g]]          # (x, y) -> x (g y)

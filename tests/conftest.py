@@ -1,8 +1,17 @@
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
 
 import tightgroupoid as tg
+
+# HYPOTHESIS_PROFILE=ci: the same examples on every run, and more of them,
+# for the property tests that leave the example count to the profile
+settings.register_profile("ci", derandomize=True, deadline=None,
+                          max_examples=300)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 CORPUS_SEED = 7
 CORPUS_COUNT = 100

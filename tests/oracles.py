@@ -445,12 +445,15 @@ def union_find_germs(action):
 def two_sided_closure(degree, gens, max_size=None):
     """The set of maps generated by checked partial injections, by the
     round-based closure: invert every new map, compose each frontier map
-    on both sides with every map found so far, and test the size cap once
-    per round.  Returns the map set, empty map included."""
+    on both sides with every generator and generator inverse, and test
+    the size cap once per round.  Every map is a word in those letters,
+    so extending words at both ends reaches them all; the library walks
+    right products only.  Returns the map set, empty map included."""
     from tightgroupoid.errors import CapExceeded
     from tightgroupoid.semigroup import compose_maps, invert_map
 
     empty = tuple([None] * degree)
+    letters = set(gens) | {invert_map(g) for g in gens}
     elems = set(gens) | {empty}
     frontier = list(elems)
     while frontier:
@@ -460,10 +463,9 @@ def two_sided_closure(degree, gens, max_size=None):
             if inv not in elems:
                 elems.add(inv)
                 fresh.append(inv)
-        current = list(elems)
         for f in frontier:
-            for g in current:
-                for h in (compose_maps(f, g), compose_maps(g, f)):
+            for a in letters:
+                for h in (compose_maps(f, a), compose_maps(a, f)):
                     if h not in elems:
                         elems.add(h)
                         fresh.append(h)
@@ -473,7 +475,7 @@ def two_sided_closure(degree, gens, max_size=None):
     return elems
 
 
-# --------------------------- general route (table and action axioms)
+# ------------------ general route (table, action and groupoid axioms)
 
 def cubic_associativity(table):
     """First triple (a, b, c) with (a b) c != a (b c), or None.  Scans the
@@ -506,6 +508,45 @@ def all_pairs_composition(action):
                 if (ms[y] if y is not None else None) != mst[x]:
                     return s, t, x
     return None
+
+
+def compose_verify_axioms(g):
+    """The groupoid axioms of ``GermGroupoid.verify_axioms``, every
+    product through ``compose`` and ``inverse``: source/target
+    bookkeeping, two-sided units, inverses, and associativity over every
+    composable triple, raising the same TheoremViolation first."""
+    from tightgroupoid.errors import TheoremViolation
+
+    n = len(g.arrows)
+    for x, u in g.unit_at.items():
+        if g.source[u] != x or g.target[u] != x:
+            raise TheoremViolation("unit_source_target", x, (g.source[u], g.target[u]), "unit")
+    for i in range(n):
+        j = g.inverse(i)
+        if g.source[j] != g.target[i] or g.target[j] != g.source[i]:
+            raise TheoremViolation("inverse_source_target", i, j, "inverse")
+        if g.compose(i, j) != g.unit_at[g.target[i]]:
+            raise TheoremViolation("right_inverse_law", i, j, "inverse")
+        if g.compose(j, i) != g.unit_at[g.source[i]]:
+            raise TheoremViolation("left_inverse_law", i, j, "inverse")
+        if g.compose(i, g.unit_at[g.source[i]]) != i:
+            raise TheoremViolation("right_unit_law", i, None, "unit")
+        if g.compose(g.unit_at[g.target[i]], i) != i:
+            raise TheoremViolation("left_unit_law", i, None, "unit")
+    by_source = {}
+    for i in range(n):
+        by_source.setdefault(g.source[i], []).append(i)
+    for j in range(n):
+        for i in by_source.get(g.target[j], ()):
+            ij = g.compose(i, j)
+            if ij is None or g.source[ij] != g.source[j] or \
+                    g.target[ij] != g.target[i]:
+                raise TheoremViolation("composition_bookkeeping", i, j, "compose")
+            for k in by_source.get(g.target[i], ()):
+                left = g.compose(g.compose(k, i), j)
+                right = g.compose(k, ij)
+                if left != right:
+                    raise TheoremViolation("associativity", (k, i, j), (left, right), "compose")
 
 
 # ------------------------------------- general route (local contraction)

@@ -273,3 +273,149 @@ def test_larger_instances_smoke():
     tight = {f.min for f in tg.tight_spectrum(pow5).points}
     ultra = {f.min for f in tg.ultrafilters(pow5)}
     assert tight == ultra and len(tight) == 5
+
+
+# ------------------------------------------------ harness failure labels
+
+LABEL_INSTANCES = ("I2", "B2", "Z2z", "E4", "In(3)", "Bn(8)", "Pow(5)", "Cz(7)")
+
+
+def _negate_when_large(method):
+    # flip a cover test only on nonempty covers of ideals of three or more
+    # members, so the label names a nontrivial J and C
+    def flipped(self, cover, ideal):
+        value = method(self, cover, ideal)
+        return not value if cover and len(ideal) > 2 else value
+    return flipped
+
+
+def _mutations():
+    from tightgroupoid import action, semigroup
+
+    wf = criteria.weakly_fixed
+    negated_wf = (criteria, "weakly_fixed", lambda sg, e, s: not wf(sg, e, s))
+    image = action.FiniteAction.image
+    sg_cls = semigroup.InverseSemigroup
+    return {
+        "weakly_fixed": (False, [negated_wf]),
+        "weakly_fixed_in_harness": (True, [negated_wf]),
+        "outer_cover": (True, [(sg_cls, "is_outer_cover",
+                                _negate_when_large(sg_cls.is_outer_cover))]),
+        "cover": (True, [(sg_cls, "is_cover", _negate_when_large(sg_cls.is_cover))]),
+        "image": (True, [(action.FiniteAction, "image",
+                          lambda self, s, pts: image(self, s, pts) ^ {0}
+                          if len(pts) > 1 else image(self, s, pts))]),
+    }
+
+
+def harness_failures():
+    """Per mutation and instance, the message verify_instance raises, or
+    None when the mutation goes unseen on that instance.  With
+    `in_harness`, analyze runs unpatched first, so the harness's own
+    identity fails and its label shows."""
+    out = {}
+    for mutation, (in_harness, patches) in _mutations().items():
+        for name in LABEL_INSTANCES:
+            sg = tg.build_fixture(name)
+            analysis = tg.analyze(sg, name=name)
+            with pytest.MonkeyPatch.context() as mp:
+                if in_harness:
+                    mp.setattr(criteria, "analyze", lambda *args: analysis)
+                for obj, attr, value in patches:
+                    mp.setattr(obj, attr, value)
+                try:
+                    criteria.verify_instance(sg, name)
+                    out[mutation, name] = None
+                except errors.TheoremViolation as exc:
+                    out[mutation, name] = str(exc)
+    return out
+
+
+# the messages as the harness raised them when it formatted every label
+# before comparing; formatting labels only on failure must keep them
+HARNESS_FAILURES = {
+    ('weakly_fixed', 'I2'):
+        'topological_freeness: criterion verdict False != direct verdict True on instance I2',
+    ('weakly_fixed', 'B2'):
+        'topological_freeness: criterion verdict False != direct verdict True on instance B2',
+    ('weakly_fixed', 'Z2z'):
+        'topological_freeness: criterion verdict True != direct verdict False on instance Z2z',
+    ('weakly_fixed', 'E4'):
+        'weakly_fixed_vs_fixed_points: criterion verdict False != direct verdict True on instance E4 s=1 e=1',
+    ('weakly_fixed', 'In(3)'):
+        'topological_freeness: criterion verdict False != direct verdict True on instance In(3)',
+    ('weakly_fixed', 'Bn(8)'):
+        'topological_freeness: criterion verdict False != direct verdict True on instance Bn(8)',
+    ('weakly_fixed', 'Pow(5)'):
+        'weakly_fixed_vs_fixed_points: criterion verdict False != direct verdict True on instance Pow(5) s=1 e=1',
+    ('weakly_fixed', 'Cz(7)'):
+        'topological_freeness: criterion verdict True != direct verdict False on instance Cz(7)',
+    ('weakly_fixed_in_harness', 'I2'):
+        'weakly_fixed_vs_fixed_points: criterion verdict True != direct verdict False on instance I2 s=1 e=2',
+    ('weakly_fixed_in_harness', 'B2'):
+        'weakly_fixed_vs_fixed_points: criterion verdict False != direct verdict True on instance B2 s=1 e=1',
+    ('weakly_fixed_in_harness', 'Z2z'):
+        'weakly_fixed_vs_fixed_points: criterion verdict False != direct verdict True on instance Z2z s=1 e=1',
+    ('weakly_fixed_in_harness', 'E4'):
+        'weakly_fixed_vs_fixed_points: criterion verdict False != direct verdict True on instance E4 s=1 e=1',
+    ('weakly_fixed_in_harness', 'In(3)'):
+        'weakly_fixed_vs_fixed_points: criterion verdict True != direct verdict False on instance In(3) s=1 e=3',
+    ('weakly_fixed_in_harness', 'Bn(8)'):
+        'weakly_fixed_vs_fixed_points: criterion verdict False != direct verdict True on instance Bn(8) s=1 e=1',
+    ('weakly_fixed_in_harness', 'Pow(5)'):
+        'weakly_fixed_vs_fixed_points: criterion verdict False != direct verdict True on instance Pow(5) s=1 e=1',
+    ('weakly_fixed_in_harness', 'Cz(7)'):
+        'weakly_fixed_vs_fixed_points: criterion verdict False != direct verdict True on instance Cz(7) s=1 e=1',
+    ('outer_cover', 'I2'):
+        'outer_cover_vs_domain_union: criterion verdict False != direct verdict True on instance I2 J=[0, 2, 3, 4] C=[4]',
+    ('outer_cover', 'B2'):
+        'outer_cover_vs_domain_union: criterion verdict False != direct verdict True on instance B2 J=[0, 1, 4] C=[1, 4]',
+    ('outer_cover', 'Z2z'):
+        None,
+    ('outer_cover', 'E4'):
+        'outer_cover_vs_domain_union: criterion verdict False != direct verdict True on instance E4 J=[0, 1, 2, 3] C=[3]',
+    ('outer_cover', 'In(3)'):
+        'outer_cover_vs_domain_union: criterion verdict False != direct verdict True on instance In(3) J=[0, 3, 7, 9] C=[9]',
+    ('outer_cover', 'Bn(8)'):
+        'outer_cover_vs_domain_union: criterion verdict False != direct verdict True on instance Bn(8) J=[0, 1, 10, 19, 28, 37, 46, 55, 64] C=[1, 10, 19, 28, 37, 46, 55, 64]',
+    ('outer_cover', 'Pow(5)'):
+        'outer_cover_vs_domain_union: criterion verdict False != direct verdict True on instance Pow(5) J=[0, 1, 2, 6] C=[6]',
+    ('outer_cover', 'Cz(7)'):
+        None,
+    ('cover', 'I2'):
+        'cover_vs_domain_equality: criterion verdict False != direct verdict True on instance I2 J=[0, 2, 3, 4] C=[4]',
+    ('cover', 'B2'):
+        'cover_vs_domain_equality: criterion verdict False != direct verdict True on instance B2 J=[0, 1, 4] C=[1, 4]',
+    ('cover', 'Z2z'):
+        None,
+    ('cover', 'E4'):
+        'cover_vs_domain_equality: criterion verdict False != direct verdict True on instance E4 J=[0, 1, 2, 3] C=[3]',
+    ('cover', 'In(3)'):
+        'cover_vs_domain_equality: criterion verdict False != direct verdict True on instance In(3) J=[0, 3, 7, 9] C=[9]',
+    ('cover', 'Bn(8)'):
+        'cover_vs_domain_equality: criterion verdict False != direct verdict True on instance Bn(8) J=[0, 1, 10, 19, 28, 37, 46, 55, 64] C=[1, 10, 19, 28, 37, 46, 55, 64]',
+    ('cover', 'Pow(5)'):
+        'cover_vs_domain_equality: criterion verdict False != direct verdict True on instance Pow(5) J=[0, 1, 2, 6] C=[6]',
+    ('cover', 'Cz(7)'):
+        None,
+    ('image', 'I2'):
+        'conjugated_domains: criterion verdict frozenset({1}) != direct verdict frozenset({0, 1}) on instance I2 s=4 f=4',
+    ('image', 'B2'):
+        None,
+    ('image', 'Z2z'):
+        None,
+    ('image', 'E4'):
+        'conjugated_domains: criterion verdict frozenset({1}) != direct verdict frozenset({0, 1}) on instance E4 s=3 f=3',
+    ('image', 'In(3)'):
+        'conjugated_domains: criterion verdict frozenset({0, 1, 2}) != direct verdict frozenset({1, 2}) on instance In(3) s=5 f=9',
+    ('image', 'Bn(8)'):
+        None,
+    ('image', 'Pow(5)'):
+        'conjugated_domains: criterion verdict frozenset({1}) != direct verdict frozenset({0, 1}) on instance Pow(5) s=6 f=6',
+    ('image', 'Cz(7)'):
+        None,
+}
+
+
+def test_harness_failures_keep_their_messages():
+    assert harness_failures() == HARNESS_FAILURES

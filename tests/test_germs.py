@@ -242,3 +242,122 @@ def test_hausdorff_equivalence_chain():
         )
         assert units_closed and regions_closed
         assert g.is_hausdorff() == units_closed == regions_closed
+
+
+# ------------------------------------------- axioms against the oracle
+
+NINE_FIXTURES = ("I2", "B2", "Z2z", "E4", "In(3)", "In(4)", "Bn(8)", "Pow(5)",
+                 "Cz(7)")
+
+
+def axiom_outcome(check, g):
+    """None when `check` passes on g, else the exception it raised first:
+    its type, message and, for a TheoremViolation, identity and
+    arguments."""
+    try:
+        check(g)
+    except errors.TheoremViolation as exc:
+        return ("TheoremViolation", exc.property, exc.criterion, exc.direct,
+                exc.instance)
+    except errors.TightGroupoidError as exc:
+        return (type(exc).__name__, str(exc))
+    return None
+
+
+def both_outcomes(g):
+    return (axiom_outcome(tg.GermGroupoid.verify_axioms, g),
+            axiom_outcome(oracles.compose_verify_axioms, g))
+
+
+def axiom_instances(corpus100):
+    for name in NINE_FIXTURES:
+        yield name, make(name)[2]
+    for name, sg in corpus100:
+        yield name, tg.analyze(sg, name=name).groupoid
+
+
+def test_verify_axioms_agrees_with_compose_oracle(corpus100):
+    for name, g in axiom_instances(corpus100):
+        assert both_outcomes(g) == (None, None), name
+
+
+def test_corrupted_groupoids_fail_first_on_the_same_identity(corpus100):
+    import random
+    from collections import Counter
+
+    rng = random.Random(5278)
+    caught = Counter()
+    for name, g in axiom_instances(corpus100):
+        n = len(g.arrows)
+        pts = g.action.points
+        cases = []
+        # a target moved to another point
+        if pts > 1:
+            i = rng.randrange(n)
+            target = list(g.target)
+            target[i] = (target[i] + 1 + rng.randrange(pts - 1)) % pts
+            cases.append(("target", tuple(target), True))
+        # the class of a pair a check reads: the right unit law of arrow
+        # i reads the germ of s_i times the unit's element at x_i
+        if n > 1:
+            i = rng.randrange(n)
+            s, x = g.arrows[i]
+            unit = g.arrows[g.unit_at[x]][0]
+            key = (g.semigroup.table[s][unit], x)
+            class_of = dict(g._class_of)
+            class_of[key] = (class_of[key] + 1 + rng.randrange(n - 1)) % n
+            cases.append(("_class_of", class_of, True))
+            # and one entry anywhere, which no check may read; both
+            # readings must still agree
+            key = rng.choice(sorted(g._class_of))
+            class_of = dict(g._class_of)
+            class_of[key] = (class_of[key] + 1 + rng.randrange(n - 1)) % n
+            cases.append(("_class_of", class_of, False))
+        # two points trade units
+        if pts > 1:
+            x, y = rng.sample(range(pts), 2)
+            unit_at = dict(g.unit_at)
+            unit_at[x], unit_at[y] = unit_at[y], unit_at[x]
+            cases.append(("unit_at", unit_at, True))
+        for attr, value, must_raise in cases:
+            saved = getattr(g, attr)
+            setattr(g, attr, value)
+            try:
+                fast, oracle = both_outcomes(g)
+            finally:
+                setattr(g, attr, saved)
+            assert fast == oracle, (name, attr)
+            assert fast is not None or not must_raise, (name, attr)
+            caught[attr] += fast is not None
+    # 64 of the 109 instances have two or more points
+    assert caught["target"] == caught["unit_at"] == 64
+    assert caught["_class_of"] >= 109
+
+
+def test_corrupted_products_fail_first_on_the_same_identity(corpus100):
+    # one entry of the multiplication table, a product of two arrow
+    # representatives, changed at random: both readings compose through
+    # the table, so they must fail on the same identity, including
+    # associativity and composition bookkeeping, or both pass
+    import random
+    from collections import Counter
+
+    rng = random.Random(1408)
+    first = Counter()
+    for name, g in axiom_instances(corpus100):
+        sg = g.semigroup
+        table = sg.table
+        reps = sorted({s for s, _ in g.arrows})
+        for _ in range(10):
+            a, b = rng.choice(reps), rng.choice(reps)
+            row = list(table[a])
+            row[b] = (row[b] + 1 + rng.randrange(sg.size - 1)) % sg.size
+            sg._table = table[:a] + (tuple(row),) + table[a + 1:]
+            try:
+                fast, oracle = both_outcomes(g)
+            finally:
+                sg._table = table
+            assert fast == oracle, (name, a, b)
+            first[fast and fast[1 if fast[0] == "TheoremViolation" else 0]] += 1
+    assert {None, "DomainViolation", "composition_bookkeeping",
+            "associativity"} <= set(first)

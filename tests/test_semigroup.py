@@ -136,7 +136,7 @@ def test_high_degree_closures_match_per_map_definitions():
     # on the maps themselves
     rng = random.Random(1408)
     checked = 0
-    while checked < 6:
+    while checked < 10:
         degree = rng.randint(15, 24)
         gens = [random_partial_injection(rng, degree)
                 for _ in range(rng.randint(1, 2))]

@@ -192,6 +192,47 @@ def test_default_slab_cap_stops_a_large_semilattice(tmp_path, capsys):
         in capsys.readouterr().err
 
 
+def orthogonal_atoms_text(name, n):
+    """`.isg` table text of the semilattice of a zero and n - 1 pairwise
+    orthogonal atoms, whose greedy generating set is all n - 1 atoms."""
+    lines = [f"semigroup {name}", f"table {n} zero 0"]
+    for i in range(n):
+        lines.append(" ".join(str(i) if j == i else "0" for j in range(n)))
+    return "\n".join(lines) + "\n"
+
+
+def test_default_table_cap_stops_the_800_element_semilattice(
+        tmp_path, capsys, monkeypatch):
+    # 800^2 cells for each of 799 generators; the run stops before the
+    # first associativity comparison
+    def refuse(*args):
+        raise AssertionError("Light's test ran")
+
+    monkeypatch.setattr(semigroup.np, "array_equal", refuse)
+    path = tmp_path / "sl800.isg"
+    path.write_text(orthogonal_atoms_text("SL800", 800))
+    assert cli.run_cli(["analyze", str(path)]) == 1
+    assert ("invalid input: table of 800 elements with 799 generators needs "
+            "511360000 associativity checks, over the cap of 200000000"
+            ) in capsys.readouterr().err
+
+
+def test_table_cap_is_exact_and_keeps_verdicts(tmp_path, capsys, monkeypatch):
+    # brandt15: 226 elements and 29 greedy generators
+    path = tmp_path / "b15.isg"
+    path.write_text(workloads.brandt_text(15))
+    monkeypatch.setattr(cli, "MAX_TABLE_WORK", None)
+    assert cli.run_cli(["analyze", str(path)]) == 0
+    uncapped = capsys.readouterr().out
+    monkeypatch.setattr(cli, "MAX_TABLE_WORK", 226 ** 2 * 29)
+    assert cli.run_cli(["analyze", str(path)]) == 0
+    assert capsys.readouterr().out == uncapped
+    monkeypatch.setattr(cli, "MAX_TABLE_WORK", 226 ** 2 * 29 - 1)
+    assert cli.run_cli(["analyze", str(path)]) == 1
+    assert "invalid input: table of 226 elements with 29 generators" \
+        in capsys.readouterr().err
+
+
 # ----------------------------------------------------------- reproducer
 
 def test_closure_reproducer_never_fills_the_table(tmp_path, monkeypatch):
