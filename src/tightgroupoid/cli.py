@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from . import criteria, fixtures, report
 from .dsl import SemigroupSpec, build_semigroup, format_spec, parse_spec
@@ -70,8 +69,6 @@ def _parser() -> argparse.ArgumentParser:
     an.add_argument("--seed", type=int, default=0, help="corpus random seed")
     an.add_argument("--corpus", type=int, default=None, metavar="N",
                     help="analyze N seeded random instances instead of a file")
-    an.add_argument("--jobs", type=int, default=1,
-                    help="worker processes for corpus mode")
     an.add_argument("--timing", action="store_true",
                     help="include wall-clock timings in JSON output")
     return parser
@@ -191,40 +188,21 @@ def _analyze_single(args) -> int:
     return 0
 
 
-def _corpus_worker(item):
-    index, name, sg = item
-    try:
-        analysis, checks = criteria.verify_instance(sg, name, seed=index)
-        doc = report.build_document(analysis, name)
-        return index, "ok", doc.payload, sorted(checks)
-    except TheoremViolation as exc:
-        return index, "violation", {
-            "property": exc.property, "criterion": repr(exc.criterion),
-            "direct": repr(exc.direct), "detail": exc.instance}, []
-
-
 def _analyze_corpus(args) -> int:
     if args.file or args.fixture:
         print("--corpus excludes a file or --fixture", file=sys.stderr)
         return 2
     instances = fixtures.corpus(args.corpus, args.seed)
-    work = [(i, name, sg) for i, (name, sg) in enumerate(instances)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = sorted(pool.map(_corpus_worker, work))
-    else:
-        results = [_corpus_worker(item) for item in work]
-
     payloads = []
-    for index, status, payload, checks in results:
-        name, sg = instances[index]
-        if status == "violation":
-            exc = TheoremViolation(payload["property"], payload["criterion"],
-                                   payload["direct"], payload["detail"])
+    for index, (name, sg) in enumerate(instances):
+        try:
+            analysis, checks = criteria.verify_instance(sg, name, seed=index)
+        except TheoremViolation as exc:
             path = _dump_violation(sg, name, exc)
             print(f"verdict mismatch on {name}: {exc}\n"
                   f"reproducer written to {path}", file=sys.stderr)
             return 3
+        payload = report.build_document(analysis, name).payload
         inst = payload["instance"]
         flags = payload["cstar_flags"]
         print(f"[{index:3d}] {name}: |S|={inst['elements']} "
@@ -250,8 +228,6 @@ def run_cli(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.corpus is not None and args.corpus < 0:
             parser.error("--corpus must be at least 0")
-        if args.jobs < 1:
-            parser.error("--jobs must be at least 1")
     except SystemExit as exc:
         return int(exc.code or 0)
     if args.corpus is not None:

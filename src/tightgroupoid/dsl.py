@@ -74,10 +74,15 @@ def parse_spec(text: str) -> SemigroupSpec:
 
 
 def _int_token(where, i, what):
-    try:
-        return int(where[2][i])
-    except ValueError:
-        raise DslSyntaxError(*_at(where, i), f"an integer {what}")
+    """Token i as an integer: an optional ``-`` and ASCII digits only."""
+    tok = where[2][i]
+    digits = tok[1:] if tok[:1] == "-" else tok
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(tok)
+        except ValueError:      # past int()'s limit on decimal digits
+            pass
+    raise DslSyntaxError(*_at(where, i), f"an integer {what}")
 
 
 def _parse_table(name, decl, rest):
@@ -98,23 +103,26 @@ def _parse_table(name, decl, rest):
         rtoks = row_line[2]
         if len(rtoks) != n:
             raise DslSyntaxError(*_at(row_line, 0), f"{n} entries in the row")
+        digits = "".join(rtoks)      # one check for the whole row
         try:
-            row = tuple(map(int, rtoks))
-        except ValueError:
+            row = digits.isascii() and digits.isdigit() and tuple(map(int, rtoks))
+        except ValueError:      # an entry past int()'s limit on digits
             row = None
-        if row is None or min(row) < 0 or max(row) >= n:
-            _raise_entry_error(row_line, n)
+        if not row or max(row) >= n:
+            row = _row_entries(row_line, n)
         rows.append(row)
     return SemigroupSpec(name, "table", size=n, zero=zero, rows=tuple(rows))
 
 
-def _raise_entry_error(row_line, n):
-    """Report the first bad entry of a table row, scanning left to right:
-    a token that is not an integer, or an entry outside 0..n-1."""
+def _row_entries(row_line, n):
+    """A table row read token by token; the first bad entry raises."""
+    row = []
     for i in range(len(row_line[2])):
         v = _int_token(row_line, i, "table entry")
         if not 0 <= v < n:
             raise DslRangeError(*_at(row_line, i), f"entry {v} outside 0..{n - 1}")
+        row.append(v)
+    return tuple(row)
 
 
 def _parse_generators(name, decl, rest):

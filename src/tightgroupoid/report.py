@@ -135,11 +135,10 @@ _string = json.encoder.encode_basestring_ascii
 def _json(obj, indent: str) -> str:
     """`obj` as ``json.dumps(obj, indent=2, sort_keys=True)`` writes it,
     nested at `indent`.  With an indent the standard library runs its
-    pure-Python encoder; this is the same walk without its generators.
-    Strings go through the C escaper that encoder uses, integers through
-    ``int.__repr__``, and any other scalar (the floats of `timing`)
-    through ``json.dumps`` itself.  The exact types a report holds are
-    tested first, subclasses and tuples after."""
+    pure-Python encoder; this is the same walk without its generators,
+    for the exact types a report holds (strings through its C escaper).
+    Anything else (the floats of `timing`, tuples, subclasses, dicts with
+    keys that are not strings) goes to ``json.dumps`` and is re-indented."""
     kind = type(obj)
     if kind is str:
         return _string(obj)
@@ -155,15 +154,11 @@ def _json(obj, indent: str) -> str:
         return "false"
     if kind is int:
         return int.__repr__(obj)
-    if isinstance(obj, str):
-        return _string(obj)
-    if isinstance(obj, dict):
-        return _object(obj, indent)
-    if isinstance(obj, (list, tuple)):
-        return _array(obj, indent)
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    return json.dumps(obj)
+    return _dumps(obj, indent)
+
+
+def _dumps(obj, indent: str) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + indent)
 
 
 def _object(obj, indent: str) -> str:
@@ -172,8 +167,10 @@ def _object(obj, indent: str) -> str:
     inner = indent + "  "
     items = []
     for k in sorted(obj):
+        if type(k) is not str:
+            return _dumps(obj, indent)
         v = obj[k]
-        items.append(_string(k if type(k) is str else _key(k)) + ": "
+        items.append(_string(k) + ": "
                      + (_string(v) if type(v) is str else _json(v, inner)))
     return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
 
@@ -185,16 +182,6 @@ def _array(obj, indent: str) -> str:
     return ("[\n" + inner + (",\n" + inner).join([
         _string(v) if type(v) is str else _json(v, inner) for v in obj])
         + "\n" + indent + "]")
-
-
-def _key(key) -> str:
-    """A key as the encoder writes it before quoting."""
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):
-        return json.dumps(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {type(key).__name__}")
 
 
 def json_text(obj) -> str:

@@ -7,7 +7,7 @@ slab, |S| x |E| cells), and the products s g with a generator g (the
 right Cayley graph).  A product e s is (s* e)*.  Every predicate in this
 package reduces to a finite scan of these and every theorem to an
 exhaustive check.  Both builders hand the constructor the involution,
-s*s, ss* and the Cayley graph; the slab, and the full multiplication
+s*s and the Cayley graph; the slab, and the full multiplication
 table when a general product is first asked for, are columns read off
 the graph by one routine, :func:`_columns`.
 
@@ -67,8 +67,8 @@ class InverseSemigroup:
 
     Build instances through :func:`from_table` or
     :func:`from_partial_maps`; the constructor itself trusts its inputs.
-    It takes the involution, ``d``, ``r`` and the right Cayley graph, and
-    derives the slab from the graph.
+    It takes the involution, ``d`` and the right Cayley graph, and
+    derives ``r``, the idempotents and the slab from them.
 
     Attributes:
         size: number of elements.
@@ -95,18 +95,18 @@ class InverseSemigroup:
             injection realizing each element; otherwise None.
     """
 
-    def __init__(self, zero, star, idempotents, generators, d, r, right,
+    def __init__(self, zero, star, generators, d, right,
                  element_names=None, partial_maps=None):
         ids = list(range(len(star)))         # one int object per index, shared
         get = ids.__getitem__
         self.zero = get(zero)
         self.star = tuple(map(get, star))
         self.size = len(self.star)
-        self._idem_sorted = tuple(map(get, sorted(idempotents)))
-        self.idempotents = frozenset(self._idem_sorted)
         self.generators = tuple(map(get, generators))
         self.d = tuple(map(get, d))
-        self.r = tuple(map(get, r))
+        self.r = tuple(map(self.d.__getitem__, self.star))
+        self._idem_sorted = tuple(s for s, e in zip(ids, self.d) if s == e)
+        self.idempotents = frozenset(self._idem_sorted)
         self.right = tuple(tuple(map(get, row)) for row in right)
         idem = self._idem_sorted
         self.slab = tuple(
@@ -388,7 +388,7 @@ def _checked(m: np.ndarray, zero: int, element_names=None,
              max_work: int | None = None) -> InverseSemigroup:
     """The axiom checks of :func:`from_table` on a square int32 table `m`
     whose entries and zero are in range; the instance keeps its involution,
-    s*s, ss* and the columns of its generators, not the table."""
+    s*s and the columns of its generators, not the table."""
     n = len(m)
     gens = _right_generators(m)
     if max_work is not None and n * n * len(gens) > max_work:
@@ -428,9 +428,8 @@ def _checked(m: np.ndarray, zero: int, element_names=None,
     sub = m[np.ix_(el, el)]
     assert np.array_equal(sub, sub.T), "idempotents failed to commute"
 
-    return InverseSemigroup(zero, star, idem, gens, m[star, ar].tolist(),
-                            m[ar, star].tolist(), m[:, gens].tolist(),
-                            element_names)
+    return InverseSemigroup(zero, star, gens, m[star, ar].tolist(),
+                            m[:, gens].tolist(), element_names)
 
 
 def _right_generators(m: np.ndarray) -> list:
@@ -574,10 +573,10 @@ def from_partial_maps(degree: int, generators: Sequence[Sequence],
     ``generators``, plus the zero when no product reaches it.
 
     The elements are ordered as their image tuples, with -1 for
-    undefined, so the empty map is the zero.  The inverse, s*s (the
-    identity on the domain) and the idempotents (the partial identities)
-    are read per map and looked up by the walk's own index; ss* is d of
-    the inverse, and the constructor derives the slab from ``right``.  The
+    undefined, so the empty map is the zero.  The inverse and s*s (the
+    identity on the domain) are read per map and looked up by the walk's
+    own index; the idempotents are the partial identities, s = s*s, and
+    the constructor derives ss* and the slab from these.  The
     maps are associative and the empty map absorbing by construction, so
     the axiom checks of :func:`from_table` are not needed; what is
     asserted, at O(|S| degree), is that every inverse and domain lies in
@@ -624,18 +623,17 @@ def from_partial_maps(degree: int, generators: Sequence[Sequence],
         assert i is not None, "a product escapes the closure"
         return rank[i]
 
-    star, d, idem = [], [], []
-    for s, f in enumerate(maps):
+    star, d = [], []
+    for f in maps:
         inv = invert_map(f)
         dom = tuple(None if v is None else x for x, v in enumerate(f))
         star.append(index_of(inv))
         d.append(index_of(dom))
         assert all(v is None or f[inv[v]] == v for v in f), \
             "s s* s differs from s"
-        if f == dom:                 # a partial identity
-            idem.append(s)
-    if max_cells is not None and n * len(idem) > max_cells:
-        raise CapExceeded(f"closure of {n} elements and {len(idem)} "
+    idem = sum(s == e for s, e in enumerate(d))      # the partial identities
+    if max_cells is not None and n * idem > max_cells:
+        raise CapExceeded(f"closure of {n} elements and {idem} "
                           f"idempotents exceeds {max_cells} slab cells")
 
     gen_ids = [rank[pos[a]] for a in letters]
@@ -646,5 +644,5 @@ def from_partial_maps(degree: int, generators: Sequence[Sequence],
         gen_ids.append(0)
         for row in right:
             row.append(0)
-    return InverseSemigroup(0, star, idem, gen_ids, d, [d[t] for t in star],
-                            right, [map_name(f) for f in maps], maps)
+    return InverseSemigroup(0, star, gen_ids, d, right,
+                            [map_name(f) for f in maps], maps)

@@ -659,6 +659,47 @@ def search_locally_contracting(sg):
     return CriterionResult(True, witness={"families": per_e})
 
 
+def search_easier_contraction(sg):
+    """Search, for every nonzero idempotent e, for an element s and a
+    nested pair f0 <= f1 of nonzero idempotents below e s*s with
+    s f1 s* <= f1 and f0 s f1 = 0: the easier contraction pattern, whose
+    search the library replaces with one scan at the least atom."""
+    from tightgroupoid.criteria import CriterionResult
+
+    slab, d, r = sg.slab, sg.d, sg.r
+    zero = sg.zero
+    nz = sg.nonzero_idempotents()
+    if not nz:
+        return CriterionResult(True, vacuous=True)
+    per_e = {}
+    for e in nz:
+        found = None
+        row_e = slab[e]
+        for s in sg.elements():
+            t = row_e[d[s]]
+            if t == zero:
+                continue
+            row_s = slab[s]
+            for f1 in sg.below(t):
+                if f1 == zero:
+                    continue
+                conj = r[row_s[f1]]
+                if slab[conj][f1] != conj:
+                    continue
+                for f0 in sg.below(f1):
+                    if f0 != zero and slab[sg.left(f0, s)][f1] == zero:
+                        found = (s, f0, f1)
+                        break
+                if found:
+                    break
+            if found:
+                break
+        if found is None:
+            return CriterionResult(False, witness={"e": e})
+        per_e[e] = found
+    return CriterionResult(True, witness={"pairs": per_e})
+
+
 def _contraction_family(sg, s, cands):
     table = sg.table
     zero = sg.zero
@@ -731,7 +772,7 @@ def table_free_fields_mismatch(sg, table=None):
     ref, t = checked_twin(sg, table)
     if sg.star != ref.star:
         return "star"
-    if sg.idempotents != ref.idempotents:
+    if sg.idempotents != {s for s in range(sg.size) if t[s][s] == s}:
         return "idempotents"
     idem = ref.idempotent_list()
     for s in range(sg.size):

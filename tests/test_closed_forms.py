@@ -1,7 +1,7 @@
 """The closed forms the library computes on finite instances against the
 general routes they replace (kept in oracles.py): tight points and
 tightness witnesses, the standard action, the germ quotient, and the
-local-contraction criterion."""
+two local-contraction criteria."""
 
 from __future__ import annotations
 
@@ -67,3 +67,14 @@ def test_contraction_criterion_matches_family_search(instances):
         got = tg.locally_contracting_criterion(sg)
         want = oracles.search_locally_contracting(sg)
         assert (got.value, got.witness) == (want.value, want.witness), name
+
+
+def test_easier_criterion_matches_pair_search():
+    names = ("I2", "B2", "Z2z", "E4", "In(3)", "In(4)", "Bn(8)", "Pow(5)", "Cz(7)")
+    instances = [(name, tg.build_fixture(name)) for name in names]
+    instances += tg.corpus(500, 7) + tg.corpus(500, 5278)
+    instances.append(("trivial", tg.from_table([[0]], 0)))     # vacuous
+    for name, sg in instances:
+        got = tg.easier_loc_contr_criterion(sg)
+        want = oracles.search_easier_contraction(sg)
+        assert (got.value, got.vacuous) == (want.value, want.vacuous), name

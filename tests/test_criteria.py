@@ -165,19 +165,34 @@ def test_contraction_refutation_at_e4_atom(named_fixtures, corpus100):
         assert len(sg.below(res.witness["e"])) == 2, name
 
 
-def test_contraction_criterion_raises_on_contracting_atom():
-    # not an inverse semigroup (the constructor trusts its inputs): s=2
-    # has domain and range the atom e=1 but is given the inverse 0, so
-    # e s = (s* e)* = 0 and e s e = 0 while s e s* = e; the one-member
-    # family {e} qualifies, which no inverse semigroup allows
-    sg = tg.InverseSemigroup(0, [0, 1, 0], {0, 1}, (0, 1, 2),
-                             d=[0, 1, 1], r=[0, 1, 1],
-                             right=[(0, 0, 0), (0, 1, 0), (0, 2, 1)])
-    assert sg.slab == ({0: 0, 1: 0}, {0: 0, 1: 1}, {0: 0, 1: 2})
+def contracting_fake():
+    """Not an inverse semigroup (the constructor trusts its inputs): s=2
+    has domain and range the atom e=1 but is given the inverse 3, whose
+    own inverse is 0, so e s = (s* e)* = 0 and e s e = 0 while
+    s e s* = e.  Both contraction patterns qualify at e with s, which no
+    inverse semigroup allows."""
+    sg = tg.InverseSemigroup(0, [0, 1, 3, 0], (0, 1, 2, 3), d=[0, 1, 1, 1],
+                             right=[(0, 0, 0, 0), (0, 1, 0, 0), (0, 2, 0, 0),
+                                    (0, 3, 0, 0)])
+    assert sg.idempotents == {0, 1} and sg.r == (0, 1, 1, 0)
+    assert sg.slab == ({0: 0, 1: 0}, {0: 0, 1: 1}, {0: 0, 1: 2}, {0: 0, 1: 3})
+    return sg
+
+
+def assert_raises_at_atom(criterion):
     with pytest.raises(errors.TheoremViolation) as info:
-        tg.locally_contracting_criterion(sg)
-    assert info.value.property == "locally_contracting_criterion"
+        criterion(contracting_fake())
+    assert info.value.property == criterion.__name__
     assert (info.value.criterion, info.value.direct) == (True, False)
+    assert info.value.instance == "atom e=1 with s=2"
+
+
+def test_contraction_criterion_raises_on_contracting_atom():
+    assert_raises_at_atom(tg.locally_contracting_criterion)
+
+
+def test_easier_criterion_raises_on_contracting_atom():
+    assert_raises_at_atom(tg.easier_loc_contr_criterion)
 
 
 def test_degenerate_semigroup_is_vacuously_contracting():

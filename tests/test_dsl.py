@@ -65,6 +65,11 @@ def test_range_errors():
         tg.parse_spec("semigroup t\ntable 2 zero 0\n0 7\n0 1\n")
     with pytest.raises(errors.DslRangeError):
         tg.parse_spec("semigroup t\npoints 2\ngen a = 5 _\n")
+    for text in ("semigroup t\ntable 2 zero -1\n0 0\n0 1\n",
+                 "semigroup t\ntable 2 zero 0\n0 -1\n0 1\n",
+                 "semigroup t\npoints 2\ngen a = -1 _\n"):
+        with pytest.raises(errors.DslRangeError):
+            tg.parse_spec(text)
 
 
 def test_duplicate_generator_names():
@@ -99,3 +104,40 @@ def test_round_trip_through_semigroup():
         spec = spec_of_semigroup(sg, name)
         again = tg.build_semigroup(tg.parse_spec(tg.format_spec(spec)))
         assert again.table == sg.table and again.zero == sg.zero
+
+
+@pytest.mark.parametrize("text, line, col", [
+    ("semigroup t\ntable ٢ zero 0\n0 0\n0 1\n", 2, 7),
+    ("semigroup t\ntable 2 zero 0\n0 0_1\n0 1\n", 3, 3),
+    ("semigroup t\ntable 2 zero +0\n0 0\n0 1\n", 2, 14),
+    ("semigroup t\npoints 2\ngen a = １ _\n", 3, 9),
+])
+def test_integers_are_ascii_decimal(text, line, col):
+    # int() reads all four tokens (an Arabic-Indic two, an underscore, a
+    # plus sign, a full-width one); the format takes only '-' and 0-9
+    with pytest.raises(errors.DslSyntaxError) as info:
+        tg.parse_spec(text)
+    assert (info.value.line, info.value.col) == (line, col)
+
+
+def test_minus_zero_is_zero():
+    # a row with a sign leaves the one-check fast path and is read token
+    # by token, which must still return it
+    spec = tg.parse_spec("semigroup t\ntable 2 zero -0\n0 -0\n0 1\n")
+    assert spec.zero == 0 and spec.rows == ((0, 0), (0, 1))
+
+
+BIG = "7" * 5000
+
+
+@pytest.mark.parametrize("text, line, col", [
+    (f"semigroup t\ntable 2 zero {BIG}\n0 0\n0 1\n", 2, 14),
+    (f"semigroup t\ntable 2 zero 0\n0 {BIG}\n0 1\n", 3, 3),
+    (f"semigroup t\npoints 2\ngen a = {BIG} _\n", 3, 9),
+], ids=["zero", "entry", "image"])
+def test_overlong_integers_are_syntax_errors(text, line, col):
+    # int() refuses decimal strings past its digit limit with ValueError;
+    # the parser reports them at their token like any other bad integer
+    with pytest.raises(errors.DslSyntaxError) as info:
+        tg.parse_spec(text)
+    assert (info.value.line, info.value.col) == (line, col)

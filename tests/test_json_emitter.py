@@ -75,3 +75,11 @@ def test_fixture_documents_match_indented_json_dumps():
     payload = report.error_payload("tiny", "EmptySpectrum", "no filters é",
                                    elements=1, idempotents=1)
     assert report.emit_report(report.ReportDocument(payload)) == reference(payload)
+
+
+def test_fallback_values_are_reindented_where_they_nest():
+    # a tuple and an int-keyed dict two levels down inside a list go
+    # through json.dumps, whose lines must shift to the depth they sit at
+    obj = [1, {"a": [(1, "x", {"k": [2.5]}), {2: [True, None], 1: {"k": ()}}],
+               "b": {}, "c": []}]
+    assert report.json_text(obj) == reference(obj)

@@ -144,14 +144,29 @@ def test_cli_corpus_reproducible(tmp_path, capsys):
     assert "6/6 equivalence checks passed" in out1
 
 
-def test_cli_corpus_parallel_matches_serial(tmp_path, capsys):
-    serial = tmp_path / "serial.json"
-    parallel = tmp_path / "parallel.json"
-    assert cli.run_cli(["analyze", "--corpus", "4", "--seed", "9",
-                        "--json", str(serial)]) == 0
-    assert cli.run_cli(["analyze", "--corpus", "4", "--seed", "9",
-                        "--jobs", "2", "--json", str(parallel)]) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
+def test_cli_corpus_has_no_jobs_flag(capsys):
+    assert cli.run_cli(["analyze", "--corpus", "2", "--jobs", "2"]) == 2
+    assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+
+def test_corpus_reproducer_records_verdicts_as_single_mode(tmp_path, monkeypatch,
+                                                            capsys):
+    monkeypatch.chdir(tmp_path)
+    is_minimal = tg.GermGroupoid.is_minimal
+    monkeypatch.setattr(tg.GermGroupoid, "is_minimal",
+                        lambda self: not is_minimal(self))
+    bodies = {}
+    for argv in (["--fixture", "B2"], ["--corpus", "1", "--seed", "7"]):
+        assert cli.run_cli(["analyze", *argv]) == 3
+        err = capsys.readouterr().err
+        assert "criterion verdict True != direct verdict False" in err
+        path = tmp_path / err.rsplit("reproducer written to ", 1)[1].strip()
+        bodies[argv[0]] = json.loads(path.read_text())
+    for body in bodies.values():
+        assert body["property"] == "minimal"
+        assert (body["criterion"], body["direct"]) == ("True", "False")
+    rebuilt = tg.build_semigroup(tg.parse_spec(bodies["--corpus"]["isg"]))
+    assert rebuilt.size == tg.corpus(1, 7)[0][1].size
 
 
 def test_violation_reproducer_round_trips(tmp_path, monkeypatch):
@@ -182,6 +197,3 @@ def test_cli_undecodable_input(tmp_path, capsys):
 def test_cli_rejects_negative_counts(capsys):
     assert cli.run_cli(["analyze", "--corpus", "-1"]) == 2
     assert "--corpus must be at least 0" in capsys.readouterr().err
-    for argv in (["--corpus", "2", "--jobs", "0"], ["--fixture", "I2", "--jobs", "-3"]):
-        assert cli.run_cli(["analyze", *argv]) == 2
-        assert "--jobs must be at least 1" in capsys.readouterr().err
