@@ -192,6 +192,9 @@ def _analyze_corpus(args) -> int:
     if args.file or args.fixture:
         print("--corpus excludes a file or --fixture", file=sys.stderr)
         return 2
+    if args.dot_path:
+        print("--corpus excludes --dot", file=sys.stderr)
+        return 2
     instances = fixtures.corpus(args.corpus, args.seed)
     payloads = []
     for index, (name, sg) in enumerate(instances):

@@ -25,6 +25,7 @@ from .action import (
     validate_action,
 )
 from .errors import DomainViolation, TheoremViolation
+from .semigroup import _columns
 
 
 def _least_idempotents(action: FiniteAction) -> tuple:
@@ -40,7 +41,7 @@ def _least_idempotents(action: FiniteAction) -> tuple:
 
 
 class GermGroupoid:
-    """Finite groupoid of germ classes with explicit composition.
+    """Finite groupoid of germ classes.
 
     Attributes:
         action: the acting system the groupoid was built from.
@@ -79,15 +80,6 @@ class GermGroupoid:
             return self._class_of[(s, x)]
         except KeyError:
             raise DomainViolation(f"point {x} outside the domain of element {s}")
-
-    def compose(self, i: int, j: int):
-        """Product of two germs, [s,z][t,x] = [st,x], defined when the
-        source of the first is the target of the second; None otherwise."""
-        if self.source[i] != self.target[j]:
-            return None
-        s, _ = self.arrows[i]
-        t, x = self.arrows[j]
-        return self.arrow_of(self.semigroup.mul(s, t), x)
 
     def inverse(self, i: int) -> int:
         """[s,x] inverts to [s*, image of x]."""
@@ -156,80 +148,59 @@ class GermGroupoid:
         two-sided units, inverses, and associativity over every
         composable triple.
 
-        Each product is :meth:`compose` unrolled: the product of the
-        elements read off ``semigroup.table``, then its germ at the point
-        of the right factor, read off a per-point list of the classes in
-        ``_class_of`` (None where a pair has none, which
-        :meth:`arrow_of` then reports as DomainViolation).  The checks
-        run in the order of the compose-based reading kept in the test
-        suite, so the first violation raised is the same.
+        A product [s,z][t,x] = [st,x] is defined when the source of the
+        first germ is the target of the second.  Only products of arrow
+        representatives occur, so they are read off one block of the
+        multiplication table, its columns for the representatives taken
+        from the right Cayley graph by
+        :func:`~tightgroupoid.semigroup._columns`; the table itself is
+        never filled.  The checks run in the order of the compose-based
+        reading kept in the test suite, so the first violation raised is
+        the same.
         """
         n = len(self.arrows)
         source, target, unit_at = self.source, self.target, self.unit_at
+        arrows, class_of = self.arrows, self._class_of
         sg = self.semigroup
-        table, star = sg.table, sg.star
-        elem = [s for s, _ in self.arrows]
-        point = [x for _, x in self.arrows]
-        at = [[None] * sg.size for _ in range(self.action.points)]
-        for (s, x), i in self._class_of.items():
-            at[x][s] = i
+        reps = sorted({s for s, _ in arrows})
+        block = _columns(sg.right, sg.generators, reps)[:, reps].T.tolist()
+        prod = {a: dict(zip(reps, row)) for a, row in zip(reps, block)}
 
-        def germ(s, x):
-            i = at[x][s]
-            return self.arrow_of(s, x) if i is None else i
+        def compose(i, j):
+            if source[i] != target[j]:
+                return None
+            t, x = arrows[j]
+            st = prod[arrows[i][0]][t]
+            k = class_of.get((st, x))
+            return self.arrow_of(st, x) if k is None else k
 
         for x, u in unit_at.items():
             if source[u] != x or target[u] != x:
                 raise TheoremViolation("unit_source_target", x, (source[u], target[u]), "unit")
         for i in range(n):
-            s, x = elem[i], point[i]
-            j = germ(star[s], self.action.apply(s, x))
+            j = self.inverse(i)
             if source[j] != target[i] or target[j] != source[i]:
                 raise TheoremViolation("inverse_source_target", i, j, "inverse")
-            # compose(i, j) and compose(j, i); the bookkeeping above makes
-            # both defined
-            if germ(table[s][elem[j]], point[j]) != unit_at[target[i]]:
+            if compose(i, j) != unit_at[target[i]]:
                 raise TheoremViolation("right_inverse_law", i, j, "inverse")
-            if germ(table[elem[j]][s], x) != unit_at[source[i]]:
+            if compose(j, i) != unit_at[source[i]]:
                 raise TheoremViolation("left_inverse_law", i, j, "inverse")
-            u = unit_at[source[i]]
-            if (None if source[i] != target[u] else
-                    germ(table[s][elem[u]], point[u])) != i:
+            if compose(i, unit_at[source[i]]) != i:
                 raise TheoremViolation("right_unit_law", i, None, "unit")
-            u = unit_at[target[i]]
-            if (None if source[u] != target[i] else
-                    germ(table[elem[u]][s], x)) != i:
+            if compose(unit_at[target[i]], i) != i:
                 raise TheoremViolation("left_unit_law", i, None, "unit")
         by_source = {}
         for i in range(n):
             by_source.setdefault(source[i], []).append(i)
         for j in range(n):
-            tj, ej, xj = target[j], elem[j], point[j]
-            at_j = at[xj]
-            for i in by_source.get(tj, ()):
-                # compose(i, j) is defined: source[i] == target[j]
-                row_i, at_i = table[elem[i]], at[point[i]]
-                ij = at_j[row_i[ej]]
-                if ij is None:
-                    ij = self.arrow_of(row_i[ej], xj)
-                if source[ij] != source[j] or target[ij] != target[i]:
+            for i in by_source.get(target[j], ()):
+                ij = compose(i, j)
+                if ij is None or source[ij] != source[j] or \
+                        target[ij] != target[i]:
                     raise TheoremViolation("composition_bookkeeping", i, j, "compose")
-                ei, eij, xij = elem[i], elem[ij], point[ij]
-                at_ij = at[xij]
                 for k in by_source.get(target[i], ()):
-                    row_k = table[elem[k]]
-                    ki = at_i[row_k[ei]]
-                    if ki is None:
-                        ki = self.arrow_of(row_k[ei], point[i])
-                    if source[ki] != tj:
-                        left = None
-                    else:
-                        left = at_j[table[elem[ki]][ej]]
-                        if left is None:
-                            left = self.arrow_of(table[elem[ki]][ej], xj)
-                    right = at_ij[row_k[eij]]
-                    if right is None:
-                        right = self.arrow_of(row_k[eij], xij)
+                    left = compose(compose(k, i), j)
+                    right = compose(k, ij)
                     if left != right:
                         raise TheoremViolation("associativity", (k, i, j), (left, right), "compose")
 

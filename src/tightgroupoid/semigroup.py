@@ -7,9 +7,12 @@ slab, |S| x |E| cells), and the products s g with a generator g (the
 right Cayley graph).  A product e s is (s* e)*.  Every predicate in this
 package reduces to a finite scan of these and every theorem to an
 exhaustive check.  Both builders hand the constructor the involution,
-s*s and the Cayley graph; the slab, and the full multiplication
-table when a general product is first asked for, are columns read off
-the graph by one routine, :func:`_columns`.
+s*s and the Cayley graph; the slab, the block of products of arrow
+representatives that the groupoid axiom check reads, and the full
+multiplication table are columns read off the graph by one routine,
+:func:`_columns`.  Nothing in the analysis or the identity harness
+fills the table; it remains, filled on first access, for readers
+outside them.
 
 Instances are immutable after construction and safe to share between
 threads; after ``__init__`` only the table and the caches of ``below``
@@ -88,8 +91,11 @@ class InverseSemigroup:
             set instead of every element.
         right: ``right[s][j]`` is the product of s and ``generators[j]``.
         table: multiplication table, ``table[a][b]`` is the product,
-            filled from ``right`` on first access; nothing
-            :func:`~tightgroupoid.criteria.analyze` calls reads it.
+            filled from ``right`` on first access.  Nothing
+            :func:`~tightgroupoid.criteria.analyze` or
+            :func:`~tightgroupoid.criteria.verify_instance` calls reads
+            it; it remains for outside readers, such as the reproducer
+            of a table-built instance.
         element_names: optional printable names, index aligned.
         partial_maps: for closure-built instances, the concrete partial
             injection realizing each element; otherwise None.
@@ -131,10 +137,6 @@ class InverseSemigroup:
 
     def elements(self) -> range:
         return range(self.size)
-
-    def mul(self, a: int, b: int) -> int:
-        """The general product; fills the table on the first call."""
-        return self.table[a][b]
 
     def left(self, e: int, s: int) -> int:
         """The product e s of an idempotent e and any element s: in an

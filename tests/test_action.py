@@ -279,7 +279,7 @@ def test_conjugation_carries_domains():
             dom = act.domain(s)
             for f in sg.idempotents:
                 img = act.image(s, act.edomains[f] & dom)
-                conj = sg.mul(sg.mul(s, f), sg.star[s])
+                conj = sg.table[sg.table[s][f]][sg.star[s]]
                 assert img == act.edomains[conj]
 
 

@@ -36,9 +36,9 @@ def test_e_star_unitary_gets_empty_covers():
 def test_fixed_implies_weakly_fixed(named_fixtures):
     for sg in named_fixtures.values():
         for s in sg.elements():
-            ss = sg.mul(sg.star[s], s)
+            ss = sg.table[sg.star[s]][s]
             for e in sg.below(ss):
-                if e != sg.zero and sg.mul(s, e) == e:
+                if e != sg.zero and sg.table[s][e] == e:
                     assert tg.weakly_fixed(sg, e, s)
 
 
@@ -68,12 +68,12 @@ def test_fixed_cover_reduction_matches_bruteforce():
     for name in ("I2", "B2", "Z2z", "E4", "Pow(3)"):
         sg = tg.build_fixture(name)
         for s in sg.elements():
-            ss = sg.mul(sg.star[s], s)
+            ss = sg.table[sg.star[s]][s]
             for e in sg.below(ss):
                 if e == sg.zero or not tg.weakly_fixed(sg, e, s):
                     continue
                 cands = [c for c in sg.below(e)
-                         if c != sg.zero and sg.mul(s, c) == c]
+                         if c != sg.zero and sg.table[s][c] == c]
                 ideal = sg.principal_ideal(e)
                 exists = any(
                     sg.is_cover(cov, ideal)
@@ -118,21 +118,21 @@ def brute_locally_contracting(sg):
     for e in nz:
         ok = False
         for s in sg.elements():
-            t = sg.mul(e, sg.mul(sg.star[s], s))
+            t = sg.table[e][sg.table[sg.star[s]][s]]
             cands = [f for f in sg.below(t) if f != sg.zero]
             for family in oracles.powerset(cands):
                 if not family:
                     continue
                 for f0 in family:
                     annihilates = all(
-                        sg.mul(sg.mul(f0, s), fi) == sg.zero for fi in family)
+                        sg.table[sg.table[f0][s]][fi] == sg.zero for fi in family)
                     if not annihilates:
                         continue
                     covers = all(
                         sg.is_outer_cover(
                             family,
                             sg.principal_ideal(
-                                sg.mul(sg.mul(s, fi), sg.star[s])))
+                                sg.table[sg.table[s][fi]][sg.star[s]]))
                         for fi in family)
                     if covers:
                         ok = True

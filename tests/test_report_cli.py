@@ -144,6 +144,15 @@ def test_cli_corpus_reproducible(tmp_path, capsys):
     assert "6/6 equivalence checks passed" in out1
 
 
+def test_cli_corpus_refuses_dot(tmp_path, capsys):
+    # a corpus has no one groupoid to export, so --dot is a usage error
+    # rather than a flag that silently writes nothing
+    dot = tmp_path / "out.dot"
+    assert cli.run_cli(["analyze", "--corpus", "2", "--dot", str(dot)]) == 2
+    assert "--corpus excludes --dot" in capsys.readouterr().err
+    assert not dot.exists()
+
+
 def test_cli_corpus_has_no_jobs_flag(capsys):
     assert cli.run_cli(["analyze", "--corpus", "2", "--jobs", "2"]) == 2
     assert "unrecognized arguments: --jobs" in capsys.readouterr().err

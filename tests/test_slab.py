@@ -1,7 +1,7 @@
 """The fields `analyze` reads (involution, s*s, ss*, the slab of products
 s e, the right Cayley graph) checked against the full-table route they
-replace, and a guard that the analysis of a closure-built instance never
-fills its table."""
+replace, and a guard that neither the analysis nor the identity harness
+of a closure-built instance fills its table."""
 
 from __future__ import annotations
 
@@ -103,9 +103,15 @@ def test_analysis_never_fills_the_table(monkeypatch):
     doc = tg.build_document(analysis, spec.name)
     assert tg.emit_report(doc) and tg.emit_dot(analysis.groupoid, spec.name)
     assert len(tg.all_filters(sg)) == 31
+    # nor does the identity harness, whose groupoid axioms read only
+    # products of arrow representatives
+    tg.verify_instance(sg, spec.name)
     assert sg._table is None
+    for name, inst in tg.corpus(20, 7):
+        tg.verify_instance(inst, name)
+        assert inst._table is None, name
     with pytest.raises(AssertionError, match="table was filled"):
-        sg.mul(1, 2)
+        sg.table[1][2]
 
 
 def test_group_with_zero_analysis_never_fills_the_table(monkeypatch):
