@@ -16,20 +16,6 @@ from .dsl import SemigroupSpec, build_semigroup, format_spec, parse_spec
 from .errors import EmptySpectrum, TheoremViolation, TightGroupoidError
 from .semigroup import InverseSemigroup
 
-# Caps on the closure of a generator file.  MAX_SIZE stops the walk: I6,
-# all partial injections of 6 points, has 13,327 elements and fits; I7 has
-# 130,922 and does not.  Memory grows with the |S| x |E| slab, which
-# MAX_SLAB_CELLS bounds before it is built: I6 needs 852,928 cells, while
-# the partial identities of 14 points close to a semilattice of 16,383
-# elements under MAX_SIZE whose slab would need about 2.7e8.
-MAX_SIZE = 20_000
-MAX_SLAB_CELLS = 2_000_000
-# Cap on a table file's associativity test, n^2 cells per generator.  A
-# semilattice of n - 1 orthogonal atoms needs n - 1 generators: n = 400
-# (6.4e7 cells) passes in about 0.08 s, while n = 800 (5.1e8) is refused
-# instead of running for 0.6 s, and a 20 MB table text for about 30 s.
-MAX_TABLE_WORK = 200_000_000
-
 CHECK_NAMES = {
     "hausdorff": "hausdorff",
     "esspr": "essentially_principal",
@@ -62,7 +48,9 @@ def _parser() -> argparse.ArgumentParser:
     an = sub.add_parser("analyze", help="analyze one instance or a random corpus")
     an.add_argument("file", nargs="?", help="path to an .isg input file")
     an.add_argument("--fixture", help="named instance: I2, B2, Z2z, E4, "
-                                      "In(n), Bn(n), Cz(n), Pow(k)")
+                                      "In(n), Bn(n), Cz(n), Pow(k); the "
+                                      "size caps admit In(6), Bn(37), "
+                                      "Cz(1413) and Pow(10) at most")
     an.add_argument("--json", dest="json_path", help="write the JSON report here")
     an.add_argument("--dot", dest="dot_path", help="write the groupoid as DOT here")
     an.add_argument("--check", choices=[*CHECK_NAMES, "all"], default="all")
@@ -130,9 +118,7 @@ def _analyze_single(args) -> int:
             with open(args.file, encoding="utf-8") as fh:
                 spec = parse_spec(fh.read())
             name = spec.name
-            sg = build_semigroup(spec, max_size=MAX_SIZE,
-                                 max_cells=MAX_SLAB_CELLS,
-                                 max_work=MAX_TABLE_WORK)
+            sg = build_semigroup(spec)
     except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return 1

@@ -175,17 +175,11 @@ def format_spec(spec: SemigroupSpec) -> str:
     return "\n".join(out) + "\n"
 
 
-def build_semigroup(spec: SemigroupSpec, max_size: int | None = None,
-                    max_cells: int | None = None,
-                    max_work: int | None = None) -> InverseSemigroup:
-    """Realize a parsed spec; semigroup axioms are enforced here.
-    `max_size` and `max_cells` bound a generator spec's closure, as in
-    :func:`~tightgroupoid.semigroup.from_partial_maps`; `max_work` bounds
-    a table spec's associativity test, as in
-    :func:`~tightgroupoid.semigroup.from_table`."""
+def build_semigroup(spec: SemigroupSpec) -> InverseSemigroup:
+    """Realize a parsed spec; semigroup axioms and the size caps of
+    :mod:`~tightgroupoid.semigroup` are enforced here."""
     if spec.mode == "table":
-        return from_table(spec.rows, spec.zero, max_work=max_work)
+        return from_table(spec.rows, spec.zero)
     labels = [gname for gname, _ in spec.generators]
     gens = [images for _, images in spec.generators]
-    return from_partial_maps(spec.degree, gens, labels, max_size=max_size,
-                             max_cells=max_cells)
+    return from_partial_maps(spec.degree, gens, labels)

@@ -128,7 +128,8 @@ class TheoremViolation(TightGroupoidError):
 # -------------------------------------------------------------- frontend
 
 class CapExceeded(TightGroupoidError):
-    """A fixture or closure grew past its configured size cap."""
+    """An instance would pass a size cap of the builders, one of the
+    ``MAX_*`` constants of :mod:`tightgroupoid.semigroup`."""
 
 
 class DslSyntaxError(TightGroupoidError):

@@ -7,12 +7,21 @@ import math
 import random
 import re
 
+from . import semigroup
 from .errors import CapExceeded, DegreeMismatch
 from .semigroup import InverseSemigroup, from_partial_maps, from_table
 
-SYMMETRIC_CAP = 4       # largest degree of a symmetric inverse monoid
-RANDOM_MAX_SIZE = 300   # closure cap of a random instance
 RANDOM_MIN_IDEMPOTENTS = 2
+
+
+def _check_cells(side: int) -> None:
+    """Refuse a family member, before anything is allocated, whose side^2
+    cells pass `semigroup.MAX_SLAB_CELLS`: the n x n table of a table
+    family, or the slab of In(n), at least (2^n)^2 cells since its 2^n
+    idempotents are also elements."""
+    if side * side > semigroup.MAX_SLAB_CELLS:
+        raise CapExceeded(f"fixture needs over {semigroup.MAX_SLAB_CELLS} "
+                          "table or slab cells")
 
 
 def symmetric_inverse_monoid(n: int) -> InverseSemigroup:
@@ -21,12 +30,12 @@ def symmetric_inverse_monoid(n: int) -> InverseSemigroup:
     The n-cycle and the transposition (0 1) generate the symmetric group,
     and with the partial identity of rank n-1 they generate every partial
     injection.  The element count is the sum over k of C(n,k)^2 k!, which
-    grows fast; `SYMMETRIC_CAP` guards against accidental huge closures.
+    grows fast: the closure stops at `semigroup.MAX_SIZE` from n = 7.
     """
     if n < 1:
         raise DegreeMismatch("need at least one point")
-    if n > SYMMETRIC_CAP:
-        raise CapExceeded(f"symmetric inverse monoid capped at degree {SYMMETRIC_CAP}")
+    _check_cells(n)             # first, so 2^n is formed only for a small n
+    _check_cells(2 ** n)
     gens = [tuple((x + 1) % n for x in range(n)),
             tuple(range(n - 1)) + (None,)]
     if n > 1:
@@ -47,6 +56,7 @@ def brandt_semigroup(n: int) -> InverseSemigroup:
     if n < 1:
         raise DegreeMismatch("need at least one matrix unit index")
     size = n * n + 1
+    _check_cells(size)
 
     def unit(i, j):
         return 1 + i * n + j
@@ -95,6 +105,7 @@ def group_with_zero(table, names=None) -> InverseSemigroup:
 def cyclic_group_with_zero(n: int) -> InverseSemigroup:
     if n < 1:
         raise DegreeMismatch("cyclic group order must be positive")
+    _check_cells(n + 1)
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     names = ["1"] + [f"g{i}" if i > 1 else "g" for i in range(1, n)]
     return group_with_zero(table, names[:n])
@@ -102,8 +113,8 @@ def cyclic_group_with_zero(n: int) -> InverseSemigroup:
 
 def meet_semilattice_of_subsets(k: int) -> InverseSemigroup:
     """Subsets of a k point set under intersection, empty set as zero."""
-    if not 1 <= k <= 5:
-        raise CapExceeded("subset semilattice supported for 1..5 points")
+    _check_cells(k)             # first, so 2^k is formed only for a small k
+    _check_cells(2 ** k)
     subsets = list(itertools.chain.from_iterable(
         itertools.combinations(range(k), r) for r in range(k + 1)))
     index = {s: i for i, s in enumerate(subsets)}
@@ -126,7 +137,7 @@ def diamond_semilattice() -> InverseSemigroup:
     return from_table(table, 0, ["0", "a", "b", "1"])
 
 
-_PARAM = re.compile(r"^(?P<head>[A-Za-z_]+)\((?P<arg>\d+)\)$")
+_PARAM = re.compile(r"(?P<head>[A-Za-z_]+)\((?P<arg>[0-9]+)\)")
 
 
 def build_fixture(name: str) -> InverseSemigroup:
@@ -145,21 +156,21 @@ def build_fixture(name: str) -> InverseSemigroup:
     }
     if name in flat:
         return flat[name]()
-    m = _PARAM.match(name)
-    if m:
-        head, arg = m.group("head"), int(m.group("arg"))
-        param = {
-            "In": symmetric_inverse_monoid,
-            "Bn": brandt_semigroup,
-            "Cz": cyclic_group_with_zero,
-            "Pow": meet_semilattice_of_subsets,
-        }
-        if head in param:
-            return param[head](arg)
+    m = _PARAM.fullmatch(name)
+    param = {
+        "In": symmetric_inverse_monoid,
+        "Bn": brandt_semigroup,
+        "Cz": cyclic_group_with_zero,
+        "Pow": meet_semilattice_of_subsets,
+    }
+    if m and m.group("head") in param:
+        try:
+            arg = int(m.group("arg"))
+        except ValueError:      # past int()'s limit on decimal digits
+            raise CapExceeded(f"fixture argument of {len(m.group('arg'))} "
+                              "digits") from None
+        return param[m.group("head")](arg)
     raise DegreeMismatch(f"unknown fixture {name!r}")
-
-
-FIXTURE_NAMES = ("I2", "B2", "Z2z", "E4")
 
 
 # ------------------------------------------------------- random instances
@@ -178,19 +189,15 @@ def random_partial_injection(rng: random.Random, degree: int) -> tuple:
 def random_instance(rng: random.Random) -> InverseSemigroup:
     """One random generator-closed instance.
 
-    Degree 2..4, one to three generators, closure capped at
-    `RANDOM_MAX_SIZE` elements; oversized draws, and draws with fewer than
-    `RANDOM_MIN_IDEMPOTENTS` idempotents (an empty spectrum), are
+    Degree 2..4, one to three generators; draws with fewer than
+    `RANDOM_MIN_IDEMPOTENTS` idempotents (an empty spectrum) are
     resampled so the result always supports the full analysis pipeline.
     """
     while True:
         degree = rng.choice([2, 3, 4])
         gens = [random_partial_injection(rng, degree)
                 for _ in range(rng.randint(1, 3))]
-        try:
-            sg = from_partial_maps(degree, gens, max_size=RANDOM_MAX_SIZE)
-        except CapExceeded:
-            continue
+        sg = from_partial_maps(degree, gens)
         if len(sg.idempotents) < RANDOM_MIN_IDEMPOTENTS:
             continue
         return sg

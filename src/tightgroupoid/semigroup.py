@@ -41,6 +41,17 @@ from .errors import (
     ZeroNotAbsorbing,
 )
 
+# Size caps, enforced by the builders; a build past one raises
+# CapExceeded.  MAX_SIZE stops the closure walk at its first map past the
+# cap: I6 (13,327 elements) fits, I7 (130,922) does not.  MAX_SLAB_CELLS
+# bounds the |S| x |E| slab before it is built: I6 needs 852,928 cells.
+# MAX_TABLE_WORK bounds Light's test of a table, n^2 cells per generator:
+# a semilattice of n - 1 orthogonal atoms has n - 1 generators, so
+# n = 400 (6.4e7) passes in about 0.08 s and n = 800 (5.1e8) is refused.
+MAX_SIZE = 20_000
+MAX_SLAB_CELLS = 2_000_000
+MAX_TABLE_WORK = 200_000_000
+
 # Partial injection on {0..degree-1}: image tuple, None where undefined.
 PartialMap = tuple
 
@@ -342,8 +353,7 @@ class InverseSemigroup:
 # -------------------------------------------------------------- builders
 
 def from_table(table: Sequence[Sequence[int]], zero: int,
-               element_names: Sequence[str] | None = None,
-               max_work: int | None = None) -> InverseSemigroup:
+               element_names: Sequence[str] | None = None) -> InverseSemigroup:
     """Validate a multiplication table and return the semigroup.
 
     Checks associativity, the absorbing zero, and existence of a unique
@@ -363,10 +373,10 @@ def from_table(table: Sequence[Sequence[int]], zero: int,
     associative exactly when it passes, at O(n^2) per generator instead of
     O(n^3).  A failure raises :class:`NotAssociative` with a failing
     triple ``(x, g, y)``.  The generating set is kept as ``generators``.
-    `max_work` caps n^2 times the number of generators, the cells Light's
-    test compares, and is checked once the generators are known, before
-    the test runs: a semilattice of n - 1 orthogonal atoms has n - 1
-    generators and costs O(n^3).
+    `MAX_TABLE_WORK` caps n^2 times the number of generators, the cells
+    Light's test compares, and is checked once the generators are known,
+    before the test runs: a semilattice of n - 1 orthogonal atoms has
+    n - 1 generators and costs O(n^3).
     """
     rows = [tuple(map(int, row)) for row in table]
     n = len(rows)
@@ -382,21 +392,19 @@ def from_table(table: Sequence[Sequence[int]], zero: int,
         raise NoZero(f"zero index {zero!r} out of range")
     if element_names is not None and len(element_names) != n:
         raise DegreeMismatch("element_names length does not match the table")
-    return _checked(np.array(rows, dtype=np.int32), zero, element_names,
-                    max_work)
+    return _checked(np.array(rows, dtype=np.int32), zero, element_names)
 
 
-def _checked(m: np.ndarray, zero: int, element_names=None,
-             max_work: int | None = None) -> InverseSemigroup:
+def _checked(m: np.ndarray, zero: int, element_names=None) -> InverseSemigroup:
     """The axiom checks of :func:`from_table` on a square int32 table `m`
     whose entries and zero are in range; the instance keeps its involution,
     s*s and the columns of its generators, not the table."""
     n = len(m)
     gens = _right_generators(m)
-    if max_work is not None and n * n * len(gens) > max_work:
+    if n * n * len(gens) > MAX_TABLE_WORK:
         raise CapExceeded(f"table of {n} elements with {len(gens)} generators "
                           f"needs {n * n * len(gens)} associativity checks, "
-                          f"over the cap of {max_work}")
+                          f"over the cap of {MAX_TABLE_WORK}")
     for g in gens:
         lhs = m[m[:, g], :]       # (x, y) -> (x g) y
         rhs = m[:, m[g]]          # (x, y) -> x (g y)
@@ -552,9 +560,7 @@ def _check_partial_map(g: Sequence, degree: int, label: str) -> PartialMap:
 
 
 def from_partial_maps(degree: int, generators: Sequence[Sequence],
-                      labels: Sequence[str] | None = None,
-                      max_size: int | None = None,
-                      max_cells: int | None = None) -> InverseSemigroup:
+                      labels: Sequence[str] | None = None) -> InverseSemigroup:
     """Close a family of partial injections under composition and
     inversion, adjoin the empty map as zero if absent, and return the
     resulting semigroup.
@@ -565,14 +571,14 @@ def from_partial_maps(degree: int, generators: Sequence[Sequence],
     identities) commute.  The inverse of a word is the reversed word of
     inverse letters, so the closure is the set of words over the
     generators and their inverses: one breadth-first walk right-multiplies
-    every map found by each of those letters.  `max_size` aborts runaway
-    closures at the first map past the cap; `max_cells` rejects, after
-    the walk and before the slab is built, a closure whose slab would
-    have more than that many cells, |S| times |E|.  The walk is the right Cayley
-    graph (Froidure & Pin, "Algorithms for computing finite semigroups",
-    1997): maps are composed once per edge, |S| times the number of
-    letters, and its edges are kept as ``right`` with the letters as
-    ``generators``, plus the zero when no product reaches it.
+    every map found by each of those letters.  `MAX_SIZE` aborts runaway
+    closures at the first map past the cap; `MAX_SLAB_CELLS` rejects,
+    after the walk and before the slab is built, a closure whose slab
+    would have more than that many cells, |S| times |E|.  The walk is the
+    right Cayley graph (Froidure & Pin, "Algorithms for computing finite
+    semigroups", 1997): maps are composed once per edge, |S| times the
+    number of letters, and its edges are kept as ``right`` with the
+    letters as ``generators``, plus the zero when no product reaches it.
 
     The elements are ordered as their image tuples, with -1 for
     undefined, so the empty map is the zero.  The inverse and s*s (the
@@ -595,8 +601,8 @@ def from_partial_maps(degree: int, generators: Sequence[Sequence],
     letters = list(dict.fromkeys(gens + [invert_map(g) for g in gens]))
     found = list(dict.fromkeys([empty, *letters]))
     pos = {f: i for i, f in enumerate(found)}
-    if max_size is not None and len(found) > max_size:
-        raise CapExceeded(f"closure exceeded {max_size} elements")
+    if len(found) > MAX_SIZE:
+        raise CapExceeded(f"closure exceeded {MAX_SIZE} elements")
     right = []                       # right[i][j]: index of found[i] * letters[j]
     for f in found:                  # the list grows while it is walked
         row = []
@@ -606,8 +612,8 @@ def from_partial_maps(degree: int, generators: Sequence[Sequence],
             if k is None:
                 k = pos[h] = len(found)
                 found.append(h)
-                if max_size is not None and len(found) > max_size:
-                    raise CapExceeded(f"closure exceeded {max_size} elements")
+                if len(found) > MAX_SIZE:
+                    raise CapExceeded(f"closure exceeded {MAX_SIZE} elements")
             row.append(k)
         right.append(row)
 
@@ -634,9 +640,9 @@ def from_partial_maps(degree: int, generators: Sequence[Sequence],
         assert all(v is None or f[inv[v]] == v for v in f), \
             "s s* s differs from s"
     idem = sum(s == e for s, e in enumerate(d))      # the partial identities
-    if max_cells is not None and n * idem > max_cells:
+    if n * idem > MAX_SLAB_CELLS:
         raise CapExceeded(f"closure of {n} elements and {idem} "
-                          f"idempotents exceeds {max_cells} slab cells")
+                          f"idempotents exceeds {MAX_SLAB_CELLS} slab cells")
 
     gen_ids = [rank[pos[a]] for a in letters]
     right = [[rank[k] for k in right[i]] for i in order]

@@ -5,7 +5,7 @@ import math
 import pytest
 
 import tightgroupoid as tg
-from tightgroupoid import errors
+from tightgroupoid import cli, errors, fixtures, semigroup
 
 
 def test_named_fixture_cardinalities():
@@ -27,8 +27,62 @@ def test_parameterized_fixtures():
 
 
 def test_symmetric_cap():
+    # In(7) has 130,922 elements; the walk stops at the first map past
+    # semigroup.MAX_SIZE
+    with pytest.raises(errors.CapExceeded, match="closure exceeded 20000"):
+        tg.build_fixture("In(7)")
+
+
+def short_id(name):
+    head, _, arg = name.partition("(")
+    return name if len(arg) < 20 else f"{head}(<{len(arg) - 1} digits>)"
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("a refused fixture reached its builder")
+
+
+@pytest.mark.parametrize("family, last, size",
+                         [("Bn", 3, 10), ("Cz", 9, 10), ("Pow", 3, 8)])
+def test_table_family_cap_is_exact(family, last, size, monkeypatch):
+    # the cap admits a table of size^2 cells and refuses the next family
+    # member, and the member itself one cell lower, before a table exists
+    monkeypatch.setattr(semigroup, "MAX_SLAB_CELLS", size * size)
+    assert tg.build_fixture(f"{family}({last})").size == size
+    monkeypatch.setattr(fixtures, "from_table", refuse)
     with pytest.raises(errors.CapExceeded):
-        tg.build_fixture("In(5)")
+        tg.build_fixture(f"{family}({last + 1})")
+    monkeypatch.setattr(semigroup, "MAX_SLAB_CELLS", size * size - 1)
+    with pytest.raises(errors.CapExceeded):
+        tg.build_fixture(f"{family}({last})")
+
+
+def test_default_caps_admit_the_documented_largest_fixtures():
+    # Bn(n) has n^2 + 1 elements, Cz(n) n + 1 and Pow(k) 2^k
+    cells = semigroup.MAX_SLAB_CELLS
+    assert (37 ** 2 + 1) ** 2 <= cells < (38 ** 2 + 1) ** 2
+    assert 1414 ** 2 <= cells < 1415 ** 2
+    assert (2 ** 10) ** 2 <= cells < (2 ** 11) ** 2
+
+
+@pytest.mark.parametrize("name", ["Bn(38)", "Cz(1414)", "Pow(11)", "In(11)",
+                                  "In(" + "9" * 4000 + ")",
+                                  "Pow(" + "9" * 4000 + ")"], ids=short_id)
+def test_default_caps_refuse_before_building(name, monkeypatch):
+    monkeypatch.setattr(fixtures, "from_table", refuse)
+    monkeypatch.setattr(fixtures, "from_partial_maps", refuse)
+    with pytest.raises(errors.CapExceeded):
+        tg.build_fixture(name)
+
+
+@pytest.mark.parametrize("name", ["Cz(\u0663)", "Cz(" + "9" * 5000 + ")"],
+                         ids=short_id)
+def test_fixture_argument_is_ascii_digits_of_bounded_length(name, capsys):
+    # an Arabic-Indic three is no argument; 5000 digits pass int()'s limit
+    with pytest.raises(errors.TightGroupoidError):
+        tg.build_fixture(name)
+    assert cli.run_cli(["analyze", "--fixture", name]) == 1
+    assert capsys.readouterr().err.startswith("invalid input: ")
 
 
 def test_unknown_fixture():

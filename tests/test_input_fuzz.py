@@ -2,7 +2,7 @@
 
 Texts start generator shaped or table shaped, valid or not, and are then
 mutated or truncated.  Each goes through ``parse_spec``, then
-``build_semigroup`` under the command line's caps, then ``analyze FILE``:
+``build_semigroup`` under the builders' size caps, then ``analyze FILE``:
 nothing but a TightGroupoidError may escape the first two, and the
 command must end in exit 0, 1 or 2 (3 would be a verdict mismatch).
 """
@@ -96,9 +96,7 @@ isg_texts = st.one_of(
 
 def run_input_path(text):
     try:
-        build_semigroup(parse_spec(text), max_size=cli.MAX_SIZE,
-                        max_cells=cli.MAX_SLAB_CELLS,
-                        max_work=cli.MAX_TABLE_WORK)
+        build_semigroup(parse_spec(text))
     except TightGroupoidError:
         pass
     with tempfile.TemporaryDirectory() as tmp:

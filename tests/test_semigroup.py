@@ -111,29 +111,33 @@ def three_generators(n):
     return gens
 
 
-def test_closure_matches_two_sided_oracle():
+def test_closure_matches_two_sided_oracle(monkeypatch):
     # degree 1 with cap 1 exceeds its cap before any product is formed
-    cases = [(2, [(1, 0), (0, None)], None), (1, [(0,)], 1),
-             (5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4), (0, 1, 2, 3, None)], None)]
-    cases += [(n, three_generators(n), None) for n in range(1, 5)]
+    default = semigroup.MAX_SIZE
+    cases = [(2, [(1, 0), (0, None)], default), (1, [(0,)], 1),
+             (5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4), (0, 1, 2, 3, None)],
+              default)]
+    cases += [(n, three_generators(n), default) for n in range(1, 5)]
     rng = random.Random(0)
     for _ in range(500):
         degree = rng.randint(1, 5)
         gens = [random_partial_injection(rng, degree)
                 for _ in range(rng.randint(1, 3))]
-        cases.append((degree, gens, rng.choice([None, 20, 50, 300])))
+        cases.append((degree, gens, rng.choice([default, 20, 50, 300])))
     for degree, gens, cap in cases:
+        monkeypatch.setattr(semigroup, "MAX_SIZE", cap)
         got = closure_or_cap(lambda: tg.from_partial_maps(
-            degree, gens, max_size=cap).partial_maps)
+            degree, gens).partial_maps)
         want = closure_or_cap(lambda: oracles.two_sided_closure(
             degree, gens, cap))
         assert got == want, (degree, gens, cap)
 
 
-def test_high_degree_closures_match_per_map_definitions():
+def test_high_degree_closures_match_per_map_definitions(monkeypatch):
     # at degrees 15-24 a map coded as one base (degree + 1) number would
     # not fit in 64 bits; every field is checked against its definition
     # on the maps themselves
+    monkeypatch.setattr(semigroup, "MAX_SIZE", 2000)
     rng = random.Random(1408)
     checked = 0
     while checked < 10:
@@ -141,7 +145,7 @@ def test_high_degree_closures_match_per_map_definitions():
         gens = [random_partial_injection(rng, degree)
                 for _ in range(rng.randint(1, 2))]
         try:
-            sg = tg.from_partial_maps(degree, gens, max_size=2000)
+            sg = tg.from_partial_maps(degree, gens)
         except errors.CapExceeded:
             continue
         checked += 1
@@ -191,11 +195,12 @@ def compose_calls(monkeypatch):
     return calls
 
 
-def test_closure_stops_at_first_map_past_cap(compose_calls):
+def test_closure_stops_at_first_map_past_cap(compose_calls, monkeypatch):
     gens = three_generators(6)
     letters = set(gens) | {semigroup.invert_map(g) for g in gens}
+    monkeypatch.setattr(semigroup, "MAX_SIZE", 50)
     with pytest.raises(errors.CapExceeded):
-        tg.from_partial_maps(6, gens, max_size=50)
+        tg.from_partial_maps(6, gens)
     assert compose_calls[0] <= 51 * len(letters)
 
 

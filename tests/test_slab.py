@@ -141,17 +141,17 @@ def partial_identities_text(name, n):
 def test_default_caps_admit_i6_and_stop_i7():
     # |In(n)| is the sum over k of C(n,k)^2 k!: 13,327 for n = 6 and
     # 130,922 for n = 7; I6 has 2^6 idempotents
-    assert 13_327 <= cli.MAX_SIZE < 130_922
-    assert 13_327 * 2 ** 6 <= cli.MAX_SLAB_CELLS
+    assert 13_327 <= semigroup.MAX_SIZE < 130_922
+    assert 13_327 * 2 ** 6 <= semigroup.MAX_SLAB_CELLS
 
 
 def test_size_cap_is_exact(tmp_path, capsys, monkeypatch):
     path = tmp_path / "i3.isg"
     path.write_text(three_generators_text("I3", 3))
-    monkeypatch.setattr(cli, "MAX_SIZE", 34)
+    monkeypatch.setattr(semigroup, "MAX_SIZE", 34)
     assert cli.run_cli(["analyze", str(path)]) == 0
     assert "|S|=34" in capsys.readouterr().out
-    monkeypatch.setattr(cli, "MAX_SIZE", 33)
+    monkeypatch.setattr(semigroup, "MAX_SIZE", 33)
     assert cli.run_cli(["analyze", str(path)]) == 1
     assert "invalid input: closure exceeded 33 elements" in capsys.readouterr().err
 
@@ -165,7 +165,7 @@ def test_size_cap_stops_i7_at_the_first_map_past_it(tmp_path, capsys, monkeypatc
         return compose(f, g)
 
     monkeypatch.setattr(semigroup, "compose_maps", counting)
-    monkeypatch.setattr(cli, "MAX_SIZE", 200)
+    monkeypatch.setattr(semigroup, "MAX_SIZE", 200)
     path = tmp_path / "i7.isg"
     path.write_text(three_generators_text("I7", 7))
     assert cli.run_cli(["analyze", str(path)]) == 1
@@ -179,10 +179,10 @@ def test_slab_cap_is_exact(tmp_path, capsys, monkeypatch):
     # I3: 34 elements, 8 of them idempotent
     path = tmp_path / "i3.isg"
     path.write_text(three_generators_text("I3", 3))
-    monkeypatch.setattr(cli, "MAX_SLAB_CELLS", 272)
+    monkeypatch.setattr(semigroup, "MAX_SLAB_CELLS", 272)
     assert cli.run_cli(["analyze", str(path)]) == 0
     assert "|S|=34 |E|=8" in capsys.readouterr().out
-    monkeypatch.setattr(cli, "MAX_SLAB_CELLS", 271)
+    monkeypatch.setattr(semigroup, "MAX_SLAB_CELLS", 271)
     assert cli.run_cli(["analyze", str(path)]) == 1
     assert ("invalid input: closure of 34 elements and 8 idempotents "
             "exceeds 271 slab cells") in capsys.readouterr().err
@@ -227,13 +227,12 @@ def test_table_cap_is_exact_and_keeps_verdicts(tmp_path, capsys, monkeypatch):
     # brandt15: 226 elements and 29 greedy generators
     path = tmp_path / "b15.isg"
     path.write_text(workloads.brandt_text(15))
-    monkeypatch.setattr(cli, "MAX_TABLE_WORK", None)
     assert cli.run_cli(["analyze", str(path)]) == 0
-    uncapped = capsys.readouterr().out
-    monkeypatch.setattr(cli, "MAX_TABLE_WORK", 226 ** 2 * 29)
+    default = capsys.readouterr().out
+    monkeypatch.setattr(semigroup, "MAX_TABLE_WORK", 226 ** 2 * 29)
     assert cli.run_cli(["analyze", str(path)]) == 0
-    assert capsys.readouterr().out == uncapped
-    monkeypatch.setattr(cli, "MAX_TABLE_WORK", 226 ** 2 * 29 - 1)
+    assert capsys.readouterr().out == default
+    monkeypatch.setattr(semigroup, "MAX_TABLE_WORK", 226 ** 2 * 29 - 1)
     assert cli.run_cli(["analyze", str(path)]) == 1
     assert "invalid input: table of 226 elements with 29 generators" \
         in capsys.readouterr().err
