@@ -48,7 +48,7 @@ from .fixtures import (
     symmetric_inverse_monoid,
 )
 from .germs import GermGroupoid, build_germ_groupoid
-from .report import ReportDocument, build_document, emit_dot, emit_report
+from .report import build_document, emit_dot, emit_report
 from .semigroup import (
     Ideal,
     InverseSemigroup,

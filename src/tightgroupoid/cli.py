@@ -70,17 +70,28 @@ def _write(path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _print_property(sg, name, pair) -> None:
-    print(f"{name}: criterion={str(pair.criterion).lower()} "
-          f"direct={str(pair.direct).lower()}")
-    failures = pair.witness.get("failures")
-    if failures:
-        w = failures[0]
-        parts = ", ".join(f"{k}={sg.name_of(v)}" for k, v in w.items())
+def _summary(payload: dict) -> str:
+    inst = payload["instance"]
+    return (f"{inst['name']}: |S|={inst['elements']} |E|={inst['idempotents']} "
+            f"spectrum={inst['spectrum_size']} "
+            f"arrows={inst['groupoid']['arrows']}")
+
+
+def _flags(payload: dict) -> str:
+    return " ".join(f"({k})={str(v).lower()}"
+                    for k, v in sorted(payload["cstar_flags"].items()))
+
+
+def _print_property(payload: dict, name: str) -> None:
+    verdict = payload["properties"][name]
+    print(f"{name}: criterion={str(verdict['criterion']).lower()} "
+          f"direct={str(verdict['direct']).lower()}")
+    witness = payload["witnesses"][name]
+    if witness.get("failures"):
+        parts = ", ".join(f"{k}={v}" for k, v in witness["failures"][0].items())
         print(f"  witness: {parts}")
-    crit = pair.witness.get("criterion", {})
-    if isinstance(crit, dict) and "e" in crit:
-        print(f"  refuted at e={sg.name_of(crit['e'])}")
+    if "refuted_at" in witness:
+        print(f"  refuted at e={witness['refuted_at']}")
 
 
 def _violation_path(name: str) -> str:
@@ -133,8 +144,7 @@ def _analyze_single(args) -> int:
         payload = report.error_payload(name, "EmptySpectrum", str(exc),
                                        elements=sg.size,
                                        idempotents=len(sg.idempotents))
-        doc = report.ReportDocument(payload, None)
-        _write(args.json_path, report.emit_report(doc))
+        _write(args.json_path, report.json_text(payload))
         print(f"{name}: EmptySpectrum: {exc}")
         return 0
     except TheoremViolation as exc:
@@ -143,32 +153,20 @@ def _analyze_single(args) -> int:
               file=sys.stderr)
         return 3
     timing = {"analyze_s": round(time.perf_counter() - start, 6)}
-    doc = report.build_document(analysis, name, timing if args.timing else None)
-    rep = analysis.report
-    inst = doc.payload["instance"]
-    print(f"{name}: |S|={inst['elements']} |E|={inst['idempotents']} "
-          f"spectrum={inst['spectrum_size']} "
-          f"arrows={inst['groupoid']['arrows']}")
-    pairs = {
-        "hausdorff": rep.hausdorff,
-        "essentially_principal": rep.essentially_principal,
-        "minimal": rep.minimal,
-        "locally_contracting": rep.locally_contracting,
-    }
+    payload = report.build_document(analysis, name,
+                                    timing if args.timing else None)
+    print(_summary(payload))
     if args.check == "all":
-        for pname, pair in pairs.items():
-            _print_property(sg, pname, pair)
-        flags = rep.cstar_flags
-        print("flags: " + " ".join(f"({k})={str(v).lower()}"
-                                   for k, v in sorted(flags.items())))
-        for line in rep.conclusions:
+        for pname in payload["properties"]:
+            _print_property(payload, pname)
+        print("flags: " + _flags(payload))
+        for line in payload["conclusions"]:
             print(f"  {line}")
     else:
-        pname = CHECK_NAMES[args.check]
-        _print_property(sg, pname, pairs[pname])
+        _print_property(payload, CHECK_NAMES[args.check])
 
     if args.json_path:
-        _write(args.json_path, report.emit_report(doc))
+        _write(args.json_path, report.json_text(payload))
     if args.dot_path:
         _write(args.dot_path, report.emit_dot(analysis.groupoid, name))
     return 0
@@ -191,14 +189,9 @@ def _analyze_corpus(args) -> int:
             print(f"verdict mismatch on {name}: {exc}\n"
                   f"reproducer written to {path}", file=sys.stderr)
             return 3
-        payload = report.build_document(analysis, name).payload
-        inst = payload["instance"]
-        flags = payload["cstar_flags"]
-        print(f"[{index:3d}] {name}: |S|={inst['elements']} "
-              f"|E|={inst['idempotents']} spectrum={inst['spectrum_size']} "
-              f"arrows={inst['groupoid']['arrows']} "
-              + " ".join(f"({k})={str(v).lower()}" for k, v in sorted(flags.items()))
-              + f" identities={len(checks)} ok")
+        payload = report.build_document(analysis, name)
+        print(f"[{index:3d}] {_summary(payload)} {_flags(payload)} "
+              f"identities={len(checks)} ok")
         payloads.append(payload)
     print(f"{len(payloads)}/{len(instances)} equivalence checks passed")
     if args.json_path:

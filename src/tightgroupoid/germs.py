@@ -53,21 +53,15 @@ class GermGroupoid:
         unit_at: per carrier point, the unit arrow over it.
     """
 
-    def __init__(self, action: FiniteAction, arrows, class_of, least):
+    def __init__(self, action: FiniteAction, arrows, class_of, unit_at):
         self.action = action
         self.semigroup = action.semigroup
         self.arrows = tuple(arrows)
         self._class_of = class_of
         self.source = tuple(x for _, x in self.arrows)
         self.target = tuple(action.apply(s, x) for s, x in self.arrows)
-        # least[x] is m_x, and [s, x] is a unit when it is the germ of
-        # m_x, i.e. s m_x = m_x
-        slab = self.semigroup.slab
-        self.unit_at = {
-            x: i for i, (s, x) in enumerate(self.arrows)
-            if slab[s][least[x]] == least[x]
-        }
-        self.units = frozenset(self.unit_at.values())
+        self.unit_at = unit_at
+        self.units = frozenset(unit_at.values())
 
     def __repr__(self):
         return f"GermGroupoid(arrows={len(self.arrows)}, units={len(self.units)})"
@@ -227,5 +221,7 @@ def build_germ_groupoid(action: FiniteAction) -> GermGroupoid:
     arrow_of_key = {key: i for i, key in enumerate(keys)}
     class_of = {pair: arrow_of_key[key] for pair, key in key_of.items()}
     arrows = [(first[key], key[0]) for key in keys]
-    return GermGroupoid(action, arrows, class_of, least)
+    # the unit over x is the germ of m_x
+    unit_at = {x: class_of[(m, x)] for x, m in enumerate(least)}
+    return GermGroupoid(action, arrows, class_of, unit_at)
 

@@ -8,7 +8,6 @@ of the payload unless the document was built with them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .criteria import Analysis
 from .germs import GermGroupoid
@@ -17,16 +16,15 @@ from .semigroup import InverseSemigroup
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class ReportDocument:
-    """Instance metadata plus the verdict payload, JSON ready."""
-
-    payload: dict
-    timing: dict | None = None
-
-
 def _names(sg: InverseSemigroup, items) -> list:
     return [sg.name_of(i) for i in sorted(items)]
+
+
+def _failures(sg: InverseSemigroup, witness: dict) -> dict:
+    """A refuted criterion's failures, each named key by key; both
+    failure shapes hold the output's keys in the output's order."""
+    return {"failures": [{k: sg.name_of(v) for k, v in w.items()}
+                         for w in witness["failures"]]}
 
 
 def _hausdorff_witness(sg, witness):
@@ -35,38 +33,20 @@ def _hausdorff_witness(sg, witness):
 
 
 def _top_free_witness(sg, witness):
-    out = {}
     if "failures" in witness:
-        out["failures"] = [
-            {"s": sg.name_of(w["s"]), "e": sg.name_of(w["e"]),
-             "uncovered": sg.name_of(w["uncovered"])}
-            for w in witness["failures"]
-        ]
-    if "fixed_covers" in witness:
-        out["fixed_covers"] = {
-            f"s={sg.name_of(s)} e={sg.name_of(e)}": _names(sg, cov)
-            for (s, e), cov in sorted(witness["fixed_covers"].items())
-        }
-    return out
+        return _failures(sg, witness)
+    return {"fixed_covers": {
+        f"s={sg.name_of(s)} e={sg.name_of(e)}": _names(sg, cov)
+        for (s, e), cov in sorted(witness["fixed_covers"].items())}}
 
 
 def _minimal_witness(sg, witness):
-    out = {}
     if "failures" in witness:
-        out["failures"] = [
-            {"e": sg.name_of(w["e"]), "f": sg.name_of(w["f"]),
-             "uncovered": sg.name_of(w["uncovered"])}
-            for w in witness["failures"]
-        ]
-    if "conjugate_covers" in witness:
-        out["conjugate_covers"] = {
-            f"e={sg.name_of(e)} f={sg.name_of(f)}": [
-                {"cover": sg.name_of(c), "via": sg.name_of(s)}
-                for c, s in pairs
-            ]
-            for (e, f), pairs in sorted(witness["conjugate_covers"].items())
-        }
-    return out
+        return _failures(sg, witness)
+    return {"conjugate_covers": {
+        f"e={sg.name_of(e)} f={sg.name_of(f)}": [
+            {"cover": sg.name_of(c), "via": sg.name_of(s)} for c, s in pairs]
+        for (e, f), pairs in sorted(witness["conjugate_covers"].items())}}
 
 
 def _contraction_witness(sg, witness):
@@ -78,10 +58,24 @@ def _contraction_witness(sg, witness):
     return out
 
 
+# property -> its witness renderer, in the order the command line prints
+_WITNESSES = {
+    "hausdorff": _hausdorff_witness,
+    "essentially_principal": _top_free_witness,
+    "minimal": _minimal_witness,
+    "locally_contracting": _contraction_witness,
+}
+
+
 def build_document(analysis: Analysis, name: str,
-                   timing: dict | None = None) -> ReportDocument:
+                   timing: dict | None = None) -> dict:
+    """The verdict document of one instance, JSON ready: instance
+    metadata, the four verdict pairs, the flags and conclusions, and
+    each witness by element name; `timing` is present exactly when
+    given."""
     sg = analysis.semigroup
     rep = analysis.report
+    pairs = {p: getattr(rep, p) for p in _WITNESSES}
     payload = {
         "schema_version": SCHEMA_VERSION,
         "instance": {
@@ -95,30 +89,16 @@ def build_document(analysis: Analysis, name: str,
             },
             "e_star_unitary": sg.is_e_star_unitary(),
         },
-        "properties": {
-            "hausdorff": {"criterion": rep.hausdorff.criterion,
-                          "direct": rep.hausdorff.direct},
-            "essentially_principal": {
-                "criterion": rep.essentially_principal.criterion,
-                "direct": rep.essentially_principal.direct},
-            "minimal": {"criterion": rep.minimal.criterion,
-                        "direct": rep.minimal.direct},
-            "locally_contracting": {
-                "criterion": rep.locally_contracting.criterion,
-                "direct": rep.locally_contracting.direct},
-        },
+        "properties": {p: {"criterion": pair.criterion, "direct": pair.direct}
+                       for p, pair in pairs.items()},
         "cstar_flags": dict(rep.cstar_flags),
         "conclusions": list(rep.conclusions),
-        "witnesses": {
-            "hausdorff": _hausdorff_witness(sg, rep.hausdorff.witness),
-            "essentially_principal": _top_free_witness(
-                sg, rep.essentially_principal.witness),
-            "minimal": _minimal_witness(sg, rep.minimal.witness),
-            "locally_contracting": _contraction_witness(
-                sg, rep.locally_contracting.witness),
-        },
+        "witnesses": {p: render(sg, pairs[p].witness)
+                      for p, render in _WITNESSES.items()},
     }
-    return ReportDocument(payload, timing)
+    if timing is not None:
+        payload["timing"] = timing
+    return payload
 
 
 def error_payload(name: str, code: str, message: str, **instance) -> dict:
@@ -190,15 +170,8 @@ def json_text(obj) -> str:
     return _json(obj, "") + "\n"
 
 
-def emit_report(doc: ReportDocument) -> str:
-    """The document as sorted, indented JSON; `timing` appears exactly
-    when the document carries one.  The text is byte-identical to
-    ``json.dumps(payload, indent=2, sort_keys=True)`` plus a newline,
-    written by :func:`json_text`."""
-    payload = dict(doc.payload)
-    if doc.timing is not None:
-        payload["timing"] = doc.timing
-    return json_text(payload)
+# The name the benchmark traces for writing a report.
+emit_report = json_text
 
 
 def emit_dot(gpd: GermGroupoid, graph_name: str = "germs") -> str:

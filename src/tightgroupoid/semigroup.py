@@ -45,6 +45,9 @@ from .errors import (
 # CapExceeded.  MAX_SIZE stops the closure walk at its first map past the
 # cap: I6 (13,327 elements) fits, I7 (130,922) does not.  MAX_SLAB_CELLS
 # bounds the |S| x |E| slab before it is built: I6 needs 852,928 cells.
+# It also bounds the walk's image cells, maps found times degree, at each
+# new map: I6 stores 79,962 and the 20,000-point identity 40,000, while a
+# 12,000-point cycle is refused at its 167th map.
 # MAX_TABLE_WORK bounds Light's test of a table, n^2 cells per generator:
 # a semilattice of n - 1 orthogonal atoms has n - 1 generators, so
 # n = 400 (6.4e7) passes in about 0.08 s and n = 800 (5.1e8) is refused.
@@ -572,9 +575,10 @@ def from_partial_maps(degree: int, generators: Sequence[Sequence],
     inverse letters, so the closure is the set of words over the
     generators and their inverses: one breadth-first walk right-multiplies
     every map found by each of those letters.  `MAX_SIZE` aborts runaway
-    closures at the first map past the cap; `MAX_SLAB_CELLS` rejects,
-    after the walk and before the slab is built, a closure whose slab
-    would have more than that many cells, |S| times |E|.  The walk is the
+    closures at the first map past the cap, and `MAX_SLAB_CELLS` at the
+    first whose image cells, maps found times degree, pass it; after the
+    walk and before the slab is built, it also rejects a closure whose
+    slab would have more than that many cells, |S| times |E|.  The walk is the
     right Cayley graph (Froidure & Pin, "Algorithms for computing finite
     semigroups", 1997): maps are composed once per edge, |S| times the
     number of letters, and its edges are kept as ``right`` with the
@@ -601,8 +605,15 @@ def from_partial_maps(degree: int, generators: Sequence[Sequence],
     letters = list(dict.fromkeys(gens + [invert_map(g) for g in gens]))
     found = list(dict.fromkeys([empty, *letters]))
     pos = {f: i for i, f in enumerate(found)}
-    if len(found) > MAX_SIZE:
-        raise CapExceeded(f"closure exceeded {MAX_SIZE} elements")
+
+    def admit():                     # the caps on the maps found so far
+        if len(found) > MAX_SIZE:
+            raise CapExceeded(f"closure exceeded {MAX_SIZE} elements")
+        if len(found) * degree > MAX_SLAB_CELLS:
+            raise CapExceeded(f"closure of {len(found)} maps on {degree} points "
+                              f"exceeds {MAX_SLAB_CELLS} image cells")
+
+    admit()
     right = []                       # right[i][j]: index of found[i] * letters[j]
     for f in found:                  # the list grows while it is walked
         row = []
@@ -612,8 +623,7 @@ def from_partial_maps(degree: int, generators: Sequence[Sequence],
             if k is None:
                 k = pos[h] = len(found)
                 found.append(h)
-                if len(found) > MAX_SIZE:
-                    raise CapExceeded(f"closure exceeded {MAX_SIZE} elements")
+                admit()
             row.append(k)
         right.append(row)
 

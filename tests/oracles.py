@@ -440,6 +440,35 @@ def union_find_germs(action):
     return arrows, class_of, units
 
 
+def green_flags(sg):
+    """Flags (b) essentially principal and (c) minimal from Green's
+    relations at the atoms, sharing no code with the criteria or the germ
+    groupoid.
+
+    On a finite carrier the points are the atoms.  The isotropy at the
+    point of an atom e is its H-class, the s with s*s = ss* = e, and the
+    orbit of that point is the atoms D-related to e, where e D f when
+    some s has s*s = e and ss* = f.  So (b) holds when no atom has an
+    H-class larger than {e}, and (c) when all atoms lie in one D-class.
+    One pass over S gives both: a union-find over the pairs (s*s, ss*),
+    and the s != s*s with s*s = ss*.  Atoms are read off the products
+    e f, which are 0 or e for every nonzero idempotent f.
+    """
+    zero = sg.zero
+    nonzero = [e for e in sg.idempotent_list() if e != zero]
+    atoms = [e for e in nonzero
+             if all(sg.slab[e][f] in (zero, e) for f in nonzero)]
+    uf = _UnionFind(sg.size)
+    nontrivial = set()
+    for s in sg.elements():
+        e, f = sg.d[s], sg.r[s]
+        uf.union(e, f)
+        if s != e and e == f:
+            nontrivial.add(e)
+    return (not any(e in nontrivial for e in atoms),
+            len({uf.find(e) for e in atoms}) == 1)
+
+
 # ------------------------------------------- general route (closure)
 
 def two_sided_closure(degree, gens, max_size=None):

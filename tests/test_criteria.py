@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 import tightgroupoid as tg
@@ -434,3 +436,38 @@ HARNESS_FAILURES = {
 
 def test_harness_failures_keep_their_messages():
     assert harness_failures() == HARNESS_FAILURES
+
+
+# ------------------------------------------------ Green's relations route
+
+def green_instances():
+    from test_families import TABLE_FAMILIES
+
+    for name in ("I2", "B2", "Z2z", "E4", "In(3)", "In(4)", "Bn(8)",
+                 "Pow(5)", "Cz(7)"):
+        yield name, tg.build_fixture(name)
+    for seed in (7, 5278):
+        yield from tg.corpus(500, seed)
+    for name, ((table, zero), _, _) in sorted(TABLE_FAMILIES.items()):
+        yield name, tg.from_table(table, zero)
+    for n in range(1, 7):
+        yield f"In({n})", tg.build_fixture(f"In({n})")
+
+
+def test_green_route_agrees_with_both_routes_for_b_and_c():
+    # a third decision of (b) and (c), from Green's relations at the
+    # atoms, against the criterion and the direct verdict; the instances
+    # must meet every cell of the (b, c) square
+    cells = Counter()
+    for name, sg in green_instances():
+        try:
+            rep = tg.analyze(sg, name=name).report
+        except errors.EmptySpectrum:
+            continue
+        got = oracles.green_flags(sg)
+        assert got == (rep.essentially_principal.criterion,
+                       rep.minimal.criterion), name
+        assert got == (rep.essentially_principal.direct,
+                       rep.minimal.direct), name
+        cells[got] += 1
+    assert len(cells) == 4, cells

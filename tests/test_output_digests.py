@@ -39,6 +39,24 @@ CORPUS_DIGESTS = (
     "a7b5070a5b608714be86fbe2cd8c89c3ff63a1d08d9af00cd2f46c3744b3e8a9",
 )
 
+# (fixture, --check value) -> stdout digest of `analyze --fixture NAME
+# --check VALUE`
+CHECK_DIGESTS = {
+    ("Z2z", "hausdorff"): "63a9e6efb86207877860f3c9ebbe0b3aafe721923f199a92d5b0897f58c78c90",
+    ("Z2z", "esspr"): "04be13915d3958989c9d0ea7c88cb912faeb4bb66ed9845fe07d7063819417ef",
+    ("Z2z", "minimal"): "b395114b691f61fbd7047f0c674d4f150a087797a928b6639e90e3b0ffcd7db0",
+    ("Z2z", "loccontr"): "a0faf7d99d263c51c68fc2466cf82ab8633aa096b0ab1bee328707b3eabdb240",
+    ("E4", "hausdorff"): "1ca91c1b2aa3d1298e68b362f4f655c15a62d084c3bb7197bdf12fe6223fba46",
+    ("E4", "esspr"): "7415afc8c24a3a514ae3d326521429d12b766f94dd2771e11ef205fbaffb3923",
+    ("E4", "minimal"): "85e6e956327de8de57706a06b1731c95f1c5067d1975936370e737859099eb33",
+    ("E4", "loccontr"): "f1eff10c54a541b9790f5fbfc0d4aa18609eb475a630d896cab98ffbe41128c3",
+}
+
+# stdout digest of `analyze FILE` on the one-element table, whose
+# EmptySpectrum document goes to stdout when no --json path is given
+EMPTY_SPECTRUM_DIGEST = \
+    "3d0ae9c17aaf0c6c5d01c0d8ba632b650a5f6b220730ca3fbd0c0d1711623083"
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -60,3 +78,17 @@ def test_corpus_outputs_are_frozen(tmp_path, capsys):
                         "--json", str(jpath)]) == 0
     got = (sha256(capsys.readouterr().out.encode()), sha256(jpath.read_bytes()))
     assert got == CORPUS_DIGESTS
+
+
+@pytest.mark.parametrize("name,check", sorted(CHECK_DIGESTS))
+def test_single_check_outputs_are_frozen(name, check, capsys):
+    assert cli.run_cli(["analyze", "--fixture", name, "--check", check]) == 0
+    assert sha256(capsys.readouterr().out.encode()) == \
+        CHECK_DIGESTS[(name, check)]
+
+
+def test_empty_spectrum_document_is_frozen(tmp_path, capsys):
+    path = tmp_path / "tiny.isg"
+    path.write_text("semigroup tiny\ntable 1 zero 0\n0\n")
+    assert cli.run_cli(["analyze", str(path)]) == 0
+    assert sha256(capsys.readouterr().out.encode()) == EMPTY_SPECTRUM_DIGEST

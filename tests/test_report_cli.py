@@ -43,12 +43,13 @@ def test_timing_kept_out_by_default():
     # emitted exactly when the document carries one, as build_document
     # attaches it only on request
     assert "timing" not in json.loads(report.emit_report(doc_for("Z2z")))
-    doc = report.ReportDocument(doc_for("Z2z").payload, {"analyze_s": 0.5})
+    analysis = tg.analyze(tg.build_fixture("Z2z"), name="Z2z")
+    doc = report.build_document(analysis, "Z2z", {"analyze_s": 0.5})
     assert json.loads(report.emit_report(doc))["timing"] == {"analyze_s": 0.5}
 
 
 def test_report_numbers():
-    payload = doc_for("I2").payload
+    payload = doc_for("I2")
     inst = payload["instance"]
     assert inst["spectrum_size"] == 2
     assert inst["groupoid"] == {"arrows": 4, "units": 2}

@@ -198,6 +198,46 @@ def test_default_slab_cap_stops_a_large_semilattice(tmp_path, capsys):
         in capsys.readouterr().err
 
 
+def cycle_text(name, n):
+    """`.isg` text of one n-point cycle, whose closure is the cyclic group
+    of order n plus the empty map: n + 1 maps of n points each."""
+    cells = " ".join(str((x + 1) % n) for x in range(n))
+    return f"semigroup {name}\npoints {n}\ngen a = {cells}\n"
+
+
+def test_walk_cap_is_exact(tmp_path, capsys, monkeypatch):
+    # the 10-cycle walks 11 maps of 10 points, 110 image cells; its slab
+    # has 11 x 2 cells, so only the walk's count can refuse it
+    path = tmp_path / "c10.isg"
+    path.write_text(cycle_text("C10", 10))
+    monkeypatch.setattr(semigroup, "MAX_SLAB_CELLS", 110)
+    assert cli.run_cli(["analyze", str(path)]) == 0
+    assert "|S|=11 |E|=2" in capsys.readouterr().out
+    monkeypatch.setattr(semigroup, "MAX_SLAB_CELLS", 109)
+    assert cli.run_cli(["analyze", str(path)]) == 1
+    assert ("invalid input: closure of 11 maps on 10 points exceeds 109 "
+            "image cells") in capsys.readouterr().err
+
+
+def test_default_walk_cap_stops_a_long_cycle(tmp_path, capsys, monkeypatch):
+    # 12,001 maps pass the size cap, but they would hold 1.44e8 image
+    # cells; the walk stops at its 167th map, within that map's row
+    calls = [0]
+    compose = semigroup.compose_maps
+
+    def counting(f, g):
+        calls[0] += 1
+        return compose(f, g)
+
+    monkeypatch.setattr(semigroup, "compose_maps", counting)
+    path = tmp_path / "c12000.isg"
+    path.write_text(cycle_text("C12000", 12_000))
+    assert cli.run_cli(["analyze", str(path)]) == 1
+    assert ("invalid input: closure of 167 maps on 12000 points exceeds "
+            "2000000 image cells") in capsys.readouterr().err
+    assert calls[0] <= 167 * 2
+
+
 def orthogonal_atoms_text(name, n):
     """`.isg` table text of the semilattice of a zero and n - 1 pairwise
     orthogonal atoms, whose greedy generating set is all n - 1 atoms."""
