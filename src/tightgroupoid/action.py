@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     CompositionMismatch,
     DomainNotCovering,
@@ -85,6 +87,16 @@ class FiniteAction:
         return f"x{x}"
 
 
+def _map_array(action: FiniteAction) -> np.ndarray:
+    """The maps as an (|S|, points + 1) integer array, -1 where undefined.
+    The last column is all -1, so a gather at -1 gives -1."""
+    maps = action.maps
+    cells = np.array([maps[s] + (None,) for s in action.semigroup.elements()],
+                     dtype=float)
+    cells[np.isnan(cells)] = -1
+    return cells.astype(np.int32)
+
+
 def validate_action(action: FiniteAction) -> None:
     """Check every action axiom exhaustively.
 
@@ -101,6 +113,12 @@ def validate_action(action: FiniteAction) -> None:
     theta(s) theta(g1...gk-1) theta(gk) = theta(s) theta(g1...gk).  So the
     cut checks the same condition as all pairs, and a failure still names
     a concrete triple (s, g, x).
+
+    The checks per element (injectivity, inverse, domain, range) and the
+    composition check compare whole arrays of the maps at once.  A
+    failure raises what a scan element by element would: the first
+    failing check of the lowest failing element, in that order, then the
+    first (s, g, x) whose composite differs.
     """
     if action._validated:
         return
@@ -114,41 +132,41 @@ def validate_action(action: FiniteAction) -> None:
     for e in sg.idempotents:
         if any(maps[e][x] != x for x in action.edomains[e]):
             raise InvalidAction(f"idempotent {e} does not act as the identity")
-
-    covered = set()
-    for e in sg.idempotents:
-        covered |= action.edomains[e]
-    if covered != set(range(action.points)):
+    if len(frozenset().union(*action.edomains.values())) != action.points:
         raise DomainNotCovering("idempotent domains do not cover the carrier")
 
-    for s in sg.elements():
-        m = maps[s]
-        seen = {}
-        for x, y in enumerate(m):
-            if y is None:
-                continue
-            if y in seen:
-                raise InvalidAction(f"element {s} does not act injectively")
-            seen[y] = x
-        inv = maps[sg.star[s]]
-        expected = tuple(seen.get(x) for x in range(action.points))
-        if inv != expected:
+    padded = _map_array(action)
+    m = padded[:, :-1]
+    n, points = m.shape
+    defined = m >= 0
+    elems, xs = np.nonzero(defined)
+    cells = elems * points + m[elems, xs]             # (s, y) for y = s x
+    hits = np.bincount(cells, minlength=n * points).reshape(n, points)
+    inverse = np.full(n * points, -1, dtype=np.int32)
+    inverse[cells] = xs
+    star, d, r = np.array((sg.star, sg.d, sg.r))
+    checks = (hits > 1,                               # not injective
+              m[star] != inverse.reshape(n, points),  # s* does not invert s
+              defined != defined[d],                  # domain is not s*s's
+              (hits > 0) != defined[r])               # range is not ss*'s
+    if any(c.any() for c in checks):
+        failing = np.array([c.any(axis=1) for c in checks])
+        s = int(failing.any(axis=0).argmax())
+        check = failing[:, s].argmax()
+        if check == 0:
+            raise InvalidAction(f"element {s} does not act injectively")
+        if check == 1:
             raise InverseMismatch(s)
-        if action._domains[s] != action.edomains[sg.d[s]]:
+        if check == 2:
             raise InvalidAction(f"domain of {s} differs from the domain of s*s")
-        if frozenset(seen) != action.edomains[sg.r[s]]:
-            raise InvalidAction(f"range of {s} differs from the domain of ss*")
+        raise InvalidAction(f"range of {s} differs from the domain of ss*")
 
-    for s in sg.elements():
-        ms = maps[s]
-        for t, st in zip(sg.generators, sg.right[s]):
-            mt = maps[t]
-            mst = maps[st]
-            for x in range(action.points):
-                y = mt[x]
-                composite = ms[y] if y is not None else None
-                if composite != mst[x]:
-                    raise CompositionMismatch(s, t, x)
+    # (s, j, x): s after generator j at x, against s g_j at x
+    differs = padded[:, m[np.array(sg.generators)]] != m[np.array(sg.right)]
+    if differs.any():
+        s, rest = divmod(int(differs.argmax()), differs[0].size)
+        j, x = divmod(rest, points)
+        raise CompositionMismatch(s, sg.generators[j], x)
     action._validated = True
 
 
@@ -164,29 +182,30 @@ def standard_action(spectrum: TightSpectrum) -> FiniteAction:
     sends the point of e, when e lies below s*s, to the point of s e s*.
     The result is validated, and a conjugate that is not a tight point
     would mean the tight spectrum is not invariant, which is impossible,
-    so it is flagged as a hard error rather than reported.
+    so it is flagged as a hard error rather than reported.  All images
+    come from one gather of the slab at the points' columns, masked by
+    s*s.
     """
     sg = spectrum.semigroup
     pts = spectrum.points
     if not pts:
         raise EmptySpectrum("cannot act on an empty spectrum")
-    index_of = {f.min: i for i, f in enumerate(pts)}
-    maps = {}
-    for s in sg.elements():
-        ss = sg.d[s]
-        row = sg.slab[s]
-        out = []
-        for filt in pts:
-            if ss not in filt.members:
-                out.append(None)
-                continue
-            image = index_of.get(sg.r[row[filt.min]])
-            if image is None:
-                raise TheoremViolation(
-                    "tight_spectrum_invariance", True, False,
-                    f"element {s} pushes a tight filter outside the spectrum")
-            out.append(image)
-        maps[s] = tuple(out)
+    mins = np.array([f.min for f in pts])
+    point_of = np.full(sg.size, -1)
+    point_of[mins] = np.arange(len(pts))
+    # s e for every element s and point of e; s acts on the point of e
+    # when e <= s*s, that is (s*s) e = e, and sends it to s e s*
+    block = sg.slab[:, [sg.column[f.min] for f in pts]]
+    d, r = np.array((sg.d, sg.r))
+    defined = block[d] == mins
+    image = point_of[r[block]]
+    lost = defined & (image < 0)
+    if lost.any():
+        raise TheoremViolation(
+            "tight_spectrum_invariance", True, False,
+            f"element {lost.any(axis=1).argmax()} pushes a tight filter "
+            "outside the spectrum")
+    maps = dict(enumerate(map(tuple, np.where(defined, image, None).tolist())))
     labels = tuple(f"^{sg.name_of(f.min)}" for f in pts)
     action = FiniteAction(sg, len(pts), maps, labels)
     validate_action(action)

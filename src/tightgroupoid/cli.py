@@ -1,13 +1,16 @@
 """Command line front end.
 
 Exit codes: 0 on success (including the documented empty-spectrum error
-document), 1 on input errors, 2 on usage errors, 3 when two provably
-equal verdicts disagree, in which case a reproducer file is written.
+document, and a run whose standard output closes early, as when it is
+piped into ``head``, which stops quietly), 1 on input errors, 2 on usage
+errors, 3 when two provably equal verdicts disagree, in which case a
+reproducer file is written.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -212,9 +215,21 @@ def run_cli(argv=None) -> int:
             parser.error("--corpus must be at least 0")
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.corpus is not None:
-        return _analyze_corpus(args)
-    return _analyze_single(args)
+    try:
+        if args.corpus is not None:
+            code = _analyze_corpus(args)
+        else:
+            code = _analyze_single(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout has gone; point stdout at the null device so
+        # that the flush at exit does not fail again
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (OSError, ValueError):
+            pass
+        return 0
+    return code
 
 
 def main() -> None:

@@ -17,6 +17,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import action as action_mod
 from . import germs as germs_mod
 from . import spectrum as spectrum_mod
@@ -42,61 +44,129 @@ def hausdorff_criterion(sg: InverseSemigroup) -> CriterionResult:
     On finite instances the maximal nonzero members always form such a
     cover, so the verdict is True and the value of the operation is the
     witness table plus the agreement assertion against the groupoid-level
-    decision made elsewhere.
+    decision made elsewhere.  Elements with the same fixed ideal share
+    one canonical cover, built and checked once.
     """
     covers = {}
+    by_ideal = {}
     for s in sg.elements():
         ideal = sg.fixed_idempotents(s)
-        cover = sg.canonical_cover(ideal)
-        if not sg.is_cover(cover, ideal):
-            raise TheoremViolation("canonical_cover", sorted(cover), sorted(ideal), f"element {s}")
-        covers[s] = tuple(sorted(cover))
+        cover = by_ideal.get(ideal.members)
+        if cover is None:
+            found = sg.canonical_cover(ideal)
+            if not sg.is_cover(found, ideal):
+                raise TheoremViolation("canonical_cover", sorted(found), sorted(ideal),
+                                       f"element {s}")
+            cover = by_ideal[ideal.members] = tuple(sorted(found))
+        covers[s] = cover
     return CriterionResult(True, witness={"covers": covers})
 
 
 # -------------------------------------------------- essential principality
 
+def _weakly_fixed_flags(sg: InverseSemigroup) -> np.ndarray:
+    """One pass over the whole slab: an (|S|, |E|) bool array whose cell
+    (s, column[e]) is True when e lies below s*s and is weakly fixed
+    under s.
+
+    A nonzero f below s*s is bad for s when its conjugate misses it,
+    (s f s*) f = 0, and e is weakly fixed exactly when no bad f lies
+    below e; one product of the bad cells with the order of the
+    semilattice counts the bad f below each e."""
+    slab, zero = sg.slab, sg.zero
+    idem = np.array(sg.idempotent_list())
+    below_d = slab[np.array(sg.d)] == idem            # (s, e): e <= s*s
+    conj = np.array(sg.r, dtype=np.int32)[slab]       # (s, f): s f s*
+    bad = below_d & (idem != zero) & (slab[conj, np.arange(len(idem))] == zero)
+    order = (slab[idem] == idem).astype(np.float32)   # (e, f): f <= e
+    return below_d & (bad.astype(np.float32) @ order.T == 0)
+
+
+def _row_bits(flags: np.ndarray) -> list:
+    """Each row of a 2-d bool array as one integer, with bit j set when
+    cell j is True."""
+    packed = np.packbits(flags, axis=1, bitorder="little")
+    width = packed.shape[1]
+    raw = packed.tobytes()
+    return [int.from_bytes(raw[i:i + width], "little")
+            for i in range(0, len(raw), width)]
+
+
+def _weakly_fixed_bits(sg: InverseSemigroup) -> tuple:
+    """The flags of :func:`_weakly_fixed_flags` as one integer of column
+    bits per element, computed once and kept on the instance."""
+    sg._weakly_fixed = tuple(_row_bits(_weakly_fixed_flags(sg)))
+    return sg._weakly_fixed
+
+
 def weakly_fixed(sg: InverseSemigroup, e: int, s: int) -> bool:
     """e (below s*s) is weakly fixed under s when every nonzero
-    idempotent below e intersects its own conjugate s f s*."""
-    slab = sg.slab
-    if e not in sg.idempotents or slab[e][sg.d[s]] != e:
-        raise PreconditionViolated(f"idempotent {e} does not lie below s*s for s={s}")
-    row, r = slab[s], sg.r
-    for f in sg.below(e):
-        if f == sg.zero:
-            continue
-        if slab[r[row[f]]][f] == sg.zero:
+    idempotent below e intersects its own conjugate s f s*.  Read off the
+    whole-instance pass of :func:`_weakly_fixed_flags`."""
+    j = sg.column.get(e)
+    if j is not None:
+        if (sg._weakly_fixed or _weakly_fixed_bits(sg))[s] >> j & 1:
+            return True
+        if sg.meets[e][sg.d[s]] == e:
             return False
-    return True
+    raise PreconditionViolated(f"idempotent {e} does not lie below s*s for s={s}")
 
 
-def _minimize_cover(sg, candidates, ideal_members):
+def _meet_bits(sg: InverseSemigroup) -> dict:
+    """Per idempotent e, one integer with bit ``column[f]`` set for each
+    idempotent f that e meets, e f != 0: a pass over the slab's rows at
+    the idempotents."""
+    idem = sg.idempotent_list()
+    return dict(zip(idem, _row_bits(sg.slab[list(idem)] != sg.zero)))
+
+
+def _minimize_cover(sg, meet_bits, candidates, ideal_members):
     """Greedy removal pass over a cover of the ideal; keeps the witness
     small for readability, correctness never depends on the result being
     minimum.
 
     In increasing order, a candidate c is dropped when every member it
     meets is met by another element still chosen, which is exactly when
-    the rest still covers.  Per member, a count of the chosen elements it
-    meets makes that test one pass over the members c meets.
+    the rest still covers.  The others still chosen are the candidates
+    kept before c and all those after it, so with the members each
+    candidate meets as bits (from :func:`_meet_bits`), the test is one
+    mask against the union of the kept ones and a suffix union.
     """
-    zero = sg.zero
-    slab = sg.slab
-    members = [f for f in ideal_members if f != zero]
-    met = {c: [f for f in members if slab[f][c] != zero] for c in candidates}
-    count = dict.fromkeys(members, 0)
-    for fs in met.values():
-        for f in fs:
-            count[f] += 1
+    column, zero = sg.column, sg.zero
+    member_bits = 0
+    for f in ideal_members:
+        if f != zero:
+            member_bits |= 1 << column[f]
+    order = sorted(candidates)
+    hits = [meet_bits[c] & member_bits for c in order]
+    after = []                        # after[i]: union of the hits past i
+    union = 0
+    for hit in reversed(hits):
+        after.append(union)
+        union |= hit
+    after.reverse()
     kept = []
-    for c in sorted(candidates):
-        if all(count[f] > 1 for f in met[c]):
-            for f in met[c]:
-                count[f] -= 1
-        else:
+    union = 0
+    for c, hit, rest in zip(order, hits, after):
+        if hit & ~(union | rest):     # a member that only c meets
             kept.append(c)
+            union |= hit
     return tuple(kept)
+
+
+def _decide_cover(sg, meet_bits, candidates, members):
+    """Whether the idempotents `candidates` cover the idempotents
+    `members`: the first nonzero member they leave uncovered and None, or
+    None and the cover trimmed by :func:`_minimize_cover`.  `meet_bits` is
+    :func:`_meet_bits` of the instance."""
+    column, zero = sg.column, sg.zero
+    cover = 0
+    for c in candidates:
+        cover |= 1 << column[c]
+    for f in members:
+        if f != zero and not meet_bits[f] & cover:
+            return f, None
+    return None, _minimize_cover(sg, meet_bits, candidates, members)
 
 
 def top_free_criterion(sg: InverseSemigroup) -> CriterionResult:
@@ -107,20 +177,27 @@ def top_free_criterion(sg: InverseSemigroup) -> CriterionResult:
     Canonical candidate: all nonzero idempotents below e and fixed by s.
     If any fixed cover exists it sits inside that set, and enlarging a
     cover inside the same ideal keeps it a cover, so testing the full
-    candidate set decides existence.
+    candidate set decides existence.  The cover test runs for the weakly
+    fixed pairs only, once per distinct (candidates, e).
     """
     zero = sg.zero
+    meet_bits = _meet_bits(sg)
     failures = []
     covers = {}
+    memo = {}
     for s in sg.elements():
-        row = sg.slab[s]
+        fixed = sg.fixed_idempotents(s).members
         for e in sg.below(sg.d[s]):
             if e == zero or not weakly_fixed(sg, e, s):
                 continue
-            fixed_cands = [c for c in sg.below(e) if c != zero and row[c] == c]
-            uncovered = sg.first_uncovered(fixed_cands, sg.below(e))
+            below = sg.below(e)
+            cands = tuple(c for c in below if c != zero and c in fixed)
+            got = memo.get((cands, e))
+            if got is None:
+                got = memo[cands, e] = _decide_cover(sg, meet_bits, cands, below)
+            uncovered, small = got
             if uncovered is None:
-                covers[(s, e)] = _minimize_cover(sg, fixed_cands, sg.below(e))
+                covers[(s, e)] = small
             else:
                 failures.append({"s": s, "e": e, "uncovered": uncovered})
     if failures:
@@ -129,6 +206,26 @@ def top_free_criterion(sg: InverseSemigroup) -> CriterionResult:
 
 
 # ------------------------------------------------------------- minimality
+
+def _conjugators(sg: InverseSemigroup) -> dict:
+    """Per nonzero idempotent f, a dict from each nonzero conjugate
+    s f s* to the first s giving it, in order of that s.  One
+    ``np.unique`` over the (column, conjugate) keys of the whole slab
+    finds the first position of every key; sorted, the positions run
+    column by column and, within a column, by s."""
+    n, zero = sg.size, sg.zero
+    conj = np.array(sg.r, dtype=np.int32)[sg.slab.T]  # (f, s): s f s*
+    keys = np.arange(len(conj), dtype=np.int32)[:, None] * n + conj
+    _, first = np.unique(keys, return_index=True)
+    first.sort()
+    idem = sg.idempotent_list()
+    out = {f: {} for f in idem if f != zero}
+    cols, elems = np.divmod(first, n)
+    for j, s, c in zip(cols.tolist(), elems.tolist(), conj.ravel()[first].tolist()):
+        if c != zero and idem[j] != zero:
+            out[idem[j]][c] = s
+    return out
+
 
 def minimal_criterion(sg: InverseSemigroup) -> CriterionResult:
     """For all nonzero idempotents e and f, the conjugates of f form an
@@ -140,31 +237,21 @@ def minimal_criterion(sg: InverseSemigroup) -> CriterionResult:
     as the witness.  f enters only through the set of its conjugates, so
     each e is decided once per distinct conjugate set.
     """
-    slab, r = sg.slab, sg.r
-    zero = sg.zero
     nz = sg.nonzero_idempotents()
-    conjugators = {}
-    for f in nz:
-        seen = {}
-        for s in sg.elements():
-            c = r[slab[s][f]]
-            if c != zero and c not in seen:
-                seen[c] = s
-        conjugators[f] = seen
+    conjugators = _conjugators(sg)
     conjugate_sets = {f: frozenset(seen) for f, seen in conjugators.items()}
+    meet_bits = _meet_bits(sg)
     failures = []
     witnesses = {}
     for e in nz:
+        below = sg.below(e)
         decided = {}
         for f in nz:
             cands = conjugate_sets[f]
-            if cands not in decided:
-                uncovered = sg.first_uncovered(cands, sg.below(e))
-                small = None
-                if uncovered is None:
-                    small = _minimize_cover(sg, cands, sg.below(e))
-                decided[cands] = (uncovered, small)
-            uncovered, small = decided[cands]
+            got = decided.get(cands)
+            if got is None:
+                got = decided[cands] = _decide_cover(sg, meet_bits, cands, below)
+            uncovered, small = got
             if uncovered is not None:
                 failures.append({"e": e, "f": f, "uncovered": uncovered})
             else:
@@ -183,16 +270,17 @@ def _refute_at_least_atom(sg: InverseSemigroup, check: str,
     vacuously when every idempotent is 0.  An s with e s*s nonzero
     qualifies when e s e = 0 and ``qualifies(c, c e)`` for c = s e s*,
     which no inverse semigroup allows, so it raises."""
-    slab, d, r, zero = sg.slab, sg.d, sg.r, sg.zero
+    d, r, star, zero = sg.d, sg.r, sg.star, sg.zero
     e = next((f for f in sg.nonzero_idempotents() if len(sg.below(f)) == 2), None)
     if e is None:
         return CriterionResult(True, vacuous=True)
-    row_e = slab[e]
+    times_e = sg.slab[:, sg.column[e]].tolist()      # x -> x e
     for s in sg.elements():
-        if row_e[d[s]] == zero or slab[sg.left(e, s)][e] != zero:
+        # e s*s, then (e s) e with e s = (s* e)*
+        if times_e[d[s]] == zero or times_e[star[times_e[star[s]]]] != zero:
             continue
-        conj = r[slab[s][e]]
-        if qualifies(conj, slab[conj][e]):
+        conj = r[times_e[s]]
+        if qualifies(conj, times_e[conj]):
             raise TheoremViolation(check, True, False, f"atom e={e} with s={s}")
     return CriterionResult(False, witness={"e": e})
 
@@ -433,10 +521,9 @@ def verify_instance(sg: InverseSemigroup, name: str = "S", seed: int = 0):
     # conjugation carries domains onto domains
     for s in sg.elements():
         dom = act.domain(s)
-        row = slab[s]
-        for f in idem:
+        for f, sf in zip(idem, slab[s].tolist()):
             img = act.image(s, act.edomains[f] & dom)
-            conj_dom = act.edomains[r[row[f]]]
+            conj_dom = act.edomains[r[sf]]
             if img != conj_dom:
                 raise TheoremViolation("conjugated_domains", img, conj_dom,
                                        f"{name} s={s} f={f}")
@@ -491,9 +578,9 @@ def verify_instance(sg: InverseSemigroup, name: str = "S", seed: int = 0):
     checks["estar_implications"] = True
 
     for s in sg.elements():
-        row = slab[s]
+        fixed = sg.fixed_idempotents(s).members
         for e in sg.below(sg.d[s]):
-            if e != zero and row[e] == e:
+            if e != zero and e in fixed:
                 lhs = weakly_fixed(sg, e, s)
                 if not lhs:
                     raise TheoremViolation("fixed_implies_weakly_fixed", lhs,

@@ -31,12 +31,12 @@ from .semigroup import _columns
 def _least_idempotents(action: FiniteAction) -> tuple:
     """Per carrier point x, the least idempotent m_x whose domain holds x:
     the meet of all such idempotents, since domains meet along products."""
-    slab = action.semigroup.slab
+    sg = action.semigroup
     least = [None] * action.points
-    for e in action.semigroup.idempotent_list():
+    for e in sg.idempotent_list():
         for x in action.edomains[e]:
             m = least[x]
-            least[x] = e if m is None else slab[m][e]
+            least[x] = e if m is None else sg.meets[m][e]
     return tuple(least)
 
 
@@ -203,16 +203,19 @@ def build_germ_groupoid(action: FiniteAction) -> GermGroupoid:
     """Quotient the defined (element, point) pairs by germ equivalence.
 
     Each pair (s, x) is keyed on the product s m_x (see the module
-    docstring), which holds for any validated action.  The representative
-    of a class is its first element in index order, so it is the smallest
-    pair of the class; arrows are sorted by (point, element).
+    docstring), which holds for any validated action; all those products
+    come from one gather of the slab at the columns of the m_x.  The
+    representative of a class is its first element in index order, so it
+    is the smallest pair of the class; arrows are sorted by (point,
+    element).
     """
     validate_action(action)
-    slab = action.semigroup.slab
+    sg = action.semigroup
     least = _least_idempotents(action)
+    products = sg.slab[:, [sg.column[m] for m in least]].tolist()
     key_of = {
-        (s, x): (x, slab[s][least[x]])
-        for s in action.semigroup.elements() for x in action.domain(s)
+        (s, x): (x, row[x])
+        for s, row in enumerate(products) for x in action.domain(s)
     }
     first = {}
     for (s, _), key in key_of.items():

@@ -3,21 +3,27 @@
 Elements are dense indices ``0..size-1``.  The analysis reads only a few
 kinds of product, each stored as a field: the involution s -> s*, the
 idempotents s*s and ss*, the products s e with an idempotent e (the
-slab, |S| x |E| cells), and the products s g with a generator g (the
-right Cayley graph).  A product e s is (s* e)*.  Every predicate in this
-package reduces to a finite scan of these and every theorem to an
-exhaustive check.  Both builders hand the constructor the involution,
-s*s and the Cayley graph; the slab, the block of products of arrow
-representatives that the groupoid axiom check reads, and the full
+slab), and the products s g with a generator g (the right Cayley graph).
+A product e s is (s* e)*.  The slab is one read-only C-contiguous int32
+array of shape (|S|, |E|): row s holds s e for every idempotent e, one
+column per idempotent in increasing index order, and ``column[e]`` is
+the column of e.  Every predicate in this package reduces to a finite
+scan of these and every theorem to an exhaustive check; the scans over
+all |S| |E| cells run as whole-array passes, the scans of ideals and
+covers read the meet table ``meets`` of the idempotents, and any other
+scalar read takes a row through ``.tolist()``.  Both builders hand the constructor the
+involution, s*s and the Cayley graph; the slab, the block of products of
+arrow representatives that the groupoid axiom check reads, and the full
 multiplication table are columns read off the graph by one routine,
 :func:`_columns`.  Nothing in the analysis or the identity harness
 fills the table; it remains, filled on first access, for readers
 outside them.
 
 Instances are immutable after construction and safe to share between
-threads; after ``__init__`` only the table and the caches of ``below``
-and ``fixed_idempotents`` fill, each with the one value its key
-determines.
+threads; after ``__init__`` only the table, the caches of ``below`` and
+``fixed_idempotents`` and the weakly fixed flags of
+:func:`~tightgroupoid.criteria.weakly_fixed` fill, each with the one
+value its key determines.
 """
 
 from __future__ import annotations
@@ -93,9 +99,17 @@ class InverseSemigroup:
         star: involution, ``star[s]`` is the unique generalized inverse.
         d: ``d[s]`` is the idempotent s*s, the domain of s.
         r: ``r[s]`` is the idempotent ss*, the range of s.
-        slab: ``slab[s]`` maps every idempotent e, in increasing index
-            order, to the product s e, which is s restricted to the domain
-            of e.  The conjugate s e s* is ``r[slab[s][e]]``.
+        slab: read-only C-contiguous int32 array of shape (|S|, |E|);
+            ``slab[s, column[e]]`` is the product s e, which is s
+            restricted to the domain of e, with the idempotents' columns
+            in increasing index order.  The conjugate s e s* is
+            ``r[slab[s, column[e]]]``.  Cells are NumPy integers: a value
+            that reaches a report goes through ``int`` or ``.tolist()``.
+        column: dict from each idempotent to its column of the slab.
+        meets: the meet table of the semilattice, ``meets[e][f]`` = e f
+            for idempotents e and f: the slab's rows at the idempotents,
+            as dicts, for the scans over ideals and covers that read
+            them cell by cell (|E|^2 cells, where the slab has |S| |E|).
         idempotents: frozenset of idempotent indices (the semilattice).
         generators: element indices whose closure under right
             multiplication by one another is the whole semigroup: every
@@ -129,14 +143,18 @@ class InverseSemigroup:
         self.idempotents = frozenset(self._idem_sorted)
         self.right = tuple(tuple(map(get, row)) for row in right)
         idem = self._idem_sorted
-        self.slab = tuple(
-            dict(zip(idem, map(get, row)))
-            for row in _columns(self.right, self.generators, idem).T.tolist())
+        self.column = {e: j for j, e in enumerate(idem)}
+        self.slab = np.ascontiguousarray(
+            _columns(self.right, self.generators, idem).T)
+        self.slab.flags.writeable = False
+        self.meets = {e: dict(zip(idem, row))
+                      for e, row in zip(idem, self.slab[list(idem)].tolist())}
         self._table = None
         self.element_names = tuple(element_names) if element_names else None
         self.partial_maps = tuple(partial_maps) if partial_maps else None
         self._below = {}
         self._fixed = {}
+        self._weakly_fixed = None
 
     @property
     def table(self) -> tuple:
@@ -155,7 +173,7 @@ class InverseSemigroup:
     def left(self, e: int, s: int) -> int:
         """The product e s of an idempotent e and any element s: in an
         inverse semigroup it is (s* e)*, read off the slab."""
-        return self.star[self.slab[self.star[s]][e]]
+        return self.star[self.slab[self.star[s], self.column[e]]]
 
     def name_of(self, s: int) -> str:
         if self.element_names is not None:
@@ -177,35 +195,36 @@ class InverseSemigroup:
 
     def nat_leq(self, s: int, t: int) -> bool:
         """Natural partial order: s <= t iff s = t s* s."""
-        return s == self.slab[t][self.d[s]]
+        return bool(self.slab[t, self.column[self.d[s]]] == s)
 
     def leq_e(self, e: int, f: int) -> bool:
         """Semilattice order on idempotents: e <= f iff e = ef."""
         self._require_idempotent(e)
         self._require_idempotent(f)
-        return self.slab[e][f] == e
+        return self.meets[e][f] == e
 
     def meet(self, e: int, f: int) -> int:
         """Greatest lower bound of two idempotents; equals their product."""
         self._require_idempotent(e)
         self._require_idempotent(f)
-        return self.slab[e][f]
+        return self.meets[e][f]
 
     def orthogonal(self, e: int, f: int) -> bool:
         """Two idempotents are orthogonal when their product is zero."""
         self._require_idempotent(e)
         self._require_idempotent(f)
-        return self.slab[e][f] == self.zero
+        return self.meets[e][f] == self.zero
 
     def intersects(self, e: int, f: int) -> bool:
         """Negation of orthogonality: the product is nonzero."""
         return not self.orthogonal(e, f)
 
     def below(self, e: int) -> tuple:
-        """Idempotents <= e, cached; the member tuple of the principal ideal."""
+        """Idempotents <= the idempotent e, cached; the member tuple of the
+        principal ideal."""
         got = self._below.get(e)
         if got is None:
-            got = tuple(f for f, ef in self.slab[e].items() if ef == f)
+            got = tuple(f for f, ef in self.meets[e].items() if ef == f)
             self._below[e] = got
         return got
 
@@ -220,7 +239,7 @@ class InverseSemigroup:
             if e not in self.idempotents:
                 raise NotAnIdeal(f"member {e} is not idempotent")
         for e in mem:
-            for f, ef in self.slab[e].items():
+            for f, ef in self.meets[e].items():
                 if ef not in mem:
                     raise NotAnIdeal(f"not downward closed: {e}*{f} escapes")
         return Ideal(mem)
@@ -233,10 +252,9 @@ class InverseSemigroup:
     def ideal_perp(self, ideal: Ideal) -> Ideal:
         """Idempotents orthogonal to every member of the given ideal."""
         mem = self._checked_members(ideal)
-        zero, slab = self.zero, self.slab
+        zero = self.zero
         out = []
-        for f in self._idem_sorted:
-            row = slab[f]
+        for f, row in self.meets.items():
             for e in mem:
                 if row[e] != zero:
                     break
@@ -265,10 +283,10 @@ class InverseSemigroup:
             self._require_idempotent(x)
         out = set(self._idem_sorted)
         for x in below:
-            row = self.slab[x]
+            row = self.meets[x]
             out = {f for f in out if row[f] == f}
         for y in apart:
-            row = self.slab[y]
+            row = self.meets[y]
             out = {f for f in out if row[f] == self.zero}
         return Ideal(frozenset(out))
 
@@ -281,7 +299,9 @@ class InverseSemigroup:
         """
         got = self._fixed.get(s)
         if got is None:
-            got = Ideal(frozenset(e for e, se in self.slab[s].items() if se == e))
+            got = Ideal(frozenset(e for e, se in zip(self._idem_sorted,
+                                                     self.slab[s].tolist())
+                                  if se == e))
             self._fixed[s] = got
         return got
 
@@ -295,11 +315,11 @@ class InverseSemigroup:
         if not self.idempotents.issuperset(cover):
             for c in cover:
                 self._require_idempotent(c)
-        zero, slab = self.zero, self.slab
+        zero, meets = self.zero, self.meets
         for f in members:
             if f == zero:
                 continue
-            row = slab[f]
+            row = meets[f]
             for c in cover:
                 if row[c] != zero:
                     break
@@ -332,7 +352,7 @@ class InverseSemigroup:
         nz = [f for f in sorted(mem) if f != self.zero]
         maximal = []
         for f in nz:
-            row = self.slab[f]
+            row = self.meets[f]
             for g in nz:
                 if row[g] == f and g != f:
                     break

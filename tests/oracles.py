@@ -457,7 +457,7 @@ def green_flags(sg):
     zero = sg.zero
     nonzero = [e for e in sg.idempotent_list() if e != zero]
     atoms = [e for e in nonzero
-             if all(sg.slab[e][f] in (zero, e) for f in nonzero)]
+             if all(sg.slab[e, sg.column[f]] in (zero, e) for f in nonzero)]
     uf = _UnionFind(sg.size)
     nontrivial = set()
     for s in sg.elements():
@@ -467,6 +467,158 @@ def green_flags(sg):
             nontrivial.add(e)
     return (not any(e in nontrivial for e in atoms),
             len({uf.find(e) for e in atoms}) == 1)
+
+
+# --------------------------- per-element loops behind the array passes
+
+def dict_slab(sg):
+    """The slab in its former layout: per element s, a dict from every
+    idempotent e, in index order, to s e."""
+    idem = sg.idempotent_list()
+    return tuple(dict(zip(idem, row)) for row in sg.slab.tolist())
+
+
+def per_pair_weakly_fixed(sg, slab, e, s):
+    """Whether e (below s*s) is weakly fixed under s, by the per-pair loop
+    over the nonzero f below e: each must meet its conjugate s f s*.
+    `slab` is :func:`dict_slab` of `sg`."""
+    from tightgroupoid.errors import PreconditionViolated
+
+    if e not in sg.idempotents or slab[e][sg.d[s]] != e:
+        raise PreconditionViolated(f"idempotent {e} does not lie below s*s for s={s}")
+    row, r = slab[s], sg.r
+    for f, ef in slab[e].items():
+        if ef != f or f == sg.zero:
+            continue
+        if slab[r[row[f]]][f] == sg.zero:
+            return False
+    return True
+
+
+def conjugator_scan(sg):
+    """Per nonzero idempotent f, a dict from each nonzero conjugate
+    s f s* to the first s giving it, filled in order of s."""
+    slab, r, zero = dict_slab(sg), sg.r, sg.zero
+    conjugators = {}
+    for f in sg.idempotent_list():
+        if f == zero:
+            continue
+        seen = {}
+        for s in sg.elements():
+            c = r[slab[s][f]]
+            if c != zero and c not in seen:
+                seen[c] = s
+        conjugators[f] = seen
+    return conjugators
+
+
+def dict_standard_action(spectrum):
+    """The maps of the standard action, point by point: s sends the point
+    of e, when e lies below s*s, to the point of s e s*; a conjugate that
+    is no point raises as the library does."""
+    from tightgroupoid.errors import TheoremViolation
+
+    sg = spectrum.semigroup
+    slab = dict_slab(sg)
+    index_of = {f.min: i for i, f in enumerate(spectrum.points)}
+    maps = {}
+    for s in sg.elements():
+        ss = sg.d[s]
+        row = slab[s]
+        out = []
+        for filt in spectrum.points:
+            if ss not in filt.members:
+                out.append(None)
+                continue
+            image = index_of.get(sg.r[row[filt.min]])
+            if image is None:
+                raise TheoremViolation(
+                    "tight_spectrum_invariance", True, False,
+                    f"element {s} pushes a tight filter outside the spectrum")
+            out.append(image)
+        maps[s] = tuple(out)
+    return maps
+
+
+def per_element_validate(action):
+    """The axioms of ``validate_action`` element by element, raising the
+    same exception first: zero and idempotents, covering, then per
+    element injectivity, inverse, domain and range, then composition
+    with each generator at each point."""
+    from tightgroupoid.errors import (
+        CompositionMismatch,
+        DomainNotCovering,
+        InvalidAction,
+        InverseMismatch,
+    )
+
+    sg = action.semigroup
+    maps = action.maps
+    if set(maps) != set(sg.elements()):
+        raise InvalidAction("maps must be indexed by every semigroup element")
+    if action.domain(sg.zero):
+        raise InvalidAction("zero must act as the empty map")
+    for e in sg.idempotents:
+        if any(maps[e][x] != x for x in action.edomains[e]):
+            raise InvalidAction(f"idempotent {e} does not act as the identity")
+    covered = set()
+    for e in sg.idempotents:
+        covered |= action.edomains[e]
+    if covered != set(range(action.points)):
+        raise DomainNotCovering("idempotent domains do not cover the carrier")
+    for s in sg.elements():
+        m = maps[s]
+        seen = {}
+        for x, y in enumerate(m):
+            if y is None:
+                continue
+            if y in seen:
+                raise InvalidAction(f"element {s} does not act injectively")
+            seen[y] = x
+        inv = maps[sg.star[s]]
+        expected = tuple(seen.get(x) for x in range(action.points))
+        if inv != expected:
+            raise InverseMismatch(s)
+        if action.domain(s) != action.edomains[sg.d[s]]:
+            raise InvalidAction(f"domain of {s} differs from the domain of s*s")
+        if frozenset(seen) != action.edomains[sg.r[s]]:
+            raise InvalidAction(f"range of {s} differs from the domain of ss*")
+    for s in sg.elements():
+        ms = maps[s]
+        for t, st in zip(sg.generators, sg.right[s]):
+            mt = maps[t]
+            mst = maps[st]
+            for x in range(action.points):
+                y = mt[x]
+                composite = ms[y] if y is not None else None
+                if composite != mst[x]:
+                    raise CompositionMismatch(s, t, x)
+
+
+def count_decide_cover(sg, meet_bits, candidates, members):
+    """The cover decision of the criteria by `first_uncovered` and a
+    greedy removal pass that counts, per member, the chosen candidates
+    meeting it; `meet_bits` is ignored, so this can stand in for the
+    library's bit-mask version."""
+    uncovered = sg.first_uncovered(candidates, members)
+    if uncovered is not None:
+        return uncovered, None
+    table = dict_slab(sg)
+    zero = sg.zero
+    live = [f for f in members if f != zero]
+    met = {c: [f for f in live if table[f][c] != zero] for c in candidates}
+    count = dict.fromkeys(live, 0)
+    for fs in met.values():
+        for f in fs:
+            count[f] += 1
+    kept = []
+    for c in sorted(candidates):
+        if all(count[f] > 1 for f in met[c]):
+            for f in met[c]:
+                count[f] -= 1
+        else:
+            kept.append(c)
+    return None, tuple(kept)
 
 
 # ------------------------------------------- general route (closure)
@@ -708,7 +860,7 @@ def search_easier_contraction(sg):
     search the library replaces with one scan at the least atom."""
     from tightgroupoid.criteria import CriterionResult
 
-    slab, d, r = sg.slab, sg.d, sg.r
+    slab, col, d, r = sg.slab, sg.column, sg.d, sg.r
     zero = sg.zero
     nz = sg.nonzero_idempotents()
     if not nz:
@@ -716,20 +868,20 @@ def search_easier_contraction(sg):
     per_e = {}
     for e in nz:
         found = None
-        row_e = slab[e]
+        row_e = slab[e].tolist()
         for s in sg.elements():
-            t = row_e[d[s]]
+            t = row_e[col[d[s]]]
             if t == zero:
                 continue
-            row_s = slab[s]
+            row_s = slab[s].tolist()
             for f1 in sg.below(t):
                 if f1 == zero:
                     continue
-                conj = r[row_s[f1]]
-                if slab[conj][f1] != conj:
+                conj = r[row_s[col[f1]]]
+                if slab[conj, col[f1]] != conj:
                     continue
                 for f0 in sg.below(f1):
-                    if f0 != zero and slab[sg.left(f0, s)][f1] == zero:
+                    if f0 != zero and slab[sg.left(f0, s), col[f1]] == zero:
                         found = (s, f0, f1)
                         break
                 if found:
@@ -807,22 +959,25 @@ def table_free_fields_mismatch(sg, table=None):
     :func:`checked_twin`; None when they all agree.  A table-built
     instance is compared against the `table` it was built from.
 
-    Compares the involution, the idempotents, s*s, ss*, every slab cell,
-    e s through `left`, every edge of `right`, and that the generators
-    reach every element by right multiplication.  Run it before anything
-    fills the table of `sg`, so that `left` reads the slab."""
+    Compares the involution, the idempotents, s*s, ss*, the slab's
+    columns and every slab cell, e s through `left`, every edge of
+    `right`, and that the generators reach every element by right
+    multiplication.  Run it before anything fills the table of `sg`, so
+    that `left` reads the slab."""
     ref, t = checked_twin(sg, table)
     if sg.star != ref.star:
         return "star"
     if sg.idempotents != {s for s in range(sg.size) if t[s][s] == s}:
         return "idempotents"
     idem = ref.idempotent_list()
+    if sg.column != {e: j for j, e in enumerate(idem)}:
+        return "column"
     for s in range(sg.size):
         if sg.d[s] != t[ref.star[s]][s]:
             return f"d[{s}]"
         if sg.r[s] != t[s][ref.star[s]]:
             return f"r[{s}]"
-        if list(sg.slab[s].items()) != [(e, t[s][e]) for e in idem]:
+        if sg.slab[s].tolist() != [t[s][e] for e in idem]:
             return f"slab[{s}]"
         if any(sg.left(e, s) != t[e][s] for e in idem):
             return f"left at {s}"

@@ -177,7 +177,8 @@ def contracting_fake():
                              right=[(0, 0, 0, 0), (0, 1, 0, 0), (0, 2, 0, 0),
                                     (0, 3, 0, 0)])
     assert sg.idempotents == {0, 1} and sg.r == (0, 1, 1, 0)
-    assert sg.slab == ({0: 0, 1: 0}, {0: 0, 1: 1}, {0: 0, 1: 2}, {0: 0, 1: 3})
+    assert sg.column == {0: 0, 1: 1}
+    assert sg.slab.tolist() == [[0, 0], [0, 1], [0, 2], [0, 3]]
     return sg
 
 

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 import tightgroupoid as tg
 from tightgroupoid import cli, report
@@ -207,3 +211,23 @@ def test_cli_undecodable_input(tmp_path, capsys):
 def test_cli_rejects_negative_counts(capsys):
     assert cli.run_cli(["analyze", "--corpus", "-1"]) == 2
     assert "--corpus must be at least 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [["--corpus", "20", "--seed", "7"],
+                                  ["--fixture", "In(3)"]])
+def test_cli_stops_quietly_when_stdout_closes(args):
+    # stdout is a pipe whose reader has already gone, as when the output
+    # is piped into `head -1`: the first write fails, and the run must end
+    # with exit 0 and nothing on stderr, not a BrokenPipeError traceback
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    try:
+        done = subprocess.run([sys.executable, "-m", "tightgroupoid.cli", "analyze", *args],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env,
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (0, b"")
