@@ -114,11 +114,13 @@ def validate_action(action: FiniteAction) -> None:
     cut checks the same condition as all pairs, and a failure still names
     a concrete triple (s, g, x).
 
-    The checks per element (injectivity, inverse, domain, range) and the
-    composition check compare whole arrays of the maps at once.  A
-    failure raises what a scan element by element would: the first
-    failing check of the lowest failing element, in that order, then the
-    first (s, g, x) whose composite differs.
+    The checks per element (injectivity, inverse, domain, range) compare
+    whole arrays of the maps at once.  The composition check compares
+    blocks of elements, each holding at most |S| times the points cells
+    (or 4096) whatever the number of generators.  A failure raises what a
+    scan element by element would: the first failing check of the lowest
+    failing element, in that order, then the first (s, g, x) whose
+    composite differs.
     """
     if action._validated:
         return
@@ -161,12 +163,17 @@ def validate_action(action: FiniteAction) -> None:
             raise InvalidAction(f"domain of {s} differs from the domain of s*s")
         raise InvalidAction(f"range of {s} differs from the domain of ss*")
 
-    # (s, j, x): s after generator j at x, against s g_j at x
-    differs = padded[:, m[np.array(sg.generators)]] != m[np.array(sg.right)]
-    if differs.any():
-        s, rest = divmod(int(differs.argmax()), differs[0].size)
-        j, x = divmod(rest, points)
-        raise CompositionMismatch(s, sg.generators[j], x)
+    # (s, j, x): s after generator j at x, against s g_j at x, over blocks
+    # of elements holding at most |S| times the points cells, or 4096
+    gen_maps = m[np.array(sg.generators)]
+    right = np.array(sg.right)
+    step = max(1, max(n * points, 4096) // gen_maps.size)
+    for lo in range(0, n, step):
+        differs = padded[lo:lo + step, gen_maps] != m[right[lo:lo + step]]
+        if differs.any():
+            s, rest = divmod(int(differs.argmax()), differs[0].size)
+            j, x = divmod(rest, points)
+            raise CompositionMismatch(lo + s, sg.generators[j], x)
     action._validated = True
 
 

@@ -120,6 +120,16 @@ def _meet_bits(sg: InverseSemigroup) -> dict:
     return dict(zip(idem, _row_bits(sg.slab[list(idem)] != sg.zero)))
 
 
+def _column_bits(sg: InverseSemigroup, idempotents) -> int:
+    """One integer with bit ``column[f]`` set for each idempotent f of
+    `idempotents`."""
+    column = sg.column
+    bits = 0
+    for f in idempotents:
+        bits |= 1 << column[f]
+    return bits
+
+
 def _minimize_cover(sg, meet_bits, candidates, ideal_members):
     """Greedy removal pass over a cover of the ideal; keeps the witness
     small for readability, correctness never depends on the result being
@@ -132,11 +142,7 @@ def _minimize_cover(sg, meet_bits, candidates, ideal_members):
     candidate meets as bits (from :func:`_meet_bits`), the test is one
     mask against the union of the kept ones and a suffix union.
     """
-    column, zero = sg.column, sg.zero
-    member_bits = 0
-    for f in ideal_members:
-        if f != zero:
-            member_bits |= 1 << column[f]
+    member_bits = _column_bits(sg, ideal_members) & ~(1 << sg.column[sg.zero])
     order = sorted(candidates)
     hits = [meet_bits[c] & member_bits for c in order]
     after = []                        # after[i]: union of the hits past i
@@ -159,10 +165,8 @@ def _decide_cover(sg, meet_bits, candidates, members):
     `members`: the first nonzero member they leave uncovered and None, or
     None and the cover trimmed by :func:`_minimize_cover`.  `meet_bits` is
     :func:`_meet_bits` of the instance."""
-    column, zero = sg.column, sg.zero
-    cover = 0
-    for c in candidates:
-        cover |= 1 << column[c]
+    zero = sg.zero
+    cover = _column_bits(sg, candidates)
     for f in members:
         if f != zero and not meet_bits[f] & cover:
             return f, None
@@ -235,30 +239,43 @@ def minimal_criterion(sg: InverseSemigroup) -> CriterionResult:
     Outer covers are monotone, so some finite subfamily works exactly
     when the full family does; a small subfamily is extracted afterwards
     as the witness.  f enters only through the set of its conjugates, so
-    each e is decided once per distinct conjugate set.
+    each distinct conjugate set is turned once into the column bits of
+    the idempotents it meets, and each e is decided against those bits:
+    the first member of the ideal below e that they miss is uncovered.
+    The witness covers are trimmed only when no pair fails.
     """
     nz = sg.nonzero_idempotents()
     conjugators = _conjugators(sg)
     conjugate_sets = {f: frozenset(seen) for f, seen in conjugators.items()}
     meet_bits = _meet_bits(sg)
+    idem, column = sg.idempotent_list(), sg.column
+    met = {}                          # conjugate set -> bits of what it meets
+    for cands in conjugate_sets.values():
+        if cands not in met:
+            mask = _column_bits(sg, cands)
+            met[cands] = _column_bits(sg, (f for f in idem if meet_bits[f] & mask))
+    nonzero = ~(1 << column[sg.zero])
     failures = []
+    for e in nz:
+        below = _column_bits(sg, sg.below(e)) & nonzero
+        for f in nz:
+            missed = below & ~met[conjugate_sets[f]]
+            if missed:
+                uncovered = idem[(missed & -missed).bit_length() - 1]
+                failures.append({"e": e, "f": f, "uncovered": uncovered})
+    if failures:
+        return CriterionResult(False, witness={"failures": failures})
     witnesses = {}
     for e in nz:
         below = sg.below(e)
-        decided = {}
+        trimmed = {}
         for f in nz:
             cands = conjugate_sets[f]
-            got = decided.get(cands)
-            if got is None:
-                got = decided[cands] = _decide_cover(sg, meet_bits, cands, below)
-            uncovered, small = got
-            if uncovered is not None:
-                failures.append({"e": e, "f": f, "uncovered": uncovered})
-            else:
-                seen = conjugators[f]
-                witnesses[(e, f)] = tuple((c, seen[c]) for c in small)
-    if failures:
-        return CriterionResult(False, witness={"failures": failures})
+            small = trimmed.get(cands)
+            if small is None:
+                small = trimmed[cands] = _minimize_cover(sg, meet_bits, cands, below)
+            seen = conjugators[f]
+            witnesses[(e, f)] = tuple((c, seen[c]) for c in small)
     return CriterionResult(True, witness={"conjugate_covers": witnesses})
 
 

@@ -9,11 +9,19 @@ Two shapes are accepted after a `semigroup <name>` header:
 `#` starts a comment, blank lines are skipped.  The parser reports line
 and column exactly; semantic validation beyond counts and index ranges
 (injectivity, the semigroup axioms) happens at build time, not here.
+Integers are an optional ``-`` and ASCII digits.  Table rows are checked
+one by one for their token count and for ASCII digits, and then
+converted together, by digit arithmetic over the bytes of one body, into
+an n x n array that is range-checked at once; a row that fails a check
+is read again token by token, so every error names the line and column
+of the first bad token, in row order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DslRangeError, DslSyntaxError, DuplicateName
 from .semigroup import InverseSemigroup, from_partial_maps, from_table
@@ -98,20 +106,64 @@ def _parse_table(name, decl, rest):
     if len(rest) != n:
         where = rest[-1][0] if rest else ln
         raise DslSyntaxError(where, 1, f"{n} table rows")
-    rows = []
+    table = _table_entries(rest, n)
+    return SemigroupSpec(name, "table", size=n, zero=zero,
+                         rows=tuple(tuple(row.tolist()) for row in table))
+
+
+def _table_entries(rest, n):
+    """The n rows of a table as an n x n int32 array, converted in
+    whole-body passes.
+
+    Each row gets the token count check and one ASCII-digit check of its
+    joined tokens.  Then every row, up to the first with a wrong count, is
+    joined into one body, and :func:`_digit_values` converts all its
+    tokens at once.  A row that fails the digit check, or the range check
+    of the converted entries, is read token by token by
+    :func:`_row_entries`, which raises at its first bad entry; the rows
+    are taken in order, so the first failing row raises what reading row
+    by row would.
+    """
+    joined, odd = [], []         # rows as text; rows to read one by one
     for row_line in rest:
         rtoks = row_line[2]
-        if len(rtoks) != n:
-            raise DslSyntaxError(*_at(row_line, 0), f"{n} entries in the row")
+        if len(rtoks) != n:          # raises in its turn below
+            odd.append(len(joined))
+            break
         digits = "".join(rtoks)      # one check for the whole row
-        try:
-            row = digits.isascii() and digits.isdigit() and tuple(map(int, rtoks))
-        except ValueError:      # an entry past int()'s limit on digits
-            row = None
-        if not row or max(row) >= n:
-            row = _row_entries(row_line, n)
-        rows.append(row)
-    return SemigroupSpec(name, "table", size=n, zero=zero, rows=tuple(rows))
+        if not (digits.isascii() and digits.isdigit()):
+            odd.append(len(joined))
+        joined.append(" ".join(rtoks))
+    table = _digit_values(" ".join(joined), len(str(n - 1)))
+    table = table.reshape(len(joined), n)
+    far = np.flatnonzero((table >= n).any(axis=1)).tolist()
+    for i in sorted(set(odd + far)):
+        row_line = rest[i]
+        if len(row_line[2]) != n:
+            raise DslSyntaxError(*_at(row_line, 0), f"{n} entries in the row")
+        table[i] = _row_entries(row_line, n)
+    return table
+
+
+def _digit_values(body, w):
+    """The space-separated tokens of `body` as an int32 array, by digit
+    arithmetic on its UTF-8 bytes.  A token of ASCII digits and at most
+    `w` (under 10) characters gets its value and a longer one 10 ** w;
+    any other token gets a value that means nothing."""
+    raw = np.frombuffer(body.encode(), dtype=np.uint8)
+    if not raw.size:
+        return np.zeros(0, dtype=np.int32)
+    ends = np.append(np.flatnonzero(raw == ord(" ")), len(raw)).astype(np.int32)
+    lengths = np.diff(ends, prepend=np.int32(-1)) - 1
+    digit = raw - np.uint8(ord("0"))
+    values = np.zeros(len(ends), dtype=np.int32)
+    # the k-th character from each token's end; an index before the body
+    # wraps and is masked, and the body has at least w bytes
+    for k in range(w, 0, -1):
+        values *= 10
+        values += np.where(lengths >= k, digit[ends - k], 0)
+    values[lengths > w] = 10 ** w
+    return values
 
 
 def _row_entries(row_line, n):

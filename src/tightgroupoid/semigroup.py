@@ -382,7 +382,11 @@ def from_table(table: Sequence[Sequence[int]], zero: int,
     Checks associativity, the absorbing zero, and existence of a unique
     generalized inverse for every element; the involution and the
     idempotent set are computed, not supplied, since a supplied involution
-    would need the same validation anyway.
+    would need the same validation anyway.  The rows, of any integer
+    sequence or array type, are converted once into an array: rows up to
+    the first of the wrong length are range-checked as one array, and the
+    first entry out of range in row order, or else that row, raises
+    :class:`DegreeMismatch`.
 
     Associativity is decided by Light's test against a generating set
     (Clifford & Preston, *The Algebraic Theory of Semigroups* I, 1.2).
@@ -401,27 +405,40 @@ def from_table(table: Sequence[Sequence[int]], zero: int,
     before the test runs: a semilattice of n - 1 orthogonal atoms has
     n - 1 generators and costs O(n^3).
     """
-    rows = [tuple(map(int, row)) for row in table]
-    n = len(rows)
+    n = len(table)
     if n < 1:
         raise NoZero("empty multiplication table")
-    for row in rows:
-        if len(row) != n:
-            raise DegreeMismatch(f"table is not {n}x{n}")
-        if min(row) < 0 or max(row) >= n:
-            v = next(v for v in row if not 0 <= v < n)
-            raise DegreeMismatch(f"table entry {v} out of range 0..{n - 1}")
+    square = next((i for i, row in enumerate(table) if len(row) != n), n)
+    try:
+        m = np.array(table[:square], dtype=np.int64).reshape(square, n)
+    except OverflowError:            # an entry past int64, out of range below
+        m = np.array(table[:square], dtype=object).reshape(square, n)
+    bad = np.flatnonzero((m < 0) | (m >= n))
+    if bad.size:
+        raise DegreeMismatch(f"table entry {m.flat[bad[0]]} out of range 0..{n - 1}")
+    if square < n:
+        raise DegreeMismatch(f"table is not {n}x{n}")
     if not isinstance(zero, int) or not 0 <= zero < n:
         raise NoZero(f"zero index {zero!r} out of range")
     if element_names is not None and len(element_names) != n:
         raise DegreeMismatch("element_names length does not match the table")
-    return _checked(np.array(rows, dtype=np.int32), zero, element_names)
+    return _checked(m.astype(np.int32), zero, element_names)
+
+
+# Elements per block of the unique-inverse search in `_checked`: its
+# transient arrays hold a few blocks of this many rows of the table.
+INVERSE_BLOCK_ROWS = 64
 
 
 def _checked(m: np.ndarray, zero: int, element_names=None) -> InverseSemigroup:
     """The axiom checks of :func:`from_table` on a square int32 table `m`
     whose entries and zero are in range; the instance keeps its involution,
-    s*s and the columns of its generators, not the table."""
+    s*s and the columns of its generators, not the table.
+
+    The inverse s* is the unique t with (s t) s = s and (t s) t = t.  It
+    is searched over blocks of `INVERSE_BLOCK_ROWS` elements s, each
+    block comparing both products for every t at once; the lowest s with
+    no such t, or with more than one, raises."""
     n = len(m)
     gens = _right_generators(m)
     if n * n * len(gens) > MAX_TABLE_WORK:
@@ -437,16 +454,21 @@ def _checked(m: np.ndarray, zero: int, element_names=None) -> InverseSemigroup:
     del lhs, rhs
 
     ar = np.arange(n, dtype=np.int32)
-    star = []
-    for s in range(n):
-        sts = m[m[s], s]          # over t: (s t) s
-        tst = m[m[:, s], ar]      # over t: (t s) t
-        cand = np.flatnonzero((sts == s) & (tst == ar))
-        if cand.size == 0:
-            raise InverseMissing(s)
-        if cand.size > 1:
-            raise InverseNotUnique(s)
-        star.append(int(cand[0]))
+    star = np.empty(n, dtype=np.int32)
+    for lo in range(0, n, INVERSE_BLOCK_ROWS):
+        s = ar[lo:lo + INVERSE_BLOCK_ROWS]
+        ts = m[:, s].T                                    # (s, t) -> t s
+        sts = np.take_along_axis(ts, m[s], axis=1)        # (s, t) -> (s t) s
+        tst = m[ts, ar]                                   # (s, t) -> (t s) t
+        both = (sts == s[:, None]) & (tst == ar)
+        count = both.sum(axis=1)
+        if (count != 1).any():
+            i = int(np.argmax(count != 1))
+            if count[i] == 0:
+                raise InverseMissing(lo + i)
+            raise InverseNotUnique(lo + i)
+        star[s] = both.argmax(axis=1)
+    star = star.tolist()
 
     bad = np.flatnonzero((m[zero] != zero) | (m[:, zero] != zero))
     if bad.size:

@@ -621,6 +621,161 @@ def count_decide_cover(sg, meet_bits, candidates, members):
     return None, tuple(kept)
 
 
+def pairwise_minimal_criterion(sg):
+    """The minimal criterion deciding each e against each distinct
+    conjugate set by :func:`count_decide_cover`, the trimmed cover with
+    it, over :func:`conjugator_scan`: the library turns each conjugate
+    set into bits once and trims covers only when no pair fails."""
+    from tightgroupoid.criteria import CriterionResult
+
+    conjugators = conjugator_scan(sg)
+    nz = sg.nonzero_idempotents()
+    failures, witnesses = [], {}
+    for e in nz:
+        below = sg.below(e)
+        decided = {}
+        for f in nz:
+            cands = frozenset(conjugators[f])
+            if cands not in decided:
+                decided[cands] = count_decide_cover(sg, None, cands, below)
+            uncovered, small = decided[cands]
+            if uncovered is not None:
+                failures.append({"e": e, "f": f, "uncovered": uncovered})
+            else:
+                witnesses[(e, f)] = tuple((c, conjugators[f][c]) for c in small)
+    if failures:
+        return CriterionResult(False, witness={"failures": failures})
+    return CriterionResult(True, witness={"conjugate_covers": witnesses})
+
+
+# ------------------------------------- table input, row by row and per element
+
+def row_by_row_parse_spec(text):
+    """``parse_spec`` with a table read one row at a time: each row's
+    tokens through ``int`` after one ASCII-digit check of the joined row,
+    and a row that fails it, or holds an entry of n or more, read token by
+    token, its first bad entry raising.  Texts of any other shape go to
+    ``parse_spec``."""
+    from tightgroupoid.dsl import SemigroupSpec, _at, _lines, parse_spec
+    from tightgroupoid.errors import DslRangeError, DslSyntaxError
+
+    def int_token(where, i, what):
+        tok = where[2][i]
+        digits = tok[1:] if tok[:1] == "-" else tok
+        if digits.isascii() and digits.isdigit():
+            try:
+                return int(tok)
+            except ValueError:      # past int()'s limit on decimal digits
+                pass
+        raise DslSyntaxError(*_at(where, i), f"an integer {what}")
+
+    lines = _lines(text)
+    if len(lines) < 2 or lines[0][2][:1] != ["semigroup"] or len(lines[0][2]) != 2 \
+            or lines[1][2][0] != "table":
+        return parse_spec(text)
+    name, decl, rest = lines[0][2][1], lines[1], lines[2:]
+    ln, _, toks = decl
+    if len(toks) != 4 or toks[2] != "zero":
+        raise DslSyntaxError(*_at(decl, 0), "'table <n> zero <k>'")
+    n = int_token(decl, 1, "size")
+    zero = int_token(decl, 3, "zero index")
+    if n < 1:
+        raise DslRangeError(*_at(decl, 1), "size must be at least 1")
+    if not 0 <= zero < n:
+        raise DslRangeError(*_at(decl, 3), f"zero index {zero} outside 0..{n - 1}")
+    if len(rest) != n:
+        where = rest[-1][0] if rest else ln
+        raise DslSyntaxError(where, 1, f"{n} table rows")
+    rows = []
+    for row_line in rest:
+        rtoks = row_line[2]
+        if len(rtoks) != n:
+            raise DslSyntaxError(*_at(row_line, 0), f"{n} entries in the row")
+        digits = "".join(rtoks)
+        try:
+            row = digits.isascii() and digits.isdigit() and tuple(map(int, rtoks))
+        except ValueError:
+            row = None
+        if not row or max(row) >= n:
+            row = []
+            for i in range(len(rtoks)):
+                v = int_token(row_line, i, "table entry")
+                if not 0 <= v < n:
+                    raise DslRangeError(*_at(row_line, i), f"entry {v} outside 0..{n - 1}")
+                row.append(v)
+            row = tuple(row)
+        rows.append(row)
+    return SemigroupSpec(name, "table", size=n, zero=zero, rows=tuple(rows))
+
+
+def per_element_inverses(m):
+    """The involution of a square table `m`, element by element: s* is
+    the unique t with (s t) s = s and (t s) t = t, and the first s with
+    none, or with more than one, raises."""
+    import numpy as np
+
+    from tightgroupoid.errors import InverseMissing, InverseNotUnique
+
+    ar = np.arange(len(m), dtype=np.int32)
+    star = []
+    for s in range(len(m)):
+        sts = m[m[s], s]          # over t: (s t) s
+        tst = m[m[:, s], ar]      # over t: (t s) t
+        cand = np.flatnonzero((sts == s) & (tst == ar))
+        if cand.size == 0:
+            raise InverseMissing(s)
+        if cand.size > 1:
+            raise InverseNotUnique(s)
+        star.append(int(cand[0]))
+    return star
+
+
+def per_row_from_table(table, zero, element_names=None):
+    """``from_table`` with its input read row by row through ``int`` and
+    checked row by row, a short or long row or an entry out of range
+    raising in row order, and the inverses found by
+    :func:`per_element_inverses`; the other axiom checks run as the
+    library runs them."""
+    import numpy as np
+
+    from tightgroupoid import semigroup
+    from tightgroupoid.errors import CapExceeded, DegreeMismatch, NotAssociative, NoZero, \
+        ZeroNotAbsorbing
+
+    rows = [tuple(map(int, row)) for row in table]
+    n = len(rows)
+    if n < 1:
+        raise NoZero("empty multiplication table")
+    for row in rows:
+        if len(row) != n:
+            raise DegreeMismatch(f"table is not {n}x{n}")
+        if min(row) < 0 or max(row) >= n:
+            v = next(v for v in row if not 0 <= v < n)
+            raise DegreeMismatch(f"table entry {v} out of range 0..{n - 1}")
+    if not isinstance(zero, int) or not 0 <= zero < n:
+        raise NoZero(f"zero index {zero!r} out of range")
+    if element_names is not None and len(element_names) != n:
+        raise DegreeMismatch("element_names length does not match the table")
+    m = np.array(rows, dtype=np.int32)
+    gens = semigroup._right_generators(m)
+    if n * n * len(gens) > semigroup.MAX_TABLE_WORK:
+        raise CapExceeded(f"table of {n} elements with {len(gens)} generators "
+                          f"needs {n * n * len(gens)} associativity checks, "
+                          f"over the cap of {semigroup.MAX_TABLE_WORK}")
+    for g in gens:
+        lhs, rhs = m[m[:, g], :], m[:, m[g]]
+        if not np.array_equal(lhs, rhs):
+            x, y = map(int, np.argwhere(lhs != rhs)[0])
+            raise NotAssociative(x, g, y)
+    star = per_element_inverses(m)
+    bad = np.flatnonzero((m[zero] != zero) | (m[:, zero] != zero))
+    if bad.size:
+        raise ZeroNotAbsorbing(int(bad[0]))
+    ar = np.arange(n)
+    return semigroup.InverseSemigroup(zero, star, gens, m[star, ar].tolist(),
+                                      m[:, gens].tolist(), element_names)
+
+
 # ------------------------------------------- general route (closure)
 
 def two_sided_closure(degree, gens, max_size=None):

@@ -1,7 +1,7 @@
 """The whole-instance array passes over the slab against the per-element
 loops they replace, kept in `oracles`: the weakly fixed flags, the
-conjugators of the minimal criterion, the maps of the standard action and
-the action checks, values and order included."""
+conjugators and cover decisions of the minimal criterion, the maps of the
+standard action and the action checks, values and order included."""
 
 from __future__ import annotations
 
@@ -61,14 +61,14 @@ def test_array_passes_match_per_element_loops(monkeypatch):
         assert ordered(criteria._conjugators(sg)) == \
             ordered(oracles.conjugator_scan(sg)), name
 
-        # both criteria, with the loops patched in for the passes and the
-        # bit-mask cover decisions
+        # both criteria: the top-free one with the loops patched in for
+        # the pass and the bit-mask cover decisions, the minimal one
+        # against its pair by pair oracle
         with monkeypatch.context() as mp:
             mp.setattr(criteria, "weakly_fixed",
                        lambda sg_, e, s: oracles.per_pair_weakly_fixed(sg_, slab, e, s))
-            mp.setattr(criteria, "_conjugators", oracles.conjugator_scan)
             mp.setattr(criteria, "_decide_cover", oracles.count_decide_cover)
-            want = [criteria.top_free_criterion(sg), criteria.minimal_criterion(sg)]
+            want = [criteria.top_free_criterion(sg), oracles.pairwise_minimal_criterion(sg)]
         got = [criteria.top_free_criterion(sg), criteria.minimal_criterion(sg)]
         for g, w in zip(got, want):
             assert (g.value, ordered(g.witness)) == (w.value, ordered(w.witness)), name

@@ -4,7 +4,9 @@ Texts start generator shaped or table shaped, valid or not, and are then
 mutated or truncated.  Each goes through ``parse_spec``, then
 ``build_semigroup`` under the builders' size caps, then ``analyze FILE``:
 nothing but a TightGroupoidError may escape the first two, and the
-command must end in exit 0, 1 or 2 (3 would be a verdict mismatch).
+command must end in exit 0, 1 or 2 (3 would be a verdict mismatch).  The
+mutated table texts must also parse as the row by row reader of
+`oracles` parses them, to the same spec or the same error.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ import tightgroupoid as tg
 from tightgroupoid import cli
 from tightgroupoid.dsl import SemigroupSpec, build_semigroup, format_spec, parse_spec
 from tightgroupoid.errors import TightGroupoidError
+
+import oracles
 
 
 def table_text(name):
@@ -56,7 +60,7 @@ def random_table_texts(draw):
 
 TOKENS = ("0", "1", "2", "3", "_", "-1", "99", "x", "#", "=", "gen", "table",
           "zero", "points", "semigroup", "\n", " ", "\t", "\x00", "é", "1e3",
-          "0x1", "1_0", "٣")
+          "0x1", "1_0", "٣", "+1", "-0", "1.0", "007", "\u00a0")
 
 
 @st.composite
@@ -87,11 +91,20 @@ def mutated(draw, base):
     return text
 
 
-isg_texts = st.one_of(
-    mutated(generator_texts()),
+table_texts = st.one_of(
     mutated(random_table_texts()),
     mutated(st.sampled_from(TABLE_TEXTS)),
 )
+isg_texts = st.one_of(mutated(generator_texts()), table_texts)
+
+
+def outcome(call, *args):
+    """What `call` returns, or the class, message, line and column of the
+    TightGroupoidError it raises."""
+    try:
+        return call(*args)
+    except TightGroupoidError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "col", None)
 
 
 def run_input_path(text):
@@ -114,6 +127,12 @@ def run_input_path(text):
 @given(text=isg_texts)
 def test_fuzzed_input_ends_in_a_clean_exit(text):
     run_input_path(text)
+
+
+@settings(deadline=None)
+@given(text=table_texts)
+def test_fuzzed_tables_parse_as_the_row_reader(text):
+    assert outcome(parse_spec, text) == outcome(oracles.row_by_row_parse_spec, text)
 
 
 def test_unmutated_bases_analyze():

@@ -1,0 +1,197 @@
+"""Table input through the whole-array passes against the row by row and
+per-element readings kept in `oracles`: ``parse_spec`` on table texts,
+``from_table`` on tables of every container type, and the unique-inverse
+search over blocks of rows.  Each pair must give the same spec or
+instance, or the same error with the same message, line and column."""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from tightgroupoid import semigroup
+from tightgroupoid.dsl import SemigroupSpec, format_spec, parse_spec
+from tightgroupoid.errors import InverseMissing, InverseNotUnique
+
+import oracles
+from test_families import TABLE_FAMILIES
+from test_input_fuzz import TABLE_TEXTS, outcome
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import brandt_text  # noqa: E402
+
+
+def family_text(name):
+    (table, zero), _, _ = TABLE_FAMILIES[name]
+    return format_spec(SemigroupSpec(name, "table", size=len(table), zero=zero,
+                                     rows=tuple(map(tuple, table))))
+
+
+def fields(sg):
+    """Everything an instance keeps, as comparable values."""
+    return (sg.size, sg.zero, sg.star, sg.d, sg.r, sg.generators, sg.right,
+            sg.idempotents, sg.column, sg.slab.tolist(), sg.element_names)
+
+
+def built(build, *args):
+    got = outcome(build, *args)
+    return fields(got) if isinstance(got, semigroup.InverseSemigroup) else got
+
+
+TEXTS = (*TABLE_TEXTS, *map(family_text, sorted(TABLE_FAMILIES)), brandt_text(15))
+
+
+@pytest.mark.parametrize("text", TEXTS, ids=lambda t: t.split("\n", 1)[0])
+def test_table_texts_read_and_build_as_row_by_row(text):
+    spec = parse_spec(text)
+    assert spec == oracles.row_by_row_parse_spec(text)
+    assert all(type(v) is int for row in spec.rows for v in row)
+    assert built(semigroup.from_table, spec.rows, spec.zero) == \
+        built(oracles.per_row_from_table, spec.rows, spec.zero)
+
+
+# B4: 17 elements, so entries run to two digits
+B4_ROWS = [line.split() for line in brandt_text(4).splitlines()[2:]]
+N = len(B4_ROWS)
+ODD_TOKENS = ("-0", "-1", "+1", "1.0", "1e2", "0x1", "0_1", "١", str(N),
+              "9" * 5000, "0" * 4999 + "1", "07", "007", "99")
+
+
+def b4_text(rows, sep=" "):
+    return "\n".join(["semigroup b4", f"table {N} zero 0",
+                      *(sep.join(row) for row in rows)]) + "\n"
+
+
+def with_token(rows, r, c, token):
+    rows = [list(row) for row in rows]
+    rows[r][c] = token
+    return rows
+
+
+def same_reading(text):
+    got = outcome(parse_spec, text)
+    assert got == outcome(oracles.row_by_row_parse_spec, text)
+    return got
+
+
+@pytest.mark.parametrize("token", ODD_TOKENS)
+def test_odd_entries_read_as_row_by_row(token):
+    raised = 0
+    for r, c in ((0, 0), (0, N - 1), (7, 3), (N - 1, N - 1)):
+        got = same_reading(b4_text(with_token(B4_ROWS, r, c, token)))
+        raised += isinstance(got, tuple)
+        # a later bad row never hides an earlier one, nor the reverse
+        for r2 in (0, 7, N - 1):
+            if r2 != r:
+                rows = with_token(with_token(B4_ROWS, r, c, token), r2, 1, str(N + 3))
+                assert isinstance(same_reading(b4_text(rows)), tuple)
+    assert raised == (0 if token in ("-0", "07", "007") else 4)
+
+
+def test_odd_rows_read_as_row_by_row():
+    short = [list(row) for row in B4_ROWS]
+    del short[5][-1]
+    long = [list(row) for row in B4_ROWS]
+    long[5].append("0")
+    for rows in (short, long):
+        assert isinstance(same_reading(b4_text(rows)), tuple)
+        assert isinstance(same_reading(b4_text(with_token(rows, 2, 0, "x"))), tuple)
+        assert isinstance(same_reading(b4_text(with_token(rows, 9, 0, "x"))), tuple)
+    # str.split() splits at a non-ASCII space as at any other whitespace
+    spaced = same_reading(b4_text(B4_ROWS, sep="\u2003"))
+    assert spaced == same_reading(b4_text(B4_ROWS, sep=" \u00a0"))
+    assert spaced == parse_spec(b4_text(B4_ROWS))
+
+
+def b4_table():
+    return [[int(v) for v in row] for row in B4_ROWS]
+
+
+def containers(rows):
+    """`rows` as lists, tuples and the arrays that hold its entries."""
+    yield "lists", [list(row) for row in rows]
+    yield "tuples", tuple(map(tuple, rows))
+    top = max(map(max, rows))
+    if top < 2 ** 63:
+        yield "rows of arrays", [np.array(row, dtype=np.int64) for row in rows]
+        yield "int64", np.array(rows, dtype=np.int64)
+    if top < 2 ** 31:
+        yield "int32", np.array(rows, dtype=np.int32)
+
+
+def test_from_table_containers_build_as_row_by_row():
+    want = fields(oracles.per_row_from_table(b4_table(), 0))
+    for kind, table in containers(b4_table()):
+        assert built(semigroup.from_table, table, 0) == want, kind
+
+
+@pytest.mark.parametrize("value", (-1, N, N + 5, 2 ** 40, 2 ** 70))
+def test_from_table_out_of_range_entries_fail_as_row_by_row(value):
+    for r, c in ((0, 0), (6, 11), (N - 1, N - 1)):
+        rows = b4_table()
+        rows[r][c] = value
+        for kind, table in containers(rows):
+            got = built(semigroup.from_table, table, 0)
+            assert isinstance(got, tuple) and str(value) in got[1], kind
+            assert got == built(oracles.per_row_from_table, table, 0), kind
+
+
+def test_from_table_ragged_rows_fail_as_row_by_row():
+    for r in (0, 6, N - 1):
+        for cut in (-1, 1):
+            rows = b4_table()
+            rows[r] = rows[r][:cut] if cut < 0 else rows[r] + [0]
+            cases = [rows]
+            for r2 in (0, 6, N - 1):         # an entry out of range, before or after
+                if r2 != r:
+                    bad = [list(row) for row in rows]
+                    bad[r2][0] = N
+                    cases.append(bad)
+            for table in cases:
+                for kind in (list, tuple):
+                    got = built(semigroup.from_table, kind(map(kind, table)), 0)
+                    assert isinstance(got, tuple), (r, cut)
+                    assert got == built(oracles.per_row_from_table, table, 0), (r, cut)
+
+
+def parts_table(kinds):
+    """The 0-direct union of parts, one per letter of `kinds` after the
+    zero 0: 'a' an idempotent atom, 'n' a null element, whose products
+    are all 0 (no inverse), and 'l' with the 'r' after it a left-zero
+    pair, x y = x on the pair (two inverses each).  Products across parts
+    are 0, so the table is associative and only its inverses can fail."""
+    n = len(kinds) + 1
+    table = [[0] * n for _ in range(n)]
+    for i, kind in enumerate(kinds, start=1):
+        mate = {"a": i, "l": i + 1, "r": i - 1}.get(kind)
+        if mate is not None:
+            table[i][i] = table[i][mate] = i
+    return table
+
+
+@pytest.mark.parametrize("block", (1, 3, semigroup.INVERSE_BLOCK_ROWS))
+def test_inverse_search_fails_at_the_lowest_element_in_any_block(monkeypatch, block):
+    monkeypatch.setattr(semigroup, "INVERSE_BLOCK_ROWS", block)
+    size = 10                          # blocks of 3 end at 2, 5 and 8
+    for first in range(1, size):
+        for bad in ("n", "lr"):
+            head = "a" * (first - 1) + bad
+            if len(head) > size - 1:
+                continue
+            for rest in ("a", "n", "lr"):     # atoms or more failures after
+                kinds = (head + rest * size)[:size - 1]
+                if kinds.endswith("l"):
+                    kinds = kinds[:-1] + "a"
+                table = parts_table(kinds)
+                want = InverseMissing(first) if bad == "n" else InverseNotUnique(first)
+                got = built(semigroup.from_table, table, 0)
+                assert got[:2] == (type(want), str(want)), (block, kinds)
+                assert got == built(oracles.per_row_from_table, table, 0)
+    for table, zero in [parts_table("a" * (size - 1)), 0], \
+            *(TABLE_FAMILIES[name][0] for name in sorted(TABLE_FAMILIES)):
+        got = built(semigroup.from_table, table, zero)
+        assert isinstance(got[0], int)
+        assert got == built(oracles.per_row_from_table, table, zero), block
