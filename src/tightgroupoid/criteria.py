@@ -65,21 +65,25 @@ def hausdorff_criterion(sg: InverseSemigroup) -> CriterionResult:
 # -------------------------------------------------- essential principality
 
 def _weakly_fixed_flags(sg: InverseSemigroup) -> np.ndarray:
-    """One pass over the whole slab: an (|S|, |E|) bool array whose cell
-    (s, column[e]) is True when e lies below s*s and is weakly fixed
-    under s.
+    """One pass over the whole slab, made once and kept on the instance:
+    a read-only (|S|, |E|) bool array whose cell (s, column[e]) is True
+    when e lies below s*s and is weakly fixed under s.
 
     A nonzero f below s*s is bad for s when its conjugate misses it,
     (s f s*) f = 0, and e is weakly fixed exactly when no bad f lies
     below e; one product of the bad cells with the order of the
     semilattice counts the bad f below each e."""
-    slab, zero = sg.slab, sg.zero
-    idem = np.array(sg.idempotent_list())
-    below_d = slab[np.array(sg.d)] == idem            # (s, e): e <= s*s
-    conj = np.array(sg.r, dtype=np.int32)[slab]       # (s, f): s f s*
-    bad = below_d & (idem != zero) & (slab[conj, np.arange(len(idem))] == zero)
-    order = (slab[idem] == idem).astype(np.float32)   # (e, f): f <= e
-    return below_d & (bad.astype(np.float32) @ order.T == 0)
+    if sg._weakly_fixed is None:
+        slab, zero = sg.slab, sg.zero
+        idem = np.array(sg.idempotent_list())
+        below_d = slab[np.array(sg.d)] == idem            # (s, e): e <= s*s
+        conj = np.array(sg.r, dtype=np.int32)[slab]       # (s, f): s f s*
+        bad = below_d & (idem != zero) & (slab[conj, np.arange(len(idem))] == zero)
+        order = (slab[idem] == idem).astype(np.float32)   # (e, f): f <= e
+        flags = below_d & (bad.astype(np.float32) @ order.T == 0)
+        flags.flags.writeable = False
+        sg._weakly_fixed = flags
+    return sg._weakly_fixed
 
 
 def _row_bits(flags: np.ndarray) -> list:
@@ -92,20 +96,13 @@ def _row_bits(flags: np.ndarray) -> list:
             for i in range(0, len(raw), width)]
 
 
-def _weakly_fixed_bits(sg: InverseSemigroup) -> tuple:
-    """The flags of :func:`_weakly_fixed_flags` as one integer of column
-    bits per element, computed once and kept on the instance."""
-    sg._weakly_fixed = tuple(_row_bits(_weakly_fixed_flags(sg)))
-    return sg._weakly_fixed
-
-
 def weakly_fixed(sg: InverseSemigroup, e: int, s: int) -> bool:
     """e (below s*s) is weakly fixed under s when every nonzero
     idempotent below e intersects its own conjugate s f s*.  Read off the
     whole-instance pass of :func:`_weakly_fixed_flags`."""
     j = sg.column.get(e)
     if j is not None:
-        if (sg._weakly_fixed or _weakly_fixed_bits(sg))[s] >> j & 1:
+        if _weakly_fixed_flags(sg)[s, j]:
             return True
         if sg.meets[e][sg.d[s]] == e:
             return False
@@ -182,28 +179,31 @@ def top_free_criterion(sg: InverseSemigroup) -> CriterionResult:
     If any fixed cover exists it sits inside that set, and enlarging a
     cover inside the same ideal keeps it a cover, so testing the full
     candidate set decides existence.  The cover test runs for the weakly
-    fixed pairs only, once per distinct (candidates, e).
+    fixed pairs only, read in (s, e) order off one pass of
+    :func:`_weakly_fixed_flags` with the zero left out, once per distinct
+    (candidates, e).
     """
     zero = sg.zero
     meet_bits = _meet_bits(sg)
+    idem = sg.idempotent_list()
+    rows, cols = np.nonzero(_weakly_fixed_flags(sg))
+    nonzero = cols != sg.column[zero]
     failures = []
     covers = {}
     memo = {}
-    for s in sg.elements():
+    for s, j in zip(rows[nonzero].tolist(), cols[nonzero].tolist()):
+        e = idem[j]
         fixed = sg.fixed_idempotents(s).members
-        for e in sg.below(sg.d[s]):
-            if e == zero or not weakly_fixed(sg, e, s):
-                continue
-            below = sg.below(e)
-            cands = tuple(c for c in below if c != zero and c in fixed)
-            got = memo.get((cands, e))
-            if got is None:
-                got = memo[cands, e] = _decide_cover(sg, meet_bits, cands, below)
-            uncovered, small = got
-            if uncovered is None:
-                covers[(s, e)] = small
-            else:
-                failures.append({"s": s, "e": e, "uncovered": uncovered})
+        below = sg.below(e)
+        cands = tuple(c for c in below if c != zero and c in fixed)
+        got = memo.get((cands, e))
+        if got is None:
+            got = memo[cands, e] = _decide_cover(sg, meet_bits, cands, below)
+        uncovered, small = got
+        if uncovered is None:
+            covers[(s, e)] = small
+        else:
+            failures.append({"s": s, "e": e, "uncovered": uncovered})
     if failures:
         return CriterionResult(False, witness={"failures": failures})
     return CriterionResult(True, witness={"fixed_covers": covers})

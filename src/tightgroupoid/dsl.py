@@ -19,17 +19,22 @@ of the first bad token, in row order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DslRangeError, DslSyntaxError, DuplicateName
-from .semigroup import InverseSemigroup, from_partial_maps, from_table
+from .semigroup import InverseSemigroup, _checked, from_partial_maps, from_table
 
 
 @dataclass(frozen=True)
 class SemigroupSpec:
-    """Parsed description of one instance, table or generator shaped."""
+    """Parsed description of one instance, table or generator shaped.
+
+    A table spec from :func:`parse_spec` also carries ``table``, its rows
+    as the n x n int32 array the parser range-checked, which
+    :func:`build_semigroup` hands to the axiom checks as it is; specs are
+    compared and printed by their other fields."""
 
     name: str
     mode: str                      # "table" | "generators"
@@ -38,6 +43,7 @@ class SemigroupSpec:
     rows: tuple | None = None
     degree: int | None = None
     generators: tuple | None = None    # ((name, images-with-None), ...)
+    table: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def _lines(text: str):
@@ -107,8 +113,9 @@ def _parse_table(name, decl, rest):
         where = rest[-1][0] if rest else ln
         raise DslSyntaxError(where, 1, f"{n} table rows")
     table = _table_entries(rest, n)
+    table.flags.writeable = False
     return SemigroupSpec(name, "table", size=n, zero=zero,
-                         rows=tuple(tuple(row.tolist()) for row in table))
+                         rows=tuple(map(tuple, table.tolist())), table=table)
 
 
 def _table_entries(rest, n):
@@ -229,8 +236,13 @@ def format_spec(spec: SemigroupSpec) -> str:
 
 def build_semigroup(spec: SemigroupSpec) -> InverseSemigroup:
     """Realize a parsed spec; semigroup axioms and the size caps of
-    :mod:`~tightgroupoid.semigroup` are enforced here."""
+    :mod:`~tightgroupoid.semigroup` are enforced here.  A parsed table
+    goes to the axiom checks of :func:`~tightgroupoid.semigroup.from_table`
+    as the parser's array; a table spec built by hand goes through
+    ``from_table`` itself."""
     if spec.mode == "table":
+        if spec.table is not None:
+            return _checked(spec.table, spec.zero)
         return from_table(spec.rows, spec.zero)
     labels = [gname for gname, _ in spec.generators]
     gens = [images for _, images in spec.generators]

@@ -11,13 +11,15 @@ the column of e.  Every predicate in this package reduces to a finite
 scan of these and every theorem to an exhaustive check; the scans over
 all |S| |E| cells run as whole-array passes, the scans of ideals and
 covers read the meet table ``meets`` of the idempotents, and any other
-scalar read takes a row through ``.tolist()``.  Both builders hand the constructor the
-involution, s*s and the Cayley graph; the slab, the block of products of
-arrow representatives that the groupoid axiom check reads, and the full
-multiplication table are columns read off the graph by one routine,
-:func:`_columns`.  Nothing in the analysis or the identity harness
-fills the table; it remains, filled on first access, for readers
-outside them.
+scalar read takes a row through ``.tolist()``.  Both builders hand the
+constructor the involution, s*s and the Cayley graph; the slab, the block
+of products of arrow representatives that the groupoid axiom check
+reads, and the full multiplication table are columns read off the graph
+by one routine, :func:`_columns`.  Nothing in the analysis or the
+identity harness fills the table; it remains, filled on first access,
+for readers outside them.  The closure builder, :func:`from_partial_maps`,
+holds its maps as rows of a digit array and forms the graph's edges a
+block of maps at a time, every letter in one array gather.
 
 Instances are immutable after construction and safe to share between
 threads; after ``__init__`` only the table, the caches of ``below`` and
@@ -48,12 +50,13 @@ from .errors import (
 )
 
 # Size caps, enforced by the builders; a build past one raises
-# CapExceeded.  MAX_SIZE stops the closure walk at its first map past the
-# cap: I6 (13,327 elements) fits, I7 (130,922) does not.  MAX_SLAB_CELLS
-# bounds the |S| x |E| slab before it is built: I6 needs 852,928 cells.
-# It also bounds the walk's image cells, maps found times degree, at each
-# new map: I6 stores 79,962 and the 20,000-point identity 40,000, while a
-# 12,000-point cycle is refused at its 167th map.
+# CapExceeded.  MAX_SIZE stops the closure walk after the block of maps
+# that passes the cap, naming the cap: I6 (13,327 elements) fits, I7
+# (130,922) does not.  MAX_SLAB_CELLS bounds the |S| x |E| slab before it
+# is built: I6 needs 852,928 cells.  It also bounds the walk's image
+# cells, maps found times degree, after each block: I6 stores 79,962 and
+# the 20,000-point identity 40,000, while a 12,000-point cycle is refused
+# at its 167th map.
 # MAX_TABLE_WORK bounds Light's test of a table, n^2 cells per generator:
 # a semilattice of n - 1 orthogonal atoms has n - 1 generators, so
 # n = 400 (6.4e7) passes in about 0.08 s and n = 800 (5.1e8) is refused.
@@ -560,26 +563,12 @@ def _cayley_table(right, generators) -> tuple:
 
 # ------------------------------------------------------ partial map model
 
-def compose_maps(f: PartialMap, g: PartialMap) -> PartialMap:
-    """f after g, defined where the chain is."""
-    return tuple(f[y] if (y := g[x]) is not None else None for x in range(len(g)))
-
-
-def invert_map(f: PartialMap) -> PartialMap:
-    out = [None] * len(f)
-    for x, y in enumerate(f):
-        if y is not None:
-            out[y] = x
-    return tuple(out)
-
-
-def map_name(f: PartialMap) -> str:
-    """Compact printable form: per-point images, '_' where undefined."""
-    if all(v is None for v in f):
-        return "0"
-    cells = ["_" if v is None else str(v) for v in f]
-    sep = "" if len(f) <= 10 else ","
-    return sep.join(cells)
+# Product cells per block of the closure walk: a block is as many maps of
+# the walk's frontier as fit, times every letter, times the degree, and
+# holds at least one map.  The bound keeps a block's transient arrays to
+# a few bytes a cell; the builds of I5, I6 and small corpus instances take
+# the same time from 2^10 to 2^20 cells.
+BLOCK_CELLS = 1 << 16
 
 
 def _check_partial_map(g: Sequence, degree: int, label: str) -> PartialMap:
@@ -604,6 +593,27 @@ def _check_partial_map(g: Sequence, degree: int, label: str) -> PartialMap:
     return tuple(out)
 
 
+def _inverses_and_domains(maps: np.ndarray) -> np.ndarray:
+    """The inverse and the domain, the identity on it, of each digit row
+    of `maps`, as the two layers of an array of shape (2, *maps.shape):
+    where s sends x to v, s* sends v to x.  Asserts s s* s = s, which
+    fails where two points share an image."""
+    out = np.zeros((2, *maps.shape), dtype=maps.dtype)
+    r, x = np.nonzero(maps)
+    v = maps[r, x].astype(np.intp) - 1
+    out[0, r, v] = x + 1
+    out[1, r, x] = x + 1
+    assert (out[0, r, v] == x + 1).all(), "s s* s differs from s"
+    return out
+
+
+def _right_products(block: np.ndarray, letters: np.ndarray) -> np.ndarray:
+    """Digit rows of f a for every map f of `block` and letter a: one
+    gather, (f a)(x) = f(a(x)), indexed (f, a, x).  `block` carries a
+    leading 0 column, so an undefined a(x), digit 0, stays undefined."""
+    return np.take(block, letters, axis=1)
+
+
 def from_partial_maps(degree: int, generators: Sequence[Sequence],
                       labels: Sequence[str] | None = None) -> InverseSemigroup:
     """Close a family of partial injections under composition and
@@ -616,25 +626,36 @@ def from_partial_maps(degree: int, generators: Sequence[Sequence],
     identities) commute.  The inverse of a word is the reversed word of
     inverse letters, so the closure is the set of words over the
     generators and their inverses: one breadth-first walk right-multiplies
-    every map found by each of those letters.  `MAX_SIZE` aborts runaway
-    closures at the first map past the cap, and `MAX_SLAB_CELLS` at the
-    first whose image cells, maps found times degree, pass it; after the
-    walk and before the slab is built, it also rejects a closure whose
-    slab would have more than that many cells, |S| times |E|.  The walk is the
-    right Cayley graph (Froidure & Pin, "Algorithms for computing finite
-    semigroups", 1997): maps are composed once per edge, |S| times the
-    number of letters, and its edges are kept as ``right`` with the
-    letters as ``generators``, plus the zero when no product reaches it.
+    every map found by each of those letters.  The walk is the right
+    Cayley graph (Froidure & Pin, "Algorithms for computing finite
+    semigroups", 1997); its edges are kept as ``right`` with the letters
+    as ``generators``, plus the zero when no product reaches it.
 
-    The elements are ordered as their image tuples, with -1 for
-    undefined, so the empty map is the zero.  The inverse and s*s (the
-    identity on the domain) are read per map and looked up by the walk's
-    own index; the idempotents are the partial identities, s = s*s, and
-    the constructor derives ss* and the slab from these.  The
-    maps are associative and the empty map absorbing by construction, so
-    the axiom checks of :func:`from_table` are not needed; what is
-    asserted, at O(|S| degree), is that every inverse and domain lies in
-    S, that s s* s = s, and that the empty map is the zero.
+    A map is a row of digits, 0 where it is undefined and v + 1 where it
+    sends a point to v, of the smallest unsigned type that holds the
+    degree, big-endian, so that the bytes of rows sort as their images
+    do with -1 for undefined.  The walk cuts the maps found but not yet
+    walked into blocks of at most `BLOCK_CELLS` product cells, at least
+    one map each; a block is multiplied by every letter in one array
+    gather, and each product is looked up by its bytes among the maps
+    found, a new one appended in walk order.  The caps are checked after
+    every block: `MAX_SIZE` refuses a closure past that many maps, and
+    `MAX_SLAB_CELLS` one whose image cells, maps found times degree, pass
+    it.  A refusal names the first count past the cap, where a walk map
+    by map would have stopped; the walk never forms more products than
+    the maps under the caps times the letters.  After the walk and before
+    the slab is built, `MAX_SLAB_CELLS` also rejects a closure whose slab
+    would have more than that many cells, |S| times |E|.
+
+    The elements are ordered by the bytes of their rows, so the empty map
+    is the zero.  The inverse and s*s (the identity on the domain) of
+    every map are formed as arrays and looked up in the sorted rows; the
+    idempotents are the partial identities, s = s*s, and the constructor
+    derives ss* and the slab from these.  The maps are associative and
+    the empty map absorbing by construction, so the axiom checks of
+    :func:`from_table` are not needed; what is asserted, in whole-array
+    passes over |S| times degree cells, is that every inverse and domain
+    lies in S, that s s* s = s, and that the empty map is the zero.
     """
     if degree < 1:
         raise DegreeMismatch("degree must be at least 1")
@@ -643,66 +664,79 @@ def from_partial_maps(degree: int, generators: Sequence[Sequence],
         label = labels[i] if labels else f"generator {i}"
         gens.append(_check_partial_map(g, degree, label))
 
-    empty = tuple([None] * degree)
-    letters = list(dict.fromkeys(gens + [invert_map(g) for g in gens]))
+    digit = np.min_scalar_type(degree).newbyteorder(">")
+    key = np.dtype(f"S{degree * digit.itemsize}")    # a digit row as bytes
+    rows = np.array([[0 if v is None else v + 1 for v in g] for g in gens],
+                    dtype=digit).reshape(len(gens), degree)
+    rows = np.concatenate([rows, _inverses_and_domains(rows)[0]]).astype(digit)
+    # maps are the bytes of their rows, trailing zero bytes dropped, as
+    # NumPy converts a bytes array to a list
+    letters = list(dict.fromkeys(rows.view(key).ravel().tolist()))
+    empty = b""
     found = list(dict.fromkeys([empty, *letters]))
     pos = {f: i for i, f in enumerate(found)}
 
-    def admit():                     # the caps on the maps found so far
-        if len(found) > MAX_SIZE:
+    def admit(count):                # the caps on `count` maps found
+        if count > MAX_SIZE:
             raise CapExceeded(f"closure exceeded {MAX_SIZE} elements")
-        if len(found) * degree > MAX_SLAB_CELLS:
-            raise CapExceeded(f"closure of {len(found)} maps on {degree} points "
+        if count * degree > MAX_SLAB_CELLS:
+            raise CapExceeded(f"closure of {count} maps on {degree} points "
                               f"exceeds {MAX_SLAB_CELLS} image cells")
 
-    admit()
-    right = []                       # right[i][j]: index of found[i] * letters[j]
-    for f in found:                  # the list grows while it is walked
-        row = []
-        for a in letters:
-            h = compose_maps(f, a)
-            k = pos.get(h)
-            if k is None:
-                k = pos[h] = len(found)
-                found.append(h)
-                admit()
-            row.append(k)
-        right.append(row)
+    def digits(maps):                # the digit rows of some maps found
+        return np.array(maps, dtype=key).view(digit).reshape(len(maps), degree)
+
+    admit(len(found))
+    limit = min(MAX_SIZE, MAX_SLAB_CELLS // degree)  # most maps both caps pass
+    by_letter = digits(letters).astype(np.intp)
+    step = max(1, BLOCK_CELLS // max(1, len(letters) * degree))
+    edges = []                       # found[i] * letters[j], row-major in (i, j)
+    lo = 0
+    while lo < len(found):           # the list grows while it is walked
+        hi = min(len(found), lo + step)
+        block = np.zeros((hi - lo, degree + 1), dtype=digit)
+        block[:, 1:] = digits(found[lo:hi])
+        products = _right_products(block, by_letter).view(key).ravel().tolist()
+        fresh = [h for h in dict.fromkeys(products) if h not in pos]
+        pos.update(zip(fresh, range(len(found), len(found) + len(fresh))))
+        found += fresh
+        edges += map(pos.__getitem__, products)
+        if len(found) > limit:
+            admit(limit + 1)
+        lo = hi
 
     n = len(found)
-    order = sorted(range(n), key=lambda i: tuple(-1 if v is None else v
-                                                 for v in found[i]))
-    rank = [0] * n
-    for k, i in enumerate(order):
-        rank[i] = k
-    maps = [found[i] for i in order]
-    assert maps[0] == empty, "the empty map is not the zero"
-
-    def index_of(f):
-        i = pos.get(f)
-        assert i is not None, "a product escapes the closure"
-        return rank[i]
-
-    star, d = [], []
-    for f in maps:
-        inv = invert_map(f)
-        dom = tuple(None if v is None else x for x, v in enumerate(f))
-        star.append(index_of(inv))
-        d.append(index_of(dom))
-        assert all(v is None or f[inv[v]] == v for v in f), \
-            "s s* s differs from s"
-    idem = sum(s == e for s, e in enumerate(d))      # the partial identities
+    keys = np.array(found, dtype=key)
+    order = np.argsort(keys)
+    keys = keys[order]
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    maps = keys.view(digit).reshape(n, degree)
+    assert not maps[0].any(), "the empty map is not the zero"
+    # the inverse and the domain of every map, looked up among the maps
+    want = _inverses_and_domains(maps).reshape(2 * n, degree).view(keys.dtype)
+    at = np.searchsorted(keys, want.ravel())
+    assert (keys[np.minimum(at, n - 1)] == want.ravel()).all(), \
+        "a product escapes the closure"
+    star, d = at[:n], at[n:]
+    idem = int(np.count_nonzero(d == np.arange(n)))   # the partial identities
     if n * idem > MAX_SLAB_CELLS:
         raise CapExceeded(f"closure of {n} elements and {idem} "
                           f"idempotents exceeds {MAX_SLAB_CELLS} slab cells")
 
-    gen_ids = [rank[pos[a]] for a in letters]
-    right = [[rank[k] for k in right[i]] for i in order]
+    gen_ids = rank[[pos[a] for a in letters]].tolist()
+    right = rank[np.array(edges, dtype=np.intp).reshape(n, len(letters))[order]]
     # element 0 is the empty map; it is reached when it is a letter or the
     # product of a nonempty map and a letter
-    if empty not in letters and not any(0 in row for row in right[1:]):
+    if empty not in letters and not (right[1:] == 0).any():
         gen_ids.append(0)
-        for row in right:
-            row.append(0)
-    return InverseSemigroup(0, star, gen_ids, d, right,
-                            [map_name(f) for f in maps], maps)
+        right = np.hstack([right, np.zeros((n, 1), dtype=np.intp)])
+    images = [None, *range(degree)]
+    cells = ["_", *map(str, range(degree))]
+    sep = "" if degree <= 10 else ","
+    per_map = maps.tolist()
+    names = [sep.join(map(cells.__getitem__, row)) for row in per_map]
+    names[0] = "0"
+    return InverseSemigroup(0, star.tolist(), gen_ids, d.tolist(), right.tolist(),
+                            names, [tuple(map(images.__getitem__, row))
+                                    for row in per_map])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import settings
 
 import tightgroupoid as tg
+from tightgroupoid import semigroup
 
 # HYPOTHESIS_PROFILE=ci: the same examples on every run, and more of them,
 # for the property tests that leave the example count to the profile
@@ -60,3 +61,19 @@ def corpus_verifications(named_fixtures, corpus100):
         rows.append((name, sg, analysis, checks))
     elapsed = time.perf_counter() - start
     return rows, elapsed
+
+
+@pytest.fixture
+def product_count(monkeypatch):
+    """Counts the products f a that the closure walk's block passes form
+    in the test, in a one-item list."""
+    calls = [0]
+    products = semigroup._right_products
+
+    def counting(block, letters):
+        out = products(block, letters)
+        calls[0] += out.shape[0] * out.shape[1]
+        return out
+
+    monkeypatch.setattr(semigroup, "_right_products", counting)
+    return calls

@@ -495,6 +495,36 @@ def per_pair_weakly_fixed(sg, slab, e, s):
     return True
 
 
+def per_pair_top_free_criterion(sg, weakly_fixed):
+    """``top_free_criterion`` walking the pairs (s, e), s in index order
+    and e over the idempotents below s*s in index order, and testing each
+    nonzero e with ``weakly_fixed(sg, e, s)``; the cover decisions are the
+    library's, looked up when called."""
+    from tightgroupoid import criteria
+
+    zero = sg.zero
+    meet_bits = criteria._meet_bits(sg)
+    failures, covers, memo = [], {}, {}
+    for s in sg.elements():
+        fixed = sg.fixed_idempotents(s).members
+        for e in sg.below(sg.d[s]):
+            if e == zero or not weakly_fixed(sg, e, s):
+                continue
+            below = sg.below(e)
+            cands = tuple(c for c in below if c != zero and c in fixed)
+            got = memo.get((cands, e))
+            if got is None:
+                got = memo[cands, e] = criteria._decide_cover(sg, meet_bits, cands, below)
+            uncovered, small = got
+            if uncovered is None:
+                covers[(s, e)] = small
+            else:
+                failures.append({"s": s, "e": e, "uncovered": uncovered})
+    if failures:
+        return criteria.CriterionResult(False, witness={"failures": failures})
+    return criteria.CriterionResult(True, witness={"fixed_covers": covers})
+
+
 def conjugator_scan(sg):
     """Per nonzero idempotent f, a dict from each nonzero conjugate
     s f s* to the first s giving it, filled in order of s."""
@@ -778,6 +808,106 @@ def per_row_from_table(table, zero, element_names=None):
 
 # ------------------------------------------- general route (closure)
 
+def compose_maps(f, g):
+    """f after g, defined where the chain is."""
+    return tuple(f[y] if (y := g[x]) is not None else None for x in range(len(g)))
+
+
+def invert_map(f):
+    out = [None] * len(f)
+    for x, y in enumerate(f):
+        if y is not None:
+            out[y] = x
+    return tuple(out)
+
+
+def map_name(f):
+    """Compact printable form: per-point images, '_' where undefined."""
+    if all(v is None for v in f):
+        return "0"
+    cells = ["_" if v is None else str(v) for v in f]
+    sep = "" if len(f) <= 10 else ","
+    return sep.join(cells)
+
+
+def per_map_closure(degree, generators, labels=None):
+    """``from_partial_maps`` by a walk map by map: each map found, in walk
+    order, is composed with every letter as a tuple of images, and the
+    caps are checked at every new map.  The order, the inverses, the
+    domains and the asserts are worked out per map on the image tuples."""
+    from tightgroupoid import semigroup
+    from tightgroupoid.errors import CapExceeded, DegreeMismatch
+
+    if degree < 1:
+        raise DegreeMismatch("degree must be at least 1")
+    gens = []
+    for i, g in enumerate(generators):
+        label = labels[i] if labels else f"generator {i}"
+        gens.append(semigroup._check_partial_map(g, degree, label))
+
+    empty = tuple([None] * degree)
+    letters = list(dict.fromkeys(gens + [invert_map(g) for g in gens]))
+    found = list(dict.fromkeys([empty, *letters]))
+    pos = {f: i for i, f in enumerate(found)}
+
+    def admit():                     # the caps on the maps found so far
+        if len(found) > semigroup.MAX_SIZE:
+            raise CapExceeded(f"closure exceeded {semigroup.MAX_SIZE} elements")
+        if len(found) * degree > semigroup.MAX_SLAB_CELLS:
+            raise CapExceeded(f"closure of {len(found)} maps on {degree} points "
+                              f"exceeds {semigroup.MAX_SLAB_CELLS} image cells")
+
+    admit()
+    right = []                       # right[i][j]: index of found[i] * letters[j]
+    for f in found:                  # the list grows while it is walked
+        row = []
+        for a in letters:
+            h = compose_maps(f, a)
+            k = pos.get(h)
+            if k is None:
+                k = pos[h] = len(found)
+                found.append(h)
+                admit()
+            row.append(k)
+        right.append(row)
+
+    n = len(found)
+    order = sorted(range(n), key=lambda i: tuple(-1 if v is None else v
+                                                 for v in found[i]))
+    rank = [0] * n
+    for k, i in enumerate(order):
+        rank[i] = k
+    maps = [found[i] for i in order]
+    assert maps[0] == empty, "the empty map is not the zero"
+
+    def index_of(f):
+        i = pos.get(f)
+        assert i is not None, "a product escapes the closure"
+        return rank[i]
+
+    star, d = [], []
+    for f in maps:
+        inv = invert_map(f)
+        dom = tuple(None if v is None else x for x, v in enumerate(f))
+        star.append(index_of(inv))
+        d.append(index_of(dom))
+        assert all(v is None or f[inv[v]] == v for v in f), \
+            "s s* s differs from s"
+    idem = sum(s == e for s, e in enumerate(d))      # the partial identities
+    if n * idem > semigroup.MAX_SLAB_CELLS:
+        raise CapExceeded(f"closure of {n} elements and {idem} "
+                          f"idempotents exceeds {semigroup.MAX_SLAB_CELLS} slab cells")
+
+    gen_ids = [rank[pos[a]] for a in letters]
+    right = [[rank[k] for k in right[i]] for i in order]
+    if empty not in letters and not any(0 in row for row in right[1:]):
+        gen_ids.append(0)
+        for row in right:
+            row.append(0)
+    return semigroup.InverseSemigroup(0, star, gen_ids, d, right,
+                                      [map_name(f) for f in maps], maps)
+
+
 def two_sided_closure(degree, gens, max_size=None):
     """The set of maps generated by checked partial injections, by the
     round-based closure: invert every new map, compose each frontier map
@@ -786,7 +916,6 @@ def two_sided_closure(degree, gens, max_size=None):
     so extending words at both ends reaches them all; the library walks
     right products only.  Returns the map set, empty map included."""
     from tightgroupoid.errors import CapExceeded
-    from tightgroupoid.semigroup import compose_maps, invert_map
 
     empty = tuple([None] * degree)
     letters = set(gens) | {invert_map(g) for g in gens}

@@ -61,14 +61,14 @@ def test_array_passes_match_per_element_loops(monkeypatch):
         assert ordered(criteria._conjugators(sg)) == \
             ordered(oracles.conjugator_scan(sg)), name
 
-        # both criteria: the top-free one with the loops patched in for
-        # the pass and the bit-mask cover decisions, the minimal one
-        # against its pair by pair oracle
+        # both criteria: the top-free one against its pair by pair walk,
+        # with the loops patched in for the pass and the bit-mask cover
+        # decisions, the minimal one against its pair by pair oracle
         with monkeypatch.context() as mp:
-            mp.setattr(criteria, "weakly_fixed",
-                       lambda sg_, e, s: oracles.per_pair_weakly_fixed(sg_, slab, e, s))
             mp.setattr(criteria, "_decide_cover", oracles.count_decide_cover)
-            want = [criteria.top_free_criterion(sg), oracles.pairwise_minimal_criterion(sg)]
+            want = [oracles.per_pair_top_free_criterion(
+                        sg, lambda sg_, e, s: oracles.per_pair_weakly_fixed(sg_, slab, e, s)),
+                    oracles.pairwise_minimal_criterion(sg)]
         got = [criteria.top_free_criterion(sg), criteria.minimal_criterion(sg)]
         for g, w in zip(got, want):
             assert (g.value, ordered(g.witness)) == (w.value, ordered(w.witness)), name

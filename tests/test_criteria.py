@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import tightgroupoid as tg
@@ -312,10 +313,18 @@ def _mutations():
 
     wf = criteria.weakly_fixed
     negated_wf = (criteria, "weakly_fixed", lambda sg, e, s: not wf(sg, e, s))
+    flags = criteria._weakly_fixed_flags
+
+    def negated_flags(sg):
+        # flip every pair (s, e) with e <= s*s, which both top_free_criterion
+        # and weakly_fixed read
+        below_d = sg.slab[list(sg.d)] == np.array(sg.idempotent_list())
+        return flags(sg) ^ below_d
+
     image = action.FiniteAction.image
     sg_cls = semigroup.InverseSemigroup
     return {
-        "weakly_fixed": (False, [negated_wf]),
+        "weakly_fixed": (False, [(criteria, "_weakly_fixed_flags", negated_flags)]),
         "weakly_fixed_in_harness": (True, [negated_wf]),
         "outer_cover": (True, [(sg_cls, "is_outer_cover",
                                 _negate_when_large(sg_cls.is_outer_cover))]),

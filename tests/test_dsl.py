@@ -1,9 +1,10 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 import tightgroupoid as tg
-from tightgroupoid import errors
+from tightgroupoid import dsl, errors, semigroup
 
 Z2Z_TEXT = """\
 semigroup Z2z
@@ -28,6 +29,27 @@ def test_parse_table():
     assert spec.mode == "table" and spec.size == 3 and spec.zero == 0
     sg = tg.build_semigroup(spec)
     assert sg.size == 3 and sg.idempotents == {0, 1}
+
+
+def test_parsed_table_is_built_from_the_parser_array(monkeypatch):
+    # the spec carries the checked int32 array beside its rows, and the
+    # build hands it to the axiom checks without going through from_table
+    spec = tg.parse_spec(Z2Z_TEXT)
+    assert spec.table.dtype == np.int32 and not spec.table.flags.writeable
+    assert spec.table.tolist() == [list(row) for row in spec.rows]
+    want = semigroup.from_table(spec.rows, spec.zero)
+
+    def refuse(*args):
+        raise AssertionError("the parsed table was converted again")
+
+    monkeypatch.setattr(dsl, "from_table", refuse)
+    sg = tg.build_semigroup(spec)
+    assert (sg.star, sg.d, sg.generators, sg.right, sg.slab.tolist()) == \
+        (want.star, want.d, want.generators, want.right, want.slab.tolist())
+    # a spec built by hand has no array, and goes through from_table
+    with pytest.raises(AssertionError):
+        tg.build_semigroup(tg.SemigroupSpec("Z2z", "table", size=3, zero=0,
+                                            rows=spec.rows))
 
 
 def test_parse_generators_and_build():

@@ -13,9 +13,8 @@ import numpy as np
 import pytest
 
 import tightgroupoid as tg
-from tightgroupoid import cli, fixtures, semigroup
+from tightgroupoid import cli, errors, fixtures, semigroup
 from tightgroupoid.errors import TheoremViolation
-from tightgroupoid.semigroup import map_name
 
 import oracles
 from conftest import CORPUS_COUNT, CORPUS_SEED
@@ -56,7 +55,7 @@ def test_closure_fields_match_checked_table():
         # undefined, and the empty map is the zero
         key = [tuple(-1 if v is None else v for v in f) for f in sg.partial_maps]
         assert key == sorted(key), name
-        assert sg.element_names == tuple(map(map_name, sg.partial_maps)), name
+        assert sg.element_names == tuple(map(oracles.map_name, sg.partial_maps)), name
         assert sg.zero == 0 and all(v is None for v in sg.partial_maps[0]), name
 
 
@@ -171,23 +170,18 @@ def test_size_cap_is_exact(tmp_path, capsys, monkeypatch):
     assert "invalid input: closure exceeded 33 elements" in capsys.readouterr().err
 
 
-def test_size_cap_stops_i7_at_the_first_map_past_it(tmp_path, capsys, monkeypatch):
-    calls = [0]
-    compose = semigroup.compose_maps
-
-    def counting(f, g):
-        calls[0] += 1
-        return compose(f, g)
-
-    monkeypatch.setattr(semigroup, "compose_maps", counting)
+def test_size_cap_stops_i7_at_the_first_map_past_it(tmp_path, capsys, monkeypatch,
+                                                   product_count):
     monkeypatch.setattr(semigroup, "MAX_SIZE", 200)
     path = tmp_path / "i7.isg"
     path.write_text(three_generators_text("I7", 7))
     assert cli.run_cli(["analyze", str(path)]) == 1
-    assert "invalid input" in capsys.readouterr().err
+    assert "invalid input: closure exceeded 200 elements" in capsys.readouterr().err
     # four distinct letters: the cycle, its inverse, the swap and the
-    # partial identity; the walk stops within the row of map 201
-    assert calls[0] <= 201 * 4
+    # partial identity; the walk multiplies only maps found under the cap,
+    # and needs a product for each of the 196 maps past the letters and
+    # the empty map
+    assert 196 <= product_count[0] <= 201 * 4
 
 
 def test_slab_cap_is_exact(tmp_path, capsys, monkeypatch):
@@ -234,23 +228,40 @@ def test_walk_cap_is_exact(tmp_path, capsys, monkeypatch):
             "image cells") in capsys.readouterr().err
 
 
-def test_default_walk_cap_stops_a_long_cycle(tmp_path, capsys, monkeypatch):
+def test_default_walk_cap_stops_a_long_cycle(tmp_path, capsys, product_count):
     # 12,001 maps pass the size cap, but they would hold 1.44e8 image
-    # cells; the walk stops at its 167th map, within that map's row
-    calls = [0]
-    compose = semigroup.compose_maps
-
-    def counting(f, g):
-        calls[0] += 1
-        return compose(f, g)
-
-    monkeypatch.setattr(semigroup, "compose_maps", counting)
+    # cells; the walk is refused at its 167th map, having multiplied only
+    # maps found under the cap
     path = tmp_path / "c12000.isg"
     path.write_text(cycle_text("C12000", 12_000))
     assert cli.run_cli(["analyze", str(path)]) == 1
     assert ("invalid input: closure of 167 maps on 12000 points exceeds "
             "2000000 image cells") in capsys.readouterr().err
-    assert calls[0] <= 167 * 2
+    # the letters are the cycle and its inverse; every map past them and
+    # the empty map takes a product to find
+    assert 164 <= product_count[0] <= 167 * 2
+
+
+def test_many_letters_are_walked_in_blocks():
+    # 100 random permutations of 2,000 points and their inverses are 200
+    # letters.  The first frontier, 201 maps times every letter, would
+    # hold 8e7 product cells (over 300 MB); the walk forms them a block
+    # of at most one map at a time and is refused at its 1001st map.
+    import random
+    import tracemalloc
+
+    rng = random.Random(100)
+    gens = [tuple(rng.sample(range(2000), 2000)) for _ in range(100)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(errors.CapExceeded) as info:
+            tg.from_partial_maps(2000, gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == ("closure of 1001 maps on 2000 points exceeds "
+                               "2000000 image cells")
+    assert peak < 32 * 2 ** 20, peak
 
 
 def orthogonal_atoms_text(name, n):
