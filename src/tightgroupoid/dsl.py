@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DslRangeError, DslSyntaxError, DuplicateName
-from .semigroup import InverseSemigroup, _checked, from_partial_maps, from_table
+from .semigroup import InverseSemigroup, from_partial_maps, from_table
 
 
 @dataclass(frozen=True)
@@ -32,9 +32,12 @@ class SemigroupSpec:
     """Parsed description of one instance, table or generator shaped.
 
     A table spec from :func:`parse_spec` also carries ``table``, its rows
-    as the n x n int32 array the parser range-checked, which
-    :func:`build_semigroup` hands to the axiom checks as it is; specs are
-    compared and printed by their other fields."""
+    as the parser's read-only n x n int32 array, which
+    :func:`build_semigroup` hands to
+    :func:`~tightgroupoid.semigroup.from_table` in place of the row
+    tuples.  It is set by the parser alone: it is no argument of the
+    constructor, and :func:`dataclasses.replace` leaves it unset, so a
+    spec built or edited by hand is built from its ``rows``."""
 
     name: str
     mode: str                      # "table" | "generators"
@@ -43,7 +46,8 @@ class SemigroupSpec:
     rows: tuple | None = None
     degree: int | None = None
     generators: tuple | None = None    # ((name, images-with-None), ...)
-    table: np.ndarray | None = field(default=None, compare=False, repr=False)
+    table: np.ndarray | None = field(default=None, init=False, compare=False,
+                                     repr=False)
 
 
 def _lines(text: str):
@@ -114,8 +118,10 @@ def _parse_table(name, decl, rest):
         raise DslSyntaxError(where, 1, f"{n} table rows")
     table = _table_entries(rest, n)
     table.flags.writeable = False
-    return SemigroupSpec(name, "table", size=n, zero=zero,
-                         rows=tuple(map(tuple, table.tolist())), table=table)
+    spec = SemigroupSpec(name, "table", size=n, zero=zero,
+                         rows=tuple(map(tuple, table.tolist())))
+    object.__setattr__(spec, "table", table)
+    return spec
 
 
 def _table_entries(rest, n):
@@ -237,13 +243,11 @@ def format_spec(spec: SemigroupSpec) -> str:
 def build_semigroup(spec: SemigroupSpec) -> InverseSemigroup:
     """Realize a parsed spec; semigroup axioms and the size caps of
     :mod:`~tightgroupoid.semigroup` are enforced here.  A parsed table
-    goes to the axiom checks of :func:`~tightgroupoid.semigroup.from_table`
-    as the parser's array; a table spec built by hand goes through
-    ``from_table`` itself."""
+    reaches :func:`~tightgroupoid.semigroup.from_table` as the parser's
+    array, any other as its rows."""
     if spec.mode == "table":
-        if spec.table is not None:
-            return _checked(spec.table, spec.zero)
-        return from_table(spec.rows, spec.zero)
+        rows = spec.rows if spec.table is None else spec.table
+        return from_table(rows, spec.zero)
     labels = [gname for gname, _ in spec.generators]
     gens = [images for _, images in spec.generators]
     return from_partial_maps(spec.degree, gens, labels)

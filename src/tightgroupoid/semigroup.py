@@ -386,9 +386,10 @@ def from_table(table: Sequence[Sequence[int]], zero: int,
     generalized inverse for every element; the involution and the
     idempotent set are computed, not supplied, since a supplied involution
     would need the same validation anyway.  The rows, of any integer
-    sequence or array type, are converted once into an array: rows up to
-    the first of the wrong length are range-checked as one array, and the
-    first entry out of range in row order, or else that row, raises
+    sequence or array type, are converted once into an array; an integer
+    array is read as it is and never written to.  Rows up to the first of
+    the wrong length are range-checked as one array, and the first entry
+    out of range in row order, or else that row, raises
     :class:`DegreeMismatch`.
 
     Associativity is decided by Light's test against a generating set
@@ -412,10 +413,14 @@ def from_table(table: Sequence[Sequence[int]], zero: int,
     if n < 1:
         raise NoZero("empty multiplication table")
     square = next((i for i, row in enumerate(table) if len(row) != n), n)
-    try:
-        m = np.array(table[:square], dtype=np.int64).reshape(square, n)
-    except OverflowError:            # an entry past int64, out of range below
-        m = np.array(table[:square], dtype=object).reshape(square, n)
+    rows = table[:square]
+    if isinstance(rows, np.ndarray) and rows.dtype.kind in "iu":
+        m = rows.reshape(square, n)  # an integer array is checked as it is
+    else:
+        try:
+            m = np.array(rows, dtype=np.int64).reshape(square, n)
+        except OverflowError:        # an entry past int64, out of range below
+            m = np.array(rows, dtype=object).reshape(square, n)
     bad = np.flatnonzero((m < 0) | (m >= n))
     if bad.size:
         raise DegreeMismatch(f"table entry {m.flat[bad[0]]} out of range 0..{n - 1}")
@@ -425,7 +430,7 @@ def from_table(table: Sequence[Sequence[int]], zero: int,
         raise NoZero(f"zero index {zero!r} out of range")
     if element_names is not None and len(element_names) != n:
         raise DegreeMismatch("element_names length does not match the table")
-    return _checked(m.astype(np.int32), zero, element_names)
+    return _checked(m.astype(np.int32, copy=False), zero, element_names)
 
 
 # Elements per block of the unique-inverse search in `_checked`: its

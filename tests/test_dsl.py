@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -31,25 +33,34 @@ def test_parse_table():
     assert sg.size == 3 and sg.idempotents == {0, 1}
 
 
-def test_parsed_table_is_built_from_the_parser_array(monkeypatch):
-    # the spec carries the checked int32 array beside its rows, and the
-    # build hands it to the axiom checks without going through from_table
+def test_table_spec_is_built_from_its_own_rows(monkeypatch):
+    # a parsed spec hands from_table the parser's int32 array, which only
+    # the parser sets: a spec edited with replace() or built by hand is
+    # built, and refused, from its own rows and zero
     spec = tg.parse_spec(Z2Z_TEXT)
     assert spec.table.dtype == np.int32 and not spec.table.flags.writeable
     assert spec.table.tolist() == [list(row) for row in spec.rows]
-    want = semigroup.from_table(spec.rows, spec.zero)
+    seen = []
+    monkeypatch.setattr(dsl, "from_table",
+                        lambda rows, zero: seen.append(rows) or
+                        semigroup.from_table(rows, zero))
+    assert tg.build_semigroup(spec).idempotents == {0, 1}
+    assert seen == [spec.table]
+    monkeypatch.undo()
 
-    def refuse(*args):
-        raise AssertionError("the parsed table was converted again")
-
-    monkeypatch.setattr(dsl, "from_table", refuse)
-    sg = tg.build_semigroup(spec)
-    assert (sg.star, sg.d, sg.generators, sg.right, sg.slab.tolist()) == \
-        (want.star, want.d, want.generators, want.right, want.slab.tolist())
-    # a spec built by hand has no array, and goes through from_table
-    with pytest.raises(AssertionError):
+    chain = ((0, 0, 0), (0, 1, 1), (0, 1, 2))
+    edited = replace(spec, rows=chain)
+    assert edited.table is None
+    assert tg.build_semigroup(edited).idempotents == {0, 1, 2}
+    with pytest.raises(errors.NoZero, match="zero index -1 out of range"):
+        tg.build_semigroup(replace(spec, zero=-1))
+    wrapped = ((0, 0, 0), (0, 1, -1), (0, -1, 1))
+    with pytest.raises(errors.DegreeMismatch, match="table entry -1 out of range"):
         tg.build_semigroup(tg.SemigroupSpec("Z2z", "table", size=3, zero=0,
-                                            rows=spec.rows))
+                                            rows=wrapped))
+    with pytest.raises(TypeError):
+        tg.SemigroupSpec("Z2z", "table", size=3, zero=0, rows=wrapped,
+                         table=np.array(wrapped, dtype=np.int32))
 
 
 def test_parse_generators_and_build():
