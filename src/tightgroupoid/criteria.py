@@ -86,16 +86,6 @@ def _weakly_fixed_flags(sg: InverseSemigroup) -> np.ndarray:
     return sg._weakly_fixed
 
 
-def _row_bits(flags: np.ndarray) -> list:
-    """Each row of a 2-d bool array as one integer, with bit j set when
-    cell j is True."""
-    packed = np.packbits(flags, axis=1, bitorder="little")
-    width = packed.shape[1]
-    raw = packed.tobytes()
-    return [int.from_bytes(raw[i:i + width], "little")
-            for i in range(0, len(raw), width)]
-
-
 def weakly_fixed(sg: InverseSemigroup, e: int, s: int) -> bool:
     """e (below s*s) is weakly fixed under s when every nonzero
     idempotent below e intersects its own conjugate s f s*.  Read off the
@@ -104,30 +94,12 @@ def weakly_fixed(sg: InverseSemigroup, e: int, s: int) -> bool:
     if j is not None:
         if _weakly_fixed_flags(sg)[s, j]:
             return True
-        if sg.meets[e][sg.d[s]] == e:
+        if sg.below_bits[sg.d[s]] >> j & 1:
             return False
     raise PreconditionViolated(f"idempotent {e} does not lie below s*s for s={s}")
 
 
-def _meet_bits(sg: InverseSemigroup) -> dict:
-    """Per idempotent e, one integer with bit ``column[f]`` set for each
-    idempotent f that e meets, e f != 0: a pass over the slab's rows at
-    the idempotents."""
-    idem = sg.idempotent_list()
-    return dict(zip(idem, _row_bits(sg.slab[list(idem)] != sg.zero)))
-
-
-def _column_bits(sg: InverseSemigroup, idempotents) -> int:
-    """One integer with bit ``column[f]`` set for each idempotent f of
-    `idempotents`."""
-    column = sg.column
-    bits = 0
-    for f in idempotents:
-        bits |= 1 << column[f]
-    return bits
-
-
-def _minimize_cover(sg, meet_bits, candidates, ideal_members):
+def _minimize_cover(sg, candidates, ideal_members):
     """Greedy removal pass over a cover of the ideal; keeps the witness
     small for readability, correctness never depends on the result being
     minimum.
@@ -136,12 +108,12 @@ def _minimize_cover(sg, meet_bits, candidates, ideal_members):
     meets is met by another element still chosen, which is exactly when
     the rest still covers.  The others still chosen are the candidates
     kept before c and all those after it, so with the members each
-    candidate meets as bits (from :func:`_meet_bits`), the test is one
+    candidate meets as bits (its row of ``sg.meet_bits``), the test is one
     mask against the union of the kept ones and a suffix union.
     """
-    member_bits = _column_bits(sg, ideal_members) & ~(1 << sg.column[sg.zero])
+    member_bits = sg.bits(ideal_members) & ~(1 << sg.column[sg.zero])
     order = sorted(candidates)
-    hits = [meet_bits[c] & member_bits for c in order]
+    hits = [sg.meet_bits[c] & member_bits for c in order]
     after = []                        # after[i]: union of the hits past i
     union = 0
     for hit in reversed(hits):
@@ -157,17 +129,15 @@ def _minimize_cover(sg, meet_bits, candidates, ideal_members):
     return tuple(kept)
 
 
-def _decide_cover(sg, meet_bits, candidates, members):
+def _decide_cover(sg, candidates, members):
     """Whether the idempotents `candidates` cover the idempotents
-    `members`: the first nonzero member they leave uncovered and None, or
-    None and the cover trimmed by :func:`_minimize_cover`.  `meet_bits` is
-    :func:`_meet_bits` of the instance."""
-    zero = sg.zero
-    cover = _column_bits(sg, candidates)
-    for f in members:
-        if f != zero and not meet_bits[f] & cover:
-            return f, None
-    return None, _minimize_cover(sg, meet_bits, candidates, members)
+    `members`: the first nonzero member they leave uncovered, by
+    ``sg.first_uncovered``, and None, or None and the cover trimmed by
+    :func:`_minimize_cover`."""
+    uncovered = sg.first_uncovered(candidates, members)
+    if uncovered is not None:
+        return uncovered, None
+    return None, _minimize_cover(sg, candidates, members)
 
 
 def top_free_criterion(sg: InverseSemigroup) -> CriterionResult:
@@ -184,7 +154,6 @@ def top_free_criterion(sg: InverseSemigroup) -> CriterionResult:
     (candidates, e).
     """
     zero = sg.zero
-    meet_bits = _meet_bits(sg)
     idem = sg.idempotent_list()
     rows, cols = np.nonzero(_weakly_fixed_flags(sg))
     nonzero = cols != sg.column[zero]
@@ -198,7 +167,7 @@ def top_free_criterion(sg: InverseSemigroup) -> CriterionResult:
         cands = tuple(c for c in below if c != zero and c in fixed)
         got = memo.get((cands, e))
         if got is None:
-            got = memo[cands, e] = _decide_cover(sg, meet_bits, cands, below)
+            got = memo[cands, e] = _decide_cover(sg, cands, below)
         uncovered, small = got
         if uncovered is None:
             covers[(s, e)] = small
@@ -239,25 +208,28 @@ def minimal_criterion(sg: InverseSemigroup) -> CriterionResult:
     Outer covers are monotone, so some finite subfamily works exactly
     when the full family does; a small subfamily is extracted afterwards
     as the witness.  f enters only through the set of its conjugates, so
-    each distinct conjugate set is turned once into the column bits of
-    the idempotents it meets, and each e is decided against those bits:
-    the first member of the ideal below e that they miss is uncovered.
+    each distinct conjugate set is turned once into the bits of the
+    idempotents it meets, the union of its members' ``sg.meet_bits``
+    rows, and each e is decided against those bits for all its members
+    at once: the first member of the ideal below e that they miss, the
+    lowest set bit of ``sg.below_bits[e]`` outside them, is uncovered.
     The witness covers are trimmed only when no pair fails.
     """
     nz = sg.nonzero_idempotents()
     conjugators = _conjugators(sg)
     conjugate_sets = {f: frozenset(seen) for f, seen in conjugators.items()}
-    meet_bits = _meet_bits(sg)
-    idem, column = sg.idempotent_list(), sg.column
+    idem = sg.idempotent_list()
     met = {}                          # conjugate set -> bits of what it meets
     for cands in conjugate_sets.values():
         if cands not in met:
-            mask = _column_bits(sg, cands)
-            met[cands] = _column_bits(sg, (f for f in idem if meet_bits[f] & mask))
-    nonzero = ~(1 << column[sg.zero])
+            bits = 0
+            for c in cands:
+                bits |= sg.meet_bits[c]
+            met[cands] = bits
+    nonzero = ~(1 << sg.column[sg.zero])
     failures = []
     for e in nz:
-        below = _column_bits(sg, sg.below(e)) & nonzero
+        below = sg.below_bits[e] & nonzero
         for f in nz:
             missed = below & ~met[conjugate_sets[f]]
             if missed:
@@ -273,7 +245,7 @@ def minimal_criterion(sg: InverseSemigroup) -> CriterionResult:
             cands = conjugate_sets[f]
             small = trimmed.get(cands)
             if small is None:
-                small = trimmed[cands] = _minimize_cover(sg, meet_bits, cands, below)
+                small = trimmed[cands] = _minimize_cover(sg, cands, below)
             seen = conjugators[f]
             witnesses[(e, f)] = tuple((c, seen[c]) for c in small)
     return CriterionResult(True, witness={"conjugate_covers": witnesses})

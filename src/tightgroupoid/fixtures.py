@@ -7,6 +7,8 @@ import math
 import random
 import re
 
+import numpy as np
+
 from . import semigroup
 from .errors import CapExceeded, DegreeMismatch
 from .semigroup import InverseSemigroup, from_partial_maps, from_table
@@ -58,16 +60,12 @@ def brandt_semigroup(n: int) -> InverseSemigroup:
     size = n * n + 1
     _check_cells(size)
 
-    def unit(i, j):
-        return 1 + i * n + j
-
-    table = [[0] * size for _ in range(size)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    if j == k:
-                        table[unit(i, j)][unit(k, l)] = unit(i, l)
+    ar = np.arange(n, dtype=np.int32)
+    units = 1 + ar[:, None] * n + ar          # units[i, j] is e_ij
+    blocks = np.zeros((n, n, n, n), dtype=np.int32)   # [i, j, k, l]: e_ij e_kl
+    blocks[:, ar, ar, :] = units[:, None, :]  # e_ij e_jl = e_il, else 0
+    table = np.zeros((size, size), dtype=np.int32)
+    table[1:, 1:] = blocks.reshape(n * n, n * n)
     names = ["0"] + [f"e{i + 1}{j + 1}" for i in range(n) for j in range(n)]
     sg = from_table(table, 0, names)
     assert sg.size == n * n + 1
@@ -81,13 +79,11 @@ def group_with_zero(table, names=None) -> InverseSemigroup:
     The input must really be a group; after validation the instance is
     checked to have an identity that every nonzero element inverts to.
     """
-    g = [list(map(int, row)) for row in table]
+    g = np.array(table, dtype=np.int64)
     n = len(g)
     size = n + 1
-    out = [[0] * size for _ in range(size)]
-    for i in range(n):
-        for j in range(n):
-            out[i + 1][j + 1] = g[i][j] + 1
+    out = np.zeros((size, size), dtype=np.int64)
+    out[1:, 1:] = g + 1
     if names is not None:
         names = ["0", *names]
     sg = from_table(out, 0, names)
@@ -107,7 +103,8 @@ def cyclic_group_with_zero(n: int) -> InverseSemigroup:
     if n < 1:
         raise DegreeMismatch("cyclic group order must be positive")
     _check_cells(n + 1)
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    ar = np.arange(n, dtype=np.int32)
+    table = (ar[:, None] + ar) % n
     names = ["1"] + [f"g{i}" if i > 1 else "g" for i in range(1, n)]
     return group_with_zero(table, names[:n])
 
@@ -118,11 +115,10 @@ def meet_semilattice_of_subsets(k: int) -> InverseSemigroup:
     _check_cells(2 ** k)
     subsets = list(itertools.chain.from_iterable(
         itertools.combinations(range(k), r) for r in range(k + 1)))
-    index = {s: i for i, s in enumerate(subsets)}
-    table = [
-        [index[tuple(sorted(set(a) & set(b)))] for b in subsets]
-        for a in subsets
-    ]
+    masks = np.array([sum(1 << x for x in s) for s in subsets], dtype=np.int32)
+    at = np.empty(len(subsets), dtype=np.int32)     # mask -> index
+    at[masks] = np.arange(len(subsets), dtype=np.int32)
+    table = at[masks[:, None] & masks]
     names = ["0" if not s else "".join(map(str, s)) for s in subsets]
     return from_table(table, 0, names)
 

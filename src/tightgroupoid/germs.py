@@ -36,7 +36,7 @@ def _least_idempotents(action: FiniteAction) -> tuple:
     for e in sg.idempotent_list():
         for x in action.edomains[e]:
             m = least[x]
-            least[x] = e if m is None else sg.meets[m][e]
+            least[x] = e if m is None else sg.meet(m, e)
     return tuple(least)
 
 

@@ -9,17 +9,19 @@ array of shape (|S|, |E|): row s holds s e for every idempotent e, one
 column per idempotent in increasing index order, and ``column[e]`` is
 the column of e.  Every predicate in this package reduces to a finite
 scan of these and every theorem to an exhaustive check; the scans over
-all |S| |E| cells run as whole-array passes, the scans of ideals and
-covers read the meet table ``meets`` of the idempotents, and any other
-scalar read takes a row through ``.tolist()``.  Both builders hand the
-constructor the involution, s*s and the Cayley graph; the slab, the block
-of products of arrow representatives that the groupoid axiom check
-reads, and the full multiplication table are columns read off the graph
-by one routine, :func:`_columns`.  Nothing in the analysis or the
-identity harness fills the table; it remains, filled on first access,
-for readers outside them.  The closure builder, :func:`from_partial_maps`,
-holds its maps as rows of a digit array and forms the graph's edges a
-block of maps at a time, every letter in one array gather.
+all |S| |E| cells run as whole-array passes, the order and the
+orthogonality of idempotents, and with them every ideal and cover, are
+tests on two rows of bits per idempotent, ``below_bits`` and
+``meet_bits``, and any other scalar read takes a row through
+``.tolist()``.  Both builders hand the constructor the involution, s*s
+and the Cayley graph; the slab, the block of products of arrow
+representatives that the groupoid axiom check reads, and the full
+multiplication table are columns read off the graph by one routine,
+:func:`_columns`.  Nothing in the analysis or the identity harness
+fills the table; it remains, filled on first access, for readers
+outside them.  The closure builder, :func:`from_partial_maps`, holds its
+maps as rows of a digit array and forms the graph's edges a block of
+maps at a time, every letter in one array gather.
 
 Instances are immutable after construction and safe to share between
 threads; after ``__init__`` only the table, the caches of ``below`` and
@@ -31,6 +33,7 @@ value its key determines.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -94,7 +97,7 @@ class InverseSemigroup:
     Build instances through :func:`from_table` or
     :func:`from_partial_maps`; the constructor itself trusts its inputs.
     It takes the involution, ``d`` and the right Cayley graph, and
-    derives ``r``, the idempotents and the slab from them.
+    derives ``r``, the idempotents, the slab and the bit rows from them.
 
     Attributes:
         size: number of elements.
@@ -109,10 +112,13 @@ class InverseSemigroup:
             ``r[slab[s, column[e]]]``.  Cells are NumPy integers: a value
             that reaches a report goes through ``int`` or ``.tolist()``.
         column: dict from each idempotent to its column of the slab.
-        meets: the meet table of the semilattice, ``meets[e][f]`` = e f
-            for idempotents e and f: the slab's rows at the idempotents,
-            as dicts, for the scans over ideals and covers that read
-            them cell by cell (|E|^2 cells, where the slab has |S| |E|).
+        below_bits: dict from each idempotent e to one integer with bit
+            ``column[f]`` set for each idempotent f <= e.
+        meet_bits: dict from each idempotent e to one integer with bit
+            ``column[f]`` set for each idempotent f with e f != 0.  Both
+            are the slab's rows at the idempotents, one ``np.packbits``
+            pass each; :meth:`bits` and :meth:`members_of` convert
+            between idempotents and bits.
         idempotents: frozenset of idempotent indices (the semilattice).
         generators: element indices whose closure under right
             multiplication by one another is the whole semigroup: every
@@ -150,8 +156,9 @@ class InverseSemigroup:
         self.slab = np.ascontiguousarray(
             _columns(self.right, self.generators, idem).T)
         self.slab.flags.writeable = False
-        self.meets = {e: dict(zip(idem, row))
-                      for e, row in zip(idem, self.slab[list(idem)].tolist())}
+        rows = self.slab[list(idem)]
+        self.below_bits = dict(zip(idem, _row_bits(rows == np.array(idem))))
+        self.meet_bits = dict(zip(idem, _row_bits(rows != self.zero)))
         self._table = None
         self.element_names = tuple(element_names) if element_names else None
         self.partial_maps = tuple(partial_maps) if partial_maps else None
@@ -194,6 +201,26 @@ class InverseSemigroup:
         if e not in self.idempotents:
             raise NotIdempotent(e)
 
+    def bits(self, idempotents: Iterable[int]) -> int:
+        """One integer with bit ``column[f]`` set for each idempotent f of
+        `idempotents`."""
+        column = self.column
+        out = 0
+        for f in idempotents:
+            out |= 1 << column[f]
+        return out
+
+    def members_of(self, bits: int) -> tuple:
+        """The idempotents whose columns are the set bits of `bits`, in
+        increasing index order."""
+        idem = self._idem_sorted
+        out = []
+        while bits:
+            low = bits & -bits
+            out.append(idem[low.bit_length() - 1])
+            bits ^= low
+        return tuple(out)
+
     # ------------------------------------------------------------- order
 
     def nat_leq(self, s: int, t: int) -> bool:
@@ -204,19 +231,19 @@ class InverseSemigroup:
         """Semilattice order on idempotents: e <= f iff e = ef."""
         self._require_idempotent(e)
         self._require_idempotent(f)
-        return self.meets[e][f] == e
+        return bool(self.below_bits[f] >> self.column[e] & 1)
 
     def meet(self, e: int, f: int) -> int:
         """Greatest lower bound of two idempotents; equals their product."""
         self._require_idempotent(e)
         self._require_idempotent(f)
-        return self.meets[e][f]
+        return int(self.slab[e, self.column[f]])
 
     def orthogonal(self, e: int, f: int) -> bool:
         """Two idempotents are orthogonal when their product is zero."""
         self._require_idempotent(e)
         self._require_idempotent(f)
-        return self.meets[e][f] == self.zero
+        return not self.meet_bits[e] >> self.column[f] & 1
 
     def intersects(self, e: int, f: int) -> bool:
         """Negation of orthogonality: the product is nonzero."""
@@ -227,8 +254,7 @@ class InverseSemigroup:
         principal ideal."""
         got = self._below.get(e)
         if got is None:
-            got = tuple(f for f, ef in self.meets[e].items() if ef == f)
-            self._below[e] = got
+            got = self._below[e] = self.members_of(self.below_bits[e])
         return got
 
     # ------------------------------------------------------------- ideals
@@ -242,7 +268,7 @@ class InverseSemigroup:
             if e not in self.idempotents:
                 raise NotAnIdeal(f"member {e} is not idempotent")
         for e in mem:
-            for f, ef in self.meets[e].items():
+            for f, ef in zip(self._idem_sorted, self.slab[e].tolist()):
                 if ef not in mem:
                     raise NotAnIdeal(f"not downward closed: {e}*{f} escapes")
         return Ideal(mem)
@@ -254,16 +280,11 @@ class InverseSemigroup:
 
     def ideal_perp(self, ideal: Ideal) -> Ideal:
         """Idempotents orthogonal to every member of the given ideal."""
-        mem = self._checked_members(ideal)
-        zero = self.zero
-        out = []
-        for f, row in self.meets.items():
-            for e in mem:
-                if row[e] != zero:
-                    break
-            else:
-                out.append(f)
-        return Ideal(frozenset(out))
+        met = 0
+        for e in self._checked_members(ideal):
+            met |= self.meet_bits[e]
+        everything = (1 << len(self._idem_sorted)) - 1
+        return Ideal(frozenset(self.members_of(everything & ~met)))
 
     def _checked_members(self, ideal: Ideal) -> frozenset:
         if not isinstance(ideal, Ideal):
@@ -284,14 +305,12 @@ class InverseSemigroup:
         apart = tuple(apart)
         for x in itertools.chain(below, apart):
             self._require_idempotent(x)
-        out = set(self._idem_sorted)
+        out = (1 << len(self._idem_sorted)) - 1
         for x in below:
-            row = self.meets[x]
-            out = {f for f in out if row[f] == f}
+            out &= self.below_bits[x]
         for y in apart:
-            row = self.meets[y]
-            out = {f for f in out if row[f] == self.zero}
-        return Ideal(frozenset(out))
+            out &= ~self.meet_bits[y]
+        return Ideal(frozenset(self.members_of(out)))
 
     def fixed_idempotents(self, s: int) -> Ideal:
         """Idempotents e with e <= s, equivalently s e = e.
@@ -313,20 +332,15 @@ class InverseSemigroup:
     def first_uncovered(self, cover, members: Iterable[int]):
         """The first nonzero idempotent of `members`, in their order, that
         intersects no element of `cover`; None when there is none.  The
-        cover is scanned once per member, so it must be a collection of
-        idempotents."""
+        cover, a collection of idempotents, is read once as bits, and each
+        member is one test of its ``meet_bits`` row against them."""
         if not self.idempotents.issuperset(cover):
             for c in cover:
                 self._require_idempotent(c)
-        zero, meets = self.zero, self.meets
+        cover_bits = self.bits(cover)
+        zero, meet_bits = self.zero, self.meet_bits
         for f in members:
-            if f == zero:
-                continue
-            row = meets[f]
-            for c in cover:
-                if row[c] != zero:
-                    break
-            else:
+            if f != zero and not meet_bits[f] & cover_bits:
                 return f
         return None
 
@@ -352,16 +366,12 @@ class InverseSemigroup:
         witness small; any cover would do for the criteria built on top.
         """
         mem = self._checked_members(ideal)
-        nz = [f for f in sorted(mem) if f != self.zero]
-        maximal = []
-        for f in nz:
-            row = self.meets[f]
-            for g in nz:
-                if row[g] == f and g != f:
-                    break
-            else:
-                maximal.append(f)
-        return frozenset(maximal)
+        column = self.column
+        strictly_below = 0              # members below another member
+        for f in mem:
+            strictly_below |= self.below_bits[f] & ~(1 << column[f])
+        nonzero = self.bits(mem) & ~(1 << column[self.zero])
+        return frozenset(self.members_of(nonzero & ~strictly_below))
 
     # ------------------------------------------------------------- global
 
@@ -390,7 +400,9 @@ def from_table(table: Sequence[Sequence[int]], zero: int,
     array is read as it is and never written to.  Rows up to the first of
     the wrong length are range-checked as one array, and the first entry
     out of range in row order, or else that row, raises
-    :class:`DegreeMismatch`.
+    :class:`DegreeMismatch`.  The zero may be any integer type, NumPy's
+    included; anything else, like an index out of range, raises
+    :class:`NoZero`.
 
     Associativity is decided by Light's test against a generating set
     (Clifford & Preston, *The Algebraic Theory of Semigroups* I, 1.2).
@@ -426,11 +438,15 @@ def from_table(table: Sequence[Sequence[int]], zero: int,
         raise DegreeMismatch(f"table entry {m.flat[bad[0]]} out of range 0..{n - 1}")
     if square < n:
         raise DegreeMismatch(f"table is not {n}x{n}")
-    if not isinstance(zero, int) or not 0 <= zero < n:
+    try:
+        index = operator.index(zero)    # any integer, NumPy's included
+    except TypeError:
+        index = n                       # refused below, as out of range
+    if not 0 <= index < n:
         raise NoZero(f"zero index {zero!r} out of range")
     if element_names is not None and len(element_names) != n:
         raise DegreeMismatch("element_names length does not match the table")
-    return _checked(m.astype(np.int32, copy=False), zero, element_names)
+    return _checked(m.astype(np.int32, copy=False), index, element_names)
 
 
 # Elements per block of the unique-inverse search in `_checked`: its
@@ -515,6 +531,16 @@ def _right_generators(m: np.ndarray) -> list:
             reached[fresh] = True
             fresh = m[np.ix_(fresh, gens)].ravel()
     return gens
+
+
+def _row_bits(flags: np.ndarray) -> list:
+    """Each row of a 2-d bool array as one integer, with bit j set when
+    cell j is True."""
+    packed = np.packbits(flags, axis=1, bitorder="little")
+    width = packed.shape[1]
+    raw = packed.tobytes()
+    return [int.from_bytes(raw[i:i + width], "little")
+            for i in range(0, len(raw), width)]
 
 
 def _columns(right, generators, wanted) -> np.ndarray:

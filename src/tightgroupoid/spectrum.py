@@ -87,7 +87,8 @@ def filter_from_min(sg: InverseSemigroup, e: int) -> Filter:
         raise ZeroGeneratesNoFilter("the up-set of zero contains zero")
     if e not in sg.idempotents:
         raise errors.NotIdempotent(e)
-    members = frozenset(f for f, ef in sg.meets[e].items() if ef == e)
+    row = sg.slab[e].tolist()                 # f -> e f
+    members = frozenset(f for f, ef in zip(sg.idempotent_list(), row) if ef == e)
     return Filter(e, members)
 
 
@@ -107,7 +108,7 @@ def validate_filter(sg: InverseSemigroup, f: Filter) -> None:
             raise errors.NotIdempotent(e)
     for a in f.members:
         for b in f.members:
-            if sg.meets[a][b] not in f.members:
+            if sg.meet(a, b) not in f.members:
                 raise errors.NotAnIdeal("filter not closed under meets")
     for a in f.members:
         for b in sg.idempotent_list():
@@ -129,7 +130,7 @@ def filter_of(sg: InverseSemigroup, c: Character) -> Filter:
     validate_character(sg, c)
     m = None
     for e in c.ones:
-        m = e if m is None else sg.meets[m][e]
+        m = e if m is None else sg.meet(m, e)
     f = Filter(m, frozenset(c.ones))
     validate_filter(sg, f)
     return f
@@ -143,8 +144,9 @@ def validate_character(sg: InverseSemigroup, c: Character) -> None:
     for e in c.ones:
         if e not in sg.idempotents:
             raise errors.NotIdempotent(e)
-    for e in sg.idempotent_list():
-        for f, ef in sg.meets[e].items():
+    idem = sg.idempotent_list()
+    for e in idem:
+        for f, ef in zip(idem, sg.slab[e].tolist()):
             lhs = 1 if ef in c.ones else 0
             if lhs != c(e) * c(f):
                 raise NotInDomain(f"character not multiplicative at ({e},{f})")

@@ -478,6 +478,82 @@ def dict_slab(sg):
     return tuple(dict(zip(idem, row)) for row in sg.slab.tolist())
 
 
+# ------------------------------- the idempotent semilattice, cell by cell
+#
+# The ideal and cover reads of ``InverseSemigroup`` as scans of the meet
+# table, the slab's rows at the idempotents as dicts: `slab` is
+# :func:`dict_slab` of `sg`, and every result is in the order the library
+# gives it.
+
+def first_uncovered(sg, slab, cover, members):
+    """The first nonzero idempotent of `members`, in their order, that
+    meets no element of `cover`; None when there is none."""
+    zero = sg.zero
+    for f in members:
+        if f == zero:
+            continue
+        row = slab[f]
+        for c in cover:
+            if row[c] != zero:
+                break
+        else:
+            return f
+    return None
+
+
+def canonical_cover(sg, slab, members):
+    """The maximal nonzero members of an ideal, by testing every pair."""
+    nz = [f for f in sorted(members) if f != sg.zero]
+    maximal = []
+    for f in nz:
+        row = slab[f]
+        for g in nz:
+            if row[g] == f and g != f:
+                break
+        else:
+            maximal.append(f)
+    return frozenset(maximal)
+
+
+def ideal_perp(sg, slab, members):
+    """Idempotents orthogonal to every member of an ideal."""
+    zero = sg.zero
+    out = []
+    for f in sg.idempotent_list():
+        row = slab[f]
+        for e in members:
+            if row[e] != zero:
+                break
+        else:
+            out.append(f)
+    return frozenset(out)
+
+
+def constraint_ideal(sg, slab, below, apart):
+    """Idempotents below everything in `below` and orthogonal to
+    everything in `apart`."""
+    out = set(sg.idempotent_list())
+    for x in below:
+        row = slab[x]
+        out = {f for f in out if row[f] == f}
+    for y in apart:
+        row = slab[y]
+        out = {f for f in out if row[f] == sg.zero}
+    return frozenset(out)
+
+
+def ideal_escape(sg, slab, members):
+    """The message ``InverseSemigroup.ideal`` raises for a set of
+    idempotents holding zero that is not downward closed, or None when it
+    is: the first member in set order, and its first idempotent f in index
+    order, whose product escapes the set."""
+    for e in members:
+        for f, ef in slab[e].items():
+            if ef not in members:
+                return f"not downward closed: {e}*{f} escapes"
+    return None
+
+
 def per_pair_weakly_fixed(sg, slab, e, s):
     """Whether e (below s*s) is weakly fixed under s, by the per-pair loop
     over the nonzero f below e: each must meet its conjugate s f s*.
@@ -503,7 +579,6 @@ def per_pair_top_free_criterion(sg, weakly_fixed):
     from tightgroupoid import criteria
 
     zero = sg.zero
-    meet_bits = criteria._meet_bits(sg)
     failures, covers, memo = [], {}, {}
     for s in sg.elements():
         fixed = sg.fixed_idempotents(s).members
@@ -514,7 +589,7 @@ def per_pair_top_free_criterion(sg, weakly_fixed):
             cands = tuple(c for c in below if c != zero and c in fixed)
             got = memo.get((cands, e))
             if got is None:
-                got = memo[cands, e] = criteria._decide_cover(sg, meet_bits, cands, below)
+                got = memo[cands, e] = criteria._decide_cover(sg, cands, below)
             uncovered, small = got
             if uncovered is None:
                 covers[(s, e)] = small
@@ -625,15 +700,15 @@ def per_element_validate(action):
                     raise CompositionMismatch(s, t, x)
 
 
-def count_decide_cover(sg, meet_bits, candidates, members):
-    """The cover decision of the criteria by `first_uncovered` and a
-    greedy removal pass that counts, per member, the chosen candidates
-    meeting it; `meet_bits` is ignored, so this can stand in for the
+def count_decide_cover(sg, candidates, members):
+    """The cover decision of the criteria by the cell by cell
+    :func:`first_uncovered` and a greedy removal pass that counts, per
+    member, the chosen candidates meeting it: a stand-in for the
     library's bit-mask version."""
-    uncovered = sg.first_uncovered(candidates, members)
+    table = dict_slab(sg)
+    uncovered = first_uncovered(sg, table, candidates, members)
     if uncovered is not None:
         return uncovered, None
-    table = dict_slab(sg)
     zero = sg.zero
     live = [f for f in members if f != zero]
     met = {c: [f for f in live if table[f][c] != zero] for c in candidates}
@@ -667,7 +742,7 @@ def pairwise_minimal_criterion(sg):
         for f in nz:
             cands = frozenset(conjugators[f])
             if cands not in decided:
-                decided[cands] = count_decide_cover(sg, None, cands, below)
+                decided[cands] = count_decide_cover(sg, cands, below)
             uncovered, small = decided[cands]
             if uncovered is not None:
                 failures.append({"e": e, "f": f, "uncovered": uncovered})
@@ -676,6 +751,36 @@ def pairwise_minimal_criterion(sg):
     if failures:
         return CriterionResult(False, witness={"failures": failures})
     return CriterionResult(True, witness={"conjugate_covers": witnesses})
+
+
+# ----------------------------------------- table fixtures, cell by cell
+
+def loop_brandt_table(n):
+    """The table of the matrix units e_ij (element 1 + i n + j) and zero:
+    e_ij e_kl = e_il when j = k, else 0."""
+    size = n * n + 1
+    table = [[0] * size for _ in range(size)]
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        if j == k:
+            table[1 + i * n + j][1 + k * n + l] = 1 + i * n + l
+    return table
+
+
+def loop_cyclic_table(n):
+    """The table of the cyclic group of order n with a zero adjoined as
+    element 0: g^i g^j = g^(i + j mod n) is element 1 + (i + j) % n."""
+    table = [[0] * (n + 1) for _ in range(n + 1)]
+    for i, j in itertools.product(range(n), repeat=2):
+        table[i + 1][j + 1] = (i + j) % n + 1
+    return table
+
+
+def loop_subsets_table(k):
+    """The table of the subsets of k points, by size then
+    lexicographically, under intersection."""
+    subsets = [s for r in range(k + 1) for s in itertools.combinations(range(k), r)]
+    index = {s: i for i, s in enumerate(subsets)}
+    return [[index[tuple(sorted(set(a) & set(b)))] for b in subsets] for a in subsets]
 
 
 # ------------------------------------- table input, row by row and per element

@@ -7,6 +7,8 @@ import pytest
 import tightgroupoid as tg
 from tightgroupoid import cli, errors, fixtures, semigroup
 
+import oracles
+
 
 def test_named_fixture_cardinalities():
     assert tg.build_fixture("I2").size == 7
@@ -100,6 +102,16 @@ def test_group_with_zero_rejects_monoids():
     # a two-chain semilattice is a monoid but not a group
     with pytest.raises(errors.TightGroupoidError):
         tg.group_with_zero([[0, 0], [0, 1]])
+
+
+def test_table_fixtures_match_their_loops():
+    # the array-built tables against the former cell-by-cell loops
+    families = ((tg.brandt_semigroup, oracles.loop_brandt_table, range(1, 9)),
+                (tg.cyclic_group_with_zero, oracles.loop_cyclic_table, range(1, 13)),
+                (tg.meet_semilattice_of_subsets, oracles.loop_subsets_table, range(9)))
+    for family, loop, sizes in families:
+        for n in sizes:
+            assert family(n).table == tuple(map(tuple, loop(n))), (family.__name__, n)
 
 
 def test_z2z_equals_cyclic_construction():

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import random
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -61,6 +63,14 @@ def test_zero_not_absorbing_rejected():
 def test_bad_zero_index():
     with pytest.raises(errors.NoZero):
         tg.from_table([[0]], 3)
+    # any integer type is an index; a non-integer, or a NumPy integer out
+    # of range, is refused with the message of an index out of range
+    sg = tg.from_table([[0, 0], [0, 1]], np.int64(0))
+    assert sg.zero == 0 and type(sg.zero) is int
+    for zero in (np.int64(2), np.int32(-1), 0.0, "0", None):
+        message = re.escape(f"zero index {zero!r} out of range")
+        with pytest.raises(errors.NoZero, match=message):
+            tg.from_table([[0, 0], [0, 1]], zero)
 
 
 # ---------------------------------------------------- from_partial_maps
