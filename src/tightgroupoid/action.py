@@ -240,8 +240,9 @@ def trivial_fixed_points(action: FiniteAction, s: int) -> frozenset:
     """
     got = action._trivial.get(s)
     if got is None:
+        sg = action.semigroup
         out = set()
-        for e in action.semigroup.fixed_idempotents(s).members:
+        for e in sg.members_of(sg.below_bits[s]):
             out |= action.edomains[e]
         got = action._trivial[s] = frozenset(out) if out else _NO_POINTS
     return got

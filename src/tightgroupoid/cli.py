@@ -182,9 +182,8 @@ def _analyze_corpus(args) -> int:
     if args.dot_path:
         print("--corpus excludes --dot", file=sys.stderr)
         return 2
-    instances = fixtures.corpus(args.corpus, args.seed)
-    payloads = []
-    for index, (name, sg) in enumerate(instances):
+    payloads = []                     # kept for the JSON document only
+    for index, (name, sg) in enumerate(fixtures.iter_corpus(args.corpus, args.seed)):
         try:
             analysis, checks = criteria.verify_instance(sg, name, seed=index)
         except TheoremViolation as exc:
@@ -195,8 +194,10 @@ def _analyze_corpus(args) -> int:
         payload = report.build_document(analysis, name)
         print(f"[{index:3d}] {_summary(payload)} {_flags(payload)} "
               f"identities={len(checks)} ok")
-        payloads.append(payload)
-    print(f"{len(payloads)}/{len(instances)} equivalence checks passed")
+        if args.json_path:
+            payloads.append(payload)
+    # a mismatch returns above, so every instance passed
+    print(f"{args.corpus}/{args.corpus} equivalence checks passed")
     if args.json_path:
         body = {
             "schema_version": report.SCHEMA_VERSION,

@@ -44,20 +44,20 @@ def hausdorff_criterion(sg: InverseSemigroup) -> CriterionResult:
     On finite instances the maximal nonzero members always form such a
     cover, so the verdict is True and the value of the operation is the
     witness table plus the agreement assertion against the groupoid-level
-    decision made elsewhere.  Elements with the same fixed ideal share
-    one canonical cover, built and checked once.
+    decision made elsewhere.  Elements with one row of ``sg.below_bits``,
+    one fixed ideal, share one canonical cover, built and checked once.
     """
     covers = {}
-    by_ideal = {}
-    for s in sg.elements():
-        ideal = sg.fixed_idempotents(s)
-        cover = by_ideal.get(ideal.members)
+    by_row = {}
+    for s, row in enumerate(sg.below_bits):
+        cover = by_row.get(row)
         if cover is None:
+            ideal = sg.fixed_idempotents(s)
             found = sg.canonical_cover(ideal)
             if not sg.is_cover(found, ideal):
                 raise TheoremViolation("canonical_cover", sorted(found), sorted(ideal),
                                        f"element {s}")
-            cover = by_ideal[ideal.members] = tuple(sorted(found))
+            cover = by_row[row] = tuple(sorted(found))
         covers[s] = cover
     return CriterionResult(True, witness={"covers": covers})
 
@@ -151,23 +151,22 @@ def top_free_criterion(sg: InverseSemigroup) -> CriterionResult:
     candidate set decides existence.  The cover test runs for the weakly
     fixed pairs only, read in (s, e) order off one pass of
     :func:`_weakly_fixed_flags` with the zero left out, once per distinct
-    (candidates, e).
+    (candidates, e), the candidates ``sg.below_bits[e] & sg.below_bits[s]``.
     """
-    zero = sg.zero
-    idem = sg.idempotent_list()
+    idem, below_bits = sg.idempotent_list(), sg.below_bits
+    zero_column = sg.column[sg.zero]
+    nonzero = ~(1 << zero_column)
     rows, cols = np.nonzero(_weakly_fixed_flags(sg))
-    nonzero = cols != sg.column[zero]
+    keep = cols != zero_column
     failures = []
     covers = {}
     memo = {}
-    for s, j in zip(rows[nonzero].tolist(), cols[nonzero].tolist()):
+    for s, j in zip(rows[keep].tolist(), cols[keep].tolist()):
         e = idem[j]
-        fixed = sg.fixed_idempotents(s).members
-        below = sg.below(e)
-        cands = tuple(c for c in below if c != zero and c in fixed)
+        cands = below_bits[e] & below_bits[s] & nonzero
         got = memo.get((cands, e))
         if got is None:
-            got = memo[cands, e] = _decide_cover(sg, cands, below)
+            got = memo[cands, e] = _decide_cover(sg, sg.members_of(cands), sg.below(e))
         uncovered, small = got
         if uncovered is None:
             covers[(s, e)] = small
@@ -260,7 +259,7 @@ def _refute_at_least_atom(sg: InverseSemigroup, check: str,
     qualifies when e s e = 0 and ``qualifies(c, c e)`` for c = s e s*,
     which no inverse semigroup allows, so it raises."""
     d, r, star, zero = sg.d, sg.r, sg.star, sg.zero
-    e = next((f for f in sg.nonzero_idempotents() if len(sg.below(f)) == 2), None)
+    e = next((f for f in sg.nonzero_idempotents() if spectrum_mod._is_atom(sg, f)), None)
     if e is None:
         return CriterionResult(True, vacuous=True)
     times_e = sg.slab[:, sg.column[e]].tolist()      # x -> x e
@@ -466,8 +465,8 @@ def verify_instance(sg: InverseSemigroup, name: str = "S", seed: int = 0):
     rng = random.Random(seed)
     idem = sg.idempotent_list()
     ideals = [sg.principal_ideal(e) for e in idem]
-    fixed = {sg.fixed_idempotents(s).members for s in sg.elements()}
-    ideals += [Ideal(mem) for mem in sorted(fixed, key=sorted)]
+    fixed = sorted(map(sg.members_of, set(sg.below_bits)))
+    ideals += [Ideal(frozenset(mem)) for mem in fixed]
     ideals += [sg.ideal_perp(sg.principal_ideal(e)) for e in idem]
     for _ in range(3):
         seedset = rng.sample(idem, k=min(len(idem), 3))
@@ -566,14 +565,13 @@ def verify_instance(sg: InverseSemigroup, name: str = "S", seed: int = 0):
                                        frozenset(), f"{name} s={s}")
     checks["estar_implications"] = True
 
-    for s in sg.elements():
-        fixed = sg.fixed_idempotents(s).members
-        for e in sg.below(sg.d[s]):
-            if e != zero and e in fixed:
-                lhs = weakly_fixed(sg, e, s)
-                if not lhs:
-                    raise TheoremViolation("fixed_implies_weakly_fixed", lhs,
-                                           True, f"{name} s={s} e={e}")
+    nonzero = ~(1 << sg.column[zero])
+    for s, fixed in enumerate(sg.below_bits):
+        for e in sg.members_of(fixed & sg.below_bits[sg.d[s]] & nonzero):
+            lhs = weakly_fixed(sg, e, s)
+            if not lhs:
+                raise TheoremViolation("fixed_implies_weakly_fixed", lhs,
+                                       True, f"{name} s={s} e={e}")
     checks["fixed_implies_weakly_fixed"] = True
 
     # never met at the least atom (else it raises); vacuous with no atom

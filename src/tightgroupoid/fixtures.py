@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 import re
+from typing import Iterator
 
 import numpy as np
 
@@ -200,10 +201,14 @@ def random_instance(rng: random.Random) -> InverseSemigroup:
         return sg
 
 
-def corpus(count: int, seed: int) -> list:
-    """Deterministic list of (name, semigroup) pairs for a seed."""
+def iter_corpus(count: int, seed: int) -> Iterator[tuple]:
+    """Deterministic (name, semigroup) pairs for a seed, each drawn only
+    when asked for, so a caller can hold one instance at a time."""
     rng = random.Random(seed)
-    out = []
     for i in range(count):
-        out.append((f"corpus-{seed}-{i:03d}", random_instance(rng)))
-    return out
+        yield f"corpus-{seed}-{i:03d}", random_instance(rng)
+
+
+def corpus(count: int, seed: int) -> list:
+    """The pairs of :func:`iter_corpus` as one list."""
+    return list(iter_corpus(count, seed))

@@ -9,10 +9,10 @@ array of shape (|S|, |E|): row s holds s e for every idempotent e, one
 column per idempotent in increasing index order, and ``column[e]`` is
 the column of e.  Every predicate in this package reduces to a finite
 scan of these and every theorem to an exhaustive check; the scans over
-all |S| |E| cells run as whole-array passes, the order and the
-orthogonality of idempotents, and with them every ideal and cover, are
-tests on two rows of bits per idempotent, ``below_bits`` and
-``meet_bits``, and any other scalar read takes a row through
+all |S| |E| cells run as whole-array passes, the order of idempotents,
+their orthogonality, and with them every ideal, fixed ideal and cover,
+are tests on bit rows, ``below_bits`` per element and ``meet_bits`` per
+idempotent, and any other scalar read takes a row through
 ``.tolist()``.  Both builders hand the constructor the involution, s*s
 and the Cayley graph; the slab, the block of products of arrow
 representatives that the groupoid axiom check reads, and the full
@@ -24,10 +24,9 @@ maps as rows of a digit array and forms the graph's edges a block of
 maps at a time, every letter in one array gather.
 
 Instances are immutable after construction and safe to share between
-threads; after ``__init__`` only the table, the caches of ``below`` and
-``fixed_idempotents`` and the weakly fixed flags of
-:func:`~tightgroupoid.criteria.weakly_fixed` fill, each with the one
-value its key determines.
+threads; after ``__init__`` only the table, the cache of ``below`` and
+the weakly fixed flags of :func:`~tightgroupoid.criteria.weakly_fixed`
+fill, each with the one value its key determines.
 """
 
 from __future__ import annotations
@@ -112,13 +111,13 @@ class InverseSemigroup:
             ``r[slab[s, column[e]]]``.  Cells are NumPy integers: a value
             that reaches a report goes through ``int`` or ``.tolist()``.
         column: dict from each idempotent to its column of the slab.
-        below_bits: dict from each idempotent e to one integer with bit
-            ``column[f]`` set for each idempotent f <= e.
+        below_bits: tuple, per element s, of one integer with bit
+            ``column[f]`` set for each idempotent f <= s, that is s f = f:
+            the fixed ideal of s, at an idempotent its down-set.
         meet_bits: dict from each idempotent e to one integer with bit
             ``column[f]`` set for each idempotent f with e f != 0.  Both
-            are the slab's rows at the idempotents, one ``np.packbits``
-            pass each; :meth:`bits` and :meth:`members_of` convert
-            between idempotents and bits.
+            are one ``np.packbits`` pass over slab rows; :meth:`bits` and
+            :meth:`members_of` convert between idempotents and bits.
         idempotents: frozenset of idempotent indices (the semilattice).
         generators: element indices whose closure under right
             multiplication by one another is the whole semigroup: every
@@ -156,14 +155,12 @@ class InverseSemigroup:
         self.slab = np.ascontiguousarray(
             _columns(self.right, self.generators, idem).T)
         self.slab.flags.writeable = False
-        rows = self.slab[list(idem)]
-        self.below_bits = dict(zip(idem, _row_bits(rows == np.array(idem))))
-        self.meet_bits = dict(zip(idem, _row_bits(rows != self.zero)))
+        self.below_bits = tuple(_row_bits(self.slab == np.array(idem)))
+        self.meet_bits = dict(zip(idem, _row_bits(self.slab[list(idem)] != self.zero)))
         self._table = None
         self.element_names = tuple(element_names) if element_names else None
         self.partial_maps = tuple(partial_maps) if partial_maps else None
         self._below = {}
-        self._fixed = {}
         self._weakly_fixed = None
 
     @property
@@ -317,15 +314,9 @@ class InverseSemigroup:
 
         These are exactly the idempotents fixed under left multiplication
         by s; the set is always an ideal, but not a principal one unless
-        s is itself idempotent.  Cached per element.
+        s is itself idempotent.  The members of ``below_bits[s]``.
         """
-        got = self._fixed.get(s)
-        if got is None:
-            got = Ideal(frozenset(e for e, se in zip(self._idem_sorted,
-                                                     self.slab[s].tolist())
-                                  if se == e))
-            self._fixed[s] = got
-        return got
+        return Ideal(frozenset(self.members_of(self.below_bits[s])))
 
     # ------------------------------------------------------------- covers
 
@@ -377,13 +368,11 @@ class InverseSemigroup:
 
     def is_e_star_unitary(self) -> bool:
         """True when no non-idempotent element dominates a nonzero
-        idempotent, i.e. every non-idempotent has fixed ideal {0}."""
-        for s in self.elements():
-            if s in self.idempotents:
-                continue
-            if len(self.fixed_idempotents(s)) > 1:
-                return False
-        return True
+        idempotent: every non-idempotent's row of ``below_bits`` is {0}."""
+        zero_bit = 1 << self.column[self.zero]
+        return all(bits == zero_bit
+                   for s, bits in enumerate(self.below_bits)
+                   if s not in self.idempotents)
 
 
 # -------------------------------------------------------------- builders

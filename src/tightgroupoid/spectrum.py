@@ -197,7 +197,7 @@ def basic_open(sg: InverseSemigroup, contains: Iterable[int],
 
 def _is_atom(sg: InverseSemigroup, e: int) -> bool:
     """A nonzero idempotent with nothing but zero strictly below it."""
-    return e != sg.zero and len(sg.below(e)) == 2
+    return sg.below_bits[e].bit_count() == 2
 
 
 def tightness_obstruction(sg: InverseSemigroup, f: Filter):

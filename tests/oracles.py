@@ -480,10 +480,10 @@ def dict_slab(sg):
 
 # ------------------------------- the idempotent semilattice, cell by cell
 #
-# The ideal and cover reads of ``InverseSemigroup`` as scans of the meet
-# table, the slab's rows at the idempotents as dicts: `slab` is
-# :func:`dict_slab` of `sg`, and every result is in the order the library
-# gives it.
+# The ideal, fixed ideal and cover reads of ``InverseSemigroup`` as scans
+# of the slab's rows as dicts, the meet table at the idempotents: `slab`
+# is :func:`dict_slab` of `sg`, and every result is in the order the
+# library gives it.
 
 def first_uncovered(sg, slab, cover, members):
     """The first nonzero idempotent of `members`, in their order, that
@@ -542,6 +542,17 @@ def constraint_ideal(sg, slab, below, apart):
     return frozenset(out)
 
 
+def fixed_idempotents(sg, slab, s):
+    """The idempotents e with s e = e, by scanning the row of s."""
+    return frozenset(e for e, se in slab[s].items() if se == e)
+
+
+def is_e_star_unitary(sg, slab):
+    """Whether every non-idempotent fixes zero alone."""
+    return all(fixed_idempotents(sg, slab, s) == {sg.zero}
+               for s in sg.elements() if s not in sg.idempotents)
+
+
 def ideal_escape(sg, slab, members):
     """The message ``InverseSemigroup.ideal`` raises for a set of
     idempotents holding zero that is not downward closed, or None when it
@@ -579,9 +590,10 @@ def per_pair_top_free_criterion(sg, weakly_fixed):
     from tightgroupoid import criteria
 
     zero = sg.zero
+    slab = dict_slab(sg)
     failures, covers, memo = [], {}, {}
     for s in sg.elements():
-        fixed = sg.fixed_idempotents(s).members
+        fixed = fixed_idempotents(sg, slab, s)
         for e in sg.below(sg.d[s]):
             if e == zero or not weakly_fixed(sg, e, s):
                 continue
@@ -1349,10 +1361,10 @@ def table_free_fields_mismatch(sg, table=None):
     instance is compared against the `table` it was built from.
 
     Compares the involution, the idempotents, s*s, ss*, the slab's
-    columns and every slab cell, e s through `left`, every edge of
-    `right`, and that the generators reach every element by right
-    multiplication.  Run it before anything fills the table of `sg`, so
-    that `left` reads the slab."""
+    columns and every slab cell, each element's row of ``below_bits``,
+    e s through `left`, every edge of `right`, and that the generators
+    reach every element by right multiplication.  Run it before anything
+    fills the table of `sg`, so that `left` reads the slab."""
     ref, t = checked_twin(sg, table)
     if sg.star != ref.star:
         return "star"
@@ -1368,6 +1380,8 @@ def table_free_fields_mismatch(sg, table=None):
             return f"r[{s}]"
         if sg.slab[s].tolist() != [t[s][e] for e in idem]:
             return f"slab[{s}]"
+        if sg.below_bits[s] != sum(1 << j for j, f in enumerate(idem) if t[s][f] == f):
+            return f"below_bits[{s}]"
         if any(sg.left(e, s) != t[e][s] for e in idem):
             return f"left at {s}"
         if sg.right[s] != tuple(t[s][g] for g in sg.generators):

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -161,6 +163,25 @@ def test_cli_corpus_refuses_dot(tmp_path, capsys):
 def test_cli_corpus_has_no_jobs_flag(capsys):
     assert cli.run_cli(["analyze", "--corpus", "2", "--jobs", "2"]) == 2
     assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+
+def test_cli_corpus_holds_one_instance_at_a_time():
+    # without --json, corpus mode drops each instance and its report once
+    # its line is printed, so the peak allocation is set by the largest
+    # instance, under 1 MB, not by the count: holding them, the 60 more
+    # instances of the larger run would add about 40 KB each, 2.4 MB
+    def peak(count):
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                assert cli.run_cli(["analyze", "--corpus", str(count)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    peak(2)                           # imports and first-call caches
+    small, large = peak(20), peak(80)
+    assert large - small < 1_500_000, (small, large)
 
 
 def test_corpus_reproducer_records_verdicts_as_single_mode(tmp_path, monkeypatch,

@@ -1,7 +1,7 @@
-"""Every read of the idempotent semilattice, the bit tests of
-``InverseSemigroup`` on ``below_bits`` and ``meet_bits``, against the cell
-by cell scans of the meet table kept in `oracles`, values, order and
-error messages included."""
+"""Every read of the idempotent semilattice and of the fixed ideals, the
+bit tests of ``InverseSemigroup`` on ``below_bits`` and ``meet_bits``,
+against the cell by cell scans of the slab kept in `oracles`, values,
+order and error messages included."""
 
 from __future__ import annotations
 
@@ -53,6 +53,10 @@ def test_semilattice_bits_match_the_meet_table():
                 assert sg.intersects(e, f) is (ef != zero), (name, e, f)
             assert sg.below(e) == tuple(f for f, ef in slab[e].items() if ef == f), \
                 (name, e)
+        for s in sg.elements():
+            assert sg.fixed_idempotents(s).members == \
+                oracles.fixed_idempotents(sg, slab, s), (name, s)
+        assert sg.is_e_star_unitary() is oracles.is_e_star_unitary(sg, slab), name
 
         ideals = {frozenset(sg.below(e)) for e in idem}
         ideals |= {random_ideal(sg, rng) for _ in range(4)}
