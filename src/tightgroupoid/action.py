@@ -100,11 +100,13 @@ def _map_array(action: FiniteAction) -> np.ndarray:
 def validate_action(action: FiniteAction) -> None:
     """Check every action axiom exhaustively.
 
-    Composites must agree with the product maps on the largest domain
-    where they make sense, the map of s* must invert the map of s with
-    domains equal to the domains of s*s and ss*, idempotents must act as
-    partial identities with zero acting as the empty map, and the
-    idempotent domains must cover the carrier.
+    Every map must first have one entry per point, each None or an int
+    point; the lowest element whose map does not raises
+    :class:`InvalidAction` naming it.  Composites must agree with the
+    product maps on the largest domain where they make sense, the map of
+    s* must invert the map of s with domains equal to the domains of s*s
+    and ss*, idempotents must act as partial identities with zero acting
+    as the empty map, and the idempotent domains must cover the carrier.
 
     Composition is checked for s in S and t in ``semigroup.generators``
     only.  Every t is a product g1...gk of generators, and if
@@ -128,6 +130,14 @@ def validate_action(action: FiniteAction) -> None:
     maps = action.maps
     if set(maps) != set(sg.elements()):
         raise InvalidAction("maps must be indexed by every semigroup element")
+    points = action.points
+    images, kinds = {None, *range(points)}, {int, type(None)}
+    for s in sg.elements():
+        m = maps[s]
+        if len(m) != points or not kinds.issuperset(map(type, m)) or \
+                not images.issuperset(m):
+            raise InvalidAction(f"map of element {s} must have {points} "
+                                f"entries, each None or an int in range({points})")
 
     if action._domains[sg.zero]:
         raise InvalidAction("zero must act as the empty map")
@@ -139,7 +149,7 @@ def validate_action(action: FiniteAction) -> None:
 
     padded = _map_array(action)
     m = padded[:, :-1]
-    n, points = m.shape
+    n = len(m)
     defined = m >= 0
     elems, xs = np.nonzero(defined)
     cells = elems * points + m[elems, xs]             # (s, y) for y = s x
@@ -166,10 +176,9 @@ def validate_action(action: FiniteAction) -> None:
     # (s, j, x): s after generator j at x, against s g_j at x, over blocks
     # of elements holding at most |S| times the points cells, or 4096
     gen_maps = m[np.array(sg.generators)]
-    right = np.array(sg.right)
     step = max(1, max(n * points, 4096) // gen_maps.size)
     for lo in range(0, n, step):
-        differs = padded[lo:lo + step, gen_maps] != m[right[lo:lo + step]]
+        differs = padded[lo:lo + step, gen_maps] != m[sg.right[lo:lo + step]]
         if differs.any():
             s, rest = divmod(int(differs.argmax()), differs[0].size)
             j, x = divmod(rest, points)

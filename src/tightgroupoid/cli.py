@@ -175,14 +175,9 @@ def _analyze_single(args) -> int:
     return 0
 
 
-def _analyze_corpus(args) -> int:
-    if args.file or args.fixture:
-        print("--corpus excludes a file or --fixture", file=sys.stderr)
-        return 2
-    if args.dot_path:
-        print("--corpus excludes --dot", file=sys.stderr)
-        return 2
-    payloads = []                     # kept for the JSON document only
+def _corpus_payloads(args):
+    """The report of each corpus instance in turn, once its summary line
+    is printed; a verdict mismatch writes its reproducer and propagates."""
     for index, (name, sg) in enumerate(fixtures.iter_corpus(args.corpus, args.seed)):
         try:
             analysis, checks = criteria.verify_instance(sg, name, seed=index)
@@ -190,21 +185,43 @@ def _analyze_corpus(args) -> int:
             path = _dump_violation(sg, name, exc)
             print(f"verdict mismatch on {name}: {exc}\n"
                   f"reproducer written to {path}", file=sys.stderr)
-            return 3
+            raise
         payload = report.build_document(analysis, name)
         print(f"[{index:3d}] {_summary(payload)} {_flags(payload)} "
               f"identities={len(checks)} ok")
+        yield payload
+
+
+def _write_corpus_json(args, payloads) -> None:
+    """The corpus document, written to the --json path one instance at a
+    time as each passes; a run that stops before the end removes it."""
+    with open(args.json_path, "w", encoding="utf-8") as fh:
+        try:
+            report._write_corpus(fh, args.seed, args.corpus, payloads)
+        except BaseException:
+            fh.close()
+            os.remove(args.json_path)
+            raise
+
+
+def _analyze_corpus(args) -> int:
+    if args.file or args.fixture:
+        print("--corpus excludes a file or --fixture", file=sys.stderr)
+        return 2
+    if args.dot_path:
+        print("--corpus excludes --dot", file=sys.stderr)
+        return 2
+    payloads = _corpus_payloads(args)
+    try:
         if args.json_path:
-            payloads.append(payload)
+            _write_corpus_json(args, payloads)
+        else:
+            for _ in payloads:
+                pass
+    except TheoremViolation:
+        return 3
     # a mismatch returns above, so every instance passed
     print(f"{args.corpus}/{args.corpus} equivalence checks passed")
-    if args.json_path:
-        body = {
-            "schema_version": report.SCHEMA_VERSION,
-            "corpus": {"seed": args.seed, "count": args.corpus},
-            "instances": payloads,
-        }
-        _write(args.json_path, report.json_text(body))
     return 0
 
 

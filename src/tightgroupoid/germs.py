@@ -25,7 +25,6 @@ from .action import (
     validate_action,
 )
 from .errors import DomainViolation, TheoremViolation
-from .semigroup import _columns
 
 
 def _least_idempotents(action: FiniteAction) -> tuple:
@@ -147,7 +146,8 @@ class GermGroupoid:
         representatives occur, so they are read off one block of the
         multiplication table, its columns for the representatives taken
         from the right Cayley graph by
-        :func:`~tightgroupoid.semigroup._columns`; the table itself is
+        :meth:`~tightgroupoid.semigroup.InverseSemigroup._columns` along
+        the spanning tree the constructor walked; the table itself is
         never filled.  The checks run in the order of the compose-based
         reading kept in the test suite, so the first violation raised is
         the same.
@@ -157,7 +157,7 @@ class GermGroupoid:
         arrows, class_of = self.arrows, self._class_of
         sg = self.semigroup
         reps = sorted({s for s, _ in arrows})
-        block = _columns(sg.right, sg.generators, reps)[:, reps].T.tolist()
+        block = sg._columns(reps)[:, reps].T.tolist()
         prod = {a: dict(zip(reps, row)) for a, row in zip(reps, block)}
 
         def compose(i, j):

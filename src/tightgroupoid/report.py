@@ -170,6 +170,23 @@ def json_text(obj) -> str:
     return _json(obj, "") + "\n"
 
 
+def _write_corpus(fh, seed: int, count: int, payloads) -> None:
+    """Write to `fh` the corpus document, byte for byte the
+    :func:`json_text` of ``{"schema_version": SCHEMA_VERSION, "corpus":
+    {"seed": seed, "count": count}, "instances": list(payloads)}``, one
+    payload at a time as `payloads` yields them, so that none is held
+    once written."""
+    head, tail = json_text({"schema_version": SCHEMA_VERSION,
+                            "corpus": {"seed": seed, "count": count},
+                            "instances": []}).split("[]")
+    fh.write(head)
+    written = False
+    for payload in payloads:
+        fh.write((",\n    " if written else "[\n    ") + _json(payload, "    "))
+        written = True
+    fh.write(("\n  ]" if written else "[]") + tail)
+
+
 # The name the benchmark traces for writing a report.
 emit_report = json_text
 

@@ -14,14 +14,14 @@ their orthogonality, and with them every ideal, fixed ideal and cover,
 are tests on bit rows, ``below_bits`` per element and ``meet_bits`` per
 idempotent, and any other scalar read takes a row through
 ``.tolist()``.  Both builders hand the constructor the involution, s*s
-and the Cayley graph; the slab, the block of products of arrow
-representatives that the groupoid axiom check reads, and the full
-multiplication table are columns read off the graph by one routine,
-:func:`_columns`.  Nothing in the analysis or the identity harness
-fills the table; it remains, filled on first access, for readers
-outside them.  The closure builder, :func:`from_partial_maps`, holds its
-maps as rows of a digit array and forms the graph's edges a block of
-maps at a time, every letter in one array gather.
+and the Cayley graph, kept as a read-only int32 array and walked once
+into a spanning tree; the slab, the block of products of arrow
+representatives that the groupoid axiom check reads, and the full table
+are columns read along that tree by one method, ``_columns``.  Nothing
+in the analysis or the identity harness fills the table; it remains,
+filled on first access, for readers outside them.  The closure builder
+holds its maps as rows of a digit array and forms the graph's edges a
+block of maps at a time, every letter in one array gather.
 
 Instances are immutable after construction and safe to share between
 threads; after ``__init__`` only the table, the cache of ``below`` and
@@ -125,9 +125,10 @@ class InverseSemigroup:
             of :func:`from_table` and the homomorphism check of
             :func:`~tightgroupoid.action.validate_action` run against this
             set instead of every element.
-        right: ``right[s][j]`` is the product of s and ``generators[j]``.
+        right: read-only C-contiguous int32 array of shape (|S|,
+            |generators|); ``right[s, j]`` is s times ``generators[j]``.
         table: multiplication table, ``table[a][b]`` is the product,
-            filled from ``right`` on first access.  Nothing
+            filled by :meth:`_columns` on first access.  Nothing
             :func:`~tightgroupoid.criteria.analyze` or
             :func:`~tightgroupoid.criteria.verify_instance` calls reads
             it; it remains for outside readers, such as the reproducer
@@ -149,11 +150,12 @@ class InverseSemigroup:
         self.r = tuple(map(self.d.__getitem__, self.star))
         self._idem_sorted = tuple(s for s, e in zip(ids, self.d) if s == e)
         self.idempotents = frozenset(self._idem_sorted)
-        self.right = tuple(tuple(map(get, row)) for row in right)
+        self.right = np.array(right, dtype=np.int32, order="C")
+        self.right.flags.writeable = False
+        self._tree = _spanning_tree(self.right, self.generators)
         idem = self._idem_sorted
         self.column = {e: j for j, e in enumerate(idem)}
-        self.slab = np.ascontiguousarray(
-            _columns(self.right, self.generators, idem).T)
+        self.slab = np.ascontiguousarray(self._columns(idem).T)
         self.slab.flags.writeable = False
         self.below_bits = tuple(_row_bits(self.slab == np.array(idem)))
         self.meet_bits = dict(zip(idem, _row_bits(self.slab[list(idem)] != self.zero)))
@@ -166,8 +168,30 @@ class InverseSemigroup:
     @property
     def table(self) -> tuple:
         if self._table is None:
-            self._table = _cayley_table(self.right, self.generators)
+            self._table = _cayley_table(self)
         return self._table
+
+    def _columns(self, wanted) -> np.ndarray:
+        """Columns x -> x y of the table for each y in `wanted`, as the
+        rows of an int32 array (Froidure & Pin, "Algorithms for computing
+        finite semigroups", 1997).  Column j of ``right`` is the column of
+        g_j = ``generators[j]``; any other y is p g_j for its edge (p, j)
+        of the spanning tree, and column y, x -> x y = (x p) g_j, is
+        column p sent through column j: one gather, kept along the tree
+        paths of `wanted`, so that no column costs two."""
+        by_gen = np.ascontiguousarray(self.right.T)   # contiguous gathers
+        cols = {g: by_gen[j] for j, g in enumerate(self.generators)}
+        out = np.empty((len(wanted), self.size), dtype=np.int32)
+        for i, y in enumerate(wanted):
+            chain = []
+            while y not in cols:
+                chain.append(y)
+                y = self._tree[y][0]
+            col = cols[y]
+            for y in reversed(chain):
+                col = cols[y] = by_gen[self._tree[y][1]][col]
+            out[i] = col
+        return out
 
     # ------------------------------------------------------------ basics
 
@@ -496,8 +520,8 @@ def _checked(m: np.ndarray, zero: int, element_names=None) -> InverseSemigroup:
     sub = m[np.ix_(el, el)]
     assert np.array_equal(sub, sub.T), "idempotents failed to commute"
 
-    return InverseSemigroup(zero, star, gens, m[star, ar].tolist(),
-                            m[:, gens].tolist(), element_names)
+    return InverseSemigroup(zero, star, gens, m[star, ar].tolist(), m[:, gens],
+                            element_names)
 
 
 def _right_generators(m: np.ndarray) -> list:
@@ -532,53 +556,28 @@ def _row_bits(flags: np.ndarray) -> list:
             for i in range(0, len(raw), width)]
 
 
-def _columns(right, generators, wanted) -> np.ndarray:
-    """Columns x -> x y of the multiplication table for each y in
-    `wanted`, as the rows of an int32 array, read off the right Cayley
-    graph (Froidure & Pin, "Algorithms for computing finite semigroups",
-    1997).
-
-    Column g of the table is column j of `right` for the generator
-    g = ``generators[j]``.  Walking the graph breadth first from the
-    generators reaches every element y as some p g with p reached before,
-    its parent, and then column y, x -> x y = (x p) g, is column p sent
-    through column g: one array gather per element.  Columns are kept
-    along the parent chains of the wanted elements, so every column costs
-    at most one gather.
-    """
-    n = len(right)
-    by_gen = np.array(right, dtype=np.int32).reshape(n, len(generators)).T.copy()
-    cols = {}                                  # y -> column x -> x y
-    for j, g in enumerate(generators):
-        cols.setdefault(g, by_gen[j])
-    parent = dict.fromkeys(cols)               # y -> (p, j) with y = p g_j
-    walk = list(cols)
+def _spanning_tree(right: np.ndarray, generators) -> dict:
+    """The right Cayley graph walked breadth first from the generators:
+    each element y to the first edge (p, j), y = p ``generators[j]``,
+    that reaches it, and a generator to None."""
+    rows = right.tolist()
+    tree = dict.fromkeys(generators)
+    walk = list(tree)
     for p in walk:                             # the list grows while walked
-        for j, y in enumerate(right[p]):
-            if y not in parent:
-                parent[y] = (p, j)
+        for j, y in enumerate(rows[p]):
+            if y not in tree:
+                tree[y] = (p, j)
                 walk.append(y)
-    assert len(walk) == n, "the generators do not reach every element"
-    out = np.empty((len(wanted), n), dtype=np.int32)
-    for i, y in enumerate(wanted):
-        chain = []
-        while y not in cols:
-            chain.append(y)
-            y = parent[y][0]
-        col = cols[y]
-        for y in reversed(chain):
-            col = cols[y] = by_gen[parent[y][1]][col]
-        out[i] = col
-    return out
+    assert len(walk) == len(rows), "the generators do not reach every element"
+    return tree
 
 
-def _cayley_table(right, generators) -> tuple:
+def _cayley_table(sg: InverseSemigroup) -> tuple:
     """The full table, ``table[x][y]`` = x y: every column of
-    :func:`_columns`."""
-    n = len(right)
-    table = _columns(right, generators, range(n)).T
-    ids = list(range(n))                       # one int object per index, shared
-    return tuple(tuple(map(ids.__getitem__, row)) for row in table.tolist())
+    :meth:`InverseSemigroup._columns`."""
+    ids = list(range(sg.size))                 # one int object per index, shared
+    return tuple(tuple(map(ids.__getitem__, row))
+                 for row in sg._columns(ids).T.tolist())
 
 
 # ------------------------------------------------------ partial map model
@@ -757,6 +756,6 @@ def from_partial_maps(degree: int, generators: Sequence[Sequence],
     per_map = maps.tolist()
     names = [sep.join(map(cells.__getitem__, row)) for row in per_map]
     names[0] = "0"
-    return InverseSemigroup(0, star.tolist(), gen_ids, d.tolist(), right.tolist(),
+    return InverseSemigroup(0, star.tolist(), gen_ids, d.tolist(), right,
                             names, [tuple(map(images.__getitem__, row))
                                     for row in per_map])

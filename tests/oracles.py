@@ -659,9 +659,9 @@ def dict_standard_action(spectrum):
 
 def per_element_validate(action):
     """The axioms of ``validate_action`` element by element, raising the
-    same exception first: zero and idempotents, covering, then per
-    element injectivity, inverse, domain and range, then composition
-    with each generator at each point."""
+    same exception first: the entries of each map, zero and idempotents,
+    covering, then per element injectivity, inverse, domain and range,
+    then composition with each generator at each point."""
     from tightgroupoid.errors import (
         CompositionMismatch,
         DomainNotCovering,
@@ -673,6 +673,13 @@ def per_element_validate(action):
     maps = action.maps
     if set(maps) != set(sg.elements()):
         raise InvalidAction("maps must be indexed by every semigroup element")
+    points = action.points
+    for s in sg.elements():
+        if len(maps[s]) != points or any(
+                y is not None and (type(y) is not int or not 0 <= y < points)
+                for y in maps[s]):
+            raise InvalidAction(f"map of element {s} must have {points} "
+                                f"entries, each None or an int in range({points})")
     if action.domain(sg.zero):
         raise InvalidAction("zero must act as the empty map")
     for e in sg.idempotents:
@@ -702,7 +709,7 @@ def per_element_validate(action):
             raise InvalidAction(f"range of {s} differs from the domain of ss*")
     for s in sg.elements():
         ms = maps[s]
-        for t, st in zip(sg.generators, sg.right[s]):
+        for t, st in zip(sg.generators, sg.right[s].tolist()):
             mt = maps[t]
             mst = maps[st]
             for x in range(action.points):
@@ -1384,7 +1391,7 @@ def table_free_fields_mismatch(sg, table=None):
             return f"below_bits[{s}]"
         if any(sg.left(e, s) != t[e][s] for e in idem):
             return f"left at {s}"
-        if sg.right[s] != tuple(t[s][g] for g in sg.generators):
+        if sg.right[s].tolist() != [t[s][g] for g in sg.generators]:
             return f"right[{s}]"
     reached = set(sg.generators)
     todo = list(reached)

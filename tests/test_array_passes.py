@@ -102,30 +102,42 @@ def kind(result):
     cls, (message,) = result
     if cls is not errors.InvalidAction:
         return cls.__name__
-    for word in ("injectively", "range of", "domain of", "idempotent"):
+    for word in ("injectively", "range of", "domain of", "idempotent", "entries"):
         if word in message:
             return word
     return message
 
 
+def corrupted_maps(act):
+    """Every single-cell change of the standard action's maps, to another
+    point, None, or an entry that is no point (out of range, a float, a
+    bool, a string, a list), and every map one entry short or long."""
+    junk = (act.points, 7, -1, 0.5, True, "0", [0])
+    for s, x in itertools.product(act.semigroup.elements(), range(act.points)):
+        for value in (None, *range(act.points), *junk):
+            if value == act.maps[s][x] and type(value) is type(act.maps[s][x]):
+                continue
+            row = list(act.maps[s])
+            row[x] = value
+            yield s, x, value, {**act.maps, s: tuple(row)}
+    for s, m in act.maps.items():
+        yield s, None, "short", {**act.maps, s: m[:-1]}
+        yield s, None, "long", {**act.maps, s: (*m, None)}
+
+
 def test_validate_action_fails_as_the_per_element_loop():
-    # every single-cell corruption of the standard action: a broken
-    # image, inverse, domain, range or composite must raise the same
-    # exception with the same arguments as the loop, or pass with it
+    # every corruption of the standard action: a broken image, inverse,
+    # domain, range or composite, or a map that is no partial map of the
+    # carrier, must raise the same exception with the same arguments as
+    # the loop, or pass with it, and neither may raise anything else
     kinds = Counter()
     for name in ("I2", "B2", "Z2z", "E4", "In(3)"):
         sg = tg.build_fixture(name)
         act = action.standard_action(spectrum.tight_spectrum(sg))
-        for s, x in itertools.product(sg.elements(), range(act.points)):
-            for value in (None, *range(act.points)):
-                if value == act.maps[s][x]:
-                    continue
-                row = list(act.maps[s])
-                row[x] = value
-                maps = {**act.maps, s: tuple(row)}
-                got = outcome(action.validate_action, sg, act.points, maps)
-                want = outcome(oracles.per_element_validate, sg, act.points, maps)
-                assert got == want, (name, s, x, value)
-                kinds[kind(want)] += 1
+        for s, x, value, maps in corrupted_maps(act):
+            got = outcome(action.validate_action, sg, act.points, maps)
+            want = outcome(oracles.per_element_validate, sg, act.points, maps)
+            assert got == want, (name, s, x, value)
+            kinds[kind(want)] += 1
     assert {"injectively", "InverseMismatch", "domain of", "range of",
-            "CompositionMismatch"} <= set(kinds), kinds
+            "CompositionMismatch", "entries"} <= set(kinds), kinds

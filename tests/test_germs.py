@@ -344,18 +344,16 @@ def test_corrupted_products_fail_first_on_the_same_identity(corpus100,
     import random
     from collections import Counter
 
-    from tightgroupoid import germs
-
-    columns = germs._columns
+    columns = tg.InverseSemigroup._columns
     corrupt = {}                       # (a, b) -> the wrong product a b
 
-    def corrupted_columns(right, generators, wanted):
-        out = columns(right, generators, wanted)
+    def corrupted_columns(sg, wanted):
+        out = columns(sg, wanted)
         for (a, b), ab in corrupt.items():
             out[list(wanted).index(b), a] = ab
         return out
 
-    monkeypatch.setattr(germs, "_columns", corrupted_columns)
+    monkeypatch.setattr(tg.InverseSemigroup, "_columns", corrupted_columns)
     rng = random.Random(1408)
     first = Counter()
     for name, g in axiom_instances(corpus100):

@@ -165,23 +165,67 @@ def test_cli_corpus_has_no_jobs_flag(capsys):
     assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
 
+def corpus_peak(count, *argv):
+    """The peak traced allocation of ``analyze --corpus count *argv``."""
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            assert cli.run_cli(["analyze", "--corpus", str(count), *argv]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
 def test_cli_corpus_holds_one_instance_at_a_time():
     # without --json, corpus mode drops each instance and its report once
     # its line is printed, so the peak allocation is set by the largest
     # instance, under 1 MB, not by the count: holding them, the 60 more
     # instances of the larger run would add about 40 KB each, 2.4 MB
-    def peak(count):
-        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-            tracemalloc.start()
-            try:
-                assert cli.run_cli(["analyze", "--corpus", str(count)]) == 0
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-    peak(2)                           # imports and first-call caches
-    small, large = peak(20), peak(80)
+    corpus_peak(2)                    # imports and first-call caches
+    small, large = corpus_peak(20), corpus_peak(80)
     assert large - small < 1_500_000, (small, large)
+
+
+def test_cli_corpus_json_holds_one_report_at_a_time(tmp_path):
+    # with --json, each report is dropped once its entry is written too
+    path = str(tmp_path / "corpus.json")
+    corpus_peak(2, "--json", path)
+    small, large = corpus_peak(20, "--json", path), corpus_peak(80, "--json", path)
+    assert large - small < 1_500_000, (small, large)
+
+
+@pytest.mark.parametrize("count", [30, 0])
+def test_corpus_json_is_the_held_document(count, tmp_path, capsys):
+    # the streamed file is byte for byte the document of every report
+    # held at once, as json_text writes it
+    path = tmp_path / "corpus.json"
+    assert cli.run_cli(["analyze", "--corpus", str(count), "--seed", "7",
+                        "--json", str(path)]) == 0
+    instances = [report.build_document(tg.verify_instance(sg, name, seed=i)[0], name)
+                 for i, (name, sg) in enumerate(tg.corpus(count, 7))]
+    body = {"schema_version": report.SCHEMA_VERSION,
+            "corpus": {"seed": 7, "count": count}, "instances": instances}
+    assert path.read_bytes() == report.json_text(body).encode()
+    assert f"{count}/{count} equivalence checks passed" in capsys.readouterr().out
+
+
+def test_corpus_mismatch_leaves_no_json(tmp_path, monkeypatch, capsys):
+    # the third instance fails after two entries are written: exit 3
+    # with its reproducer, and no JSON file
+    monkeypatch.chdir(tmp_path)
+    verify_instance = tg.verify_instance
+
+    def failing_third(sg, name, seed):
+        if seed == 2:
+            raise TheoremViolation("demo", True, False, "forced for the test")
+        return verify_instance(sg, name, seed=seed)
+
+    monkeypatch.setattr(cli.criteria, "verify_instance", failing_third)
+    path = tmp_path / "corpus.json"
+    assert cli.run_cli(["analyze", "--corpus", "5", "--seed", "7",
+                        "--json", str(path)]) == 3
+    assert "reproducer written to violation-corpus-7-002.json" in capsys.readouterr().err
+    assert not path.exists()
 
 
 def test_corpus_reproducer_records_verdicts_as_single_mode(tmp_path, monkeypatch,

@@ -94,13 +94,55 @@ def test_slab_is_one_packed_int32_array():
         assert list(sg.column.values()) == list(range(len(sg.idempotents))), name
 
 
+def test_cayley_graph_is_one_packed_int32_array():
+    # the right Cayley graph likewise: one read-only C-contiguous int32
+    # array of shape (|S|, |generators|), whatever integer sequence the
+    # constructor was given, and the caller's array left as it was
+    spec = tg.parse_spec(workloads.brandt_text(15))
+    built = closure_built() + [(name, tg.build_fixture(name))
+                               for name in ("B2", "Z2z", "E4", "Cz(7)", "In(3)")]
+    built.append(("brandt15", tg.build_semigroup(spec)))
+    b2 = tg.build_fixture("B2")
+    built.append(("B2 rows", tg.from_table([list(row) for row in b2.table], b2.zero)))
+    given = np.array([[0, 0], [0, 1]], dtype=np.int64, order="F")
+    built.append(("direct", tg.InverseSemigroup(0, [0, 1], [0, 1], [0, 1], given)))
+    for name, sg in built:
+        right = sg.right
+        assert type(right) is np.ndarray and right.dtype == np.int32, name
+        assert right.shape == (sg.size, len(sg.generators)), name
+        assert right.flags.c_contiguous and not right.flags.writeable, name
+    assert given.flags.writeable and given.tolist() == [[0, 0], [0, 1]]
+
+
+def test_the_cayley_graph_is_walked_once_per_instance(monkeypatch):
+    # the constructor walks the graph into its spanning tree; the slab,
+    # the groupoid axiom check and the rest of the identity harness read
+    # columns along that tree and never walk it again
+    walks = []
+    spanning_tree = semigroup._spanning_tree
+
+    def counting(right, generators):
+        walks.append(len(right))
+        return spanning_tree(right, generators)
+
+    monkeypatch.setattr(semigroup, "_spanning_tree", counting)
+    sg = tg.build_fixture("In(5)")
+    tg.verify_instance(sg, "In(5)")
+    assert walks == [1546]
+    walks.clear()
+    for name, inst in fixtures.iter_corpus(20, 7):
+        tg.verify_instance(inst, name)
+        assert walks == [inst.size], name
+        walks.clear()
+
+
 def test_generators_are_the_letters_plus_unreached_zero():
     # a permutation group never reaches the empty map, so the zero joins
     # the letters; a partial map does reach it
     group = tg.from_partial_maps(3, [(1, 2, 0)])
     assert [group.partial_maps[g] for g in group.generators] == \
         [(1, 2, 0), (2, 0, 1), (None, None, None)]
-    assert all(row[-1] == group.zero for row in group.right)
+    assert (group.right[:, -1] == group.zero).all()
     shrink = tg.from_partial_maps(2, [(1, None)])
     assert [shrink.partial_maps[g] for g in shrink.generators] == \
         [(1, None), (None, 0)]
@@ -320,7 +362,8 @@ def test_closure_reproducer_never_fills_the_table(tmp_path, monkeypatch):
     again = tg.build_semigroup(spec)
     assert again.partial_maps == sg.partial_maps
     assert again.element_names == sg.element_names
-    assert (again.star, again.right) == (sg.star, sg.right)
+    assert again.star == sg.star
+    assert np.array_equal(again.right, sg.right)
     assert np.array_equal(again.slab, sg.slab)
 
 
@@ -339,6 +382,7 @@ def test_verdict_mismatch_exits_3_with_a_replayable_reproducer(
     assert body["property"] == "minimal"
     sg = tg.build_fixture(name)
     again = tg.build_semigroup(tg.parse_spec(body["isg"]))
-    for field in ("star", "d", "r", "right", "table"):
+    for field in ("star", "d", "r", "table"):
         assert getattr(again, field) == getattr(sg, field), field
+    assert np.array_equal(again.right, sg.right)
     assert np.array_equal(again.slab, sg.slab)

@@ -31,9 +31,15 @@ def family_text(name):
 
 
 def fields(sg):
-    """Everything an instance keeps, as comparable values."""
-    return (sg.size, sg.zero, sg.star, sg.d, sg.r, sg.generators, sg.right,
-            sg.idempotents, sg.column, sg.slab.tolist(), sg.element_names)
+    """Everything an instance keeps, as comparable values; the arrays with
+    their type, shape and cells."""
+    return (sg.size, sg.zero, sg.star, sg.d, sg.r, sg.generators,
+            *(array_fields(a) for a in (sg.right, sg.slab)),
+            sg.idempotents, sg.column, sg.element_names)
+
+
+def array_fields(a):
+    return (type(a), a.dtype, a.shape, a.tolist())
 
 
 def built(build, *args):
