@@ -2,9 +2,10 @@
 
 Exit codes: 0 on success (including the documented empty-spectrum error
 document, and a run whose standard output closes early, as when it is
-piped into ``head``, which stops quietly), 1 on input errors, 2 on usage
-errors, 3 when two provably equal verdicts disagree, in which case a
-reproducer file is written.
+piped into ``head``, which stops quietly), 1 on input errors and on
+output files that cannot be written, 2 on usage errors, 3 when two
+provably equal verdicts disagree, in which case a reproducer file is
+written.
 """
 
 from __future__ import annotations
@@ -247,6 +248,9 @@ def run_cli(argv=None) -> int:
         except (OSError, ValueError):
             pass
         return 0
+    except OSError as exc:            # a --json, --dot or reproducer path
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 1
     return code
 
 

@@ -6,25 +6,28 @@ Two shapes are accepted after a `semigroup <name>` header:
     points <m>              followed by `gen <name> = <m tokens>` lines,
                             where token i is the image of point i or `_`
 
-`#` starts a comment, blank lines are skipped.  The parser reports line
-and column exactly; semantic validation beyond counts and index ranges
+`#` starts a comment, blank lines are skipped, and lines end where
+``str.splitlines`` ends them.  The parser reports line and column
+exactly; semantic validation beyond counts and index ranges
 (injectivity, the semigroup axioms) happens at build time, not here.
-Integers are an optional ``-`` and ASCII digits.  Table rows are checked
-one by one for their token count and for ASCII digits, and then
-converted together, by digit arithmetic over the bytes of one body, into
-an n x n array that is range-checked at once; a row that fails a check
-is read again token by token, so every error names the line and column
-of the first bad token, in row order.
+Integers are an optional ``-`` and ASCII digits.  Only the header is
+split into tokens: a table body goes from text to an n x n int32 array
+in whole-array passes over its bytes, which find the tokens, count them
+per line, and convert and range-check them by digit arithmetic.  A body
+the passes refuse goes to the row reader, which raises at the first bad
+row with the line and column of its first bad token.
 """
 
 from __future__ import annotations
 
+import itertools
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DslRangeError, DslSyntaxError, DuplicateName
-from .semigroup import InverseSemigroup, from_partial_maps, from_table
+from .semigroup import InverseSemigroup, _checked, from_partial_maps, from_table
 
 
 @dataclass(frozen=True)
@@ -32,12 +35,12 @@ class SemigroupSpec:
     """Parsed description of one instance, table or generator shaped.
 
     A table spec from :func:`parse_spec` also carries ``table``, its rows
-    as the parser's read-only n x n int32 array, which
-    :func:`build_semigroup` hands to
-    :func:`~tightgroupoid.semigroup.from_table` in place of the row
-    tuples.  It is set by the parser alone: it is no argument of the
-    constructor, and :func:`dataclasses.replace` leaves it unset, so a
-    spec built or edited by hand is built from its ``rows``."""
+    as the parser's read-only n x n int32 array, read and range-checked,
+    which :func:`build_semigroup` hands to the axiom checks of
+    :func:`~tightgroupoid.semigroup.from_table`.  It is set by the parser
+    alone: it is no argument of the constructor, and
+    :func:`dataclasses.replace` leaves it unset, so a spec built or edited
+    by hand is built from its ``rows``."""
 
     name: str
     mode: str                      # "table" | "generators"
@@ -50,21 +53,27 @@ class SemigroupSpec:
                                      repr=False)
 
 
+# Where str.splitlines ends a line; "\r\n" ends one.
+_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_LINE = re.compile(f"([^{_BREAKS}]*)(?:\r\n|[{_BREAKS}]|\\Z)")
+_COMMENT = re.compile(f"#[^{_BREAKS}]*")
+
+
+def _significant(text: str):
+    """Each line of :func:`_lines`, with the offset in `text` past it."""
+    for ln, line in enumerate(_LINE.finditer(text), start=1):
+        before = line[1].split("#", 1)[0]
+        if before.split():
+            yield (ln, before, before.split()), line.end()
+
+
 def _lines(text: str):
-    """Significant lines as (line_number, text before any comment,
-    tokens)."""
-    out = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        toks = line.split()
-        if toks:
-            out.append((ln, line, toks))
-    return out
+    """Significant lines as (line_number, text before any comment, tokens)."""
+    return [line for line, _ in _significant(text)]
 
 
 def _at(where, i):
-    """(line, 1-based column) of token i of a significant line.  Columns
-    are worked out only for error reports."""
+    """(line, 1-based column) of token i of a significant line, for errors."""
     ln, line, toks = where
     col = 0
     for tok in toks[:i]:
@@ -73,21 +82,20 @@ def _at(where, i):
 
 
 def parse_spec(text: str) -> SemigroupSpec:
-    lines = _lines(text)
+    lines = list(itertools.islice(_significant(text), 2))     # the header
     if not lines:
         raise DslSyntaxError(1, 1, "a 'semigroup <name>' header")
-    ln, _, toks = lines[0]
+    (ln, _, toks), _ = lines[0]
     if len(toks) != 2 or toks[0] != "semigroup":
-        raise DslSyntaxError(*_at(lines[0], 0), "'semigroup <name>'")
+        raise DslSyntaxError(*_at(lines[0][0], 0), "'semigroup <name>'")
     name = toks[1]
     if len(lines) < 2:
         raise DslSyntaxError(ln, 1, "a 'table' or 'points' declaration")
-    decl, rest = lines[1], lines[2:]
-    head = decl[2][0]
-    if head == "table":
-        return _parse_table(name, decl, rest)
-    if head == "points":
-        return _parse_generators(name, decl, rest)
+    decl, end = lines[1]
+    if decl[2][0] == "table":
+        return _parse_table(name, decl, text, end)
+    if decl[2][0] == "points":
+        return _parse_generators(name, decl, _lines(text)[2:])
     raise DslSyntaxError(*_at(decl, 0), "'table' or 'points'")
 
 
@@ -103,7 +111,9 @@ def _int_token(where, i, what):
     raise DslSyntaxError(*_at(where, i), f"an integer {what}")
 
 
-def _parse_table(name, decl, rest):
+def _parse_table(name, decl, text, end):
+    """A table spec, its rows, the text past offset `end`, read by the
+    byte pass, or by the row reader when that pass refuses them."""
     ln, _, toks = decl
     if len(toks) != 4 or toks[2] != "zero":
         raise DslSyntaxError(*_at(decl, 0), "'table <n> zero <k>'")
@@ -113,10 +123,12 @@ def _parse_table(name, decl, rest):
         raise DslRangeError(*_at(decl, 1), "size must be at least 1")
     if not 0 <= zero < n:
         raise DslRangeError(*_at(decl, 3), f"zero index {zero} outside 0..{n - 1}")
-    if len(rest) != n:
-        where = rest[-1][0] if rest else ln
-        raise DslSyntaxError(where, 1, f"{n} table rows")
-    table = _table_entries(rest, n)
+    table = _table_body(text[end:], n)
+    if table is None:
+        rest = _lines(text)[2:]
+        if len(rest) != n:
+            raise DslSyntaxError(rest[-1][0] if rest else ln, 1, f"{n} table rows")
+        table = np.array([_row_entries(line, n) for line in rest], dtype=np.int32)
     table.flags.writeable = False
     spec = SemigroupSpec(name, "table", size=n, zero=zero,
                          rows=tuple(map(tuple, table.tolist())))
@@ -124,70 +136,55 @@ def _parse_table(name, decl, rest):
     return spec
 
 
-def _table_entries(rest, n):
-    """The n rows of a table as an n x n int32 array, converted in
-    whole-body passes.
-
-    Each row gets the token count check and one ASCII-digit check of its
-    joined tokens.  Then every row, up to the first with a wrong count, is
-    joined into one body, and :func:`_digit_values` converts all its
-    tokens at once.  A row that fails the digit check, or the range check
-    of the converted entries, is read token by token by
-    :func:`_row_entries`, which raises at its first bad entry; the rows
-    are taken in order, so the first failing row raises what reading row
-    by row would.
-    """
-    joined, odd = [], []         # rows as text; rows to read one by one
-    for row_line in rest:
-        rtoks = row_line[2]
-        if len(rtoks) != n:          # raises in its turn below
-            odd.append(len(joined))
-            break
-        digits = "".join(rtoks)      # one check for the whole row
-        if not (digits.isascii() and digits.isdigit()):
-            odd.append(len(joined))
-        joined.append(" ".join(rtoks))
-    table = _digit_values(" ".join(joined), len(str(n - 1)))
-    table = table.reshape(len(joined), n)
-    far = np.flatnonzero((table >= n).any(axis=1)).tolist()
-    for i in sorted(set(odd + far)):
-        row_line = rest[i]
-        if len(row_line[2]) != n:
-            raise DslSyntaxError(*_at(row_line, 0), f"{n} entries in the row")
-        table[i] = _row_entries(row_line, n)
-    return table
-
-
-def _digit_values(body, w):
-    """The space-separated tokens of `body` as an int32 array, by digit
-    arithmetic on its UTF-8 bytes.  A token of ASCII digits and at most
-    `w` (under 10) characters gets its value and a longer one 10 ** w;
-    any other token gets a value that means nothing."""
-    raw = np.frombuffer(body.encode(), dtype=np.uint8)
-    if not raw.size:
-        return np.zeros(0, dtype=np.int32)
-    ends = np.append(np.flatnonzero(raw == ord(" ")), len(raw)).astype(np.int32)
-    lengths = np.diff(ends, prepend=np.int32(-1)) - 1
-    digit = raw - np.uint8(ord("0"))
-    values = np.zeros(len(ends), dtype=np.int32)
-    # the k-th character from each token's end; an index before the body
-    # wraps and is masked, and the body has at least w bytes
-    for k in range(w, 0, -1):
-        values *= 10
-        values += np.where(lengths >= k, digit[ends - k], 0)
-    values[lengths > w] = 10 ** w
-    return values
+def _table_body(body, n):
+    """The rows of a table body as an n x n int32 array, read in
+    whole-array passes over its bytes; None, for the row reader, unless
+    the body, comments removed, is n lines of n tokens of ASCII digits,
+    each below n and no longer than n - 1 written out, between spaces,
+    tabs and CR or LF line breaks."""
+    data = f"\n{_COMMENT.sub('', body) if '#' in body else body}\n".encode()
+    if data.translate(None, b"0123456789 \t\r\n"):
+        return None
+    raw = np.frombuffer(data, dtype=np.uint8)
+    digit = raw >= ord("0")
+    last = np.zeros(len(raw), dtype=bool)        # the last digit of a token
+    np.greater(digit[:-1], digit[1:], out=last[:-1])
+    breaks = np.flatnonzero((raw == ord("\n")) | (raw == ord("\r")))
+    per_line = np.add.reduceat(last, breaks, dtype=np.intp)
+    if np.count_nonzero(per_line == n) != n or np.count_nonzero(last) != n * n:
+        return None
+    # the value of the run of digits ending at each byte, up to w digits
+    w = len(str(n - 1))
+    digits = (raw - np.uint8(ord("0"))) * digit
+    values = digits.astype(np.int32)
+    run = digit.copy()              # a run of k + 1 digits ends here
+    for k in range(1, w + 1):
+        run[k:] &= digit[:-k]
+        values[k:] += np.multiply(digits[:-k], run[k:], dtype=np.int32) * 10 ** k
+    if run.any():
+        return None
+    values = np.compress(last, values)
+    return values.reshape(n, n) if values.max() < n else None
 
 
 def _row_entries(row_line, n):
-    """A table row read token by token; the first bad entry raises."""
+    """A table row read through ``int`` when its tokens are short ASCII
+    digits in range, else token by token; the first bad entry raises."""
+    toks = row_line[2]
+    if len(toks) != n:
+        raise DslSyntaxError(*_at(row_line, 0), f"{n} entries in the row")
+    digits = "".join(toks)
+    if digits.isascii() and digits.isdigit() and max(map(len, toks)) <= len(str(n)):
+        row = list(map(int, toks))
+        if max(row) < n:
+            return row
     row = []
-    for i in range(len(row_line[2])):
+    for i in range(n):
         v = _int_token(row_line, i, "table entry")
         if not 0 <= v < n:
             raise DslRangeError(*_at(row_line, i), f"entry {v} outside 0..{n - 1}")
         row.append(v)
-    return tuple(row)
+    return row
 
 
 def _parse_generators(name, decl, rest):
@@ -197,8 +194,7 @@ def _parse_generators(name, decl, rest):
     degree = _int_token(decl, 1, "point count")
     if degree < 1:
         raise DslRangeError(*_at(decl, 1), "point count must be at least 1")
-    gens = []
-    names = set()
+    gens, names = [], set()
     if not rest:
         raise DslSyntaxError(ln, 1, "at least one 'gen' line")
     for gen_line in rest:
@@ -242,12 +238,12 @@ def format_spec(spec: SemigroupSpec) -> str:
 
 def build_semigroup(spec: SemigroupSpec) -> InverseSemigroup:
     """Realize a parsed spec; semigroup axioms and the size caps of
-    :mod:`~tightgroupoid.semigroup` are enforced here.  A parsed table
-    reaches :func:`~tightgroupoid.semigroup.from_table` as the parser's
-    array, any other as its rows."""
+    :mod:`~tightgroupoid.semigroup` are enforced here, on a parsed table's
+    array, and on any other table's rows through ``from_table``."""
     if spec.mode == "table":
-        rows = spec.rows if spec.table is None else spec.table
-        return from_table(rows, spec.zero)
+        if spec.table is None:
+            return from_table(spec.rows, spec.zero)
+        return _checked(spec.table, spec.zero)
     labels = [gname for gname, _ in spec.generators]
     gens = [images for _, images in spec.generators]
     return from_partial_maps(spec.degree, gens, labels)

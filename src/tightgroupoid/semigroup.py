@@ -417,22 +417,19 @@ def from_table(table: Sequence[Sequence[int]], zero: int,
     included; anything else, like an index out of range, raises
     :class:`NoZero`.
 
-    Associativity is decided by Light's test against a generating set
-    (Clifford & Preston, *The Algebraic Theory of Semigroups* I, 1.2).
-    The set is found greedily: scanning from the highest index down, an
-    element not yet reached becomes a generator, and the reached set is
-    extended by right-multiplying by generators.  That walk forms only
-    left-nested products, so it needs no associativity, and it ends with
-    every element a left-nested product of generators.  The elements a
-    with ``(x a) y == x (a y)`` for all x and y are closed under products,
-    so once every generator passes, every element does: the table is
-    associative exactly when it passes, at O(n^2) per generator instead of
-    O(n^3).  A failure raises :class:`NotAssociative` with a failing
-    triple ``(x, g, y)``.  The generating set is kept as ``generators``.
-    `MAX_TABLE_WORK` caps n^2 times the number of generators, the cells
-    Light's test compares, and is checked once the generators are known,
-    before the test runs: a semilattice of n - 1 orthogonal atoms has
-    n - 1 generators and costs O(n^3).
+    Associativity is decided by Light's test (Clifford & Preston, *The
+    Algebraic Theory of Semigroups* I, 1.2) against the greedy generating
+    set of :func:`_right_generators`, kept as ``generators``: it picks
+    the highest unreached element that extends, else closes, a chain of
+    picks (n + 1 generators on B_n, one chain through all n points) and
+    walks only left-nested products, so it needs no associativity.  The
+    elements a with ``(x a) y == x (a y)`` for all x and y are closed
+    under products, so the table is associative exactly when every
+    generator passes, at O(n^2) per generator instead of O(n^3).  A
+    failure raises :class:`NotAssociative` with a failing triple
+    ``(x, g, y)``.  `MAX_TABLE_WORK` caps n^2 times the number of
+    generators, the cells the test compares, before it runs: a semilattice
+    of n - 1 orthogonal atoms has n - 1 generators and costs O(n^3).
     """
     n = len(table)
     if n < 1:
@@ -525,24 +522,27 @@ def _checked(m: np.ndarray, zero: int, element_names=None) -> InverseSemigroup:
 
 
 def _right_generators(m: np.ndarray) -> list:
-    """Greedy generating set of a square table, highest index first: every
-    element ends up a left-nested product ``(..(g1 g2)..) gk`` of
-    generators, whatever the table's associativity."""
+    """Greedy generating set of a square table: every element ends up a
+    left-nested product ``(..(g1 g2)..) gk`` of generators, whatever the
+    table's associativity.  Each pick is the highest unreached x with p x
+    unreached, p the product of the chain of picks so far, else with x p
+    unreached, else the highest unreached x, which starts a new chain.
+    On B_n the first chain runs through all n points: n + 1 generators."""
     reached = np.zeros(len(m), dtype=bool)
-    gens = []
-    for c in range(len(m) - 1, -1, -1):
-        if reached[c]:
-            continue
+    gens, chain = [], None
+    while not reached.all():
+        fresh = ~reached
+        ahead = [] if chain is None else [fresh & fresh[m[chain]], fresh & fresh[m[:, chain]]]
+        pick = next((tier for tier in ahead if tier.any()), None)
+        c = int(np.flatnonzero(fresh if pick is None else pick)[-1])
+        chain = c if pick is None else int(m[chain, c])
         gens.append(c)
         # everything reached so far, times the new generator, and c itself
         fresh = np.append(m[reached, c], np.int32(c))
-        while True:
-            fresh = np.unique(fresh)
-            fresh = fresh[~reached[fresh]]
-            if not fresh.size:
-                break
-            reached[fresh] = True
-            fresh = m[np.ix_(fresh, gens)].ravel()
+        while fresh.size:
+            hit = (np.bincount(fresh, minlength=len(m)) > 0) & ~reached
+            reached |= hit
+            fresh = m[hit][:, gens].ravel()
     return gens
 
 

@@ -14,6 +14,7 @@ import tightgroupoid as tg
 from tightgroupoid import errors
 
 import oracles
+from test_families import TABLE_FAMILIES
 
 NAMES = ("I2", "B2", "Z2z", "E4", "Bn(5)", "Pow(4)", "Cz(7)", "In(3)")
 MONOID5 = (5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4), (0, 1, 2, 3, None)])
@@ -52,6 +53,22 @@ def test_generators_reach_every_element(instances, monoid5):
     # letters and the zero already generate monoid5, so the greedy set
     # should be no larger
     assert len(monoid5.generators) <= 5
+
+
+@pytest.mark.parametrize("n", range(2, 21))
+def test_brandt_generators_reach_every_element(n):
+    # the greedy's first chain runs through the n points and back to the
+    # first: n + 1 generators, where B_n needs n for its n^2 matrix units
+    sg = tg.build_fixture(f"Bn({n})")
+    assert right_closure(sg) == set(sg.elements())
+    assert len(sg.generators) == n + 1
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_FAMILIES))
+def test_table_family_generators_reach_every_element(name):
+    (table, zero), _, _ = TABLE_FAMILIES[name]
+    sg = tg.from_table(table, zero)
+    assert right_closure(sg) == set(sg.elements())
 
 
 def test_table_is_the_composition_of_maps(instances, monoid5):

@@ -273,6 +273,23 @@ def test_cli_undecodable_input(tmp_path, capsys):
     assert "cannot read input" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [["--fixture", "B2", "--json", "/nonexistent/x.json"],
+                                  ["--fixture", "B2", "--dot", "/nonexistent/x.dot"],
+                                  ["--corpus", "1", "--json", "/nonexistent/x.json"]])
+def test_cli_unwritable_output(args):
+    # an output path that cannot be opened ends the run with exit 1 and a
+    # message naming it, as an unreadable input does, not a traceback
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-m", "tightgroupoid.cli", "analyze", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 1
+    assert f"cannot write output: [Errno 2] No such file or directory: '{args[-1]}'" \
+        in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def test_cli_rejects_negative_counts(capsys):
     assert cli.run_cli(["analyze", "--corpus", "-1"]) == 2
     assert "--corpus must be at least 0" in capsys.readouterr().err

@@ -332,17 +332,18 @@ def test_default_table_cap_stops_the_800_element_semilattice(
 
 
 def test_table_cap_is_exact_and_keeps_verdicts(tmp_path, capsys, monkeypatch):
-    # brandt15: 226 elements and 29 greedy generators
+    # brandt15: 226 elements and the greedy generators of the built instance
     path = tmp_path / "b15.isg"
     path.write_text(workloads.brandt_text(15))
+    gens = len(tg.build_semigroup(tg.parse_spec(path.read_text())).generators)
     assert cli.run_cli(["analyze", str(path)]) == 0
     default = capsys.readouterr().out
-    monkeypatch.setattr(semigroup, "MAX_TABLE_WORK", 226 ** 2 * 29)
+    monkeypatch.setattr(semigroup, "MAX_TABLE_WORK", 226 ** 2 * gens)
     assert cli.run_cli(["analyze", str(path)]) == 0
     assert capsys.readouterr().out == default
-    monkeypatch.setattr(semigroup, "MAX_TABLE_WORK", 226 ** 2 * 29 - 1)
+    monkeypatch.setattr(semigroup, "MAX_TABLE_WORK", 226 ** 2 * gens - 1)
     assert cli.run_cli(["analyze", str(path)]) == 1
-    assert "invalid input: table of 226 elements with 29 generators" \
+    assert f"invalid input: table of 226 elements with {gens} generators" \
         in capsys.readouterr().err
 
 

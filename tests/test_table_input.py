@@ -6,13 +6,15 @@ instance, or the same error with the same message, line and column."""
 
 from __future__ import annotations
 
+import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tightgroupoid import semigroup
+from tightgroupoid import dsl, semigroup
 from tightgroupoid.dsl import SemigroupSpec, format_spec, parse_spec
 from tightgroupoid.errors import InverseMissing, InverseNotUnique
 
@@ -201,3 +203,84 @@ def test_inverse_search_fails_at_the_lowest_element_in_any_block(monkeypatch, bl
         got = built(semigroup.from_table, table, zero)
         assert isinstance(got[0], int)
         assert got == built(oracles.per_row_from_table, table, zero), block
+
+
+# ------------------------------------------- table texts of every spelling
+
+SEPARATORS = (" ", "  ", "\t", " \t ", "\u00a0", "\x0b", "\x0c", "\x85", "\u2028", "\u2003")
+LINE_ENDS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x85", "\u2028", "\x1e")
+COMMENTS = ("# a comment", "#", "# é   ١ -1 +1", "#\t7 7 7")
+
+
+def odd_token(rng, token):
+    """An entry token spelled with leading zeros, a sign, or far too
+    long."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return "0" * rng.randrange(1, 4) + token
+    if kind == 1:
+        return rng.choice(("-", "+")) + token
+    return "0" * rng.choice((8, 40, 5000)) + token
+
+
+def random_table_text(rng):
+    """A table text with seeded variations, each at a random place:
+    separators and line ends of every kind str.split and str.splitlines
+    know, comments on their own lines and inside rows, blank lines, odd
+    tokens, an entry out of range, a row too short or too long, a row
+    split in two, an entry moved to the row before, too few or too many
+    rows, and no final line end."""
+    n = rng.choice((1, 2, 3, 5, 11, 17))
+    rows = [[str(rng.randrange(n)) for _ in range(n)] for _ in range(n)]
+    r = rng.randrange(n)
+    if rng.random() < 0.15:
+        rows[r] = rows[r][:-1] if rng.random() < 0.5 else rows[r] + ["0"]
+    elif rng.random() < 0.1 and n > 1:        # as many entries, in other lines
+        if rng.random() < 0.5:
+            rows[r:r + 1] = [rows[r][:n // 2], rows[r][n // 2:]]
+        else:
+            rows[r - 1].append(rows[r].pop())
+    if rng.random() < 0.08:
+        rows = rows[:-1] if rng.random() < 0.5 and n > 1 else rows + [rows[0]]
+        r = rng.randrange(len(rows))
+    c = rng.randrange(len(rows[r])) if rows[r] else None
+    if c is not None and rng.random() < 0.25:
+        rows[r][c] = odd_token(rng, rows[r][c])
+    elif c is not None and rng.random() < 0.05:
+        rows[r][c] = str(n + rng.choice((0, 1, 10 ** 6)))
+    sep = rng.choice((" ", "  ", "\t", " \t "))
+    lines = [sep.join(row) for row in rows]
+    if rng.random() < 0.3 and len(rows[r]) > 1:
+        lines[r] = lines[r].replace(sep, rng.choice(SEPARATORS), 1)
+    if rng.random() < 0.15:
+        cut = rng.randrange(len(lines[r]) + 1)
+        lines[r] = lines[r][:cut] + rng.choice(COMMENTS) + lines[r][cut:]
+    if rng.random() < 0.2:
+        lines[r] = rng.choice(SEPARATORS[:4]) + lines[r]
+    lines = ["semigroup T", f"table {n} zero {rng.randrange(n)}", *lines]
+    for extra in ("", " \t", *COMMENTS):
+        if rng.random() < 0.1:
+            lines.insert(rng.randrange(len(lines) + 1), extra)
+    end = rng.choice(LINE_ENDS) if rng.random() < 0.3 else rng.choice(("\n", "\r\n"))
+    return end.join(lines) + ("" if rng.random() < 0.2 else end)
+
+
+def test_table_text_spellings_read_as_row_by_row(monkeypatch):
+    read = Counter()
+
+    def byte_pass(body, n):
+        table = table_body(body, n)
+        read["byte pass"] += table is not None
+        return table
+
+    table_body = dsl._table_body
+    monkeypatch.setattr(dsl, "_table_body", byte_pass)
+    rng = random.Random(20)
+    for _ in range(400):
+        text = random_table_text(rng)
+        got = outcome(parse_spec, text)
+        assert got == outcome(oracles.row_by_row_parse_spec, text), repr(text)
+        read["spec" if isinstance(got, SemigroupSpec) else got[0].__name__] += 1
+    # both readers make specs, and the row reader raises both kinds of error
+    assert read["byte pass"] >= 100 and read["spec"] - read["byte pass"] >= 50, read
+    assert read["DslSyntaxError"] >= 20 and read["DslRangeError"] >= 5, read
