@@ -66,12 +66,18 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(path: str | None, text: str) -> None:
-    if path:
+def _write(path: str | None, text: str) -> int:
+    """`text` to `path`, or to stdout; 1, and a message, if it fails."""
+    if not path:
+        sys.stdout.write(text)
+        return 0
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def _summary(payload: dict) -> str:
@@ -103,7 +109,8 @@ def _violation_path(name: str) -> str:
     return f"violation-{safe}.json"
 
 
-def _dump_violation(sg: InverseSemigroup, name: str, exc: TheoremViolation) -> str:
+def _dump_violation(sg: InverseSemigroup, name: str,
+                    exc: TheoremViolation) -> str | None:
     path = _violation_path(name)
     body = {
         "instance": name,
@@ -113,9 +120,14 @@ def _dump_violation(sg: InverseSemigroup, name: str, exc: TheoremViolation) -> s
         "detail": exc.instance,
         "isg": format_spec(spec_of_semigroup(sg, name)),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(report.json_text(body))
-    return path
+    return None if _write(path, report.json_text(body)) else path
+
+
+def _report_violation(sg, name, exc, head) -> None:
+    """A verdict mismatch, and where its reproducer went, on stderr."""
+    print(f"{head}: {exc}", file=sys.stderr)
+    if path := _dump_violation(sg, name, exc):
+        print(f"reproducer written to {path}", file=sys.stderr)
 
 
 def _analyze_single(args) -> int:
@@ -148,13 +160,11 @@ def _analyze_single(args) -> int:
         payload = report.error_payload(name, "EmptySpectrum", str(exc),
                                        elements=sg.size,
                                        idempotents=len(sg.idempotents))
-        _write(args.json_path, report.json_text(payload))
+        code = _write(args.json_path, report.json_text(payload))
         print(f"{name}: EmptySpectrum: {exc}")
-        return 0
+        return code
     except TheoremViolation as exc:
-        path = _dump_violation(sg, name, exc)
-        print(f"verdict mismatch: {exc}\nreproducer written to {path}",
-              file=sys.stderr)
+        _report_violation(sg, name, exc, "verdict mismatch")
         return 3
     timing = {"analyze_s": round(time.perf_counter() - start, 6)}
     payload = report.build_document(analysis, name,
@@ -169,11 +179,10 @@ def _analyze_single(args) -> int:
     else:
         _print_property(payload, CHECK_NAMES[args.check])
 
-    if args.json_path:
-        _write(args.json_path, report.json_text(payload))
+    code = _write(args.json_path, report.json_text(payload)) if args.json_path else 0
     if args.dot_path:
-        _write(args.dot_path, report.emit_dot(analysis.groupoid, name))
-    return 0
+        code = _write(args.dot_path, report.emit_dot(analysis.groupoid, name)) or code
+    return code
 
 
 def _corpus_payloads(args):
@@ -183,9 +192,7 @@ def _corpus_payloads(args):
         try:
             analysis, checks = criteria.verify_instance(sg, name, seed=index)
         except TheoremViolation as exc:
-            path = _dump_violation(sg, name, exc)
-            print(f"verdict mismatch on {name}: {exc}\n"
-                  f"reproducer written to {path}", file=sys.stderr)
+            _report_violation(sg, name, exc, f"verdict mismatch on {name}")
             raise
         payload = report.build_document(analysis, name)
         print(f"[{index:3d}] {_summary(payload)} {_flags(payload)} "
@@ -212,6 +219,8 @@ def _analyze_corpus(args) -> int:
     if args.dot_path:
         print("--corpus excludes --dot", file=sys.stderr)
         return 2
+    if args.json_path and _write(args.json_path, ""):   # before any instance runs
+        return 1
     payloads = _corpus_payloads(args)
     try:
         if args.json_path:
@@ -248,9 +257,6 @@ def run_cli(argv=None) -> int:
         except (OSError, ValueError):
             pass
         return 0
-    except OSError as exc:            # a --json, --dot or reproducer path
-        print(f"cannot write output: {exc}", file=sys.stderr)
-        return 1
     return code
 
 

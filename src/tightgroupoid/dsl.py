@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DslRangeError, DslSyntaxError, DuplicateName
-from .semigroup import InverseSemigroup, _checked, from_partial_maps, from_table
+from .semigroup import InverseSemigroup, from_partial_maps, from_table
 
 
 @dataclass(frozen=True)
@@ -35,12 +35,12 @@ class SemigroupSpec:
     """Parsed description of one instance, table or generator shaped.
 
     A table spec from :func:`parse_spec` also carries ``table``, its rows
-    as the parser's read-only n x n int32 array, read and range-checked,
-    which :func:`build_semigroup` hands to the axiom checks of
-    :func:`~tightgroupoid.semigroup.from_table`.  It is set by the parser
-    alone: it is no argument of the constructor, and
-    :func:`dataclasses.replace` leaves it unset, so a spec built or edited
-    by hand is built from its ``rows``."""
+    as the parser's read-only n x n int32 array, which
+    :func:`build_semigroup` hands to
+    :func:`~tightgroupoid.semigroup.from_table` in place of the row
+    tuples.  It is set by the parser alone: it is no argument of the
+    constructor, and :func:`dataclasses.replace` leaves it unset, so a
+    spec built or edited by hand is built from its ``rows``."""
 
     name: str
     mode: str                      # "table" | "generators"
@@ -112,8 +112,7 @@ def _int_token(where, i, what):
 
 
 def _parse_table(name, decl, text, end):
-    """A table spec, its rows, the text past offset `end`, read by the
-    byte pass, or by the row reader when that pass refuses them."""
+    """A table spec; its rows, text[end:], go to the byte pass, else the row reader."""
     ln, _, toks = decl
     if len(toks) != 4 or toks[2] != "zero":
         raise DslSyntaxError(*_at(decl, 0), "'table <n> zero <k>'")
@@ -168,16 +167,9 @@ def _table_body(body, n):
 
 
 def _row_entries(row_line, n):
-    """A table row read through ``int`` when its tokens are short ASCII
-    digits in range, else token by token; the first bad entry raises."""
-    toks = row_line[2]
-    if len(toks) != n:
+    """A table row read token by token; the first bad entry raises."""
+    if len(row_line[2]) != n:
         raise DslSyntaxError(*_at(row_line, 0), f"{n} entries in the row")
-    digits = "".join(toks)
-    if digits.isascii() and digits.isdigit() and max(map(len, toks)) <= len(str(n)):
-        row = list(map(int, toks))
-        if max(row) < n:
-            return row
     row = []
     for i in range(n):
         v = _int_token(row_line, i, "table entry")
@@ -238,12 +230,12 @@ def format_spec(spec: SemigroupSpec) -> str:
 
 def build_semigroup(spec: SemigroupSpec) -> InverseSemigroup:
     """Realize a parsed spec; semigroup axioms and the size caps of
-    :mod:`~tightgroupoid.semigroup` are enforced here, on a parsed table's
-    array, and on any other table's rows through ``from_table``."""
+    :mod:`~tightgroupoid.semigroup` are enforced here.  A parsed table
+    reaches :func:`~tightgroupoid.semigroup.from_table` as the parser's
+    array, any other as its rows."""
     if spec.mode == "table":
-        if spec.table is None:
-            return from_table(spec.rows, spec.zero)
-        return _checked(spec.table, spec.zero)
+        rows = spec.rows if spec.table is None else spec.table
+        return from_table(rows, spec.zero)
     labels = [gname for gname, _ in spec.generators]
     gens = [images for _, images in spec.generators]
     return from_partial_maps(spec.degree, gens, labels)

@@ -808,9 +808,10 @@ def row_by_row_parse_spec(text):
     """``parse_spec`` with a table read one row at a time: each row's
     tokens through ``int`` after one ASCII-digit check of the joined row,
     and a row that fails it, or holds an entry of n or more, read token by
-    token, its first bad entry raising.  Texts of any other shape go to
+    token, its first bad entry raising.  Lines end where
+    ``str.splitlines`` ends them.  Texts of any other shape go to
     ``parse_spec``."""
-    from tightgroupoid.dsl import SemigroupSpec, _at, _lines, parse_spec
+    from tightgroupoid.dsl import SemigroupSpec, _at, parse_spec
     from tightgroupoid.errors import DslRangeError, DslSyntaxError
 
     def int_token(where, i, what):
@@ -823,7 +824,11 @@ def row_by_row_parse_spec(text):
                 pass
         raise DslSyntaxError(*_at(where, i), f"an integer {what}")
 
-    lines = _lines(text)
+    lines = []
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        if line.split():
+            lines.append((ln, line, line.split()))
     if len(lines) < 2 or lines[0][2][:1] != ["semigroup"] or len(lines[0][2]) != 2 \
             or lines[1][2][0] != "table":
         return parse_spec(text)

@@ -34,17 +34,16 @@ def test_parse_table():
 
 
 def test_table_spec_is_built_from_its_own_rows(monkeypatch):
-    # a parsed spec hands the axiom checks the parser's int32 array, which
-    # only the parser sets, read and range-checked: a spec edited with
-    # replace() or built by hand is built, and refused, from its own rows
-    # and zero
+    # a parsed spec hands from_table the parser's int32 array, which only
+    # the parser sets: a spec edited with replace() or built by hand is
+    # built, and refused, from its own rows and zero
     spec = tg.parse_spec(Z2Z_TEXT)
     assert spec.table.dtype == np.int32 and not spec.table.flags.writeable
     assert spec.table.tolist() == [list(row) for row in spec.rows]
     seen = []
-    monkeypatch.setattr(dsl, "_checked",
-                        lambda table, zero: seen.append(table) or
-                        semigroup._checked(table, zero))
+    monkeypatch.setattr(dsl, "from_table",
+                        lambda rows, zero: seen.append(rows) or
+                        semigroup.from_table(rows, zero))
     assert tg.build_semigroup(spec).idempotents == {0, 1}
     assert seen == [spec.table]
     monkeypatch.undo()

@@ -290,6 +290,23 @@ def test_cli_unwritable_output(args):
     assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("argv, name", [(["--fixture", "B2"], "B2"),
+                                        (["--corpus", "1", "--seed", "7"], "corpus-7-000")])
+def test_unwritable_reproducer_still_exits_3(tmp_path, monkeypatch, capsys, argv, name):
+    # a directory where the reproducer goes: the mismatch is reported with
+    # the path that failed, and the run still exits 3
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / f"violation-{name}.json").mkdir()
+    is_minimal = tg.GermGroupoid.is_minimal
+    monkeypatch.setattr(tg.GermGroupoid, "is_minimal",
+                        lambda self: not is_minimal(self))
+    assert cli.run_cli(["analyze", *argv]) == 3
+    err = capsys.readouterr().err
+    assert "criterion verdict True != direct verdict False" in err
+    assert f"cannot write output: [Errno 21] Is a directory: 'violation-{name}.json'" \
+        in err and "reproducer written" not in err
+
+
 def test_cli_rejects_negative_counts(capsys):
     assert cli.run_cli(["analyze", "--corpus", "-1"]) == 2
     assert "--corpus must be at least 0" in capsys.readouterr().err
