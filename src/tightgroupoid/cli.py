@@ -4,8 +4,8 @@ Exit codes: 0 on success (including the documented empty-spectrum error
 document, and a run whose standard output closes early, as when it is
 piped into ``head``, which stops quietly), 1 on input errors and on
 output files that cannot be written, 2 on usage errors, 3 when two
-provably equal verdicts disagree, in which case a reproducer file is
-written.
+provably equal verdicts disagree or, in corpus mode, a generated
+instance raises any error, in which case a reproducer file is written.
 """
 
 from __future__ import annotations
@@ -110,21 +110,18 @@ def _violation_path(name: str) -> str:
 
 
 def _dump_violation(sg: InverseSemigroup, name: str,
-                    exc: TheoremViolation) -> str | None:
+                    exc: TightGroupoidError) -> str | None:
     path = _violation_path(name)
-    body = {
-        "instance": name,
-        "property": exc.property,
-        "criterion": repr(exc.criterion),
-        "direct": repr(exc.direct),
-        "detail": exc.instance,
-        "isg": format_spec(spec_of_semigroup(sg, name)),
-    }
+    body = {"instance": name, "error": type(exc).__name__, "message": str(exc)}
+    if isinstance(exc, TheoremViolation):
+        body |= {"property": exc.property, "criterion": repr(exc.criterion),
+                 "direct": repr(exc.direct), "detail": exc.instance}
+    body["isg"] = format_spec(spec_of_semigroup(sg, name))
     return None if _write(path, report.json_text(body)) else path
 
 
 def _report_violation(sg, name, exc, head) -> None:
-    """A verdict mismatch, and where its reproducer went, on stderr."""
+    """A verdict mismatch or defect, and where its reproducer went, on stderr."""
     print(f"{head}: {exc}", file=sys.stderr)
     if path := _dump_violation(sg, name, exc):
         print(f"reproducer written to {path}", file=sys.stderr)
@@ -187,12 +184,15 @@ def _analyze_single(args) -> int:
 
 def _corpus_payloads(args):
     """The report of each corpus instance in turn, once its summary line
-    is printed; a verdict mismatch writes its reproducer and propagates."""
+    is printed.  Generated instances are valid, so any error one raises
+    is a defect: it writes its reproducer and propagates."""
     for index, (name, sg) in enumerate(fixtures.iter_corpus(args.corpus, args.seed)):
         try:
             analysis, checks = criteria.verify_instance(sg, name, seed=index)
-        except TheoremViolation as exc:
-            _report_violation(sg, name, exc, f"verdict mismatch on {name}")
+        except TightGroupoidError as exc:
+            kind = "verdict mismatch" if isinstance(exc, TheoremViolation) \
+                else type(exc).__name__
+            _report_violation(sg, name, exc, f"{kind} on {name}")
             raise
         payload = report.build_document(analysis, name)
         print(f"[{index:3d}] {_summary(payload)} {_flags(payload)} "
@@ -228,9 +228,9 @@ def _analyze_corpus(args) -> int:
         else:
             for _ in payloads:
                 pass
-    except TheoremViolation:
+    except TightGroupoidError:
         return 3
-    # a mismatch returns above, so every instance passed
+    # a defect returns above, so every instance passed
     print(f"{args.corpus}/{args.corpus} equivalence checks passed")
     return 0
 

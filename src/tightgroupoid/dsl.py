@@ -10,19 +10,19 @@ Two shapes are accepted after a `semigroup <name>` header:
 ``str.splitlines`` ends them.  The parser reports line and column
 exactly; semantic validation beyond counts and index ranges
 (injectivity, the semigroup axioms) happens at build time, not here.
-Integers are an optional ``-`` and ASCII digits.  Only the header is
-split into tokens: a table body goes from text to an n x n int32 array
-in whole-array passes over its bytes, which find the tokens, count them
-per line, and convert and range-check them by digit arithmetic.  A body
-the passes refuse goes to the row reader, which raises at the first bad
-row with the line and column of its first bad token.
+Integers are an optional ``-`` and ASCII digits.  The text is scanned
+once, and only the header is split into tokens: a table body goes from
+text to an n x n int32 array, the spec's ``rows``, in whole-array passes
+over its bytes, which find the tokens, count them per line, and convert
+and range-check them by digit arithmetic.  A body the passes refuse goes
+to the row reader, which reads the lines after the header and raises at
+the first bad row with the line and column of its first bad token.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,27 +30,28 @@ from .errors import DslRangeError, DslSyntaxError, DuplicateName
 from .semigroup import InverseSemigroup, from_partial_maps, from_table
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SemigroupSpec:
     """Parsed description of one instance, table or generator shaped.
 
-    A table spec from :func:`parse_spec` also carries ``table``, its rows
-    as the parser's read-only n x n int32 array, which
-    :func:`build_semigroup` hands to
-    :func:`~tightgroupoid.semigroup.from_table` in place of the row
-    tuples.  It is set by the parser alone: it is no argument of the
-    constructor, and :func:`dataclasses.replace` leaves it unset, so a
-    spec built or edited by hand is built from its ``rows``."""
+    A table spec from :func:`parse_spec` holds its ``rows`` as the
+    parser's read-only n x n int32 array; one built by hand holds
+    whatever rows it was given.  Two specs are equal, and hash alike,
+    when :func:`format_spec` writes them the same."""
 
     name: str
     mode: str                      # "table" | "generators"
     size: int | None = None
     zero: int | None = None
-    rows: tuple | None = None
+    rows: tuple | np.ndarray | None = None
     degree: int | None = None
     generators: tuple | None = None    # ((name, images-with-None), ...)
-    table: np.ndarray | None = field(default=None, init=False, compare=False,
-                                     repr=False)
+
+    def __eq__(self, other):
+        return isinstance(other, SemigroupSpec) and format_spec(self) == format_spec(other)
+
+    def __hash__(self):
+        return hash(format_spec(self))
 
 
 # Where str.splitlines ends a line; "\r\n" ends one.
@@ -60,16 +61,12 @@ _COMMENT = re.compile(f"#[^{_BREAKS}]*")
 
 
 def _significant(text: str):
-    """Each line of :func:`_lines`, with the offset in `text` past it."""
+    """Significant lines as (line_number, text before any comment,
+    tokens), each with the offset in `text` past it."""
     for ln, line in enumerate(_LINE.finditer(text), start=1):
         before = line[1].split("#", 1)[0]
         if before.split():
             yield (ln, before, before.split()), line.end()
-
-
-def _lines(text: str):
-    """Significant lines as (line_number, text before any comment, tokens)."""
-    return [line for line, _ in _significant(text)]
 
 
 def _at(where, i):
@@ -82,20 +79,22 @@ def _at(where, i):
 
 
 def parse_spec(text: str) -> SemigroupSpec:
-    lines = list(itertools.islice(_significant(text), 2))     # the header
-    if not lines:
+    lines = _significant(text)          # one scan, header first
+    header, _ = next(lines, (None, None))
+    if header is None:
         raise DslSyntaxError(1, 1, "a 'semigroup <name>' header")
-    (ln, _, toks), _ = lines[0]
+    ln, _, toks = header
     if len(toks) != 2 or toks[0] != "semigroup":
-        raise DslSyntaxError(*_at(lines[0][0], 0), "'semigroup <name>'")
+        raise DslSyntaxError(*_at(header, 0), "'semigroup <name>'")
     name = toks[1]
-    if len(lines) < 2:
+    decl, end = next(lines, (None, None))
+    if decl is None:
         raise DslSyntaxError(ln, 1, "a 'table' or 'points' declaration")
-    decl, end = lines[1]
+    rest = (line for line, _ in lines)
     if decl[2][0] == "table":
-        return _parse_table(name, decl, text, end)
+        return _parse_table(name, decl, text[end:], rest)
     if decl[2][0] == "points":
-        return _parse_generators(name, decl, _lines(text)[2:])
+        return _parse_generators(name, decl, rest)
     raise DslSyntaxError(*_at(decl, 0), "'table' or 'points'")
 
 
@@ -111,8 +110,9 @@ def _int_token(where, i, what):
     raise DslSyntaxError(*_at(where, i), f"an integer {what}")
 
 
-def _parse_table(name, decl, text, end):
-    """A table spec; its rows, text[end:], go to the byte pass, else the row reader."""
+def _parse_table(name, decl, body, rest):
+    """A table spec; its rows, `body`, go to the byte pass, else the
+    row reader, which reads the significant lines `rest`."""
     ln, _, toks = decl
     if len(toks) != 4 or toks[2] != "zero":
         raise DslSyntaxError(*_at(decl, 0), "'table <n> zero <k>'")
@@ -122,17 +122,14 @@ def _parse_table(name, decl, text, end):
         raise DslRangeError(*_at(decl, 1), "size must be at least 1")
     if not 0 <= zero < n:
         raise DslRangeError(*_at(decl, 3), f"zero index {zero} outside 0..{n - 1}")
-    table = _table_body(text[end:], n)
+    table = _table_body(body, n)
     if table is None:
-        rest = _lines(text)[2:]
+        rest = list(rest)
         if len(rest) != n:
             raise DslSyntaxError(rest[-1][0] if rest else ln, 1, f"{n} table rows")
         table = np.array([_row_entries(line, n) for line in rest], dtype=np.int32)
     table.flags.writeable = False
-    spec = SemigroupSpec(name, "table", size=n, zero=zero,
-                         rows=tuple(map(tuple, table.tolist())))
-    object.__setattr__(spec, "table", table)
-    return spec
+    return SemigroupSpec(name, "table", size=n, zero=zero, rows=table)
 
 
 def _table_body(body, n):
@@ -187,8 +184,6 @@ def _parse_generators(name, decl, rest):
     if degree < 1:
         raise DslRangeError(*_at(decl, 1), "point count must be at least 1")
     gens, names = [], set()
-    if not rest:
-        raise DslSyntaxError(ln, 1, "at least one 'gen' line")
     for gen_line in rest:
         gln, _, gtoks = gen_line
         if gtoks[0] != "gen":
@@ -210,6 +205,8 @@ def _parse_generators(name, decl, rest):
                 raise DslRangeError(*_at(gen_line, i), f"image {v} outside 0..{degree - 1}")
             images.append(v)
         gens.append((gname, tuple(images)))
+    if not gens:
+        raise DslSyntaxError(ln, 1, "at least one 'gen' line")
     return SemigroupSpec(name, "generators", degree=degree, generators=tuple(gens))
 
 
@@ -218,8 +215,9 @@ def format_spec(spec: SemigroupSpec) -> str:
     out = [f"semigroup {spec.name}"]
     if spec.mode == "table":
         out.append(f"table {spec.size} zero {spec.zero}")
-        for row in spec.rows:
-            out.append(" ".join(str(v) for v in row))
+        rows = spec.rows
+        for row in rows.tolist() if isinstance(rows, np.ndarray) else rows:
+            out.append(" ".join(map(str, row)))
     else:
         out.append(f"points {spec.degree}")
         for gname, images in spec.generators:
@@ -230,12 +228,9 @@ def format_spec(spec: SemigroupSpec) -> str:
 
 def build_semigroup(spec: SemigroupSpec) -> InverseSemigroup:
     """Realize a parsed spec; semigroup axioms and the size caps of
-    :mod:`~tightgroupoid.semigroup` are enforced here.  A parsed table
-    reaches :func:`~tightgroupoid.semigroup.from_table` as the parser's
-    array, any other as its rows."""
+    :mod:`~tightgroupoid.semigroup` are enforced here."""
     if spec.mode == "table":
-        rows = spec.rows if spec.table is None else spec.table
-        return from_table(rows, spec.zero)
+        return from_table(spec.rows, spec.zero)
     labels = [gname for gname, _ in spec.generators]
     gens = [images for _, images in spec.generators]
     return from_partial_maps(spec.degree, gens, labels)

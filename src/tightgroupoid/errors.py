@@ -49,8 +49,7 @@ class NotIdempotent(TightGroupoidError):
 
 
 class NotAnIdeal(TightGroupoidError):
-    def __init__(self, reason: str):
-        super().__init__(reason)
+    """A member set is not an ideal, or a filter not a filter."""
 
 
 # ---------------------------------------------------------- partial maps

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import tightgroupoid as tg
-from tightgroupoid import criteria, errors
+from tightgroupoid import criteria, errors, spectrum as spectrum_mod
 
 import oracles
 
@@ -256,6 +256,14 @@ def test_conclusions_track_flags(analyses):
 def test_full_report_requires_points():
     with pytest.raises(errors.EmptySpectrum):
         tg.analyze(tg.from_table([[0]], 0))
+
+
+def test_no_point_above_nonzero_idempotents_is_a_violation(monkeypatch):
+    # every nonzero idempotent lies above an atom, so a spectrum without
+    # points is a defect unless E(S) = {0}
+    monkeypatch.setattr(spectrum_mod, "_is_atom", lambda sg, e: False)
+    with pytest.raises(errors.TheoremViolation, match="nonempty_spectrum"):
+        tg.analyze(tg.build_fixture("B2"), "B2")
 
 
 def test_pair_mismatch_is_loud():

@@ -34,33 +34,29 @@ def test_parse_table():
 
 
 def test_table_spec_is_built_from_its_own_rows(monkeypatch):
-    # a parsed spec hands from_table the parser's int32 array, which only
-    # the parser sets: a spec edited with replace() or built by hand is
-    # built, and refused, from its own rows and zero
+    # a parsed spec's rows are the parser's read-only int32 array, which
+    # reaches from_table itself; a spec edited with replace() or built by
+    # hand is built, and refused, from its own rows and zero
     spec = tg.parse_spec(Z2Z_TEXT)
-    assert spec.table.dtype == np.int32 and not spec.table.flags.writeable
-    assert spec.table.tolist() == [list(row) for row in spec.rows]
+    assert spec.rows.dtype == np.int32 and not spec.rows.flags.writeable
     seen = []
     monkeypatch.setattr(dsl, "from_table",
                         lambda rows, zero: seen.append(rows) or
                         semigroup.from_table(rows, zero))
     assert tg.build_semigroup(spec).idempotents == {0, 1}
-    assert seen == [spec.table]
-    monkeypatch.undo()
+    assert len(seen) == 1 and seen[0] is spec.rows
 
     chain = ((0, 0, 0), (0, 1, 1), (0, 1, 2))
     edited = replace(spec, rows=chain)
-    assert edited.table is None
     assert tg.build_semigroup(edited).idempotents == {0, 1, 2}
+    assert seen[1] is chain
+    monkeypatch.undo()
     with pytest.raises(errors.NoZero, match="zero index -1 out of range"):
         tg.build_semigroup(replace(spec, zero=-1))
     wrapped = ((0, 0, 0), (0, 1, -1), (0, -1, 1))
     with pytest.raises(errors.DegreeMismatch, match="table entry -1 out of range"):
         tg.build_semigroup(tg.SemigroupSpec("Z2z", "table", size=3, zero=0,
                                             rows=wrapped))
-    with pytest.raises(TypeError):
-        tg.SemigroupSpec("Z2z", "table", size=3, zero=0, rows=wrapped,
-                         table=np.array(wrapped, dtype=np.int32))
 
 
 def test_parse_generators_and_build():
@@ -157,7 +153,7 @@ def test_minus_zero_is_zero():
     # a row with a sign leaves the one-check fast path and is read token
     # by token, which must still return it
     spec = tg.parse_spec("semigroup t\ntable 2 zero -0\n0 -0\n0 1\n")
-    assert spec.zero == 0 and spec.rows == ((0, 0), (0, 1))
+    assert spec.zero == 0 and spec.rows.tolist() == [[0, 0], [0, 1]]
 
 
 BIG = "7" * 5000

@@ -13,7 +13,7 @@ import pytest
 
 import tightgroupoid as tg
 from tightgroupoid import cli, report
-from tightgroupoid.errors import TheoremViolation
+from tightgroupoid.errors import InvalidAction, TheoremViolation
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "docs" / "report.schema.json")
@@ -226,6 +226,28 @@ def test_corpus_mismatch_leaves_no_json(tmp_path, monkeypatch, capsys):
                         "--json", str(path)]) == 3
     assert "reproducer written to violation-corpus-7-002.json" in capsys.readouterr().err
     assert not path.exists()
+
+
+def test_corpus_instance_error_is_a_defect(tmp_path, monkeypatch, capsys):
+    # a generated instance is valid, so any instance error, not only a
+    # verdict mismatch, ends in exit 3 with a reproducer naming it
+    monkeypatch.chdir(tmp_path)
+    verify_instance = tg.verify_instance
+
+    def failing_second(sg, name, seed):
+        if seed == 1:
+            raise InvalidAction("forced for the test")
+        return verify_instance(sg, name, seed=seed)
+
+    monkeypatch.setattr(cli.criteria, "verify_instance", failing_second)
+    assert cli.run_cli(["analyze", "--corpus", "3", "--seed", "7"]) == 3
+    err = capsys.readouterr().err
+    assert "InvalidAction on corpus-7-001: forced for the test" in err
+    assert "Traceback" not in err
+    body = json.loads((tmp_path / "violation-corpus-7-001.json").read_text())
+    assert (body["error"], body["message"]) == ("InvalidAction", "forced for the test")
+    assert tg.build_semigroup(tg.parse_spec(body["isg"])).size == \
+        tg.corpus(2, 7)[1][1].size
 
 
 def test_corpus_reproducer_records_verdicts_as_single_mode(tmp_path, monkeypatch,

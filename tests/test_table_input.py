@@ -56,7 +56,9 @@ TEXTS = (*TABLE_TEXTS, *map(family_text, sorted(TABLE_FAMILIES)), brandt_text(15
 def test_table_texts_read_and_build_as_row_by_row(text):
     spec = parse_spec(text)
     assert spec == oracles.row_by_row_parse_spec(text)
-    assert all(type(v) is int for row in spec.rows for v in row)
+    rows = spec.rows
+    assert rows.dtype == np.int32 and rows.shape == (spec.size,) * 2
+    assert not rows.flags.writeable
     assert built(semigroup.from_table, spec.rows, spec.zero) == \
         built(oracles.per_row_from_table, spec.rows, spec.zero)
 
