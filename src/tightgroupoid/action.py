@@ -1,5 +1,9 @@
 """Finite inverse semigroup actions by partial injections.
 
+An action is stored as one (|S|, points) int32 array of images, -1 where
+undefined; the checks and direct decisions are whole-array passes over
+it, and the per-element forms are views derived from it when first read.
+
 The carrier is a finite set of points carrying the discrete topology, so
 the topological notions in the definitions below collapse: the interior
 and the closure of any subset are the subset itself.  Each predicate
@@ -12,6 +16,8 @@ them are provably equal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
@@ -34,40 +40,87 @@ class FiniteAction:
     Attributes:
         semigroup: the acting semigroup.
         points: carrier size; points are indices 0..points-1.
+        array: the stored form, ``array[s, x]`` the image of x under s.
+        defined, trivial: the domain and trivially fixed masks.
         maps: per element, an image tuple over the carrier with None
             where the partial injection is undefined.
         edomains: per idempotent, the (open) set where its map is the
             identity.
         point_labels: optional printable names for carrier points.
 
-    The constructor stores what it is given; :func:`validate_action`
-    checks the axioms exhaustively.  :func:`trivial_fixed_points` caches
-    its set per element on the action.
+    `maps` is the array or a dict of maps, checked to be maps of the
+    carrier when the array is first read; the other forms are views.
+    :func:`validate_action` checks the axioms exhaustively.
     """
 
     def __init__(self, semigroup: InverseSemigroup, points: int, maps,
                  point_labels=None):
         self.semigroup = semigroup
         self.points = points
-        self.maps = {s: tuple(m) for s, m in maps.items()}
+        if isinstance(maps, np.ndarray):
+            maps.flags.writeable = False
+            self.array = maps
+        else:
+            self.maps = {s: tuple(m) for s, m in maps.items()}
         self.point_labels = tuple(point_labels) if point_labels else None
-        self._domains = {
-            s: frozenset(x for x, y in enumerate(m) if y is not None)
-            for s, m in self.maps.items()
-        }
-        self.edomains = {e: self._domains[e] for e in semigroup.idempotents}
-        self._trivial = {}
         self._validated = False
 
     def __repr__(self):
         return f"FiniteAction(points={self.points}, semigroup_size={self.semigroup.size})"
 
+    @cached_property
+    def array(self) -> np.ndarray:
+        sg, points, maps = self.semigroup, self.points, self.maps
+        if set(maps) != set(sg.elements()):
+            raise InvalidAction("maps must be indexed by every semigroup element")
+        images, kinds = {None, *range(points)}, {int, type(None)}
+        for s in sg.elements():
+            m = maps[s]
+            if len(m) != points or not kinds.issuperset(map(type, m)) or \
+                    not images.issuperset(m):
+                raise InvalidAction(f"map of element {s} must have {points} "
+                                    f"entries, each None or an int in range({points})")
+        cells = np.array([[-1 if y is None else y for y in maps[s]]
+                          for s in sg.elements()], dtype=np.int32)
+        cells.flags.writeable = False
+        return cells.reshape(sg.size, points)
+
+    @cached_property
+    def maps(self) -> dict:
+        return dict(enumerate(map(tuple, np.where(self.defined, self.array, None).tolist())))
+
+    @cached_property
+    def defined(self) -> np.ndarray:
+        return self.array >= 0
+
+    @cached_property
+    def trivial(self) -> np.ndarray:
+        sg = self.semigroup
+        idem = sg.idempotent_list()
+        width = (len(idem) + 7) // 8
+        raw = b"".join(bits.to_bytes(width, "little") for bits in sg.below_bits)
+        below = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(sg.size, width),
+                              axis=1, count=len(idem), bitorder="little")
+        return below.astype(np.float32) @ self.defined[np.array(idem)] > 0
+
+    @cached_property
+    def _domains(self) -> list:
+        return [frozenset(compress(range(self.points), r)) for r in self.defined.tolist()]
+
+    @cached_property
+    def _trivial_sets(self) -> list:
+        return [frozenset(compress(range(self.points), r)) for r in self.trivial.tolist()]
+
+    @cached_property
+    def edomains(self) -> dict:
+        return {e: self._domains[e] for e in self.semigroup.idempotents}
+
     def domain(self, s: int) -> frozenset:
         return self._domains[s]
 
     def apply(self, s: int, x: int) -> int:
-        y = self.maps[s][x]
-        if y is None:
+        y = int(self.array[s, x])
+        if y < 0:
             raise NotInDomain(f"point {x} outside the domain of element {s}")
         return y
 
@@ -85,16 +138,6 @@ class FiniteAction:
         if self.point_labels is not None:
             return self.point_labels[x]
         return f"x{x}"
-
-
-def _map_array(action: FiniteAction) -> np.ndarray:
-    """The maps as an (|S|, points + 1) integer array, -1 where undefined.
-    The last column is all -1, so a gather at -1 gives -1."""
-    maps = action.maps
-    cells = np.array([maps[s] + (None,) for s in action.semigroup.elements()],
-                     dtype=float)
-    cells[np.isnan(cells)] = -1
-    return cells.astype(np.int32)
 
 
 def validate_action(action: FiniteAction) -> None:
@@ -116,53 +159,42 @@ def validate_action(action: FiniteAction) -> None:
     cut checks the same condition as all pairs, and a failure still names
     a concrete triple (s, g, x).
 
-    The checks per element (injectivity, inverse, domain, range) compare
-    whole arrays of the maps at once.  The composition check compares
-    blocks of elements, each holding at most |S| times the points cells
-    (or 4096) whatever the number of generators.  A failure raises what a
-    scan element by element would: the first failing check of the lowest
-    failing element, in that order, then the first (s, g, x) whose
-    composite differs.
+    Every check compares whole arrays at once; the composition check
+    compares blocks of elements, each holding at most |S| times the
+    points cells (or 4096) whatever the number of generators.  A failure
+    raises what a scan element by element would: the first failing check
+    of the lowest failing element, in that order, then the first
+    (s, g, x) whose composite differs.
     """
     if action._validated:
         return
     sg = action.semigroup
-    maps = action.maps
-    if set(maps) != set(sg.elements()):
-        raise InvalidAction("maps must be indexed by every semigroup element")
+    m = action.array
     points = action.points
-    images, kinds = {None, *range(points)}, {int, type(None)}
-    for s in sg.elements():
-        m = maps[s]
-        if len(m) != points or not kinds.issuperset(map(type, m)) or \
-                not images.issuperset(m):
-            raise InvalidAction(f"map of element {s} must have {points} "
-                                f"entries, each None or an int in range({points})")
-
-    if action._domains[sg.zero]:
+    defined = action.defined
+    if defined[sg.zero].any():
         raise InvalidAction("zero must act as the empty map")
-    for e in sg.idempotents:
-        if any(maps[e][x] != x for x in action.edomains[e]):
-            raise InvalidAction(f"idempotent {e} does not act as the identity")
-    if len(frozenset().union(*action.edomains.values())) != action.points:
+    rows = m[np.array(sg.idempotent_list())]
+    moved = ((rows >= 0) & (rows != np.arange(points))).any(axis=1)
+    if moved.any():
+        e = next(e for e in sg.idempotents if moved[sg.column[e]])
+        raise InvalidAction(f"idempotent {e} does not act as the identity")
+    if not (rows >= 0).any(axis=0).all():
         raise DomainNotCovering("idempotent domains do not cover the carrier")
 
-    padded = _map_array(action)
-    m = padded[:, :-1]
     n = len(m)
-    defined = m >= 0
     elems, xs = np.nonzero(defined)
     cells = elems * points + m[elems, xs]             # (s, y) for y = s x
     hits = np.bincount(cells, minlength=n * points).reshape(n, points)
     inverse = np.full(n * points, -1, dtype=np.int32)
     inverse[cells] = xs
     star, d, r = np.array((sg.star, sg.d, sg.r))
-    checks = (hits > 1,                               # not injective
-              m[star] != inverse.reshape(n, points),  # s* does not invert s
-              defined != defined[d],                  # domain is not s*s's
-              (hits > 0) != defined[r])               # range is not ss*'s
-    if any(c.any() for c in checks):
-        failing = np.array([c.any(axis=1) for c in checks])
+    checks = np.stack((hits > 1,                               # not injective
+                       m[star] != inverse.reshape(n, points),  # s* does not invert s
+                       defined != defined[d],                  # domain is not s*s's
+                       (hits > 0) != defined[r]))              # range is not ss*'s
+    if checks.any():
+        failing = checks.any(axis=2)
         s = int(failing.any(axis=0).argmax())
         check = failing[:, s].argmax()
         if check == 0:
@@ -174,7 +206,9 @@ def validate_action(action: FiniteAction) -> None:
         raise InvalidAction(f"range of {s} differs from the domain of ss*")
 
     # (s, j, x): s after generator j at x, against s g_j at x, over blocks
-    # of elements holding at most |S| times the points cells, or 4096
+    # of elements holding at most |S| times the points cells, or 4096; the
+    # padded last column is all -1, so a gather at -1 gives -1
+    padded = np.concatenate((m, np.full((n, 1), -1, dtype=np.int32)), axis=1)
     gen_maps = m[np.array(sg.generators)]
     step = max(1, max(n * points, 4096) // gen_maps.size)
     for lo in range(0, n, step):
@@ -200,14 +234,14 @@ def standard_action(spectrum: TightSpectrum) -> FiniteAction:
     would mean the tight spectrum is not invariant, which is impossible,
     so it is flagged as a hard error rather than reported.  All images
     come from one gather of the slab at the points' columns, masked by
-    s*s.
+    s*s: the action's array.
     """
     sg = spectrum.semigroup
     pts = spectrum.points
     if not pts:
         raise EmptySpectrum("cannot act on an empty spectrum")
     mins = np.array([f.min for f in pts])
-    point_of = np.full(sg.size, -1)
+    point_of = np.full(sg.size, -1, dtype=np.int32)
     point_of[mins] = np.arange(len(pts))
     # s e for every element s and point of e; s acts on the point of e
     # when e <= s*s, that is (s*s) e = e, and sends it to s e s*
@@ -221,9 +255,8 @@ def standard_action(spectrum: TightSpectrum) -> FiniteAction:
             "tight_spectrum_invariance", True, False,
             f"element {lost.any(axis=1).argmax()} pushes a tight filter "
             "outside the spectrum")
-    maps = dict(enumerate(map(tuple, np.where(defined, image, None).tolist())))
     labels = tuple(f"^{sg.name_of(f.min)}" for f in pts)
-    action = FiniteAction(sg, len(pts), maps, labels)
+    action = FiniteAction(sg, len(pts), np.where(defined, image, -1), labels)
     validate_action(action)
     return action
 
@@ -236,33 +269,20 @@ def fixed_points(action: FiniteAction, s: int) -> frozenset:
     return frozenset(x for x in action.domain(s) if m[x] == x)
 
 
-_NO_POINTS = frozenset()      # shared by the elements with no trivially fixed point
-
-
 def trivial_fixed_points(action: FiniteAction, s: int) -> frozenset:
     """Union of the domains of the idempotents fixed by s.
 
     A point is trivially fixed when it sits in the domain of some
     idempotent e with s e = e; the union over the fixed ideal of s is
     exactly that set, and it is always contained in the fixed points.
-    Cached per element on the action.
+    Row s of ``action.trivial``, ``below_bits`` times idempotent domains.
     """
-    got = action._trivial.get(s)
-    if got is None:
-        sg = action.semigroup
-        out = set()
-        for e in sg.members_of(sg.below_bits[s]):
-            out |= action.edomains[e]
-        got = action._trivial[s] = frozenset(out) if out else _NO_POINTS
-    return got
+    return action._trivial_sets[s]
 
 
 def is_free(action: FiniteAction) -> bool:
     """Every fixed point of every element is trivial."""
-    return all(
-        fixed_points(action, s) == trivial_fixed_points(action, s)
-        for s in action.semigroup.elements()
-    )
+    return np.array_equal(action.array == np.arange(action.points), action.trivial)
 
 
 def is_topologically_free(action: FiniteAction) -> bool:
@@ -270,10 +290,7 @@ def is_topologically_free(action: FiniteAction) -> bool:
     points.  On a discrete carrier the interior is the set itself, so
     this collapses to containment of the full fixed point set; the test
     suite asserts the collapse makes this agree with :func:`is_free`."""
-    return all(
-        fixed_points(action, s) <= trivial_fixed_points(action, s)
-        for s in action.semigroup.elements()
-    )
+    return not ((action.array == np.arange(action.points)) & ~action.trivial).any()
 
 
 # --------------------------------------------------------------- orbits
@@ -319,12 +336,12 @@ def orbit_partition(action: FiniteAction) -> OrbitPartition:
 
     Two points are equivalent when some element moves one onto the
     other; the relation is already transitive (compose the movers), so
-    the components of the graph of all one-step moves are exactly it.
+    the components of the graph of the distinct one-step moves are it.
     """
-    maps = action.maps
-    return OrbitPartition(components(action.points, (
-        (x, maps[s][x])
-        for s in action.semigroup.elements() for x in action.domain(s))))
+    points = action.points
+    elems, xs = np.nonzero(action.defined)
+    sources, targets = np.divmod(np.unique(xs * points + action.array[elems, xs]), points)
+    return OrbitPartition(components(points, zip(sources.tolist(), targets.tolist())))
 
 
 def is_irreducible(action: FiniteAction) -> bool:

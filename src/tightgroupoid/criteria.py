@@ -12,15 +12,16 @@ searches no families: on a finite semigroup it is refuted at the least
 atom, where the only candidate family has one member.
 
 Stored forms each route reads.  Every direct decision reads the
-standard action's maps (gathered from the ``slab`` columns of the atoms,
+standard action's array (gathered from the ``slab`` columns of the atoms,
 found by ``below_bits``, and checked against ``right``) and the germ
 groupoid (keyed on ``slab`` cells), and minimality reads nothing else;
-the trivial fixed points behind the direct Hausdorff and essential
-principality decisions read ``below_bits``, and local contraction reads
-only the number of points.  The criteria read: Hausdorff, ``below_bits``
-and ``meet_bits``; essential principality and minimality, ``slab``,
-``below_bits`` and ``meet_bits``; local contraction, the ``slab`` column
-of the least atom, found by ``below_bits``.
+the trivially fixed mask behind the direct Hausdorff and essential
+principality decisions reads ``below_bits``, and local contraction reads
+only the number of points; :func:`analyze` first checks that the order
+in ``below_bits`` is reflexive.  The criteria read: Hausdorff,
+``below_bits`` and ``meet_bits``; essential principality and
+minimality, ``slab``, ``below_bits`` and ``meet_bits``; local
+contraction, the ``slab`` column of the least atom, found by ``below_bits``.
 """
 
 from __future__ import annotations
@@ -383,6 +384,9 @@ def analyze(sg: InverseSemigroup, name: str = "S") -> Analysis:
     """Build the whole pipeline for one semigroup and compute the report,
     asserting pairwise agreement of every criterion with its direct
     groupoid-level counterpart."""
+    # both routes read the order as stored: each idempotent is below itself
+    _identity("reflexive_order", [], [e for e in sg.idempotent_list()
+                                      if not sg.below_bits[e] >> sg.column[e] & 1], name)
     spec = spectrum_mod.tight_spectrum(sg)    # refuses E(S) = {0}
     # every nonzero idempotent lies above an atom, so some point is tight
     _identity("nonempty_spectrum", bool(spec.points), len(sg.idempotents) > 1, name)

@@ -9,6 +9,9 @@ at x is determined by the product s m_x.  The quotient is built by
 keying every defined pair on that product; the pairwise witness search
 is kept in the test suite as the oracle it is checked against.
 
+The quotient is stored as one (|S|, points) int32 array of arrow ids;
+the per-pair forms are views derived from it when first read.
+
 The groupoid of a finite discrete action is itself finite and discrete:
 every singleton arrow set is a slice, so interiors and closures of arrow
 sets are the sets themselves, and the verdicts below use the sets
@@ -17,26 +20,17 @@ directly.
 
 from __future__ import annotations
 
+from functools import cached_property
+
+import numpy as np
+
 from .action import (
     ContractionVerdict,
     FiniteAction,
     components,
-    trivial_fixed_points,
     validate_action,
 )
 from .errors import DomainViolation, TheoremViolation
-
-
-def _least_idempotents(action: FiniteAction) -> tuple:
-    """Per carrier point x, the least idempotent m_x whose domain holds x:
-    the meet of all such idempotents, since domains meet along products."""
-    sg = action.semigroup
-    least = [None] * action.points
-    for e in sg.idempotent_list():
-        for x in action.edomains[e]:
-            m = least[x]
-            least[x] = e if m is None else sg.meet(m, e)
-    return tuple(least)
 
 
 class GermGroupoid:
@@ -47,6 +41,9 @@ class GermGroupoid:
         arrows: canonical representatives (element, point), one per germ
             class, the smallest pair of the class in index order, sorted
             by (point, element).
+        class_of: the stored form, ``class_of[s, x]`` the arrow of the
+            germ of s at x, -1 where s is undefined; :meth:`arrow_of`
+            reads a dict view of it, derived when first read.
         source, target: per arrow, carrier points.
         units: frozenset of arrow ids forming the unit space.
         unit_at: per carrier point, the unit arrow over it.
@@ -56,14 +53,20 @@ class GermGroupoid:
         self.action = action
         self.semigroup = action.semigroup
         self.arrows = tuple(arrows)
-        self._class_of = class_of
+        class_of.flags.writeable = False
+        self.class_of = class_of
         self.source = tuple(x for _, x in self.arrows)
-        self.target = tuple(action.apply(s, x) for s, x in self.arrows)
+        self.target = tuple(action.array[[s for s, _ in self.arrows], list(self.source)].tolist())
         self.unit_at = unit_at
         self.units = frozenset(unit_at.values())
 
     def __repr__(self):
         return f"GermGroupoid(arrows={len(self.arrows)}, units={len(self.units)})"
+
+    @cached_property
+    def _class_of(self) -> dict:
+        elems, xs = np.nonzero(self.class_of >= 0)
+        return dict(zip(zip(elems.tolist(), xs.tolist()), self.class_of[elems, xs].tolist()))
 
     # ------------------------------------------------------------ algebra
 
@@ -108,15 +111,20 @@ class GermGroupoid:
         along the way: for every element, the unit germs inside its full
         slice are exactly its germs over the trivially fixed region.
         Failure of that identity cannot happen for a groupoid of germs
-        and is flagged as a hard error."""
-        for s in self.semigroup.elements():
-            full = self.slice_arrows(s, self.action.domain(s))
-            lhs = full & self.units
-            rhs = self.slice_arrows(s, trivial_fixed_points(self.action, s))
-            if lhs != rhs:
-                raise TheoremViolation(
-                    "slice_unit_identity", sorted(lhs), sorted(rhs),
-                    f"element {s}")
+        and is flagged as a hard error.  The germs of s at distinct
+        points are distinct, so the identity is one mask equality: unit
+        cells against the trivially fixed mask, the lowest failing s
+        raising what a scan of its slices would."""
+        class_of, defined, trivial = self.class_of, self.action.defined, self.action.trivial
+        units = defined & (np.bincount(list(self.units), minlength=len(self.arrows)) > 0)[class_of]
+        failing = (units != trivial).any(axis=1)
+        if failing.any():
+            s = int(failing.argmax())
+            if (trivial[s] & ~defined[s]).any():
+                raise DomainViolation(f"slice points escape the domain of {s}")
+            raise TheoremViolation(
+                "slice_unit_identity", sorted(class_of[s, units[s]].tolist()),
+                sorted(class_of[s, trivial[s]].tolist()), f"element {s}")
         return True
 
     def is_minimal(self) -> bool:
@@ -202,29 +210,28 @@ class GermGroupoid:
 def build_germ_groupoid(action: FiniteAction) -> GermGroupoid:
     """Quotient the defined (element, point) pairs by germ equivalence.
 
-    Each pair (s, x) is keyed on the product s m_x (see the module
-    docstring), which holds for any validated action; all those products
-    come from one gather of the slab at the columns of the m_x.  The
-    representative of a class is its first element in index order, so it
-    is the smallest pair of the class; arrows are sorted by (point,
-    element).
+    Each pair (s, x) is keyed on (x, s m_x) (see the module docstring),
+    which holds for any validated action; the products come from one
+    gather of the slab, and one ``np.unique`` over the keys finds each
+    class and its first, smallest, pair, its representative.  Arrows are
+    sorted by (point, element).
     """
     validate_action(action)
     sg = action.semigroup
-    least = _least_idempotents(action)
-    products = sg.slab[:, [sg.column[m] for m in least]].tolist()
-    key_of = {
-        (s, x): (x, row[x])
-        for s, row in enumerate(products) for x in action.domain(s)
-    }
-    first = {}
-    for (s, _), key in key_of.items():
-        first.setdefault(key, s)
-    keys = sorted(first, key=lambda key: (key[0], first[key]))
-    arrow_of_key = {key: i for i, key in enumerate(keys)}
-    class_of = {pair: arrow_of_key[key] for pair, key in key_of.items()}
-    arrows = [(first[key], key[0]) for key in keys]
+    n = sg.size
+    idem = np.array(sg.idempotent_list())
+    # per point x, the column of m_x: the meet of the idempotents whose
+    # domain holds x, so the one among them with the fewest below it
+    below = (sg.slab[idem] == idem).sum(axis=1)
+    least = np.where(action.defined[idem], below[:, None], len(idem) + 1).argmin(axis=0)
+    elems, xs = np.nonzero(action.defined)
+    codes = xs * n + sg.slab[elems, least[xs]]
+    _, first, key_of = np.unique(codes, return_index=True, return_inverse=True)
+    reps, rep_points = elems[first], xs[first]
+    order = np.argsort(rep_points * n + reps)
+    class_of = np.full(action.array.shape, -1, dtype=np.int32)
+    class_of[elems, xs] = np.argsort(order)[key_of]
+    arrows = zip(reps[order].tolist(), rep_points[order].tolist())
     # the unit over x is the germ of m_x
-    unit_at = {x: class_of[(m, x)] for x, m in enumerate(least)}
-    return GermGroupoid(action, arrows, class_of, unit_at)
-
+    units = class_of[idem[least], np.arange(action.points)]
+    return GermGroupoid(action, arrows, class_of, dict(enumerate(units.tolist())))

@@ -719,6 +719,82 @@ def per_element_validate(action):
                     raise CompositionMismatch(s, t, x)
 
 
+def union_trivial_fixed_points(action, s):
+    """The trivial fixed points of s as a set: the union of the domains of
+    the idempotents in its row of ``below_bits``."""
+    sg = action.semigroup
+    out = set()
+    for e in sg.members_of(sg.below_bits[s]):
+        out |= action.edomains[e]
+    return frozenset(out)
+
+
+def set_freeness(action):
+    """Freeness and topological freeness element by element: the fixed
+    points of every element equal to, and inside, its trivial ones."""
+    from tightgroupoid.action import fixed_points
+
+    pairs = [(fixed_points(action, s), union_trivial_fixed_points(action, s))
+             for s in action.semigroup.elements()]
+    return all(f == t for f, t in pairs), all(f <= t for f, t in pairs)
+
+
+def pair_orbit_partition(action):
+    """Trajectory classes over every one-step move (x, s x) of every
+    element, repeats included."""
+    from tightgroupoid.action import OrbitPartition, components
+
+    maps = action.maps
+    return OrbitPartition(components(action.points, (
+        (x, maps[s][x])
+        for s in action.semigroup.elements() for x in action.domain(s))))
+
+
+def dict_germ_quotient(action):
+    """The germ quotient pair by pair in dicts: the least idempotent m_x
+    of each point as the fold of ``meet`` over the idempotents whose
+    domain holds x, each defined pair (s, x) keyed on (x, s m_x), the
+    first s of each key its representative.  Returns (arrows, class_of,
+    unit_at) laid out as GermGroupoid has them, class_of a dict from each
+    defined pair to its arrow."""
+    sg = action.semigroup
+    least = [None] * action.points
+    for e in sg.idempotent_list():
+        for x in action.edomains[e]:
+            m = least[x]
+            least[x] = e if m is None else sg.meet(m, e)
+    products = sg.slab[:, [sg.column[m] for m in least]].tolist()
+    key_of = {
+        (s, x): (x, row[x])
+        for s, row in enumerate(products) for x in action.domain(s)
+    }
+    first = {}
+    for (s, _), key in key_of.items():
+        first.setdefault(key, s)
+    keys = sorted(first, key=lambda key: (key[0], first[key]))
+    arrow_of_key = {key: i for i, key in enumerate(keys)}
+    class_of = {pair: arrow_of_key[key] for pair, key in key_of.items()}
+    arrows = [(first[key], key[0]) for key in keys]
+    unit_at = {x: class_of[(m, x)] for x, m in enumerate(least)}
+    return arrows, class_of, unit_at
+
+
+def frozenset_is_hausdorff(g):
+    """The slice identity element by element on frozensets of arrows: the
+    unit germs in the full slice of s are its germs over the trivially
+    fixed region, else the same violation ``is_hausdorff`` raises."""
+    from tightgroupoid.errors import TheoremViolation
+
+    for s in g.semigroup.elements():
+        full = g.slice_arrows(s, g.action.domain(s))
+        lhs = full & g.units
+        rhs = g.slice_arrows(s, union_trivial_fixed_points(g.action, s))
+        if lhs != rhs:
+            raise TheoremViolation(
+                "slice_unit_identity", sorted(lhs), sorted(rhs), f"element {s}")
+    return True
+
+
 def count_decide_cover(sg, candidates, members):
     """The cover decision of the criteria by the cell by cell
     :func:`first_uncovered` and a greedy removal pass that counts, per

@@ -34,12 +34,12 @@ MUTANTS = (meet_drops_own_idempotent, below_marks_zero_products,
 RUNS = (["--fixture", "B2"], ["--fixture", "E4"], ["--fixture", "I2"],
         ["--fixture", "Z2z"], ["--fixture", "Cz(40)"],
         ["--corpus", "20", "--seed", "7"])
-# Known survivors, open defects: on E4 and I2 the highest idempotent
-# column is the identity's, and losing it changes only the Hausdorff and
-# fixed-cover witnesses (the co-atoms in place of the identity), never a
-# verdict, so both routes agree and the run exits 0.
-SURVIVORS = {("below_drops_highest_column", "E4"),
-             ("below_drops_highest_column", "I2")}
+# Known survivors, open defects.  None is left: the highest-column
+# mutant once survived on E4 and I2, whose highest idempotent column is
+# the identity's, because losing it changed only the Hausdorff and
+# fixed-cover witnesses, never a verdict; `analyze` now checks that every
+# idempotent's row of `below_bits` holds its own column.
+SURVIVORS = set()
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.__name__)
