@@ -34,6 +34,16 @@ from .semigroup import InverseSemigroup
 from .spectrum import TightSpectrum
 
 
+def _row_sets(mask: np.ndarray) -> list:
+    """Per row of the bool array `mask`, the frozenset of its True
+    columns; equal rows share one frozenset, found by the row's bytes."""
+    n, width = mask.shape
+    raw = mask.tobytes()
+    rows = [raw[i * width:(i + 1) * width] for i in range(n)]
+    sets = {row: frozenset(compress(range(width), row)) for row in set(rows)}
+    return [sets[row] for row in rows]
+
+
 class FiniteAction:
     """An action of a finite inverse semigroup on a finite point set.
 
@@ -105,11 +115,11 @@ class FiniteAction:
 
     @cached_property
     def _domains(self) -> list:
-        return [frozenset(compress(range(self.points), r)) for r in self.defined.tolist()]
+        return _row_sets(self.defined)
 
     @cached_property
     def _trivial_sets(self) -> list:
-        return [frozenset(compress(range(self.points), r)) for r in self.trivial.tolist()]
+        return _row_sets(self.trivial)
 
     @cached_property
     def edomains(self) -> dict:

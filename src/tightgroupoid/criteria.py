@@ -224,7 +224,9 @@ def minimal_criterion(sg: InverseSemigroup) -> CriterionResult:
     rows, and each e is decided against those bits for all its members
     at once: the first member of the ideal below e that they miss, the
     lowest set bit of ``sg.below_bits[e]`` outside them, is uncovered.
-    The witness covers are trimmed only when no pair fails.
+    The witness covers are trimmed only when no pair fails, and the
+    (e, f) with one trimmed cover and one f share one tuple of
+    (cover, via) pairs, built once.
     """
     nz = sg.nonzero_idempotents()
     conjugators = _conjugators(sg)
@@ -249,6 +251,7 @@ def minimal_criterion(sg: InverseSemigroup) -> CriterionResult:
     if failures:
         return CriterionResult(False, witness={"failures": failures})
     witnesses = {}
+    made = {}                         # (trimmed cover, f) -> its (cover, via) pairs
     for e in nz:
         below = sg.below(e)
         trimmed = {}
@@ -257,8 +260,11 @@ def minimal_criterion(sg: InverseSemigroup) -> CriterionResult:
             small = trimmed.get(cands)
             if small is None:
                 small = trimmed[cands] = _minimize_cover(sg, cands, below)
-            seen = conjugators[f]
-            witnesses[(e, f)] = tuple((c, seen[c]) for c in small)
+            pairs = made.get((small, f))
+            if pairs is None:
+                seen = conjugators[f]
+                pairs = made[small, f] = tuple([(c, seen[c]) for c in small])
+            witnesses[(e, f)] = pairs
     return CriterionResult(True, witness={"conjugate_covers": witnesses})
 
 

@@ -1484,3 +1484,47 @@ def table_free_fields_mismatch(sg, table=None):
     if reached != set(range(sg.size)):
         return "generators"
     return None
+
+
+# ------------------------------------- report witnesses, entry by entry
+
+def per_entry_witnesses(analysis) -> dict:
+    """The ``witnesses`` of :func:`tightgroupoid.report.build_document`,
+    each entry rendered on its own: a fresh list per cover and a fresh
+    dict per (cover, via) pair, however often a value repeats."""
+    sg, rep = analysis.semigroup, analysis.report
+
+    def names(items):
+        return [sg.name_of(i) for i in sorted(items)]
+
+    def failures(witness):
+        return {"failures": [{k: sg.name_of(v) for k, v in w.items()}
+                             for w in witness["failures"]]}
+
+    hausdorff = rep.hausdorff.witness
+    top_free = rep.essentially_principal.witness
+    minimal = rep.minimal.witness
+    contraction = rep.locally_contracting.witness
+    out = {"hausdorff": {"covers": {
+        sg.name_of(s): names(cov)
+        for s, cov in sorted(hausdorff.get("covers", {}).items())}}}
+    if "failures" in top_free:
+        out["essentially_principal"] = failures(top_free)
+    else:
+        out["essentially_principal"] = {"fixed_covers": {
+            f"s={sg.name_of(s)} e={sg.name_of(e)}": names(cov)
+            for (s, e), cov in sorted(top_free["fixed_covers"].items())}}
+    if "failures" in minimal:
+        out["minimal"] = failures(minimal)
+    else:
+        out["minimal"] = {"conjugate_covers": {
+            f"e={sg.name_of(e)} f={sg.name_of(f)}": [
+                {"cover": sg.name_of(c), "via": sg.name_of(s)} for c, s in pairs]
+            for (e, f), pairs in sorted(minimal["conjugate_covers"].items())}}
+    crit = contraction.get("criterion", {})
+    out["locally_contracting"] = {
+        "action_reason": contraction.get("action_reason"),
+        "groupoid_reason": contraction.get("groupoid_reason")}
+    if "e" in crit:
+        out["locally_contracting"]["refuted_at"] = sg.name_of(crit["e"])
+    return out

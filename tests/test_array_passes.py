@@ -285,5 +285,9 @@ def test_analysis_never_builds_the_per_element_views():
     assert "_class_of" not in vars(g)
     # the views are built when read, from the same arrays
     assert sum(len(act.domain(s)) for s in sg.elements()) == 5225
+    # one frozenset per distinct row of each mask, however many elements share it
+    trivial = [action.trivial_fixed_points(act, s) for s in sg.elements()]
+    for sets in (act._domains, trivial):
+        assert len({id(x) for x in sets}) == len(set(sets))
     assert all(g.arrow_of(s, x) == g.class_of[s, x]
                for s, m in act.maps.items() for x, y in enumerate(m) if y is not None)

@@ -4,6 +4,7 @@ sort_keys=True)`` plus a newline, byte for byte."""
 
 from __future__ import annotations
 
+import io
 import json
 
 from hypothesis import given, settings
@@ -81,3 +82,50 @@ def test_fallback_values_are_reindented_where_they_nest():
     obj = [1, {"a": [(1, "x", {"k": [2.5]}), {2: [True, None], 1: {"k": ()}}],
                "b": {}, "c": []}]
     assert report.json_text(obj) == reference(obj)
+
+
+containers = st.one_of(st.lists(values, max_size=4),
+                       st.dictionaries(strings, values, max_size=4))
+
+
+@st.composite
+def aliased_documents(draw):
+    """A document holding one generated list or dict at several keys and
+    depths: at fixed places, and wherever the tree draws it as a leaf."""
+    shared = draw(containers)
+    tree = draw(st.recursive(
+        st.one_of(scalars, st.just(shared)),
+        lambda inner: st.one_of(st.lists(inner, max_size=4),
+                                st.dictionaries(strings, inner, max_size=4)),
+        max_leaves=25))
+    return {"a": shared, "b": [shared, {"c": shared, "d": [[shared]]}],
+            "tree": tree, "z": shared}
+
+
+@settings(deadline=None)
+@given(doc=aliased_documents())
+def test_shared_objects_are_written_at_each_depth(doc):
+    assert report.json_text(doc) == reference(doc)
+
+
+def test_corpus_payloads_freed_one_by_one_are_written_as_held():
+    # each payload is dropped once written, so a later payload's lists
+    # take the identities of an earlier one's; their texts must not carry
+    # over from one payload to the next
+    ids = []
+
+    def payload(i):
+        cover = [f"s{i}"] * (i % 3 + 1)
+        pairs = [{"cover": f"s{i}", "via": f"s{i + 1}"}]
+        doc = {"covers": {"a": cover, "b": cover, "c": [cover]},
+               "pairs": {"x": pairs, "y": pairs}, "index": i}
+        ids.extend((id(cover), id(pairs)))
+        return doc
+
+    fh = io.StringIO()
+    report._write_corpus(fh, 3, 40, (payload(i) for i in range(40)))
+    held = {"schema_version": report.SCHEMA_VERSION,
+            "corpus": {"seed": 3, "count": 40},
+            "instances": [payload(i) for i in range(40)]}
+    assert len(set(ids[:80])) < 80           # identities were reused
+    assert fh.getvalue() == report.json_text(held) == reference(held)

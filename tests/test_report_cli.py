@@ -12,8 +12,11 @@ import jsonschema
 import pytest
 
 import tightgroupoid as tg
-from tightgroupoid import cli, report
+from tightgroupoid import cli, fixtures, report
 from tightgroupoid.errors import InvalidAction, TheoremViolation
+
+import oracles
+from test_json_emitter import NINE_FIXTURES
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "docs" / "report.schema.json")
@@ -60,6 +63,27 @@ def test_report_numbers():
     assert inst["spectrum_size"] == 2
     assert inst["groupoid"] == {"arrows": 4, "units": 2}
     assert payload["properties"]["hausdorff"] == {"criterion": True, "direct": True}
+
+
+def test_witnesses_render_each_distinct_value_once():
+    """The witnesses equal the entry-by-entry oracle's and write the same
+    bytes, while equal covers share one object: on I5 one list per
+    distinct Hausdorff, fixed and conjugate cover."""
+    cases = [(name, tg.build_fixture(name)) for name in (*NINE_FIXTURES, "In(5)")]
+    cases += fixtures.corpus(20, 7)
+    docs = {}
+    for name, sg in cases:
+        analysis = tg.analyze(sg, name=name)
+        doc = docs[name] = report.build_document(analysis, name)
+        unshared = dict(doc, witnesses=oracles.per_entry_witnesses(analysis))
+        assert doc == unshared, name
+        assert report.json_text(doc) == report.json_text(unshared), name
+    witnesses = docs["In(5)"]["witnesses"]
+    for covers, distinct in ((witnesses["hausdorff"]["covers"], 32),
+                             (witnesses["essentially_principal"]["fixed_covers"], 31),
+                             (witnesses["minimal"]["conjugate_covers"], 391)):
+        assert len({json.dumps(v) for v in covers.values()}) == distinct
+        assert len({id(v) for v in covers.values()}) == distinct
 
 
 # --------------------------------------------------------------------- dot
