@@ -13,7 +13,7 @@ action = tg.standard_action(spectrum)
 print("B2 acts on", action.points, "tight filters:",
       [action.label_of(x) for x in range(action.points)])
 for s in b2.elements():
-    moves = {action.label_of(x): action.label_of(action.maps[s][x])
+    moves = {action.label_of(x): action.label_of(action.apply(s, x))
              for x in sorted(action.domain(s))}
     print(f"  {b2.name_of(s):>4}: {moves}")
 

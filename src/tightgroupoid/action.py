@@ -2,7 +2,7 @@
 
 An action is stored as one (|S|, points) int32 array of images, -1 where
 undefined; the checks and direct decisions are whole-array passes over
-it, and the per-element forms are views derived from it when first read.
+it, and a point set of one element is read off one row of a mask.
 
 The carrier is a finite set of points carrying the discrete topology, so
 the topological notions in the definitions below collapse: the interior
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
 
 import numpy as np
 
@@ -30,18 +29,30 @@ from .errors import (
     NotInDomain,
     TheoremViolation,
 )
-from .semigroup import InverseSemigroup
+from .semigroup import InverseSemigroup, _bit_rows
 from .spectrum import TightSpectrum
 
 
-def _row_sets(mask: np.ndarray) -> list:
-    """Per row of the bool array `mask`, the frozenset of its True
-    columns; equal rows share one frozenset, found by the row's bytes."""
-    n, width = mask.shape
-    raw = mask.tobytes()
-    rows = [raw[i * width:(i + 1) * width] for i in range(n)]
-    sets = {row: frozenset(compress(range(width), row)) for row in set(rows)}
-    return [sets[row] for row in rows]
+def _points(row: np.ndarray) -> frozenset:
+    """The points set in one row of an (|S|, points) mask."""
+    return frozenset(np.flatnonzero(row).tolist())
+
+
+def _map_array(sg: InverseSemigroup, points: int, maps: dict) -> np.ndarray:
+    """The (|S|, points) int32 array of a dict of maps, each checked to
+    be a map of the carrier, in element order."""
+    if set(maps) != set(sg.elements()):
+        raise InvalidAction("maps must be indexed by every semigroup element")
+    images, kinds = {None, *range(points)}, {int, type(None)}
+    for s in sg.elements():
+        m = maps[s]
+        if len(m) != points or not kinds.issuperset(map(type, m)) or \
+                not images.issuperset(m):
+            raise InvalidAction(f"map of element {s} must have {points} "
+                                f"entries, each None or an int in range({points})")
+    cells = np.array([[-1 if y is None else y for y in maps[s]]
+                      for s in sg.elements()], dtype=np.int32)
+    return cells.reshape(sg.size, points)
 
 
 class FiniteAction:
@@ -50,16 +61,14 @@ class FiniteAction:
     Attributes:
         semigroup: the acting semigroup.
         points: carrier size; points are indices 0..points-1.
-        array: the stored form, ``array[s, x]`` the image of x under s.
+        array: the stored form, ``array[s, x]`` the image of x under s,
+            -1 where s is undefined at x.
         defined, trivial: the domain and trivially fixed masks.
-        maps: per element, an image tuple over the carrier with None
-            where the partial injection is undefined.
-        edomains: per idempotent, the (open) set where its map is the
-            identity.
         point_labels: optional printable names for carrier points.
 
-    `maps` is the array or a dict of maps, checked to be maps of the
-    carrier when the array is first read; the other forms are views.
+    `maps` is that array, or a dict from each element to its map, a tuple
+    over the carrier with None where the partial injection is undefined,
+    checked to be maps of the carrier and turned into the array at once.
     :func:`validate_action` checks the axioms exhaustively.
     """
 
@@ -67,37 +76,15 @@ class FiniteAction:
                  point_labels=None):
         self.semigroup = semigroup
         self.points = points
-        if isinstance(maps, np.ndarray):
-            maps.flags.writeable = False
-            self.array = maps
-        else:
-            self.maps = {s: tuple(m) for s, m in maps.items()}
+        if not isinstance(maps, np.ndarray):
+            maps = _map_array(semigroup, points, maps)
+        maps.flags.writeable = False
+        self.array = maps
         self.point_labels = tuple(point_labels) if point_labels else None
         self._validated = False
 
     def __repr__(self):
         return f"FiniteAction(points={self.points}, semigroup_size={self.semigroup.size})"
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        sg, points, maps = self.semigroup, self.points, self.maps
-        if set(maps) != set(sg.elements()):
-            raise InvalidAction("maps must be indexed by every semigroup element")
-        images, kinds = {None, *range(points)}, {int, type(None)}
-        for s in sg.elements():
-            m = maps[s]
-            if len(m) != points or not kinds.issuperset(map(type, m)) or \
-                    not images.issuperset(m):
-                raise InvalidAction(f"map of element {s} must have {points} "
-                                    f"entries, each None or an int in range({points})")
-        cells = np.array([[-1 if y is None else y for y in maps[s]]
-                          for s in sg.elements()], dtype=np.int32)
-        cells.flags.writeable = False
-        return cells.reshape(sg.size, points)
-
-    @cached_property
-    def maps(self) -> dict:
-        return dict(enumerate(map(tuple, np.where(self.defined, self.array, None).tolist())))
 
     @cached_property
     def defined(self) -> np.ndarray:
@@ -107,42 +94,23 @@ class FiniteAction:
     def trivial(self) -> np.ndarray:
         sg = self.semigroup
         idem = sg.idempotent_list()
-        width = (len(idem) + 7) // 8
-        raw = b"".join(bits.to_bytes(width, "little") for bits in sg.below_bits)
-        below = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(sg.size, width),
-                              axis=1, count=len(idem), bitorder="little")
+        below = _bit_rows(sg.below_bits, len(idem))
         return below.astype(np.float32) @ self.defined[np.array(idem)] > 0
 
-    @cached_property
-    def _domains(self) -> list:
-        return _row_sets(self.defined)
-
-    @cached_property
-    def _trivial_sets(self) -> list:
-        return _row_sets(self.trivial)
-
-    @cached_property
-    def edomains(self) -> dict:
-        return {e: self._domains[e] for e in self.semigroup.idempotents}
+    def _element(self, s: int) -> int:
+        """s, when it is an element of the acting semigroup."""
+        if not 0 <= s < self.semigroup.size:
+            raise NotInDomain(f"no element {s} acts on the carrier")
+        return s
 
     def domain(self, s: int) -> frozenset:
-        return self._domains[s]
+        return _points(self.defined[self._element(s)])
 
     def apply(self, s: int, x: int) -> int:
-        y = int(self.array[s, x])
+        y = int(self.array[self._element(s), x]) if 0 <= x < self.points else -1
         if y < 0:
             raise NotInDomain(f"point {x} outside the domain of element {s}")
         return y
-
-    def image(self, s: int, subset) -> frozenset:
-        m = self.maps[s]
-        out = []
-        for x in subset:
-            y = m[x]
-            if y is None:
-                raise NotInDomain(f"point {x} outside the domain of element {s}")
-            out.append(y)
-        return frozenset(out)
 
     def label_of(self, x: int) -> str:
         if self.point_labels is not None:
@@ -153,9 +121,9 @@ class FiniteAction:
 def validate_action(action: FiniteAction) -> None:
     """Check every action axiom exhaustively.
 
-    Every map must first have one entry per point, each None or an int
-    point; the lowest element whose map does not raises
-    :class:`InvalidAction` naming it.  Composites must agree with the
+    A dict of maps has already been checked to be maps of the carrier
+    when the action was built, the lowest element whose map is not one
+    raising :class:`InvalidAction` naming it.  Composites must agree with the
     product maps on the largest domain where they make sense, the map of
     s* must invert the map of s with domains equal to the domains of s*s
     and ss*, idempotents must act as partial identities with zero acting
@@ -275,8 +243,7 @@ def standard_action(spectrum: TightSpectrum) -> FiniteAction:
 
 def fixed_points(action: FiniteAction, s: int) -> frozenset:
     """Points of the domain of s that s leaves in place."""
-    m = action.maps[s]
-    return frozenset(x for x in action.domain(s) if m[x] == x)
+    return _points(action.array[action._element(s)] == np.arange(action.points))
 
 
 def trivial_fixed_points(action: FiniteAction, s: int) -> frozenset:
@@ -287,7 +254,7 @@ def trivial_fixed_points(action: FiniteAction, s: int) -> frozenset:
     exactly that set, and it is always contained in the fixed points.
     Row s of ``action.trivial``, ``below_bits`` times idempotent domains.
     """
-    return action._trivial_sets[s]
+    return _points(action.trivial[action._element(s)])
 
 
 def is_free(action: FiniteAction) -> bool:

@@ -35,7 +35,7 @@ from . import action as action_mod
 from . import germs as germs_mod
 from . import spectrum as spectrum_mod
 from .errors import PreconditionViolated, TheoremViolation
-from .semigroup import Ideal, InverseSemigroup
+from .semigroup import Ideal, InverseSemigroup, _bit_rows, _row_bits
 
 
 @dataclass(frozen=True)
@@ -431,11 +431,9 @@ def analyze(sg: InverseSemigroup, name: str = "S") -> Analysis:
 
 # ------------------------------------------------------ identity harness
 
-def _domain_union(act, members) -> frozenset:
-    out = set()
-    for f in members:
-        out |= act.edomains[f]
-    return frozenset(out)
+def _first(failing: np.ndarray) -> tuple:
+    """The first True cell (row, column) of a 2-d bool array, row by row."""
+    return divmod(int(failing.argmax()), failing.shape[1])
 
 
 def verify_instance(sg: InverseSemigroup, name: str = "S", seed: int = 0):
@@ -445,16 +443,30 @@ def verify_instance(sg: InverseSemigroup, name: str = "S", seed: int = 0):
     together with a dict naming every identity that ran.  The identities
     re-derive both sides independently instead of reusing each other's
     intermediate values wherever the two sides have distinct mechanisms.
-    An identity checked once per element, pair or cover compares first
-    and formats its instance label (``s=...``, ``J=... C=...``) only when
-    it fails.
+
+    The identities over elements, pairs (s, e) and points are whole-array
+    passes over the action's array, its domain and trivially fixed masks,
+    the fixed mask ``array == arange(points)``, the weakly fixed flags and
+    the slab; the one over (s, f, x) runs in blocks of elements holding at
+    most |S| times the points cells, or 4096.  Each reads both sides at
+    its first failing cell, in (s, e) or (s, x) order, and formats its
+    instance label (``s=...``, ``J=... C=...``) only then, so it raises
+    what a loop element by element would; the test suite keeps that loop
+    as its oracle.
     """
     analysis = analyze(sg, name)
     act = analysis.action
     gpd = analysis.groupoid
     spec = analysis.spectrum
-    slab, r = sg.slab, sg.r
     zero = sg.zero
+    idem = sg.idempotent_list()
+    rows = np.array(idem)
+    array, defined, trivial = act.array, act.defined, act.trivial
+    domains = defined[rows]                                     # (e, x): x in the domain of e
+    fixed = array == np.arange(act.points)
+    flags = _weakly_fixed_flags(sg)
+    below = _bit_rows(sg.below_bits, len(idem))                 # (s, e): s e = e
+    below_d = below[np.array(sg.d)] & (rows != zero)            # (s, e): 0 != e <= s*s
     checks = {}
 
     # finite collapse: the tight points are exactly the ultrafilters
@@ -463,25 +475,30 @@ def verify_instance(sg: InverseSemigroup, name: str = "S", seed: int = 0):
     _identity("tight_equals_ultra", tight, ultra, name)
     checks["tight_equals_ultra"] = True
 
-    # weakly fixed idempotents match pointwise-fixed domains
-    for s in sg.elements():
-        m = act.maps[s]
-        for e in sg.below(sg.d[s]):
-            if e == zero:
-                continue
-            lhs = weakly_fixed(sg, e, s)
-            rhs = all(m[x] == x for x in act.edomains[e])
-            if lhs != rhs:
-                raise TheoremViolation("weakly_fixed_vs_fixed_points", lhs, rhs,
-                                       f"{name} s={s} e={e}")
+    # weakly fixed idempotents match pointwise-fixed domains: s moves no
+    # point of the domain of e
+    pointwise = (~fixed).astype(np.float32) @ domains.T.astype(np.float32) == 0
+    failing = below_d & (flags != pointwise)
+    if failing.any():
+        s, j = _first(failing)
+        raise TheoremViolation("weakly_fixed_vs_fixed_points", bool(flags[s, j]),
+                               bool(pointwise[s, j]), f"{name} s={s} e={idem[j]}")
     checks["weakly_fixed_vs_fixed_points"] = True
 
-    # outer covers match inclusions of domain unions
+    # outer covers match inclusions of domain unions; each idempotent's
+    # domain row packed into one int, a union is one OR per member
+    domain_bits = dict(zip(idem, _row_bits(domains)))
+
+    def union(members):
+        out = 0
+        for f in members:
+            out |= domain_bits[f]
+        return out
+
     rng = random.Random(seed)
-    idem = sg.idempotent_list()
     ideals = [sg.principal_ideal(e) for e in idem]
-    fixed = sorted(map(sg.members_of, set(sg.below_bits)))
-    ideals += [Ideal(frozenset(mem)) for mem in fixed]
+    fixed_ideals = sorted(map(sg.members_of, set(sg.below_bits)))
+    ideals += [Ideal(frozenset(mem)) for mem in fixed_ideals]
     ideals += [sg.ideal_perp(sg.principal_ideal(e)) for e in idem]
     for _ in range(3):
         seedset = rng.sample(idem, k=min(len(idem), 3))
@@ -500,11 +517,11 @@ def verify_instance(sg: InverseSemigroup, name: str = "S", seed: int = 0):
             candidates.append(frozenset(cc[1:]))
         for _ in range(2):
             candidates.append(frozenset(rng.sample(idem, k=min(len(idem), 2))))
-        ideal_union = _domain_union(act, members)
+        ideal_union = union(members)
         for cov in candidates:
             lhs = sg.is_outer_cover(cov, ideal)
-            cov_union = _domain_union(act, cov)
-            rhs = ideal_union <= cov_union
+            cov_union = union(cov)
+            rhs = not ideal_union & ~cov_union
             if lhs != rhs:
                 raise TheoremViolation("outer_cover_vs_domain_union", lhs, rhs,
                                        f"{name} J={sorted(members)} C={sorted(cov)}")
@@ -521,38 +538,41 @@ def verify_instance(sg: InverseSemigroup, name: str = "S", seed: int = 0):
     # analyze() paired with the criterion on this groupoid
     checks["slice_unit_identity"] = True
 
-    # conjugation carries domains onto domains
-    for s in sg.elements():
-        dom = act.domain(s)
-        for f, sf in zip(idem, slab[s].tolist()):
-            img = act.image(s, act.edomains[f] & dom)
-            conj_dom = act.edomains[r[sf]]
-            if img != conj_dom:
-                raise TheoremViolation("conjugated_domains", img, conj_dom,
-                                       f"{name} s={s} f={f}")
+    # conjugation carries domains onto domains: s sends the points of the
+    # domain of f inside its own onto the domain of s f s*, over (s, f, x)
+    # in blocks of elements holding at most |S| times the points cells
+    n, points = array.shape
+    conj = np.array(sg.r, dtype=np.int32)[sg.slab]               # (s, f): s f s*
+    step = max(1, max(n * points, 4096) // domains.size)
+    for lo in range(0, n, step):
+        inside = domains & defined[lo:lo + step, None]
+        b, f, x = np.nonzero(inside)
+        image = np.zeros_like(inside)
+        image[b, f, array[lo + b, x]] = True
+        failing = (image != defined[conj[lo:lo + step]]).any(axis=2)
+        if failing.any():
+            s, j = _first(failing)
+            raise TheoremViolation("conjugated_domains",
+                                   frozenset(array[lo + s, inside[s, j]].tolist()),
+                                   act.domain(int(conj[lo + s, j])),
+                                   f"{name} s={lo + s} f={idem[j]}")
     checks["conjugated_domains"] = True
 
     # the action preserves ultrafilters
-    in_ultra = [p.min in ultra for p in spec.points]
-    for s in sg.elements():
-        m = act.maps[s]
-        for x in act.domain(s):
-            if in_ultra[x] and not in_ultra[m[x]]:
-                raise TheoremViolation("ultrafilter_preserved", True, False,
-                                       f"{name} s={s} x={x}")
+    in_ultra = np.array([p.min in ultra for p in spec.points])
+    failing = defined & in_ultra & ~in_ultra[array]
+    if failing.any():
+        s, x = _first(failing)
+        raise TheoremViolation("ultrafilter_preserved", True, False, f"{name} s={s} x={x}")
     checks["ultrafilter_preserved"] = True
 
-    # trivial fixed points are fixed points; the same pass collects the
-    # ultrafilter reading of topological freeness
-    cond_iii = True
-    for s in sg.elements():
-        tf = action_mod.trivial_fixed_points(act, s)
-        fp = action_mod.fixed_points(act, s)
-        if not tf <= fp:
-            raise TheoremViolation("trivial_fixed_subset_fixed", False, True,
-                                   f"{name} s={s}")
-        if cond_iii:
-            cond_iii = all(x in tf for x in fp if in_ultra[x])
+    # trivial fixed points are fixed points; the ultrafilter reading of
+    # topological freeness: every fixed ultrafilter is trivially fixed
+    failing = (trivial & ~fixed).any(axis=1)
+    if failing.any():
+        raise TheoremViolation("trivial_fixed_subset_fixed", False, True,
+                               f"{name} s={int(failing.argmax())}")
+    cond_iii = not (fixed & in_ultra & ~trivial).any()
     checks["trivial_fixed_subset_fixed"] = True
 
     # three equivalent readings of topological freeness
@@ -571,22 +591,20 @@ def verify_instance(sg: InverseSemigroup, name: str = "S", seed: int = 0):
     if sg.is_e_star_unitary():
         _identity("estar_implies_hausdorff",
                   analysis.report.hausdorff.criterion, True, name)
-        for s in sg.elements():
-            if s in sg.idempotents:
-                continue
-            tf = action_mod.trivial_fixed_points(act, s)
-            if tf:
-                raise TheoremViolation("estar_trivial_fixed_empty", tf,
-                                       frozenset(), f"{name} s={s}")
+        failing = trivial.any(axis=1)
+        failing[rows] = False
+        if failing.any():
+            s = int(failing.argmax())
+            raise TheoremViolation("estar_trivial_fixed_empty",
+                                   action_mod.trivial_fixed_points(act, s),
+                                   frozenset(), f"{name} s={s}")
     checks["estar_implications"] = True
 
-    nonzero = ~(1 << sg.column[zero])
-    for s, fixed in enumerate(sg.below_bits):
-        for e in sg.members_of(fixed & sg.below_bits[sg.d[s]] & nonzero):
-            lhs = weakly_fixed(sg, e, s)
-            if not lhs:
-                raise TheoremViolation("fixed_implies_weakly_fixed", lhs,
-                                       True, f"{name} s={s} e={e}")
+    failing = below & below_d & ~flags
+    if failing.any():
+        s, j = _first(failing)
+        raise TheoremViolation("fixed_implies_weakly_fixed", False, True,
+                               f"{name} s={s} e={idem[j]}")
     checks["fixed_implies_weakly_fixed"] = True
 
     # never met at the least atom (else it raises); vacuous with no atom

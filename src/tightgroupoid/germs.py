@@ -9,8 +9,8 @@ at x is determined by the product s m_x.  The quotient is built by
 keying every defined pair on that product; the pairwise witness search
 is kept in the test suite as the oracle it is checked against.
 
-The quotient is stored as one (|S|, points) int32 array of arrow ids;
-the per-pair forms are views derived from it when first read.
+The quotient is stored as one (|S|, points) int32 array of arrow ids,
+and the germ of one pair is one cell of it.
 
 The groupoid of a finite discrete action is itself finite and discrete:
 every singleton arrow set is a slice, so interiors and closures of arrow
@@ -19,8 +19,6 @@ directly.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 import numpy as np
 
@@ -42,8 +40,7 @@ class GermGroupoid:
             class, the smallest pair of the class in index order, sorted
             by (point, element).
         class_of: the stored form, ``class_of[s, x]`` the arrow of the
-            germ of s at x, -1 where s is undefined; :meth:`arrow_of`
-            reads a dict view of it, derived when first read.
+            germ of s at x, -1 where s is undefined.
         source, target: per arrow, carrier points.
         units: frozenset of arrow ids forming the unit space.
         unit_at: per carrier point, the unit arrow over it.
@@ -63,19 +60,15 @@ class GermGroupoid:
     def __repr__(self):
         return f"GermGroupoid(arrows={len(self.arrows)}, units={len(self.units)})"
 
-    @cached_property
-    def _class_of(self) -> dict:
-        elems, xs = np.nonzero(self.class_of >= 0)
-        return dict(zip(zip(elems.tolist(), xs.tolist()), self.class_of[elems, xs].tolist()))
-
     # ------------------------------------------------------------ algebra
 
     def arrow_of(self, s: int, x: int) -> int:
         """Germ class of the element s at the point x."""
-        try:
-            return self._class_of[(s, x)]
-        except KeyError:
+        n, points = self.class_of.shape
+        k = int(self.class_of[s, x]) if 0 <= s < n and 0 <= x < points else -1
+        if k < 0:
             raise DomainViolation(f"point {x} outside the domain of element {s}")
+        return k
 
     def inverse(self, i: int) -> int:
         """[s,x] inverts to [s*, image of x]."""
@@ -162,7 +155,7 @@ class GermGroupoid:
         """
         n = len(self.arrows)
         source, target, unit_at = self.source, self.target, self.unit_at
-        arrows, class_of = self.arrows, self._class_of
+        arrows, class_of = self.arrows, self.class_of.tolist()
         sg = self.semigroup
         reps = sorted({s for s, _ in arrows})
         block = sg._columns(reps)[:, reps].T.tolist()
@@ -173,8 +166,8 @@ class GermGroupoid:
                 return None
             t, x = arrows[j]
             st = prod[arrows[i][0]][t]
-            k = class_of.get((st, x))
-            return self.arrow_of(st, x) if k is None else k
+            k = class_of[st][x]
+            return self.arrow_of(st, x) if k < 0 else k
 
         for x, u in unit_at.items():
             if source[u] != x or target[u] != x:

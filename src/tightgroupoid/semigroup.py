@@ -556,6 +556,15 @@ def _row_bits(flags: np.ndarray) -> list:
             for i in range(0, len(raw), width)]
 
 
+def _bit_rows(rows, width: int) -> np.ndarray:
+    """The inverse of :func:`_row_bits`: a (len(rows), width) bool array
+    whose cell (i, j) is bit j of ``rows[i]``."""
+    size = (width + 7) // 8
+    raw = b"".join(bits.to_bytes(size, "little") for bits in rows)
+    packed = np.frombuffer(raw, np.uint8).reshape(len(rows), size)
+    return np.unpackbits(packed, axis=1, count=width, bitorder="little").view(bool)
+
+
 def _spanning_tree(right: np.ndarray, generators) -> dict:
     """The right Cayley graph walked breadth first from the generators:
     each element y to the first edge (p, j), y = p ``generators[j]``,

@@ -13,6 +13,24 @@ def powerset(items):
         yield from itertools.combinations(items, r)
 
 
+def views(cells):
+    """Per row of an (|S|, points) int array with -1 where undefined (the
+    images of an action, or the arrow ids of a germ quotient): the row as
+    a tuple with None at -1, and the set of its other points, as two dicts
+    keyed by element."""
+    rows = {s: tuple(None if y < 0 else y for y in row)
+            for s, row in enumerate(cells.tolist())}
+    return rows, {s: frozenset(x for x, y in enumerate(row) if y is not None)
+                  for s, row in rows.items()}
+
+
+def class_pairs(g):
+    """The germ quotient of g as a dict from each defined pair (s, x) to
+    its arrow."""
+    return {(s, x): k for s, row in views(g.class_of)[0].items()
+            for x, k in enumerate(row) if k is not None}
+
+
 def brute_filters(sg):
     """All filters by sweeping every subset of the idempotents."""
     idem = sg.idempotent_list()
@@ -130,10 +148,11 @@ def direct_trivial_fixed_points(action, s):
     """Per-point search for a fixing idempotent whose domain holds the
     point, without going through the fixed-ideal union."""
     sg = action.semigroup
+    domains = views(action.array)[1]
     out = set()
     for x in range(action.points):
         for e in sg.idempotent_list():
-            if sg.table[s][e] == e and x in action.edomains[e]:
+            if sg.table[s][e] == e and x in domains[e]:
                 out.add(x)
                 break
     return frozenset(out)
@@ -154,6 +173,7 @@ def image_filter_via_characters(sg, s, filt):
 
 def orbit_classes_by_bfs(action):
     """Reachability closure per point, ignoring the union-find path."""
+    maps = views(action.array)[0]
     classes = []
     seen = set()
     for x0 in range(action.points):
@@ -164,7 +184,7 @@ def orbit_classes_by_bfs(action):
         while frontier:
             x = frontier.pop()
             for s in action.semigroup.elements():
-                y = action.maps[s][x]
+                y = maps[s][x]
                 if y is not None and y not in block:
                     block.add(y)
                     frontier.append(y)
@@ -195,13 +215,13 @@ def act_on_character(sg, s, c):
     return Character(ones)
 
 
-def germ_equal(action, s, t, x):
+def germ_equal(sg, domains, s, t, x):
     """Whether s and t have the same germ at x: some idempotent e with x
-    in its domain satisfies s e = t e."""
-    table = action.semigroup.table
+    in its domain, ``domains[e]``, satisfies s e = t e."""
+    table = sg.table
     return any(
         table[s][e] == table[t][e]
-        for e in action.semigroup.idempotent_list() if x in action.edomains[e]
+        for e in sg.idempotent_list() if x in domains[e]
     )
 
 
@@ -374,7 +394,7 @@ class _UnionFind:
             self.parent[max(ri, rj)] = min(ri, rj)
 
 
-def _idempotents_at(action, x):
+def _idempotents_at(sg, domains, x):
     """Idempotents whose domain contains x, smallest one first.
 
     The set is a filter of the semilattice (domains intersect along
@@ -382,8 +402,7 @@ def _idempotents_at(action, x):
     minimum first lets the witness search exit immediately in the
     common case.
     """
-    sg = action.semigroup
-    es = [e for e in sg.idempotent_list() if x in action.edomains[e]]
+    es = [e for e in sg.idempotent_list() if x in domains[e]]
     mn = es[0]
     for e in es[1:]:
         mn = sg.table[mn][e]
@@ -400,8 +419,9 @@ def union_find_germs(action):
     Returns (arrows, class_of, units) laid out as GermGroupoid has them.
     """
     sg = action.semigroup
+    domains = views(action.array)[1]
     omega = [
-        (s, x) for s in sg.elements() for x in sorted(action.domain(s))
+        (s, x) for s in sg.elements() for x in sorted(domains[s])
     ]
     index = {pair: i for i, pair in enumerate(omega)}
     uf = _UnionFind(len(omega))
@@ -410,7 +430,7 @@ def union_find_germs(action):
     for s, x in omega:
         by_point.setdefault(x, []).append(s)
     for x, elems in by_point.items():
-        witnesses = _idempotents_at(action, x)
+        witnesses = _idempotents_at(sg, domains, x)
         for a in range(len(elems)):
             s = elems[a]
             i = index[(s, x)]
@@ -435,7 +455,7 @@ def union_find_germs(action):
     arrows = [reps[root] for root in ordered_roots]
     units = frozenset(
         i for i, (s, x) in enumerate(arrows)
-        if any(germ_equal(action, s, e, x) for e in _idempotents_at(action, x))
+        if any(germ_equal(sg, domains, s, e, x) for e in _idempotents_at(sg, domains, x))
     )
     return arrows, class_of, units
 
@@ -657,8 +677,9 @@ def dict_standard_action(spectrum):
     return maps
 
 
-def per_element_validate(action):
-    """The axioms of ``validate_action`` element by element, raising the
+def per_element_validate(sg, points, maps):
+    """The axioms of ``validate_action`` element by element on a dict of
+    maps (``views(action.array)[0]`` for a built action), raising the
     same exception first: the entries of each map, zero and idempotents,
     covering, then per element injectivity, inverse, domain and range,
     then composition with each generator at each point."""
@@ -669,26 +690,25 @@ def per_element_validate(action):
         InverseMismatch,
     )
 
-    sg = action.semigroup
-    maps = action.maps
     if set(maps) != set(sg.elements()):
         raise InvalidAction("maps must be indexed by every semigroup element")
-    points = action.points
     for s in sg.elements():
         if len(maps[s]) != points or any(
                 y is not None and (type(y) is not int or not 0 <= y < points)
                 for y in maps[s]):
             raise InvalidAction(f"map of element {s} must have {points} "
                                 f"entries, each None or an int in range({points})")
-    if action.domain(sg.zero):
+    domains = {s: frozenset(x for x, y in enumerate(m) if y is not None)
+               for s, m in maps.items()}
+    if domains[sg.zero]:
         raise InvalidAction("zero must act as the empty map")
     for e in sg.idempotents:
-        if any(maps[e][x] != x for x in action.edomains[e]):
+        if any(maps[e][x] != x for x in domains[e]):
             raise InvalidAction(f"idempotent {e} does not act as the identity")
     covered = set()
     for e in sg.idempotents:
-        covered |= action.edomains[e]
-    if covered != set(range(action.points)):
+        covered |= domains[e]
+    if covered != set(range(points)):
         raise DomainNotCovering("idempotent domains do not cover the carrier")
     for s in sg.elements():
         m = maps[s]
@@ -700,42 +720,41 @@ def per_element_validate(action):
                 raise InvalidAction(f"element {s} does not act injectively")
             seen[y] = x
         inv = maps[sg.star[s]]
-        expected = tuple(seen.get(x) for x in range(action.points))
+        expected = tuple(seen.get(x) for x in range(points))
         if inv != expected:
             raise InverseMismatch(s)
-        if action.domain(s) != action.edomains[sg.d[s]]:
+        if domains[s] != domains[sg.d[s]]:
             raise InvalidAction(f"domain of {s} differs from the domain of s*s")
-        if frozenset(seen) != action.edomains[sg.r[s]]:
+        if frozenset(seen) != domains[sg.r[s]]:
             raise InvalidAction(f"range of {s} differs from the domain of ss*")
     for s in sg.elements():
         ms = maps[s]
         for t, st in zip(sg.generators, sg.right[s].tolist()):
             mt = maps[t]
             mst = maps[st]
-            for x in range(action.points):
+            for x in range(points):
                 y = mt[x]
                 composite = ms[y] if y is not None else None
                 if composite != mst[x]:
                     raise CompositionMismatch(s, t, x)
 
 
-def union_trivial_fixed_points(action, s):
-    """The trivial fixed points of s as a set: the union of the domains of
-    the idempotents in its row of ``below_bits``."""
-    sg = action.semigroup
+def union_trivial_fixed_points(sg, domains, s):
+    """The trivial fixed points of s as a set: the union of the domains,
+    ``domains[e]``, of the idempotents e in its row of ``below_bits``."""
     out = set()
     for e in sg.members_of(sg.below_bits[s]):
-        out |= action.edomains[e]
+        out |= domains[e]
     return frozenset(out)
 
 
 def set_freeness(action):
     """Freeness and topological freeness element by element: the fixed
     points of every element equal to, and inside, its trivial ones."""
-    from tightgroupoid.action import fixed_points
-
-    pairs = [(fixed_points(action, s), union_trivial_fixed_points(action, s))
-             for s in action.semigroup.elements()]
+    sg = action.semigroup
+    maps, domains = views(action.array)
+    pairs = [(frozenset(x for x in domains[s] if maps[s][x] == x),
+              union_trivial_fixed_points(sg, domains, s)) for s in sg.elements()]
     return all(f == t for f, t in pairs), all(f <= t for f, t in pairs)
 
 
@@ -744,10 +763,10 @@ def pair_orbit_partition(action):
     element, repeats included."""
     from tightgroupoid.action import OrbitPartition, components
 
-    maps = action.maps
+    maps, domains = views(action.array)
     return OrbitPartition(components(action.points, (
         (x, maps[s][x])
-        for s in action.semigroup.elements() for x in action.domain(s))))
+        for s in action.semigroup.elements() for x in domains[s])))
 
 
 def dict_germ_quotient(action):
@@ -758,15 +777,16 @@ def dict_germ_quotient(action):
     unit_at) laid out as GermGroupoid has them, class_of a dict from each
     defined pair to its arrow."""
     sg = action.semigroup
+    domains = views(action.array)[1]
     least = [None] * action.points
     for e in sg.idempotent_list():
-        for x in action.edomains[e]:
+        for x in domains[e]:
             m = least[x]
             least[x] = e if m is None else sg.meet(m, e)
     products = sg.slab[:, [sg.column[m] for m in least]].tolist()
     key_of = {
         (s, x): (x, row[x])
-        for s, row in enumerate(products) for x in action.domain(s)
+        for s, row in enumerate(products) for x in domains[s]
     }
     first = {}
     for (s, _), key in key_of.items():
@@ -785,10 +805,12 @@ def frozenset_is_hausdorff(g):
     fixed region, else the same violation ``is_hausdorff`` raises."""
     from tightgroupoid.errors import TheoremViolation
 
-    for s in g.semigroup.elements():
-        full = g.slice_arrows(s, g.action.domain(s))
+    sg = g.semigroup
+    domains = views(g.action.array)[1]
+    for s in sg.elements():
+        full = g.slice_arrows(s, domains[s])
         lhs = full & g.units
-        rhs = g.slice_arrows(s, union_trivial_fixed_points(g.action, s))
+        rhs = g.slice_arrows(s, union_trivial_fixed_points(sg, domains, s))
         if lhs != rhs:
             raise TheoremViolation(
                 "slice_unit_identity", sorted(lhs), sorted(rhs), f"element {s}")
@@ -846,6 +868,159 @@ def pairwise_minimal_criterion(sg):
     if failures:
         return CriterionResult(False, witness={"failures": failures})
     return CriterionResult(True, witness={"conjugate_covers": witnesses})
+
+
+def per_element_identities(analysis, name="S", seed=0):
+    """The identities of ``verify_instance`` after its ``analyze``, element
+    by element and pair by pair over the map tuples and domain sets that
+    :func:`views` builds from the action's array, raising the same
+    TheoremViolation first; returns the dict naming every identity run."""
+    import random
+
+    from tightgroupoid import action as action_mod
+    from tightgroupoid import criteria, spectrum
+    from tightgroupoid.errors import TheoremViolation
+    from tightgroupoid.semigroup import Ideal
+
+    sg, act, gpd, spec = (analysis.semigroup, analysis.action, analysis.groupoid,
+                          analysis.spectrum)
+    maps, domains = views(act.array)
+    slab, r = sg.slab, sg.r
+    zero = sg.zero
+    checks = {}
+
+    def union(members):
+        out = set()
+        for f in members:
+            out |= domains[f]
+        return frozenset(out)
+
+    tight = {f.min for f in spec.points}
+    ultra = {f.min for f in spectrum.ultrafilters(sg)}
+    criteria._identity("tight_equals_ultra", tight, ultra, name)
+    checks["tight_equals_ultra"] = True
+
+    for s in sg.elements():
+        m = maps[s]
+        for e in sg.below(sg.d[s]):
+            if e == zero:
+                continue
+            lhs = criteria.weakly_fixed(sg, e, s)
+            rhs = all(m[x] == x for x in domains[e])
+            if lhs != rhs:
+                raise TheoremViolation("weakly_fixed_vs_fixed_points", lhs, rhs,
+                                       f"{name} s={s} e={e}")
+    checks["weakly_fixed_vs_fixed_points"] = True
+
+    rng = random.Random(seed)
+    idem = sg.idempotent_list()
+    ideals = [sg.principal_ideal(e) for e in idem]
+    fixed = sorted(map(sg.members_of, set(sg.below_bits)))
+    ideals += [Ideal(frozenset(mem)) for mem in fixed]
+    ideals += [sg.ideal_perp(sg.principal_ideal(e)) for e in idem]
+    for _ in range(3):
+        seedset = rng.sample(idem, k=min(len(idem), 3))
+        closed = {zero}
+        for e in seedset:
+            closed.update(sg.below(e))
+        ideals.append(sg.ideal(closed))
+    dedup = {ideal.members: ideal for ideal in ideals}
+    all_nonzero = frozenset(sg.nonzero_idempotents())
+    for ideal in dedup.values():
+        members = ideal.members
+        canonical = sg.canonical_cover(ideal)
+        candidates = [canonical, frozenset(), all_nonzero]
+        cc = sorted(canonical)
+        if cc:
+            candidates.append(frozenset(cc[1:]))
+        for _ in range(2):
+            candidates.append(frozenset(rng.sample(idem, k=min(len(idem), 2))))
+        ideal_union = union(members)
+        for cov in candidates:
+            lhs = sg.is_outer_cover(cov, ideal)
+            cov_union = union(cov)
+            rhs = ideal_union <= cov_union
+            if lhs != rhs:
+                raise TheoremViolation("outer_cover_vs_domain_union", lhs, rhs,
+                                       f"{name} J={sorted(members)} C={sorted(cov)}")
+            if cov <= members:
+                lhs = sg.is_cover(cov, ideal)
+                rhs = ideal_union == cov_union
+                if lhs != rhs:
+                    raise TheoremViolation("cover_vs_domain_equality", lhs, rhs,
+                                           f"{name} J={sorted(members)} C={sorted(cov)}")
+    checks["outer_cover_vs_domain_union"] = True
+    checks["cover_vs_domain_equality"] = True
+    checks["slice_unit_identity"] = True
+
+    for s in sg.elements():
+        m = maps[s]
+        for f, sf in zip(idem, slab[s].tolist()):
+            img = frozenset(m[x] for x in domains[f] & domains[s])
+            conj_dom = domains[r[sf]]
+            if img != conj_dom:
+                raise TheoremViolation("conjugated_domains", img, conj_dom,
+                                       f"{name} s={s} f={f}")
+    checks["conjugated_domains"] = True
+
+    in_ultra = [p.min in ultra for p in spec.points]
+    for s in sg.elements():
+        m = maps[s]
+        for x in sorted(domains[s]):
+            if in_ultra[x] and not in_ultra[m[x]]:
+                raise TheoremViolation("ultrafilter_preserved", True, False,
+                                       f"{name} s={s} x={x}")
+    checks["ultrafilter_preserved"] = True
+
+    cond_iii = True
+    for s in sg.elements():
+        tf = action_mod.trivial_fixed_points(act, s)
+        fp = frozenset(x for x in domains[s] if maps[s][x] == x)
+        if not tf <= fp:
+            raise TheoremViolation("trivial_fixed_subset_fixed", False, True,
+                                   f"{name} s={s}")
+        if cond_iii:
+            cond_iii = all(x in tf for x in fp if in_ultra[x])
+    checks["trivial_fixed_subset_fixed"] = True
+
+    cond_i = action_mod.is_topologically_free(act)
+    cond_ii = analysis.report.essentially_principal.criterion
+    criteria._identity("topfree_action_vs_criterion", cond_i, cond_ii, name)
+    criteria._identity("topfree_criterion_vs_ultra_condition", cond_ii, cond_iii, name)
+    checks["topfree_three_way"] = True
+
+    criteria._identity("free_vs_topologically_free", action_mod.is_free(act),
+                       cond_i, name)
+    checks["free_vs_topologically_free"] = True
+
+    if sg.is_e_star_unitary():
+        criteria._identity("estar_implies_hausdorff",
+                           analysis.report.hausdorff.criterion, True, name)
+        for s in sg.elements():
+            if s in sg.idempotents:
+                continue
+            tf = action_mod.trivial_fixed_points(act, s)
+            if tf:
+                raise TheoremViolation("estar_trivial_fixed_empty", tf,
+                                       frozenset(), f"{name} s={s}")
+    checks["estar_implications"] = True
+
+    nonzero = ~(1 << sg.column[zero])
+    for s, fixed in enumerate(sg.below_bits):
+        for e in sg.members_of(fixed & sg.below_bits[sg.d[s]] & nonzero):
+            lhs = criteria.weakly_fixed(sg, e, s)
+            if not lhs:
+                raise TheoremViolation("fixed_implies_weakly_fixed", lhs,
+                                       True, f"{name} s={s} e={e}")
+    checks["fixed_implies_weakly_fixed"] = True
+
+    criteria.easier_loc_contr_criterion(sg)
+    checks["easier_implies_main"] = True
+
+    if len(gpd.arrows) <= 2000:
+        gpd.verify_axioms()
+        checks["groupoid_axioms"] = True
+    return checks
 
 
 # ----------------------------------------- table fixtures, cell by cell
@@ -1167,7 +1342,7 @@ def all_pairs_composition(action):
     the map of s t disagrees with the map of s after the map of t; or
     None."""
     sg = action.semigroup
-    maps = action.maps
+    maps = views(action.array)[0]
     for s in sg.elements():
         ms = maps[s]
         for t in sg.elements():
@@ -1244,10 +1419,11 @@ def search_contraction_action(action):
     the image of V a proper subset of V, then checks that every nonempty
     U contains a workable V.  Returns (verdict, witness_or_failing_U).
     """
+    maps, domains = views(action.array)
     workable = []
     for s in action.semigroup.elements():
-        dom = sorted(action.domain(s))
-        m = action.maps[s]
+        dom = sorted(domains[s])
+        m = maps[s]
         for r in range(len(dom) + 1):
             for vs in itertools.combinations(dom, r):
                 v = frozenset(vs)

@@ -3,7 +3,8 @@ loops they replace, kept in `oracles`: the weakly fixed flags, the
 conjugators and cover decisions of the minimal criterion, the maps of the
 standard action and the action checks, values and order included; and
 the direct decisions over the action's array against their set and dict
-loops: freeness, orbits, the germ quotient and the slice identity."""
+loops: freeness, orbits, the germ quotient and the slice identity; and
+the identities of the harness against its element-by-element loop."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import random
 from collections import Counter
 
 import numpy as np
+import pytest
 
 import tightgroupoid as tg
 from tightgroupoid import action, criteria, errors, germs, spectrum
@@ -82,22 +84,26 @@ def test_array_passes_match_per_element_loops(monkeypatch):
             continue
         spectra += 1
         act = action.standard_action(spec)
-        assert ordered(act.maps) == ordered(oracles.dict_standard_action(spec)), name
-        assert all(type(y) is int for m in act.maps.values() for y in m
-                   if y is not None), name
-        oracles.per_element_validate(act)
+        maps = oracles.views(act.array)[0]
+        assert ordered(maps) == ordered(oracles.dict_standard_action(spec)), name
+        assert act.array.dtype == np.int32 and not act.array.flags.writeable, name
+        oracles.per_element_validate(sg, act.points, maps)
         assert direct_outcomes(act) == oracle_outcomes(act), name
     assert spectra > 1000
 
 
-def outcome(check, sg, points, maps):
-    """The exception class and arguments `check` raises on the action
-    with these maps, or None when it passes."""
+def outcome(check, *args):
+    """The exception class and arguments `check` raises, or None when it
+    passes."""
     try:
-        check(action.FiniteAction(sg, points, maps))
+        check(*args)
     except errors.InvalidAction as exc:
         return type(exc), exc.args
     return None
+
+
+def build_and_validate(sg, points, maps):
+    action.validate_action(action.FiniteAction(sg, points, maps))
 
 
 def kind(result):
@@ -117,16 +123,17 @@ def corrupted_maps(act):
     point, None, or an entry that is no point (out of range, a float, a
     bool, a string, a list), and every map one entry short or long."""
     junk = (act.points, 7, -1, 0.5, True, "0", [0])
+    maps = oracles.views(act.array)[0]
     for s, x in itertools.product(act.semigroup.elements(), range(act.points)):
         for value in (None, *range(act.points), *junk):
-            if value == act.maps[s][x] and type(value) is type(act.maps[s][x]):
+            if value == maps[s][x] and type(value) is type(maps[s][x]):
                 continue
-            row = list(act.maps[s])
+            row = list(maps[s])
             row[x] = value
-            yield s, x, value, {**act.maps, s: tuple(row)}
-    for s, m in act.maps.items():
-        yield s, None, "short", {**act.maps, s: m[:-1]}
-        yield s, None, "long", {**act.maps, s: (*m, None)}
+            yield s, x, value, {**maps, s: tuple(row)}
+    for s, m in maps.items():
+        yield s, None, "short", {**maps, s: m[:-1]}
+        yield s, None, "long", {**maps, s: (*m, None)}
 
 
 def test_validate_action_fails_as_the_per_element_loop():
@@ -139,7 +146,7 @@ def test_validate_action_fails_as_the_per_element_loop():
         sg = tg.build_fixture(name)
         act = action.standard_action(spectrum.tight_spectrum(sg))
         for s, x, value, maps in corrupted_maps(act):
-            got = outcome(action.validate_action, sg, act.points, maps)
+            got = outcome(build_and_validate, sg, act.points, maps)
             want = outcome(oracles.per_element_validate, sg, act.points, maps)
             assert got == want, (name, s, x, value)
             kinds[kind(want)] += 1
@@ -159,7 +166,7 @@ def result_of(call, *args):
 def germ_outcomes(g):
     """The germ groupoid as stored, and its slice identity."""
     assert np.array_equal(g.class_of >= 0, g.action.defined)
-    return (g.arrows, g._class_of, g.unit_at,
+    return (g.arrows, oracles.class_pairs(g), g.unit_at,
             result_of(germs.GermGroupoid.is_hausdorff, g))
 
 
@@ -178,11 +185,13 @@ def oracle_outcomes(act):
     action element by element unless it is marked valid."""
     def quotient():
         if not act._validated:
-            oracles.per_element_validate(act)
+            oracles.per_element_validate(act.semigroup, act.points,
+                                         oracles.views(act.array)[0])
         arrows, class_of, unit_at = oracles.dict_germ_quotient(act)
-        g = germs.GermGroupoid(act, arrows, np.full(act.array.shape, -1, np.int32),
-                               unit_at)
-        g._class_of = class_of
+        cells = np.full(act.array.shape, -1, np.int32)
+        for (s, x), k in class_of.items():
+            cells[s, x] = k
+        g = germs.GermGroupoid(act, arrows, cells, unit_at)
         return (tuple(arrows), class_of, unit_at,
                 result_of(oracles.frozenset_is_hausdorff, g))
     return (*oracles.set_freeness(act), oracles.pair_orbit_partition(act).classes,
@@ -272,22 +281,117 @@ def test_direct_passes_fail_as_the_per_element_loops(corpus100, monkeypatch):
 
 
 def test_analysis_never_builds_the_per_element_views():
-    # analyze and the reports read the action's array, its masks and the
-    # germ class array only: no map tuples, no domain or trivially fixed
-    # frozensets, no dict of germ classes by pair.  Every view is cached
-    # on its object when built, so an empty cache shows it never was
+    # the action and the germ quotient are held as arrays only: after the
+    # harness has run and every domain has been read, neither object
+    # holds a dict, list or frozenset but the per-point units
     sg = tg.build_fixture("In(5)")
-    analysis = tg.analyze(sg, name="I5")
-    doc = tg.build_document(analysis, "I5")
-    assert tg.emit_report(doc) and tg.emit_dot(analysis.groupoid, "I5")
+    analysis, _ = tg.verify_instance(sg, "I5")
     act, g = analysis.action, analysis.groupoid
-    assert not {"maps", "edomains", "_domains", "_trivial_sets"} & set(vars(act))
-    assert "_class_of" not in vars(g)
-    # the views are built when read, from the same arrays
     assert sum(len(act.domain(s)) for s in sg.elements()) == 5225
-    # one frozenset per distinct row of each mask, however many elements share it
-    trivial = [action.trivial_fixed_points(act, s) for s in sg.elements()]
-    for sets in (act._domains, trivial):
-        assert len({id(x) for x in sets}) == len(set(sets))
-    assert all(g.arrow_of(s, x) == g.class_of[s, x]
-               for s, m in act.maps.items() for x, y in enumerate(m) if y is not None)
+    held = {(owner, key): value for owner, obj in (("action", act), ("groupoid", g))
+            for key, value in vars(obj).items()
+            if isinstance(value, (dict, list, frozenset))}
+    assert sorted(held) == [("groupoid", "unit_at"), ("groupoid", "units")]
+    assert all(len(value) == act.points for value in held.values())
+    elems, xs = np.nonzero(act.defined)
+    assert [g.arrow_of(s, x) for s, x in zip(elems.tolist(), xs.tolist())] == \
+        g.class_of[elems, xs].tolist()
+
+
+def harness_corruptions(analysis, rng):
+    """Changes made after `analyze`, each a function applying it through
+    a monkeypatch: one pair of images of the action's array swapped on a
+    random element; one weakly fixed flag of a pair (s, e <= s*s)
+    flipped; and one bit of ``below_bits`` flipped, with the trivially
+    fixed mask kept as analyze left it and re-read from the flipped bits.
+    The bit is the only one, if there is just one, that keeps a
+    non-idempotent row from {0}, else a random one."""
+    sg, act = analysis.semigroup, analysis.action
+    movable = [s for s in sg.elements() if act.defined[s].sum() > 1]
+    if movable:
+        cells = act.array.copy()
+        swap_two_images(cells, rng.choice(movable), rng)
+        yield "image", lambda mp: mp.setattr(act, "array", cells)
+    pairs = np.argwhere(sg.slab[list(sg.d)] == np.array(sg.idempotent_list()))
+    s, j = rng.choice(pairs.tolist())
+    flags = criteria._weakly_fixed_flags(sg).copy()
+    flags[s, j] ^= True
+    yield "flag", lambda mp: mp.setattr(sg, "_weakly_fixed", flags)
+    zero_bit = 1 << sg.column[sg.zero]
+    spoilers = [(s, j) for s in sg.elements() if s not in sg.idempotents
+                for j in range(len(sg.idempotents))
+                if (sg.below_bits[s] & ~zero_bit) >> j & 1]
+    s, j = spoilers[0] if len(spoilers) == 1 else \
+        (rng.randrange(sg.size), rng.randrange(len(sg.idempotents)))
+    below = list(sg.below_bits)
+    below[s] ^= 1 << j
+
+    def flip(mp):
+        mp.setattr(sg, "below_bits", tuple(below))
+        mp.setattr(sg, "_below", {})
+    yield "below_bits", flip
+
+    def flip_and_reread(mp):
+        flip(mp)
+        mp.delitem(vars(act), "trivial")
+    yield "below_bits, mask re-read", flip_and_reread
+
+
+def both_harness_outcomes(analysis, name, monkeypatch, change=None):
+    """The identities verify_instance and the per-element oracle ran on
+    one analysis, or the error each raised, with `change` applied after
+    analyze."""
+    with monkeypatch.context() as mp:
+        mp.setattr(criteria, "analyze", lambda *args: analysis)
+        if change is not None:
+            change(mp)
+        return (result_of(lambda: criteria.verify_instance(analysis.semigroup, name)[1]),
+                result_of(oracles.per_element_identities, analysis, name))
+
+
+def test_harness_passes_fail_as_the_per_element_loops(monkeypatch):
+    # the passes of verify_instance against the loops kept in `oracles`:
+    # the same first violation, class and message, or the same identities
+    # run, on every pass instance as built and, off the held-out corpus
+    # seed, after each corruption of what the passes read.  Two identities
+    # cannot fail first here: ultrafilter_preserved once tight_equals_ultra
+    # holds (every point is an ultrafilter), and cover_vs_domain_equality,
+    # which reads a cover inside the ideal, where it says what
+    # outer_cover_vs_domain_union has just said
+    rng = random.Random(1408)
+    failed = Counter()
+    for name, sg in pass_instances():
+        try:
+            analysis = tg.analyze(sg, name)
+        except errors.EmptySpectrum:
+            continue
+        got, want = both_harness_outcomes(analysis, name, monkeypatch)
+        assert got == want and isinstance(got, dict), name
+        if name.startswith("corpus-5278"):
+            continue
+        for kind, change in harness_corruptions(analysis, rng):
+            got, want = both_harness_outcomes(analysis, name, monkeypatch, change)
+            assert got == want, (name, kind)
+            if isinstance(got, tuple):
+                failed[got[1].split(":")[0]] += 1
+    assert {"weakly_fixed_vs_fixed_points", "outer_cover_vs_domain_union",
+            "conjugated_domains", "trivial_fixed_subset_fixed",
+            "estar_trivial_fixed_empty", "fixed_implies_weakly_fixed"} <= set(failed), failed
+
+
+@pytest.mark.parametrize("read, s, x", [
+    ("apply", 2, -1), ("apply", -1, 1), ("apply", 1, 2), ("apply", 5, 0),
+    ("domain", -1, None), ("domain", 5, None),
+    ("arrow_of", 2, -1), ("arrow_of", -1, 1), ("arrow_of", 1, 2), ("arrow_of", 5, 0),
+])
+def test_out_of_range_reads_raise_package_errors(read, s, x):
+    # B2 has five elements acting on two points; NumPy would wrap a
+    # negative index to the last row or column
+    act = action.standard_action(spectrum.tight_spectrum(tg.build_fixture("B2")))
+    assert act.array.shape == (5, 2)
+    if read == "arrow_of":
+        with pytest.raises(errors.DomainViolation):
+            germs.build_germ_groupoid(act).arrow_of(s, x)
+    else:
+        with pytest.raises(errors.NotInDomain):
+            getattr(act, read)(*(s,) if x is None else (s, x))
