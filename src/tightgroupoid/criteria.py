@@ -102,6 +102,8 @@ def weakly_fixed(sg: InverseSemigroup, e: int, s: int) -> bool:
     """e (below s*s) is weakly fixed under s when every nonzero
     idempotent below e intersects its own conjugate s f s*.  Read off the
     whole-instance pass of :func:`_weakly_fixed_flags`."""
+    if not 0 <= s < sg.size:
+        raise PreconditionViolated(f"element {s} is outside range({sg.size})")
     j = sg.column.get(e)
     if j is not None:
         if _weakly_fixed_flags(sg)[s, j]:
@@ -111,21 +113,31 @@ def weakly_fixed(sg: InverseSemigroup, e: int, s: int) -> bool:
     raise PreconditionViolated(f"idempotent {e} does not lie below s*s for s={s}")
 
 
-def _minimize_cover(sg, candidates, ideal_members):
-    """Greedy removal pass over a cover of the ideal; keeps the witness
-    small for readability, correctness never depends on the result being
-    minimum.
+def _met_by(sg, candidates):
+    """The idempotents meeting some member of `candidates`, both as bits:
+    the union of the members' rows of ``sg.meet_bits``.  The candidates
+    cover a set of members exactly when the members' bits lie inside it."""
+    out = 0
+    for c in sg.members_of(candidates):
+        out |= sg.meet_bits[c]
+    return out
 
-    In increasing order, a candidate c is dropped when every member it
-    meets is met by another element still chosen, which is exactly when
-    the rest still covers.  The others still chosen are the candidates
-    kept before c and all those after it, so with the members each
-    candidate meets as bits (its row of ``sg.meet_bits``), the test is one
-    mask against the union of the kept ones and a suffix union.
+
+def _minimize_cover(sg, candidates, members):
+    """Greedy removal pass over a cover of the members, both given as
+    bits; keeps the witness small for readability, correctness never
+    depends on the result being minimum.
+
+    In increasing order, a candidate c is dropped when every nonzero
+    member it meets is met by another element still chosen, which is
+    exactly when the rest still covers.  The others still chosen are the
+    candidates kept before c and all those after it, so with the members
+    each candidate meets as bits (its row of ``sg.meet_bits``), the test
+    is one mask against the union of the kept ones and a suffix union.
     """
-    member_bits = sg.bits(ideal_members) & ~(1 << sg.column[sg.zero])
-    order = sorted(candidates)
-    hits = [sg.meet_bits[c] & member_bits for c in order]
+    members &= ~(1 << sg.column[sg.zero])
+    order = sg.members_of(candidates)
+    hits = [sg.meet_bits[c] & members for c in order]
     after = []                        # after[i]: union of the hits past i
     union = 0
     for hit in reversed(hits):
@@ -141,17 +153,6 @@ def _minimize_cover(sg, candidates, ideal_members):
     return tuple(kept)
 
 
-def _decide_cover(sg, candidates, members):
-    """Whether the idempotents `candidates` cover the idempotents
-    `members`: the first nonzero member they leave uncovered, by
-    ``sg.first_uncovered``, and None, or None and the cover trimmed by
-    :func:`_minimize_cover`."""
-    uncovered = sg.first_uncovered(candidates, members)
-    if uncovered is not None:
-        return uncovered, None
-    return None, _minimize_cover(sg, candidates, members)
-
-
 def top_free_criterion(sg: InverseSemigroup) -> CriterionResult:
     """For every element s and every idempotent e below s*s that is
     weakly fixed under s, some finite cover of e consists of idempotents
@@ -163,7 +164,10 @@ def top_free_criterion(sg: InverseSemigroup) -> CriterionResult:
     candidate set decides existence.  The cover test runs for the weakly
     fixed pairs only, read in (s, e) order off one pass of
     :func:`_weakly_fixed_flags` with the zero left out, once per distinct
-    (candidates, e), the candidates ``sg.below_bits[e] & sg.below_bits[s]``.
+    (candidates, e), all of it on bits: the candidates are
+    ``sg.below_bits[e] & sg.below_bits[s]``, the first uncovered member
+    is the lowest bit of ``sg.below_bits[e]`` outside :func:`_met_by` the
+    candidates, and a cover is trimmed by :func:`_minimize_cover`.
     """
     idem, below_bits = sg.idempotent_list(), sg.below_bits
     zero_column = sg.column[sg.zero]
@@ -178,7 +182,12 @@ def top_free_criterion(sg: InverseSemigroup) -> CriterionResult:
         cands = below_bits[e] & below_bits[s] & nonzero
         got = memo.get((cands, e))
         if got is None:
-            got = memo[cands, e] = _decide_cover(sg, sg.members_of(cands), sg.below(e))
+            missed = below_bits[e] & nonzero & ~_met_by(sg, cands)
+            if missed:
+                got = (idem[(missed & -missed).bit_length() - 1], None)
+            else:
+                got = (None, _minimize_cover(sg, cands, below_bits[e]))
+            memo[cands, e] = got
         uncovered, small = got
         if uncovered is None:
             covers[(s, e)] = small
@@ -191,24 +200,20 @@ def top_free_criterion(sg: InverseSemigroup) -> CriterionResult:
 
 # ------------------------------------------------------------- minimality
 
-def _conjugators(sg: InverseSemigroup) -> dict:
-    """Per nonzero idempotent f, a dict from each nonzero conjugate
-    s f s* to the first s giving it, in order of that s.  One
-    ``np.unique`` over the (column, conjugate) keys of the whole slab
-    finds the first position of every key; sorted, the positions run
-    column by column and, within a column, by s."""
-    n, zero = sg.size, sg.zero
-    conj = np.array(sg.r, dtype=np.int32)[sg.slab.T]  # (f, s): s f s*
-    keys = np.arange(len(conj), dtype=np.int32)[:, None] * n + conj
-    _, first = np.unique(keys, return_index=True)
-    first.sort()
-    idem = sg.idempotent_list()
-    out = {f: {} for f in idem if f != zero}
-    cols, elems = np.divmod(first, n)
-    for j, s, c in zip(cols.tolist(), elems.tolist(), conj.ravel()[first].tolist()):
-        if c != zero and idem[j] != zero:
-            out[idem[j]][c] = s
-    return out
+def _conjugators(sg: InverseSemigroup) -> np.ndarray:
+    """The conjugation relation of the idempotents as one (|E|, |E|)
+    int32 array: cell (column[f], column[c]) holds the first s with
+    s f s* = c, or |S| where there is none.  The slab cell (s, f) is s f,
+    whose range is s f s*; one ``np.minimum.at`` scatters every s onto
+    the cell of its (f, s f s*), keeping the least, with no sort."""
+    n, width = sg.slab.shape
+    column_of = np.zeros(n, dtype=np.int32)
+    column_of[list(sg.idempotent_list())] = np.arange(width)
+    conj = column_of[np.array(sg.r)][sg.slab]         # (s, f): column of s f s*
+    via = np.full(width * width, n, dtype=np.int32)
+    np.minimum.at(via, conj + np.arange(0, width * width, width, dtype=np.int32),
+                  np.arange(n, dtype=np.int32)[:, None])
+    return via.reshape(width, width)
 
 
 def minimal_criterion(sg: InverseSemigroup) -> CriterionResult:
@@ -218,33 +223,28 @@ def minimal_criterion(sg: InverseSemigroup) -> CriterionResult:
     Canonical candidate: the family of all nonzero conjugates s f s*.
     Outer covers are monotone, so some finite subfamily works exactly
     when the full family does; a small subfamily is extracted afterwards
-    as the witness.  f enters only through the set of its conjugates, so
-    each distinct conjugate set is turned once into the bits of the
-    idempotents it meets, the union of its members' ``sg.meet_bits``
-    rows, and each e is decided against those bits for all its members
-    at once: the first member of the ideal below e that they miss, the
-    lowest set bit of ``sg.below_bits[e]`` outside them, is uncovered.
-    The witness covers are trimmed only when no pair fails, and the
-    (e, f) with one trimmed cover and one f share one tuple of
-    (cover, via) pairs, built once.
+    as the witness.  f enters only through the set of its conjugates, its
+    row of :func:`_conjugators` read as bits, so each distinct conjugate
+    set is turned once into the bits :func:`_met_by` it, and each e is
+    decided against those bits for all its members at once: the first
+    member of the ideal below e that they miss, the lowest set bit of
+    ``sg.below_bits[e]`` outside them, is uncovered.  The witness covers
+    are trimmed only when no pair fails, each conjugate c of f paired with
+    its cell of :func:`_conjugators`, and the (e, f) with one trimmed cover
+    and one f share one tuple of (cover, via) pairs, built once.
     """
-    nz = sg.nonzero_idempotents()
-    conjugators = _conjugators(sg)
-    conjugate_sets = {f: frozenset(seen) for f, seen in conjugators.items()}
-    idem = sg.idempotent_list()
-    met = {}                          # conjugate set -> bits of what it meets
-    for cands in conjugate_sets.values():
-        if cands not in met:
-            bits = 0
-            for c in cands:
-                bits |= sg.meet_bits[c]
-            met[cands] = bits
-    nonzero = ~(1 << sg.column[sg.zero])
+    nz, idem = sg.nonzero_idempotents(), sg.idempotent_list()
+    column, below_bits = sg.column, sg.below_bits
+    via = _conjugators(sg)
+    nonzero = ~(1 << column[sg.zero])
+    conjugates = [bits & nonzero for bits in _row_bits(via < sg.size)]
+    met = {bits: _met_by(sg, bits) for bits in set(conjugates)}
+    reach = [met[conjugates[column[f]]] for f in nz]
     failures = []
     for e in nz:
-        below = sg.below_bits[e] & nonzero
-        for f in nz:
-            missed = below & ~met[conjugate_sets[f]]
+        below = below_bits[e] & nonzero
+        for f, hit in zip(nz, reach):
+            missed = below & ~hit
             if missed:
                 uncovered = idem[(missed & -missed).bit_length() - 1]
                 failures.append({"e": e, "f": f, "uncovered": uncovered})
@@ -253,17 +253,16 @@ def minimal_criterion(sg: InverseSemigroup) -> CriterionResult:
     witnesses = {}
     made = {}                         # (trimmed cover, f) -> its (cover, via) pairs
     for e in nz:
-        below = sg.below(e)
         trimmed = {}
         for f in nz:
-            cands = conjugate_sets[f]
+            cands = conjugates[column[f]]
             small = trimmed.get(cands)
             if small is None:
-                small = trimmed[cands] = _minimize_cover(sg, cands, below)
+                small = trimmed[cands] = _minimize_cover(sg, cands, below_bits[e])
             pairs = made.get((small, f))
             if pairs is None:
-                seen = conjugators[f]
-                pairs = made[small, f] = tuple([(c, seen[c]) for c in small])
+                row = via[column[f]]
+                pairs = made[small, f] = tuple([(c, int(row[column[c]])) for c in small])
             witnesses[(e, f)] = pairs
     return CriterionResult(True, witness={"conjugate_covers": witnesses})
 

@@ -24,9 +24,9 @@ holds its maps as rows of a digit array and forms the graph's edges a
 block of maps at a time, every letter in one array gather.
 
 Instances are immutable after construction and safe to share between
-threads; after ``__init__`` only the table, the cache of ``below`` and
-the weakly fixed flags of :func:`~tightgroupoid.criteria.weakly_fixed`
-fill, each with the one value its key determines.
+threads; after ``__init__`` only the table and the weakly fixed flags of
+:func:`~tightgroupoid.criteria.weakly_fixed` fill, each with the one
+value its key determines.
 """
 
 from __future__ import annotations
@@ -162,7 +162,6 @@ class InverseSemigroup:
         self._table = None
         self.element_names = tuple(element_names) if element_names else None
         self.partial_maps = tuple(partial_maps) if partial_maps else None
-        self._below = {}
         self._weakly_fixed = None
 
     @property
@@ -271,12 +270,10 @@ class InverseSemigroup:
         return not self.orthogonal(e, f)
 
     def below(self, e: int) -> tuple:
-        """Idempotents <= the idempotent e, cached; the member tuple of the
-        principal ideal."""
-        got = self._below.get(e)
-        if got is None:
-            got = self._below[e] = self.members_of(self.below_bits[e])
-        return got
+        """Idempotents <= the idempotent e, the member tuple of the
+        principal ideal: the members of ``below_bits[e]``."""
+        self._require_idempotent(e)
+        return self.members_of(self.below_bits[e])
 
     # ------------------------------------------------------------- ideals
 
@@ -296,7 +293,6 @@ class InverseSemigroup:
 
     def principal_ideal(self, e: int) -> Ideal:
         """All idempotents below e."""
-        self._require_idempotent(e)
         return Ideal(frozenset(self.below(e)))
 
     def ideal_perp(self, ideal: Ideal) -> Ideal:

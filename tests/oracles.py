@@ -605,8 +605,8 @@ def per_pair_weakly_fixed(sg, slab, e, s):
 def per_pair_top_free_criterion(sg, weakly_fixed):
     """``top_free_criterion`` walking the pairs (s, e), s in index order
     and e over the idempotents below s*s in index order, and testing each
-    nonzero e with ``weakly_fixed(sg, e, s)``; the cover decisions are the
-    library's, looked up when called."""
+    nonzero e with ``weakly_fixed(sg, e, s)``; the cover decisions are
+    :func:`count_decide_cover`'s."""
     from tightgroupoid import criteria
 
     zero = sg.zero
@@ -621,7 +621,7 @@ def per_pair_top_free_criterion(sg, weakly_fixed):
             cands = tuple(c for c in below if c != zero and c in fixed)
             got = memo.get((cands, e))
             if got is None:
-                got = memo[cands, e] = criteria._decide_cover(sg, cands, below)
+                got = memo[cands, e] = count_decide_cover(sg, cands, below)
             uncovered, small = got
             if uncovered is None:
                 covers[(s, e)] = small
@@ -633,20 +633,19 @@ def per_pair_top_free_criterion(sg, weakly_fixed):
 
 
 def conjugator_scan(sg):
-    """Per nonzero idempotent f, a dict from each nonzero conjugate
-    s f s* to the first s giving it, filled in order of s."""
-    slab, r, zero = dict_slab(sg), sg.r, sg.zero
-    conjugators = {}
-    for f in sg.idempotent_list():
-        if f == zero:
-            continue
-        seen = {}
+    """The conjugation relation of the idempotents, cell by cell: one row
+    per idempotent f and in it one cell per idempotent c, both in index
+    order, holding the first s, scanning s in index order, with
+    s f s* = c, or |S| where there is none."""
+    slab, r = dict_slab(sg), sg.r
+    idem = sg.idempotent_list()
+    rows = []
+    for f in idem:
+        first = {}
         for s in sg.elements():
-            c = r[slab[s][f]]
-            if c != zero and c not in seen:
-                seen[c] = s
-        conjugators[f] = seen
-    return conjugators
+            first.setdefault(r[slab[s][f]], s)
+        rows.append([first.get(c, sg.size) for c in idem])
+    return rows
 
 
 def dict_standard_action(spectrum):
@@ -850,7 +849,9 @@ def pairwise_minimal_criterion(sg):
     set into bits once and trims covers only when no pair fails."""
     from tightgroupoid.criteria import CriterionResult
 
-    conjugators = conjugator_scan(sg)
+    idem, zero = sg.idempotent_list(), sg.zero
+    conjugators = {f: {c: s for c, s in zip(idem, row) if c != zero and s < sg.size}
+                   for f, row in zip(idem, conjugator_scan(sg))}
     nz = sg.nonzero_idempotents()
     failures, witnesses = [], {}
     for e in nz:

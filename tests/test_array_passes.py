@@ -45,7 +45,7 @@ def ordered(value):
     return value
 
 
-def test_array_passes_match_per_element_loops(monkeypatch):
+def test_array_passes_match_per_element_loops():
     spectra = 0
     for name, sg in pass_instances():
         slab = oracles.dict_slab(sg)
@@ -62,18 +62,19 @@ def test_array_passes_match_per_element_loops(monkeypatch):
                         (name, s, e)
         assert np.array_equal(criteria._weakly_fixed_flags(sg), expected), name
 
-        # the first s of each conjugate, in the order of s
-        assert ordered(criteria._conjugators(sg)) == \
-            ordered(oracles.conjugator_scan(sg)), name
+        # every cell of the conjugation array: the first s per (f, c),
+        # in the order of s, and |S| where there is none
+        conjugators = criteria._conjugators(sg)
+        assert conjugators.shape == (len(idem),) * 2, name
+        assert conjugators.dtype.kind == "i", name
+        assert conjugators.tolist() == oracles.conjugator_scan(sg), name
 
         # both criteria: the top-free one against its pair by pair walk,
-        # with the loops patched in for the pass and the bit-mask cover
-        # decisions, the minimal one against its pair by pair oracle
-        with monkeypatch.context() as mp:
-            mp.setattr(criteria, "_decide_cover", oracles.count_decide_cover)
-            want = [oracles.per_pair_top_free_criterion(
-                        sg, lambda sg_, e, s: oracles.per_pair_weakly_fixed(sg_, slab, e, s)),
-                    oracles.pairwise_minimal_criterion(sg)]
+        # whose weakly fixed tests and cover decisions are loops, the
+        # minimal one against its pair by pair oracle
+        want = [oracles.per_pair_top_free_criterion(
+                    sg, lambda sg_, e, s: oracles.per_pair_weakly_fixed(sg_, slab, e, s)),
+                oracles.pairwise_minimal_criterion(sg)]
         got = [criteria.top_free_criterion(sg), criteria.minimal_criterion(sg)]
         for g, w in zip(got, want):
             assert (g.value, ordered(g.witness)) == (w.value, ordered(w.witness)), name
@@ -328,7 +329,8 @@ def harness_corruptions(analysis, rng):
 
     def flip(mp):
         mp.setattr(sg, "below_bits", tuple(below))
-        mp.setattr(sg, "_below", {})
+        if s in sg.idempotents:       # below() reads the flipped row
+            assert sg.below(s) == sg.members_of(below[s])
     yield "below_bits", flip
 
     def flip_and_reread(mp):
@@ -377,6 +379,23 @@ def test_harness_passes_fail_as_the_per_element_loops(monkeypatch):
     assert {"weakly_fixed_vs_fixed_points", "outer_cover_vs_domain_union",
             "conjugated_domains", "trivial_fixed_subset_fixed",
             "estar_trivial_fixed_empty", "fixed_implies_weakly_fixed"} <= set(failed), failed
+
+
+@pytest.mark.parametrize("read, arg", [
+    ("below", -1), ("below", 5), ("below", 2),
+    ("weakly_fixed", -1), ("weakly_fixed", 5),
+])
+def test_out_of_range_scalar_reads_raise_package_errors(read, arg):
+    # B2's idempotents are 0, 1 and 4; element 2 is not one, and NumPy
+    # would wrap -1 to element 4's row
+    sg = tg.build_fixture("B2")
+    assert sg.idempotent_list() == (0, 1, 4) and sg.size == 5
+    if read == "below":
+        with pytest.raises(errors.NotIdempotent):
+            sg.below(arg)
+    else:
+        with pytest.raises(errors.PreconditionViolated):
+            criteria.weakly_fixed(sg, 4, arg)
 
 
 @pytest.mark.parametrize("read, s, x", [
