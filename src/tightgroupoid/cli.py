@@ -18,7 +18,7 @@ import time
 from . import criteria, fixtures, report
 from .dsl import SemigroupSpec, build_semigroup, format_spec, parse_spec
 from .errors import EmptySpectrum, TheoremViolation, TightGroupoidError
-from .semigroup import InverseSemigroup
+from .semigroup import InverseSemigroup, _images
 
 CHECK_NAMES = {
     "hausdorff": "hausdorff",
@@ -30,14 +30,13 @@ CHECK_NAMES = {
 
 def spec_of_semigroup(sg: InverseSemigroup, name: str) -> SemigroupSpec:
     """Spec reproducing the instance exactly.  A closure-built instance
-    is given by the partial maps of its generators, whose closure has the
-    same elements in the same order, so its table is never filled; any
-    other instance by its table."""
-    if sg.partial_maps is not None:
-        gens = tuple((f"g{j}", sg.partial_maps[g])
-                     for j, g in enumerate(sg.generators))
-        return SemigroupSpec(name, "generators",
-                             degree=len(sg.partial_maps[0]), generators=gens)
+    is given by the partial maps of its generators, read off their digit
+    rows, whose closure has the same elements in the same order, so its
+    table is never filled; any other instance by its table."""
+    if sg._digits is not None:
+        gens = _images(sg._digits[list(sg.generators)])
+        return SemigroupSpec(name, "generators", degree=sg._digits.shape[1],
+                             generators=tuple((f"g{j}", g) for j, g in enumerate(gens)))
     return SemigroupSpec(name, "table", size=sg.size, zero=sg.zero,
                          rows=sg.table)
 
@@ -120,9 +119,10 @@ def _dump_violation(sg: InverseSemigroup, name: str,
     return None if _write(path, report.json_text(body)) else path
 
 
-def _report_violation(sg, name, exc, head) -> None:
+def _report_violation(sg, name, exc, where="") -> None:
     """A verdict mismatch or defect, and where its reproducer went, on stderr."""
-    print(f"{head}: {exc}", file=sys.stderr)
+    kind = "verdict mismatch" if isinstance(exc, TheoremViolation) else type(exc).__name__
+    print(f"{kind}{where}: {exc}", file=sys.stderr)
     if path := _dump_violation(sg, name, exc):
         print(f"reproducer written to {path}", file=sys.stderr)
 
@@ -160,8 +160,8 @@ def _analyze_single(args) -> int:
         code = _write(args.json_path, report.json_text(payload))
         print(f"{name}: EmptySpectrum: {exc}")
         return code
-    except TheoremViolation as exc:
-        _report_violation(sg, name, exc, "verdict mismatch")
+    except TightGroupoidError as exc:   # raised on a valid instance: a defect
+        _report_violation(sg, name, exc)
         return 3
     timing = {"analyze_s": round(time.perf_counter() - start, 6)}
     payload = report.build_document(analysis, name,
@@ -190,9 +190,7 @@ def _corpus_payloads(args):
         try:
             analysis, checks = criteria.verify_instance(sg, name, seed=index)
         except TightGroupoidError as exc:
-            kind = "verdict mismatch" if isinstance(exc, TheoremViolation) \
-                else type(exc).__name__
-            _report_violation(sg, name, exc, f"{kind} on {name}")
+            _report_violation(sg, name, exc, f" on {name}")
             raise
         payload = report.build_document(analysis, name)
         print(f"[{index:3d}] {_summary(payload)} {_flags(payload)} "

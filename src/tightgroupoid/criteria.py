@@ -113,31 +113,29 @@ def weakly_fixed(sg: InverseSemigroup, e: int, s: int) -> bool:
     raise PreconditionViolated(f"idempotent {e} does not lie below s*s for s={s}")
 
 
-def _met_by(sg, candidates):
-    """The idempotents meeting some member of `candidates`, both as bits:
-    the union of the members' rows of ``sg.meet_bits``.  The candidates
-    cover a set of members exactly when the members' bits lie inside it."""
-    out = 0
-    for c in sg.members_of(candidates):
-        out |= sg.meet_bits[c]
-    return out
+def _meet_rows(sg, candidates) -> tuple:
+    """The members of `candidates` (bits) in increasing order, each with
+    its row of ``sg.meet_bits``, and the union of the rows: what they meet."""
+    rows = tuple((c, sg.meet_bits[c]) for c in sg.members_of(candidates))
+    met = 0
+    for _, bits in rows:
+        met |= bits
+    return rows, met
 
 
-def _minimize_cover(sg, candidates, members):
-    """Greedy removal pass over a cover of the members, both given as
-    bits; keeps the witness small for readability, correctness never
-    depends on the result being minimum.
+def _minimize_cover(rows, members):
+    """Greedy removal pass over a cover, the `rows` of
+    :func:`_meet_rows`, of the nonzero `members`, as bits; keeps the
+    witness small for readability, correctness never depends on the
+    result being minimum.
 
-    In increasing order, a candidate c is dropped when every nonzero
-    member it meets is met by another element still chosen, which is
-    exactly when the rest still covers.  The others still chosen are the
-    candidates kept before c and all those after it, so with the members
-    each candidate meets as bits (its row of ``sg.meet_bits``), the test
-    is one mask against the union of the kept ones and a suffix union.
+    In increasing order, a candidate c is dropped when every member it
+    meets is met by another candidate still chosen, which is exactly when
+    the rest still covers: the candidates kept before c and all those
+    after it, so the test is one mask against the union of the kept ones
+    and a suffix union.
     """
-    members &= ~(1 << sg.column[sg.zero])
-    order = sg.members_of(candidates)
-    hits = [sg.meet_bits[c] & members for c in order]
+    hits = [bits & members for _, bits in rows]
     after = []                        # after[i]: union of the hits past i
     union = 0
     for hit in reversed(hits):
@@ -146,7 +144,7 @@ def _minimize_cover(sg, candidates, members):
     after.reverse()
     kept = []
     union = 0
-    for c, hit, rest in zip(order, hits, after):
+    for (c, _), hit, rest in zip(rows, hits, after):
         if hit & ~(union | rest):     # a member that only c meets
             kept.append(c)
             union |= hit
@@ -166,8 +164,9 @@ def top_free_criterion(sg: InverseSemigroup) -> CriterionResult:
     :func:`_weakly_fixed_flags` with the zero left out, once per distinct
     (candidates, e), all of it on bits: the candidates are
     ``sg.below_bits[e] & sg.below_bits[s]``, the first uncovered member
-    is the lowest bit of ``sg.below_bits[e]`` outside :func:`_met_by` the
-    candidates, and a cover is trimmed by :func:`_minimize_cover`.
+    is the lowest bit of ``sg.below_bits[e]`` outside the bits the
+    candidates meet, and a cover is trimmed by :func:`_minimize_cover`,
+    both read off one :func:`_meet_rows`.
     """
     idem, below_bits = sg.idempotent_list(), sg.below_bits
     zero_column = sg.column[sg.zero]
@@ -182,11 +181,12 @@ def top_free_criterion(sg: InverseSemigroup) -> CriterionResult:
         cands = below_bits[e] & below_bits[s] & nonzero
         got = memo.get((cands, e))
         if got is None:
-            missed = below_bits[e] & nonzero & ~_met_by(sg, cands)
+            meets, met = _meet_rows(sg, cands)
+            missed = below_bits[e] & nonzero & ~met
             if missed:
                 got = (idem[(missed & -missed).bit_length() - 1], None)
             else:
-                got = (None, _minimize_cover(sg, cands, below_bits[e]))
+                got = (None, _minimize_cover(meets, below_bits[e] & nonzero))
             memo[cands, e] = got
         uncovered, small = got
         if uncovered is None:
@@ -225,8 +225,8 @@ def minimal_criterion(sg: InverseSemigroup) -> CriterionResult:
     when the full family does; a small subfamily is extracted afterwards
     as the witness.  f enters only through the set of its conjugates, its
     row of :func:`_conjugators` read as bits, so each distinct conjugate
-    set is turned once into the bits :func:`_met_by` it, and each e is
-    decided against those bits for all its members at once: the first
+    set is read once into its :func:`_meet_rows`, and each e is decided
+    against the bits they meet for all its members at once: the first
     member of the ideal below e that they miss, the lowest set bit of
     ``sg.below_bits[e]`` outside them, is uncovered.  The witness covers
     are trimmed only when no pair fails, each conjugate c of f paired with
@@ -238,8 +238,8 @@ def minimal_criterion(sg: InverseSemigroup) -> CriterionResult:
     via = _conjugators(sg)
     nonzero = ~(1 << column[sg.zero])
     conjugates = [bits & nonzero for bits in _row_bits(via < sg.size)]
-    met = {bits: _met_by(sg, bits) for bits in set(conjugates)}
-    reach = [met[conjugates[column[f]]] for f in nz]
+    meets = {bits: _meet_rows(sg, bits) for bits in set(conjugates)}
+    reach = [meets[conjugates[column[f]]][1] for f in nz]
     failures = []
     for e in nz:
         below = below_bits[e] & nonzero
@@ -253,12 +253,13 @@ def minimal_criterion(sg: InverseSemigroup) -> CriterionResult:
     witnesses = {}
     made = {}                         # (trimmed cover, f) -> its (cover, via) pairs
     for e in nz:
+        below = below_bits[e] & nonzero
         trimmed = {}
         for f in nz:
             cands = conjugates[column[f]]
             small = trimmed.get(cands)
             if small is None:
-                small = trimmed[cands] = _minimize_cover(sg, cands, below_bits[e])
+                small = trimmed[cands] = _minimize_cover(meets[cands][0], below)
             pairs = made.get((small, f))
             if pairs is None:
                 row = via[column[f]]
@@ -557,9 +558,12 @@ def verify_instance(sg: InverseSemigroup, name: str = "S", seed: int = 0):
                                    f"{name} s={lo + s} f={idem[j]}")
     checks["conjugated_domains"] = True
 
-    # the action preserves ultrafilters
-    in_ultra = np.array([p.min in ultra for p in spec.points])
-    failing = defined & in_ultra & ~in_ultra[array]
+    # the action preserves ultrafilters, read off the slab, not the point list
+    mins = np.array([p.min for p in spec.points])
+    image = conj[:, [sg.column[a] for a in mins.tolist()]]      # (s, x): s min(x) s*
+    is_ultra = np.zeros(n, dtype=bool)
+    is_ultra[list(ultra)] = True
+    failing = defined & ~(is_ultra[image] & (image == mins[array]))
     if failing.any():
         s, x = _first(failing)
         raise TheoremViolation("ultrafilter_preserved", True, False, f"{name} s={s} x={x}")
@@ -571,7 +575,7 @@ def verify_instance(sg: InverseSemigroup, name: str = "S", seed: int = 0):
     if failing.any():
         raise TheoremViolation("trivial_fixed_subset_fixed", False, True,
                                f"{name} s={int(failing.argmax())}")
-    cond_iii = not (fixed & in_ultra & ~trivial).any()
+    cond_iii = not (fixed & is_ultra[mins] & ~trivial).any()
     checks["trivial_fixed_subset_fixed"] = True
 
     # three equivalent readings of topological freeness

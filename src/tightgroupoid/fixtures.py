@@ -77,7 +77,7 @@ def brandt_semigroup(n: int) -> InverseSemigroup:
 def group_with_zero(table, names=None) -> InverseSemigroup:
     """Adjoin an absorbing zero to a finite group given by its table.
 
-    The input must really be a group; after validation the instance is
+    The input must really be a group; after validation the table is
     checked to have an identity that every nonzero element inverts to.
     """
     g = np.array(table, dtype=np.int64)
@@ -89,8 +89,7 @@ def group_with_zero(table, names=None) -> InverseSemigroup:
         names = ["0", *names]
     sg = from_table(out, 0, names)
     idents = [u for u in sg.nonzero_idempotents()
-              if all(sg.slab[s, sg.column[u]] == s == sg.left(u, s)
-                     for s in range(1, size))]
+              if (out[u] == np.arange(size)).all() and (out[:, u] == out[u]).all()]
     if len(idents) != 1:
         raise DegreeMismatch("input table is not a group: no two-sided identity")
     u = idents[0]

@@ -148,8 +148,8 @@ class GermGroupoid:
         multiplication table, its columns for the representatives taken
         from the right Cayley graph by
         :meth:`~tightgroupoid.semigroup.InverseSemigroup._columns` along
-        the spanning tree the constructor walked; the table itself is
-        never filled.  The checks run in the order of the compose-based
+        the instance's spanning tree, ``parent`` and ``letter``; the
+        table itself is never filled.  The checks run in the order of the compose-based
         reading kept in the test suite, so the first violation raised is
         the same.
         """

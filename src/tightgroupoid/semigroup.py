@@ -4,29 +4,26 @@ Elements are dense indices ``0..size-1``.  The analysis reads only a few
 kinds of product, each stored as a field: the involution s -> s*, the
 idempotents s*s and ss*, the products s e with an idempotent e (the
 slab), and the products s g with a generator g (the right Cayley graph).
-A product e s is (s* e)*.  The slab is one read-only C-contiguous int32
-array of shape (|S|, |E|): row s holds s e for every idempotent e, one
-column per idempotent in increasing index order, and ``column[e]`` is
-the column of e.  Every predicate in this package reduces to a finite
-scan of these and every theorem to an exhaustive check; the scans over
-all |S| |E| cells run as whole-array passes, the order of idempotents,
-their orthogonality, and with them every ideal, fixed ideal and cover,
-are tests on bit rows, ``below_bits`` per element and ``meet_bits`` per
-idempotent, and any other scalar read takes a row through
-``.tolist()``.  Both builders hand the constructor the involution, s*s
-and the Cayley graph, kept as a read-only int32 array and walked once
-into a spanning tree; the slab, the block of products of arrow
+A product e s is (s* e)*.  Every predicate in this package reduces to a
+finite scan of these and every theorem to an exhaustive check; the
+scans over all |S| |E| cells run as whole-array passes, the order of
+idempotents, their orthogonality, and with them every ideal, fixed ideal
+and cover, are tests on bit rows, ``below_bits`` per element and
+``meet_bits`` per idempotent, and any other scalar read takes a row
+through ``.tolist()``.  Both builders hand the constructor the
+involution, s*s and the Cayley graph, kept as a read-only int32 array
+with its breadth-first spanning tree (the closure walk's own; a table's
+graph is walked once); the slab, the block of products of arrow
 representatives that the groupoid axiom check reads, and the full table
 are columns read along that tree by one method, ``_columns``.  Nothing
 in the analysis or the identity harness fills the table; it remains,
 filled on first access, for readers outside them.  The closure builder
-holds its maps as rows of a digit array and forms the graph's edges a
-block of maps at a time, every letter in one array gather.
+keeps its maps as the rows of one digit array.
 
 Instances are immutable after construction and safe to share between
-threads; after ``__init__`` only the table and the weakly fixed flags of
-:func:`~tightgroupoid.criteria.weakly_fixed` fill, each with the one
-value its key determines.
+threads; after ``__init__`` only the table, the partial maps and the
+weakly fixed flags of :func:`~tightgroupoid.criteria.weakly_fixed`
+fill, each with the one value its key determines.
 """
 
 from __future__ import annotations
@@ -34,6 +31,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -53,25 +51,17 @@ from .errors import (
 
 # Size caps, enforced by the builders; a build past one raises
 # CapExceeded.  MAX_SIZE stops the closure walk after the block of maps
-# that passes the cap, naming the cap: I6 (13,327 elements) fits, I7
-# (130,922) does not.  MAX_SLAB_CELLS bounds the |S| x |E| slab before it
-# is built: I6 needs 852,928 cells.  It also bounds the walk's image
-# cells, maps found times degree, after each block: I6 stores 79,962 and
-# the 20,000-point identity 40,000, while a 12,000-point cycle is refused
-# at its 167th map.
+# that passes it: I6 (13,327 elements) fits, I7 (130,922) does not.
+# MAX_SLAB_CELLS bounds the |S| x |E| slab before it is built (I6 needs
+# 852,928 cells) and the walk's image cells, maps found times degree,
+# after each block: I6 stores 79,962 and the 20,000-point identity
+# 40,000, while a 12,000-point cycle is refused at its 167th map.
 # MAX_TABLE_WORK bounds Light's test of a table, n^2 cells per generator:
 # a semilattice of n - 1 orthogonal atoms has n - 1 generators, so
 # n = 400 (6.4e7) passes in about 0.08 s and n = 800 (5.1e8) is refused.
 MAX_SIZE = 20_000
 MAX_SLAB_CELLS = 2_000_000
 MAX_TABLE_WORK = 200_000_000
-
-# Partial injection on {0..degree-1}: image tuple, None where undefined.
-PartialMap = tuple
-
-# A cover candidate is just a set of idempotent indices; cover-ness is a
-# predicate, not an invariant, so no wrapper type is needed.
-Cover = frozenset
 
 
 @dataclass(frozen=True)
@@ -95,8 +85,8 @@ class InverseSemigroup:
 
     Build instances through :func:`from_table` or
     :func:`from_partial_maps`; the constructor itself trusts its inputs.
-    It takes the involution, ``d`` and the right Cayley graph, and
-    derives ``r``, the idempotents, the slab and the bit rows from them.
+    It takes the involution, ``d``, the right Cayley graph and its tree
+    (walked here if not given), and derives the rest from them.
 
     Attributes:
         size: number of elements.
@@ -119,27 +109,26 @@ class InverseSemigroup:
             are one ``np.packbits`` pass over slab rows; :meth:`bits` and
             :meth:`members_of` convert between idempotents and bits.
         idempotents: frozenset of idempotent indices (the semilattice).
-        generators: element indices whose closure under right
-            multiplication by one another is the whole semigroup: every
-            element is a product of generators.  The associativity check
-            of :func:`from_table` and the homomorphism check of
-            :func:`~tightgroupoid.action.validate_action` run against this
-            set instead of every element.
+        generators: element indices of which every element is a
+            product; the associativity check of :func:`from_table` and the
+            homomorphism check of :func:`~tightgroupoid.action.validate_action`
+            run against them instead of every element.
         right: read-only C-contiguous int32 array of shape (|S|,
             |generators|); ``right[s, j]`` is s times ``generators[j]``.
+        parent, letter: read-only int32 arrays, the breadth-first tree
+            of ``right``: y is ``parent[y]`` times
+            ``generators[letter[y]]``, both -1 at a generator.
         table: multiplication table, ``table[a][b]`` is the product,
-            filled by :meth:`_columns` on first access.  Nothing
-            :func:`~tightgroupoid.criteria.analyze` or
-            :func:`~tightgroupoid.criteria.verify_instance` calls reads
-            it; it remains for outside readers, such as the reproducer
-            of a table-built instance.
+            filled by :meth:`_columns` on first access for readers outside
+            the analysis and the identity harness, which never read it.
         element_names: optional printable names, index aligned.
-        partial_maps: for closure-built instances, the concrete partial
-            injection realizing each element; otherwise None.
+        partial_maps: for closure-built instances, each element's
+            image tuple (None where undefined), read off the digit rows
+            on first access; otherwise None.
     """
 
     def __init__(self, zero, star, generators, d, right,
-                 element_names=None, partial_maps=None):
+                 element_names=None, digits=None, tree=None):
         ids = list(range(len(star)))         # one int object per index, shared
         get = ids.__getitem__
         self.zero = get(zero)
@@ -152,7 +141,10 @@ class InverseSemigroup:
         self.idempotents = frozenset(self._idem_sorted)
         self.right = np.array(right, dtype=np.int32, order="C")
         self.right.flags.writeable = False
-        self._tree = _spanning_tree(self.right, self.generators)
+        self.parent, self.letter = np.array(
+            _breadth_first(self.right, self.generators) if tree is None else tree,
+            dtype=np.int32)
+        self.parent.flags.writeable = self.letter.flags.writeable = False
         idem = self._idem_sorted
         self.column = {e: j for j, e in enumerate(idem)}
         self.slab = np.ascontiguousarray(self._columns(idem).T)
@@ -161,7 +153,7 @@ class InverseSemigroup:
         self.meet_bits = dict(zip(idem, _row_bits(self.slab[list(idem)] != self.zero)))
         self._table = None
         self.element_names = tuple(element_names) if element_names else None
-        self.partial_maps = tuple(partial_maps) if partial_maps else None
+        self._digits = digits
         self._weakly_fixed = None
 
     @property
@@ -170,25 +162,30 @@ class InverseSemigroup:
             self._table = _cayley_table(self)
         return self._table
 
+    @cached_property
+    def partial_maps(self):
+        return None if self._digits is None else _images(self._digits)
+
     def _columns(self, wanted) -> np.ndarray:
         """Columns x -> x y of the table for each y in `wanted`, as the
         rows of an int32 array (Froidure & Pin, "Algorithms for computing
         finite semigroups", 1997).  Column j of ``right`` is the column of
-        g_j = ``generators[j]``; any other y is p g_j for its edge (p, j)
-        of the spanning tree, and column y, x -> x y = (x p) g_j, is
+        g_j = ``generators[j]``; any other y is p g_j for p = ``parent[y]``
+        and j = ``letter[y]``, and column y, x -> x y = (x p) g_j, is
         column p sent through column j: one gather, kept along the tree
         paths of `wanted`, so that no column costs two."""
         by_gen = np.ascontiguousarray(self.right.T)   # contiguous gathers
         cols = {g: by_gen[j] for j, g in enumerate(self.generators)}
+        parent, letter = self.parent.tolist(), self.letter.tolist()
         out = np.empty((len(wanted), self.size), dtype=np.int32)
         for i, y in enumerate(wanted):
             chain = []
             while y not in cols:
                 chain.append(y)
-                y = self._tree[y][0]
+                y = parent[y]
             col = cols[y]
             for y in reversed(chain):
-                col = cols[y] = by_gen[self._tree[y][1]][col]
+                col = cols[y] = by_gen[letter[y]][col]
             out[i] = col
         return out
 
@@ -206,9 +203,7 @@ class InverseSemigroup:
         return self.star[self.slab[self.star[s], self.column[e]]]
 
     def name_of(self, s: int) -> str:
-        if self.element_names is not None:
-            return self.element_names[s]
-        return f"s{s}"
+        return f"s{s}" if self.element_names is None else self.element_names[s]
 
     def idempotent_list(self) -> tuple:
         """All idempotents in increasing index order."""
@@ -318,8 +313,7 @@ class InverseSemigroup:
         since lying below every member is the same as lying below their
         greatest lower bound.
         """
-        below = tuple(below)
-        apart = tuple(apart)
+        below, apart = tuple(below), tuple(apart)
         for x in itertools.chain(below, apart):
             self._require_idempotent(x)
         out = (1 << len(self._idem_sorted)) - 1
@@ -364,11 +358,9 @@ class InverseSemigroup:
     def is_cover(self, cover: Iterable[int], ideal: Ideal) -> bool:
         """An outer cover that moreover lies inside the ideal."""
         cov = frozenset(cover)
-        if not cov <= self._checked_members(ideal):
-            return False
-        return self.is_outer_cover(cov, ideal)
+        return cov <= self._checked_members(ideal) and self.is_outer_cover(cov, ideal)
 
-    def canonical_cover(self, ideal: Ideal) -> Cover:
+    def canonical_cover(self, ideal: Ideal) -> frozenset:
         """The maximal nonzero members of an ideal.
 
         Every nonzero member of the ideal lies below, hence intersects, a
@@ -401,12 +393,11 @@ def from_table(table: Sequence[Sequence[int]], zero: int,
                element_names: Sequence[str] | None = None) -> InverseSemigroup:
     """Validate a multiplication table and return the semigroup.
 
-    Checks associativity, the absorbing zero, and existence of a unique
-    generalized inverse for every element; the involution and the
-    idempotent set are computed, not supplied, since a supplied involution
-    would need the same validation anyway.  The rows, of any integer
-    sequence or array type, are converted once into an array; an integer
-    array is read as it is and never written to.  Rows up to the first of
+    Checks associativity, the absorbing zero, and a unique generalized
+    inverse for every element, from which the involution and the
+    idempotents are computed.  The rows, of any integer sequence or array
+    type, are converted once into an array; an integer array is read as
+    it is and never written to.  Rows up to the first of
     the wrong length are range-checked as one array, and the first entry
     out of range in row order, or else that row, raises
     :class:`DegreeMismatch`.  The zero may be any integer type, NumPy's
@@ -561,25 +552,25 @@ def _bit_rows(rows, width: int) -> np.ndarray:
     return np.unpackbits(packed, axis=1, count=width, bitorder="little").view(bool)
 
 
-def _spanning_tree(right: np.ndarray, generators) -> dict:
-    """The right Cayley graph walked breadth first from the generators:
-    each element y to the first edge (p, j), y = p ``generators[j]``,
-    that reaches it, and a generator to None."""
+def _breadth_first(right: np.ndarray, generators) -> tuple:
+    """`right` walked breadth first from the generators: y's first edge
+    is (``parent[y]``, ``letter[y]``), both -1 at a generator."""
     rows = right.tolist()
-    tree = dict.fromkeys(generators)
-    walk = list(tree)
+    parent, letter = [None] * len(rows), [-1] * len(rows)
+    walk = list(generators)
+    for g in walk:
+        parent[g] = -1
     for p in walk:                             # the list grows while walked
         for j, y in enumerate(rows[p]):
-            if y not in tree:
-                tree[y] = (p, j)
+            if parent[y] is None:
+                parent[y], letter[y] = p, j
                 walk.append(y)
-    assert len(walk) == len(rows), "the generators do not reach every element"
-    return tree
+    assert None not in parent, "the generators do not reach every element"
+    return parent, letter
 
 
 def _cayley_table(sg: InverseSemigroup) -> tuple:
-    """The full table, ``table[x][y]`` = x y: every column of
-    :meth:`InverseSemigroup._columns`."""
+    """The full table, ``table[x][y]`` = x y, from every column."""
     ids = list(range(sg.size))                 # one int object per index, shared
     return tuple(tuple(map(ids.__getitem__, row))
                  for row in sg._columns(ids).T.tolist())
@@ -595,25 +586,19 @@ def _cayley_table(sg: InverseSemigroup) -> tuple:
 BLOCK_CELLS = 1 << 16
 
 
-def _check_partial_map(g: Sequence, degree: int, label: str) -> PartialMap:
+def _check_partial_map(g: Sequence, degree: int, label: str) -> tuple:
     if len(g) != degree:
         raise DegreeMismatch(f"map {label} has {len(g)} entries, expected {degree}")
     out = []
     for v in g:
-        if v is None:
-            out.append(None)
-            continue
-        v = int(v)
-        if not 0 <= v < degree:
-            raise DegreeMismatch(f"map {label} sends a point to {v}, outside 0..{degree - 1}")
+        if v is not None:
+            v = int(v)
+            if not 0 <= v < degree:
+                raise DegreeMismatch(f"map {label} sends a point to {v}, outside 0..{degree - 1}")
         out.append(v)
-    seen = set()
-    for v in out:
-        if v is None:
-            continue
-        if v in seen:
-            raise NotInjective(label)
-        seen.add(v)
+    images = [v for v in out if v is not None]
+    if len(set(images)) < len(images):
+        raise NotInjective(label)
     return tuple(out)
 
 
@@ -645,15 +630,15 @@ def from_partial_maps(degree: int, generators: Sequence[Sequence],
     resulting semigroup.
 
     The closure is the smallest set of partial injections of
-    ``{0..degree-1}`` containing the generators; it is automatically an
-    inverse semigroup because idempotent partial injections (partial
-    identities) commute.  The inverse of a word is the reversed word of
-    inverse letters, so the closure is the set of words over the
-    generators and their inverses: one breadth-first walk right-multiplies
-    every map found by each of those letters.  The walk is the right
-    Cayley graph (Froidure & Pin, "Algorithms for computing finite
-    semigroups", 1997); its edges are kept as ``right`` with the letters
-    as ``generators``, plus the zero when no product reaches it.
+    ``{0..degree-1}`` containing the generators; it is an inverse
+    semigroup because partial identities commute.  It is the set of words
+    in the generators and their inverses, so one breadth-first walk
+    right-multiplies every map found by each of those letters.  The walk
+    is the right Cayley graph (Froidure & Pin, "Algorithms for computing
+    finite semigroups", 1997): its edges are kept as ``right``, with the
+    letters, plus the zero when no product reaches it, as
+    ``generators``, and each element's first edge in walk order, past the
+    empty map's row, is its edge of the spanning tree.
 
     A map is a row of digits, 0 where it is undefined and v + 1 where it
     sends a point to v, of the smallest unsigned type that holds the
@@ -671,15 +656,14 @@ def from_partial_maps(degree: int, generators: Sequence[Sequence],
     the slab is built, `MAX_SLAB_CELLS` also rejects a closure whose slab
     would have more than that many cells, |S| times |E|.
 
-    The elements are ordered by the bytes of their rows, so the empty map
-    is the zero.  The inverse and s*s (the identity on the domain) of
+    The elements are ordered by the bytes of their rows, which the
+    instance keeps, so the empty map is the zero.  The inverse and s*s of
     every map are formed as arrays and looked up in the sorted rows; the
-    idempotents are the partial identities, s = s*s, and the constructor
-    derives ss* and the slab from these.  The maps are associative and
-    the empty map absorbing by construction, so the axiom checks of
-    :func:`from_table` are not needed; what is asserted, in whole-array
-    passes over |S| times degree cells, is that every inverse and domain
-    lies in S, that s s* s = s, and that the empty map is the zero.
+    idempotents are the partial identities.  The axiom checks of
+    :func:`from_table` hold by construction; what is asserted, in
+    whole-array passes over |S| times degree cells, is that every inverse
+    and domain lies in S, that s s* s = s, and that the empty map is the
+    zero.
     """
     if degree < 1:
         raise DegreeMismatch("degree must be at least 1")
@@ -748,19 +732,34 @@ def from_partial_maps(degree: int, generators: Sequence[Sequence],
         raise CapExceeded(f"closure of {n} elements and {idem} "
                           f"idempotents exceeds {MAX_SLAB_CELLS} slab cells")
 
+    width = len(letters)
+    edges = np.array(edges, dtype=np.intp)
     gen_ids = rank[[pos[a] for a in letters]].tolist()
-    right = rank[np.array(edges, dtype=np.intp).reshape(n, len(letters))[order]]
+    right = rank[edges.reshape(n, width)[order]]
+    # each element's first edge past the empty map's row, found[0]
+    first = np.full(n, edges.size)
+    np.minimum.at(first, edges[width:], np.arange(width, edges.size))
+    tree = np.full((2, n), -1, dtype=np.int32)
+    reached = first < edges.size
+    tree[:, rank[reached]] = rank[first[reached] // width], first[reached] % width
+    tree[:, gen_ids] = -1
     # element 0 is the empty map; it is reached when it is a letter or the
     # product of a nonempty map and a letter
     if empty not in letters and not (right[1:] == 0).any():
         gen_ids.append(0)
         right = np.hstack([right, np.zeros((n, 1), dtype=np.intp)])
-    images = [None, *range(degree)]
-    cells = ["_", *map(str, range(degree))]
-    sep = "" if degree <= 10 else ","
-    per_map = maps.tolist()
-    names = [sep.join(map(cells.__getitem__, row)) for row in per_map]
+    maps.flags.writeable = False
+    cells = np.array(["_", *map(str, range(degree))])[maps]   # one lookup
+    if degree <= 10:             # a character a cell: a row is one string
+        names = cells.view(f"<U{degree}").ravel().tolist()
+    else:
+        names = list(map(",".join, cells.tolist()))
     names[0] = "0"
     return InverseSemigroup(0, star.tolist(), gen_ids, d.tolist(), right,
-                            names, [tuple(map(images.__getitem__, row))
-                                    for row in per_map])
+                            names, maps, tree)
+
+
+def _images(digits: np.ndarray) -> tuple:
+    """Each digit row as a tuple of images, None where undefined."""
+    images = [None, *range(digits.shape[1])]
+    return tuple(tuple(map(images.__getitem__, row)) for row in digits.tolist())

@@ -968,7 +968,8 @@ def per_element_identities(analysis, name="S", seed=0):
     for s in sg.elements():
         m = maps[s]
         for x in sorted(domains[s]):
-            if in_ultra[x] and not in_ultra[m[x]]:
+            image = r[int(slab[s, sg.column[spec.points[x].min]])]   # s min(x) s*
+            if image not in ultra or image != spec.points[m[x]].min:
                 raise TheoremViolation("ultrafilter_preserved", True, False,
                                        f"{name} s={s} x={x}")
     checks["ultrafilter_preserved"] = True
@@ -1216,6 +1217,8 @@ def per_map_closure(degree, generators, labels=None):
     order, is composed with every letter as a tuple of images, and the
     caps are checked at every new map.  The order, the inverses, the
     domains and the asserts are worked out per map on the image tuples."""
+    import numpy as np
+
     from tightgroupoid import semigroup
     from tightgroupoid.errors import CapExceeded, DegreeMismatch
 
@@ -1285,8 +1288,26 @@ def per_map_closure(degree, generators, labels=None):
         gen_ids.append(0)
         for row in right:
             row.append(0)
+    digits = np.array([[0 if v is None else v + 1 for v in f] for f in maps],
+                      dtype=np.min_scalar_type(degree)).reshape(n, degree)
     return semigroup.InverseSemigroup(0, star, gen_ids, d, right,
-                                      [map_name(f) for f in maps], maps)
+                                      [map_name(f) for f in maps], digits)
+
+
+def spanning_tree(right, generators) -> dict:
+    """The right Cayley graph walked breadth first from the generators:
+    each element y to the first edge (p, j), y = p ``generators[j]``,
+    that reaches it, and a generator to None."""
+    rows = [list(row) for row in right]
+    tree = dict.fromkeys(generators)
+    walk = list(tree)
+    for p in walk:                             # the list grows while walked
+        for j, y in enumerate(rows[p]):
+            if y not in tree:
+                tree[y] = (p, j)
+                walk.append(y)
+    assert len(walk) == len(rows), "the generators do not reach every element"
+    return tree
 
 
 def two_sided_closure(degree, gens, max_size=None):

@@ -303,10 +303,13 @@ def harness_corruptions(analysis, rng):
     """Changes made after `analyze`, each a function applying it through
     a monkeypatch: one pair of images of the action's array swapped on a
     random element; one weakly fixed flag of a pair (s, e <= s*s)
-    flipped; and one bit of ``below_bits`` flipped, with the trivially
-    fixed mask kept as analyze left it and re-read from the flipped bits.
-    The bit is the only one, if there is just one, that keeps a
-    non-idempotent row from {0}, else a random one."""
+    flipped; one bit of ``below_bits`` flipped, with the trivially
+    fixed mask kept as analyze left it and re-read from the flipped bits;
+    and, for the first atom a with another idempotent b above it and
+    above no other atom, ``r[a]`` set to b.  The bit is the only one, if
+    there is just one, that keeps a non-idempotent row from {0}, else a
+    random one.  a and b have one domain, so only the minimum of s a s*
+    tells them apart."""
     sg, act = analysis.semigroup, analysis.action
     movable = [s for s in sg.elements() if act.defined[s].sum() > 1]
     if movable:
@@ -337,6 +340,13 @@ def harness_corruptions(analysis, rng):
         flip(mp)
         mp.delitem(vars(act), "trivial")
     yield "below_bits, mask re-read", flip_and_reread
+    twins = [(p.min, b) for p in analysis.spectrum.points for b in sg.idempotent_list()
+             if b != p.min and (act.defined[b] == act.defined[p.min]).all()]
+    if twins:
+        a, b = twins[0]
+        ranges = list(sg.r)
+        ranges[a] = b
+        yield "range", lambda mp: mp.setattr(sg, "r", tuple(ranges))
 
 
 def both_harness_outcomes(analysis, name, monkeypatch, change=None):
@@ -355,11 +365,10 @@ def test_harness_passes_fail_as_the_per_element_loops(monkeypatch):
     # the passes of verify_instance against the loops kept in `oracles`:
     # the same first violation, class and message, or the same identities
     # run, on every pass instance as built and, off the held-out corpus
-    # seed, after each corruption of what the passes read.  Two identities
-    # cannot fail first here: ultrafilter_preserved once tight_equals_ultra
-    # holds (every point is an ultrafilter), and cover_vs_domain_equality,
-    # which reads a cover inside the ideal, where it says what
-    # outer_cover_vs_domain_union has just said
+    # seed, after each corruption of what the passes read.  One identity
+    # cannot fail first here: cover_vs_domain_equality, which reads a cover
+    # inside the ideal, where it says what outer_cover_vs_domain_union has
+    # just said
     rng = random.Random(1408)
     failed = Counter()
     for name, sg in pass_instances():
@@ -377,7 +386,7 @@ def test_harness_passes_fail_as_the_per_element_loops(monkeypatch):
             if isinstance(got, tuple):
                 failed[got[1].split(":")[0]] += 1
     assert {"weakly_fixed_vs_fixed_points", "outer_cover_vs_domain_union",
-            "conjugated_domains", "trivial_fixed_subset_fixed",
+            "conjugated_domains", "ultrafilter_preserved", "trivial_fixed_subset_fixed",
             "estar_trivial_fixed_empty", "fixed_implies_weakly_fixed"} <= set(failed), failed
 
 

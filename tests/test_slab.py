@@ -115,25 +115,59 @@ def test_cayley_graph_is_one_packed_int32_array():
 
 
 def test_the_cayley_graph_is_walked_once_per_instance(monkeypatch):
-    # the constructor walks the graph into its spanning tree; the slab,
-    # the groupoid axiom check and the rest of the identity harness read
-    # columns along that tree and never walk it again
+    # the closure walk hands its breadth-first tree to the constructor, so
+    # a closure-built instance never walks the graph again; a table-built
+    # one is walked once, by the constructor.  The slab, the groupoid
+    # axiom check and the rest of the identity harness read columns along
+    # that tree and never walk it
     walks = []
-    spanning_tree = semigroup._spanning_tree
+    breadth_first = semigroup._breadth_first
 
     def counting(right, generators):
         walks.append(len(right))
-        return spanning_tree(right, generators)
+        return breadth_first(right, generators)
 
-    monkeypatch.setattr(semigroup, "_spanning_tree", counting)
+    monkeypatch.setattr(semigroup, "_breadth_first", counting)
     sg = tg.build_fixture("In(5)")
     tg.verify_instance(sg, "In(5)")
-    assert walks == [1546]
-    walks.clear()
+    assert walks == []
     for name, inst in fixtures.iter_corpus(20, 7):
+        tg.verify_instance(inst, name)
+        assert walks == [], name
+    spec = tg.parse_spec(workloads.brandt_text(15))
+    for name, build in (("brandt15", lambda: tg.build_semigroup(spec)),
+                        ("Pow(5)", lambda: tg.build_fixture("Pow(5)")),
+                        ("Cz(7)", lambda: tg.build_fixture("Cz(7)"))):
+        inst = build()
         tg.verify_instance(inst, name)
         assert walks == [inst.size], name
         walks.clear()
+
+
+def spanning_tree_mismatch(sg):
+    """The first element whose ``parent`` and ``letter`` differ from the
+    oracle's breadth-first walk of ``sg.right``, with both edges; None
+    when every element agrees."""
+    tree = oracles.spanning_tree(sg.right.tolist(), sg.generators)
+    assert len(sg.parent) == len(sg.letter) == len(tree) == sg.size
+    for y, p, j in zip(range(sg.size), sg.parent.tolist(), sg.letter.tolist()):
+        want = (-1, -1) if tree[y] is None else tree[y]
+        if (p, j) != want:
+            return y, (p, j), want
+    return None
+
+
+def test_the_tree_is_the_breadth_first_walk():
+    # closure route: the tree read off the walk's own edges; table route:
+    # the constructor's one breadth-first pass over `right`
+    built = [(f"In({n})", tg.symmetric_inverse_monoid(n)) for n in range(1, 7)]
+    built += tg.corpus(300, 7)
+    built += [(name, tg.build_fixture(name)) for name in ("Pow(5)", "Cz(7)")]
+    built.append(("brandt15", tg.build_semigroup(tg.parse_spec(workloads.brandt_text(15)))))
+    for name, sg in built:
+        for tree in (sg.parent, sg.letter):
+            assert tree.dtype == np.int32 and not tree.flags.writeable, name
+        assert spanning_tree_mismatch(sg) is None, name
 
 
 def test_generators_are_the_letters_plus_unreached_zero():

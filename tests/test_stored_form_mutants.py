@@ -1,10 +1,13 @@
 """Defects in the stored forms of an instance end in exit 3.
 
-Each mutant corrupts one bit-row form that the `InverseSemigroup`
-constructor stores, applied to every instance as it is built.  `analyze`
-on a named fixture and `analyze --corpus` must then end in exit 3 with a
-reproducer: a defect is never reported as a verdict or an empty
-spectrum, and never escapes as a traceback."""
+Each mutant corrupts one form that the `InverseSemigroup` constructor
+stores, applied to every instance as it is built: a bit-row form once
+the constructor has filled it, the breadth-first tree (``parent`` and
+``letter``) before the constructor reads columns along it, or the
+packing of bit rows itself.  `analyze` on a named fixture and `analyze
+--corpus` must then end in exit 3 with a reproducer: a defect is never
+reported as a verdict or an empty spectrum, and never escapes as a
+traceback."""
 
 from __future__ import annotations
 
@@ -12,6 +15,8 @@ import numpy as np
 import pytest
 
 from tightgroupoid import cli, semigroup
+
+ROW_BITS = semigroup._row_bits
 
 
 def meet_drops_own_idempotent(sg):
@@ -21,7 +26,7 @@ def meet_drops_own_idempotent(sg):
 def below_marks_zero_products(sg):
     # f <= s also whenever s f = 0
     idem = np.array(sg.idempotent_list())
-    sg.below_bits = tuple(semigroup._row_bits((sg.slab == idem) | (sg.slab == sg.zero)))
+    sg.below_bits = tuple(ROW_BITS((sg.slab == idem) | (sg.slab == sg.zero)))
 
 
 def below_drops_highest_column(sg):
@@ -29,33 +34,98 @@ def below_drops_highest_column(sg):
     sg.below_bits = tuple(bits & keep for bits in sg.below_bits)
 
 
-MUTANTS = (meet_drops_own_idempotent, below_marks_zero_products,
-           below_drops_highest_column)
+def parent_moved_up(sg, parent, letter):
+    # the highest idempotent off the generators hangs off its grandparent,
+    # or off the next generator when its parent is one: the tree stays a
+    # tree, but that slab column is taken through the wrong element
+    off = [e for e in sg.idempotent_list() if parent[e] >= 0]
+    if off:
+        e, gens = off[-1], sg.generators
+        p = parent[e]
+        parent[e] = parent[p] if parent[p] >= 0 else gens[(gens.index(p) + 1) % len(gens)]
+
+
+def parent_skips_a_level(sg, parent, letter):
+    # the highest idempotent two levels deep hangs off its grandparent
+    deep = [e for e in sg.idempotent_list() if parent[e] >= 0 and parent[parent[e]] >= 0]
+    if deep:
+        parent[deep[-1]] = parent[parent[deep[-1]]]
+
+
+def letter_off_by_one(sg, parent, letter):
+    # the highest idempotent off the generators takes the next letter
+    off = [e for e in sg.idempotent_list() if letter[e] >= 0]
+    if off:
+        letter[off[-1]] = (letter[off[-1]] + 1) % len(sg.generators)
+
+
+def row_bits_off_by_one(flags):
+    # bit j + 1 set when cell j is True
+    return [bits << 1 for bits in ROW_BITS(flags)]
+
+
+def after_construction(corrupt):
+    def apply(mp):
+        init = semigroup.InverseSemigroup.__init__
+
+        def mutated(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            corrupt(self)
+
+        mp.setattr(semigroup.InverseSemigroup, "__init__", mutated)
+    return corrupt.__name__, apply
+
+
+def in_the_tree(corrupt):
+    def apply(mp):
+        columns = semigroup.InverseSemigroup._columns
+
+        def mutated(self, wanted):
+            if not hasattr(self, "slab"):     # the constructor's first read
+                parent, letter = self.parent.copy(), self.letter.copy()
+                corrupt(self, parent, letter)
+                self.parent, self.letter = parent, letter
+            return columns(self, wanted)
+
+        mp.setattr(semigroup.InverseSemigroup, "_columns", mutated)
+    return corrupt.__name__, apply
+
+
+def in_the_packing(packing):
+    return packing.__name__, lambda mp: mp.setattr(semigroup, "_row_bits", packing)
+
+
+MUTANTS = dict([after_construction(meet_drops_own_idempotent),
+                after_construction(below_marks_zero_products),
+                after_construction(below_drops_highest_column),
+                in_the_tree(parent_moved_up),
+                in_the_tree(parent_skips_a_level),
+                in_the_tree(letter_off_by_one),
+                in_the_packing(row_bits_off_by_one)])
 RUNS = (["--fixture", "B2"], ["--fixture", "E4"], ["--fixture", "I2"],
-        ["--fixture", "Z2z"], ["--fixture", "Cz(40)"],
+        ["--fixture", "Z2z"], ["--fixture", "Cz(40)"], ["--fixture", "In(4)"],
         ["--corpus", "20", "--seed", "7"])
-# Known survivors, open defects.  None is left: the highest-column
-# mutant once survived on E4 and I2, whose highest idempotent column is
-# the identity's, because losing it changed only the Hausdorff and
-# fixed-cover witnesses, never a verdict; `analyze` now checks that every
-# idempotent's row of `below_bits` holds its own column.
-SURVIVORS = set()
+# Known survivors, open defects.  The highest-column mutant once survived
+# on E4 and I2, whose highest idempotent column is the identity's,
+# because losing it changed only the Hausdorff and fixed-cover witnesses,
+# never a verdict; `analyze` now checks that every idempotent's row of
+# `below_bits` holds its own column.  Open: on In(4) the level-skipping
+# tree mutant takes the slab column of the partial identity on {0, 1, 3}
+# (element 88) through the wrong element, 136 wrong cells, 8 of them in
+# idempotent rows; the report changes, but every verdict pair and
+# identity `analyze` runs still agrees, so it exits 0.  On B2, E4 and
+# Z2z no idempotent lies two levels deep, so that mutant changes nothing.
+SURVIVORS = {("parent_skips_a_level", run) for run in ("B2", "E4", "Z2z", "In(4)")}
 
 
-@pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.__name__)
+@pytest.mark.parametrize("mutant", MUTANTS)
 def test_stored_form_mutants_exit_3(mutant, monkeypatch, tmp_path, capsys):
     monkeypatch.chdir(tmp_path)
-    init = semigroup.InverseSemigroup.__init__
-
-    def mutated(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        mutant(self)
-
-    monkeypatch.setattr(semigroup.InverseSemigroup, "__init__", mutated)
+    MUTANTS[mutant](monkeypatch)
     for argv in RUNS:
         code = cli.run_cli(["analyze", *argv])
         err = capsys.readouterr().err
-        if (mutant.__name__, argv[1]) in SURVIVORS:
+        if (mutant, argv[1]) in SURVIVORS:
             assert code == 0, argv
             continue
         assert code == 3, (argv, err)
