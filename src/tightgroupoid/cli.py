@@ -29,16 +29,16 @@ CHECK_NAMES = {
 
 
 def spec_of_semigroup(sg: InverseSemigroup, name: str) -> SemigroupSpec:
-    """Spec reproducing the instance exactly.  A closure-built instance
-    is given by the partial maps of its generators, read off their digit
-    rows, whose closure has the same elements in the same order, so its
-    table is never filled; any other instance by its table."""
+    """Spec reproducing the instance exactly, its table never filled.  A
+    closure-built instance is given by the partial maps of its generators,
+    read off their digit rows, whose closure has the same elements in the
+    same order; any other by its table, every column at once, transposed."""
     if sg._digits is not None:
         gens = _images(sg._digits[list(sg.generators)])
         return SemigroupSpec(name, "generators", degree=sg._digits.shape[1],
                              generators=tuple((f"g{j}", g) for j, g in enumerate(gens)))
     return SemigroupSpec(name, "table", size=sg.size, zero=sg.zero,
-                         rows=sg.table)
+                         rows=sg._columns(range(sg.size)).T)
 
 
 def _parser() -> argparse.ArgumentParser:

@@ -18,7 +18,8 @@ groupoid (keyed on ``slab`` cells), and minimality reads nothing else;
 the trivially fixed mask behind the direct Hausdorff and essential
 principality decisions reads ``below_bits``, and local contraction reads
 only the number of points; :func:`analyze` first checks that the order
-in ``below_bits`` is reflexive.  The criteria read: Hausdorff,
+in ``below_bits`` is reflexive and, on a closure-built instance, the
+slab's idempotent rows against the maps.  The criteria read: Hausdorff,
 ``below_bits`` and ``meet_bits``; essential principality and
 minimality, ``slab``, ``below_bits`` and ``meet_bits``; local
 contraction, the ``slab`` column of the least atom, found by ``below_bits``.
@@ -393,6 +394,17 @@ def analyze(sg: InverseSemigroup, name: str = "S") -> Analysis:
     # both routes read the order as stored: each idempotent is below itself
     _identity("reflexive_order", [], [e for e in sg.idempotent_list()
                                       if not sg.below_bits[e] >> sg.column[e] & 1], name)
+    # a closure-built instance keeps its maps, a second source for the
+    # slab's idempotent rows: e f is the identity on dom e ∩ dom f, so its
+    # digits are the lesser of e's and f's (x + 1 on a domain, else 0).  A
+    # table-built instance keeps no second source for this check
+    if sg._digits is not None:
+        idem = list(sg.idempotent_list())
+        ids = sg._digits[idem]
+        bad = (sg._digits[sg.slab[idem]] != np.minimum(ids[:, None], ids)).any(axis=2)
+        if bad.any():
+            i, j = _first(bad)
+            raise TheoremViolation("idempotent_products", [], [(idem[i], idem[j])], name)
     spec = spectrum_mod.tight_spectrum(sg)    # refuses E(S) = {0}
     # every nonzero idempotent lies above an atom, so some point is tight
     _identity("nonempty_spectrum", bool(spec.points), len(sg.idempotents) > 1, name)

@@ -16,9 +16,9 @@ with its breadth-first spanning tree (the closure walk's own; a table's
 graph is walked once); the slab, the block of products of arrow
 representatives that the groupoid axiom check reads, and the full table
 are columns read along that tree by one method, ``_columns``.  Nothing
-in the analysis or the identity harness fills the table; it remains,
-filled on first access, for readers outside them.  The closure builder
-keeps its maps as the rows of one digit array.
+in the package fills the table; it remains, filled on first access, for
+readers outside it.  The closure builder keeps its maps as the rows of
+one digit array.
 
 Instances are immutable after construction and safe to share between
 threads; after ``__init__`` only the table, the partial maps and the
@@ -120,7 +120,7 @@ class InverseSemigroup:
             ``generators[letter[y]]``, both -1 at a generator.
         table: multiplication table, ``table[a][b]`` is the product,
             filled by :meth:`_columns` on first access for readers outside
-            the analysis and the identity harness, which never read it.
+            the package, which never reads it.
         element_names: optional printable names, index aligned.
         partial_maps: for closure-built instances, each element's
             image tuple (None where undefined), read off the digit rows
@@ -537,10 +537,8 @@ def _row_bits(flags: np.ndarray) -> list:
     """Each row of a 2-d bool array as one integer, with bit j set when
     cell j is True."""
     packed = np.packbits(flags, axis=1, bitorder="little")
-    width = packed.shape[1]
-    raw = packed.tobytes()
-    return [int.from_bytes(raw[i:i + width], "little")
-            for i in range(0, len(raw), width)]
+    rows = packed.view(f"V{packed.shape[1]}").ravel().tolist()   # bytes each
+    return list(map(int.from_bytes, rows, itertools.repeat("little")))
 
 
 def _bit_rows(rows, width: int) -> np.ndarray:

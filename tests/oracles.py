@@ -56,6 +56,73 @@ def brute_ultrafilters(sg):
     return {f for f in filters if not any(f < g for g in filters)}
 
 
+def scan_validate_filter(sg, f):
+    """The filter axioms checked pair by pair: nonempty, zero-free,
+    idempotent members, closed under meets and upward, with `f.min`
+    generating them."""
+    from tightgroupoid import errors, filter_from_min
+
+    if not f.members or sg.zero in f.members:
+        raise errors.ZeroGeneratesNoFilter("filter members must be nonempty and zero-free")
+    for e in f.members:
+        if e not in sg.idempotents:
+            raise errors.NotIdempotent(e)
+    for a in f.members:
+        for b in f.members:
+            if sg.meet(a, b) not in f.members:
+                raise errors.NotAnIdeal("filter not closed under meets")
+    for a in f.members:
+        for b in sg.idempotent_list():
+            if sg.leq_e(a, b) and b not in f.members:
+                raise errors.NotAnIdeal("filter not upward closed")
+    expected = filter_from_min(sg, f.min)
+    if expected.members != f.members:
+        raise errors.NotAnIdeal("filter members disagree with the up-set of min")
+
+
+def scan_validate_character(sg, c):
+    """The character axioms, multiplicativity checked at every pair
+    (e, f) of idempotents."""
+    from tightgroupoid import errors
+
+    if not c.ones:
+        raise errors.NotInDomain("the zero map is not a character")
+    if sg.zero in c.ones:
+        raise errors.NotInDomain("a character must vanish at zero")
+    for e in c.ones:
+        if e not in sg.idempotents:
+            raise errors.NotIdempotent(e)
+    idem = sg.idempotent_list()
+    for e in idem:
+        for f, ef in zip(idem, sg.slab[e].tolist()):
+            lhs = 1 if ef in c.ones else 0
+            if lhs != c(e) * c(f):
+                raise errors.NotInDomain(f"character not multiplicative at ({e},{f})")
+
+
+def scan_filter_of(sg, c):
+    """The support of a character, validated by both pairwise scans."""
+    from tightgroupoid import Filter
+
+    scan_validate_character(sg, c)
+    m = None
+    for e in c.ones:
+        m = e if m is None else sg.meet(m, e)
+    f = Filter(m, frozenset(c.ones))
+    scan_validate_filter(sg, f)
+    return f
+
+
+def scan_is_ultrafilter(sg, f):
+    """No filter properly contains `f`, by a scan over every filter."""
+    from tightgroupoid import all_filters
+
+    for g in all_filters(sg):
+        if f.members < g.members:
+            return False
+    return True
+
+
 def downclose(sg, seed):
     """Smallest ideal containing the given idempotents."""
     members = {sg.zero}
@@ -160,15 +227,16 @@ def direct_trivial_fixed_points(action, s):
 
 def image_filter_via_characters(sg, s, filt):
     """Push a filter through the dual character action and come back."""
-    from tightgroupoid import Character, char_of, filter_of
+    from tightgroupoid import Character
 
-    phi = char_of(sg, filt)
+    scan_validate_filter(sg, filt)
+    phi = Character(filt.members)
     star = sg.star[s]
     ones = frozenset(
         e for e in sg.idempotent_list()
         if sg.table[sg.table[star][e]][s] in phi.ones
     )
-    return filter_of(sg, Character(ones))
+    return scan_filter_of(sg, Character(ones))
 
 
 def orbit_classes_by_bfs(action):
@@ -202,9 +270,9 @@ def act_on_character(sg, s, c):
     takes value 1 at ss*.
     """
     from tightgroupoid.errors import NotInDomain
-    from tightgroupoid.spectrum import Character, validate_character
+    from tightgroupoid.spectrum import Character
 
-    validate_character(sg, c)
+    scan_validate_character(sg, c)
     star = sg.star[s]
     if sg.table[star][s] not in c.ones:
         raise NotInDomain("character vanishes at s*s")
@@ -1023,6 +1091,20 @@ def per_element_identities(analysis, name="S", seed=0):
         gpd.verify_axioms()
         checks["groupoid_axioms"] = True
     return checks
+
+
+# -------------------------------------------------- bit rows, row by row
+
+def loop_row_bits(flags):
+    """Each row of a 2-d bool array as one integer, bit j set when cell j
+    is True: its packed bytes sliced row by row."""
+    import numpy as np
+
+    packed = np.packbits(flags, axis=1, bitorder="little")
+    width = packed.shape[1]
+    raw = packed.tobytes()
+    return [int.from_bytes(raw[i:i + width], "little")
+            for i in range(0, len(raw), width)]
 
 
 # ----------------------------------------- table fixtures, cell by cell

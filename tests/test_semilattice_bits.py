@@ -7,10 +7,11 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 import tightgroupoid as tg
-from tightgroupoid import errors
+from tightgroupoid import errors, semigroup
 
 import oracles
 from test_array_passes import NINE_FIXTURES
@@ -108,3 +109,15 @@ def test_semilattice_bits_match_the_meet_table():
                 sg.ideal_perp(frozenset({zero}))
     # no outcome is vacuous
     assert min(escapes, covered, uncovered) > 1000, (escapes, covered, uncovered)
+
+
+def test_row_bits_match_the_row_loop():
+    # one conversion of the packed rows, widths that are not whole bytes
+    # included, as the loop that sliced the packed bytes row by row
+    rng = np.random.default_rng(5278)
+    for width in range(1, 131):
+        for rows in (1, 2, 9):
+            flags = rng.random((rows, width)) < rng.random()
+            got = semigroup._row_bits(flags)
+            assert got == oracles.loop_row_bits(flags), (rows, width)
+            assert all(type(bits) is int for bits in got), (rows, width)

@@ -204,6 +204,19 @@ def test_analysis_never_fills_the_table(monkeypatch):
         sg.table[1][2]
 
 
+def test_table_reproducer_never_fills_the_table():
+    # a table-built instance's reproducer reads every column at once; its
+    # text is the one written from the table
+    spec = tg.parse_spec(workloads.brandt_text(15))
+    for name, sg in (("Bn(8)", tg.build_fixture("Bn(8)")),
+                     (spec.name, tg.build_semigroup(spec))):
+        text = tg.format_spec(cli.spec_of_semigroup(sg, name))
+        assert sg._table is None, name
+        assert text == tg.format_spec(tg.SemigroupSpec(
+            name, "table", size=sg.size, zero=sg.zero, rows=sg.table)), name
+        assert text.count("\n") == sg.size + 2, name
+
+
 def test_group_with_zero_analysis_never_fills_the_table(monkeypatch):
     # the identity of a group with zero is read from the slab, so neither
     # the fixture nor its analysis asks for a general product

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tightgroupoid as tg
-from tightgroupoid import errors
+from tightgroupoid import errors, spectrum
 
 import oracles
+from conftest import CORPUS_COUNT, CORPUS_SEED
+from test_array_passes import NINE_FIXTURES
 
 SAMPLES = [
     tg.build_fixture("I2"),
@@ -93,6 +97,73 @@ def test_bad_characters_rejected():
         tg.filter_of(e4, tg.Character(frozenset({1, 2, 3})))  # a*b = 0
 
 
+# -------------------------------------- closed forms against their scans
+
+def outcome(check, *args):
+    """What a check returns, a filter as (min, members), or the type of
+    the error it raises."""
+    try:
+        got = check(*args)
+    except errors.TightGroupoidError as exc:
+        return type(exc)
+    return (got.min, got.members) if isinstance(got, tg.Filter) else got
+
+
+def candidate_filters(sg, rng):
+    """(min, members) pairs: every filter, each with a wrong min, zero
+    and a non-idempotent as min, a member dropped or added, zero or a
+    non-idempotent added; orthogonal pairs; random sets."""
+    idem, nonzero = sg.idempotent_list(), sg.nonzero_idempotents()
+    others = [s for s in sg.elements() if s not in sg.idempotents]
+    for f in tg.all_filters(sg):
+        yield f.min, f.members
+        yield rng.choice(idem), f.members
+        yield sg.zero, f.members
+        for member in rng.sample(sorted(f.members), min(2, len(f.members))):
+            yield f.min, f.members - {member}
+        yield f.min, f.members | {rng.choice(nonzero)}
+        yield f.min, f.members | {sg.zero}
+        if others:
+            yield rng.choice(others), f.members
+            yield f.min, f.members | {rng.choice(others)}
+    pairs = [(e, g) for e in nonzero for g in nonzero if e < g and sg.orthogonal(e, g)]
+    for e, g in rng.sample(pairs, min(5, len(pairs))):
+        yield e, frozenset({e, g})
+    for _ in range(10):
+        yield rng.choice(idem), frozenset(rng.sample(idem, rng.randint(0, len(idem))))
+
+
+def test_closed_form_checks_match_their_scans():
+    # each check decides as the pairwise scan it replaced: the same value,
+    # or the same exception type, on valid and invalid inputs alike
+    named = [(name, tg.build_fixture(name)) for name in NINE_FIXTURES]
+    seen = set()
+    for name, sg in named + tg.corpus(CORPUS_COUNT, CORPUS_SEED):
+        rng = random.Random(name)
+        for m, members in candidate_filters(sg, rng):
+            f, c = tg.Filter(m, members), tg.Character(members)
+            valid = outcome(oracles.scan_validate_filter, sg, f)
+            assert outcome(spectrum.validate_filter, sg, f) == valid, (name, m, members)
+            assert outcome(tg.is_ultrafilter, sg, f) == (
+                valid if valid else oracles.scan_is_ultrafilter(sg, f)), (name, m, members)
+            character = outcome(oracles.scan_validate_character, sg, c)
+            assert outcome(spectrum.validate_character, sg, c) == character, (name, members)
+            assert outcome(tg.filter_of, sg, c) == \
+                outcome(oracles.scan_filter_of, sg, c), (name, members)
+            seen |= {valid, (character, "character")}
+            if valid is errors.NotAnIdeal:
+                with pytest.raises(errors.NotAnIdeal) as exc:
+                    oracles.scan_validate_filter(sg, f)
+                seen.add(str(exc.value))
+    # every verdict of both scans occurs, and each way of not being a filter
+    assert seen >= {None, errors.NotAnIdeal, errors.ZeroGeneratesNoFilter,
+                           errors.NotIdempotent, (None, "character"),
+                           (errors.NotInDomain, "character"),
+                           (errors.NotIdempotent, "character"),
+                           "filter not closed under meets", "filter not upward closed",
+                           "filter members disagree with the up-set of min"}, seen
+
+
 # ------------------------------------------------------------ ultrafilters
 
 def test_ultrafilter_examples():
@@ -126,7 +197,7 @@ def test_ultrafilter_characterizations_agree():
                 e != f.min and sg.leq_e(e, f.min)
                 for e in sg.nonzero_idempotents()
             )
-            assert direct == by_meets == by_min
+            assert direct == by_meets == by_min == oracles.scan_is_ultrafilter(sg, f)
 
 
 def test_basic_open_examples():

@@ -7,7 +7,8 @@ the constructor has filled it, the breadth-first tree (``parent`` and
 packing of bit rows itself.  `analyze` on a named fixture and `analyze
 --corpus` must then end in exit 3 with a reproducer: a defect is never
 reported as a verdict or an empty spectrum, and never escapes as a
-traceback."""
+traceback.  What catches a tree mutant on a closure-built instance is
+the check of the slab's idempotent rows against the instance's maps."""
 
 from __future__ import annotations
 
@@ -103,19 +104,21 @@ MUTANTS = dict([after_construction(meet_drops_own_idempotent),
                 in_the_tree(letter_off_by_one),
                 in_the_packing(row_bits_off_by_one)])
 RUNS = (["--fixture", "B2"], ["--fixture", "E4"], ["--fixture", "I2"],
-        ["--fixture", "Z2z"], ["--fixture", "Cz(40)"], ["--fixture", "In(4)"],
+        ["--fixture", "Z2z"], ["--fixture", "Cz(40)"], ["--fixture", "In(3)"],
+        ["--fixture", "In(4)"], ["--fixture", "In(5)"],
         ["--corpus", "20", "--seed", "7"])
-# Known survivors, open defects.  The highest-column mutant once survived
-# on E4 and I2, whose highest idempotent column is the identity's,
-# because losing it changed only the Hausdorff and fixed-cover witnesses,
-# never a verdict; `analyze` now checks that every idempotent's row of
-# `below_bits` holds its own column.  Open: on In(4) the level-skipping
-# tree mutant takes the slab column of the partial identity on {0, 1, 3}
-# (element 88) through the wrong element, 136 wrong cells, 8 of them in
-# idempotent rows; the report changes, but every verdict pair and
-# identity `analyze` runs still agrees, so it exits 0.  On B2, E4 and
-# Z2z no idempotent lies two levels deep, so that mutant changes nothing.
-SURVIVORS = {("parent_skips_a_level", run) for run in ("B2", "E4", "Z2z", "In(4)")}
+# Known survivors, where a mutant changes nothing: on B2, E4 and Z2z no
+# idempotent lies two levels deep in the tree, so the level-skipping
+# mutant leaves every column as it was.  Where a mutant changes only
+# witnesses or the report, never a verdict, `analyze` checks the stored
+# forms themselves: that every idempotent's row of `below_bits` holds
+# its own column (the highest-column mutant on E4 and I2), and the
+# slab's idempotent rows of a closure-built instance against its maps
+# (the level-skipping mutant on In(3), In(4) and In(5); on In(4) it
+# takes the column of element 88, the partial identity on {0, 1, 3},
+# through the wrong element).  A table-built instance keeps no second
+# source for that check.
+SURVIVORS = {("parent_skips_a_level", run) for run in ("B2", "E4", "Z2z")}
 
 
 @pytest.mark.parametrize("mutant", MUTANTS)
