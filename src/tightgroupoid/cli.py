@@ -2,10 +2,10 @@
 
 Exit codes: 0 on success (including the documented empty-spectrum error
 document, and a run whose standard output closes early, as when it is
-piped into ``head``, which stops quietly), 1 on input errors and on
-output files that cannot be written, 2 on usage errors, 3 when two
-provably equal verdicts disagree or, in corpus mode, a generated
-instance raises any error, in which case a reproducer file is written.
+piped into ``head``, which stops quietly), 1 on input errors and on output
+files that cannot be written, 2 on usage errors, 3, with a reproducer file
+written, when two provably equal verdicts disagree, a stored form fails its
+check (while built, too) or, in corpus mode, an instance raises any error.
 """
 
 from __future__ import annotations
@@ -108,14 +108,15 @@ def _violation_path(name: str) -> str:
     return f"violation-{safe}.json"
 
 
-def _dump_violation(sg: InverseSemigroup, name: str,
+def _dump_violation(sg: InverseSemigroup | None, name: str,
                     exc: TightGroupoidError) -> str | None:
     path = _violation_path(name)
     body = {"instance": name, "error": type(exc).__name__, "message": str(exc)}
     if isinstance(exc, TheoremViolation):
         body |= {"property": exc.property, "criterion": repr(exc.criterion),
                  "direct": repr(exc.direct), "detail": exc.instance}
-    body["isg"] = format_spec(spec_of_semigroup(sg, name))
+    if sg is not None:      # else it failed while building, from its input
+        body["isg"] = format_spec(spec_of_semigroup(sg, name))
     return None if _write(path, report.json_text(body)) else path
 
 
@@ -146,6 +147,9 @@ def _analyze_single(args) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return 1
+    except TheoremViolation as exc:     # a stored form that fails its check
+        _report_violation(None, name, exc, " while building")
+        return 3
     except TightGroupoidError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 1

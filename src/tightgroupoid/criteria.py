@@ -20,9 +20,11 @@ principality decisions reads ``below_bits``, and local contraction reads
 only the number of points; :func:`analyze` first checks that the order
 in ``below_bits`` is reflexive and, on a closure-built instance, the
 slab's idempotent rows against the maps.  The criteria read: Hausdorff,
-``below_bits`` and ``meet_bits``; essential principality and
-minimality, ``slab``, ``below_bits`` and ``meet_bits``; local
-contraction, the ``slab`` column of the least atom, found by ``below_bits``.
+``below_bits`` and ``meet_bits``; essential principality and minimality,
+``slab``, ``below_bits`` and ``meet_bits``; local contraction, the
+``slab`` column of the least atom, found by ``below_bits``.  Of the
+harness's cover identities, the outer one reads ``meet_bits`` and the
+one inside the ideal ``below_bits``, each against the action's domains.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from . import action as action_mod
 from . import germs as germs_mod
 from . import spectrum as spectrum_mod
 from .errors import PreconditionViolated, TheoremViolation
-from .semigroup import Ideal, InverseSemigroup, _bit_rows, _row_bits
+from .semigroup import InverseSemigroup, _bit_rows, _row_bits
 
 
 @dataclass(frozen=True)
@@ -58,19 +60,18 @@ def hausdorff_criterion(sg: InverseSemigroup) -> CriterionResult:
     cover, so the verdict is True and the value of the operation is the
     witness table plus the agreement assertion against the groupoid-level
     decision made elsewhere.  Elements with one row of ``sg.below_bits``,
-    one fixed ideal, share one canonical cover, built and checked once.
+    one fixed ideal, share one canonical cover, ``sg._maximal`` of the
+    row, built and checked once on bits.
     """
-    covers = {}
-    by_row = {}
+    covers, by_row, nonzero = {}, {}, ~(1 << sg.column[sg.zero])
     for s, row in enumerate(sg.below_bits):
         cover = by_row.get(row)
         if cover is None:
-            ideal = sg.fixed_idempotents(s)
-            found = sg.canonical_cover(ideal)
-            if not sg.is_cover(found, ideal):
-                raise TheoremViolation("canonical_cover", sorted(found), sorted(ideal),
-                                       f"element {s}")
-            cover = by_row[row] = tuple(sorted(found))
+            found = sg._maximal(row)
+            if found & ~row or row & nonzero & ~sg._met(found):
+                raise TheoremViolation("canonical_cover", list(sg.members_of(found)),
+                                       list(sg.members_of(row)), f"element {s}")
+            cover = by_row[row] = sg.members_of(found)
         covers[s] = cover
     return CriterionResult(True, witness={"covers": covers})
 
@@ -114,21 +115,11 @@ def weakly_fixed(sg: InverseSemigroup, e: int, s: int) -> bool:
     raise PreconditionViolated(f"idempotent {e} does not lie below s*s for s={s}")
 
 
-def _meet_rows(sg, candidates) -> tuple:
-    """The members of `candidates` (bits) in increasing order, each with
-    its row of ``sg.meet_bits``, and the union of the rows: what they meet."""
-    rows = tuple((c, sg.meet_bits[c]) for c in sg.members_of(candidates))
-    met = 0
-    for _, bits in rows:
-        met |= bits
-    return rows, met
-
-
-def _minimize_cover(rows, members):
-    """Greedy removal pass over a cover, the `rows` of
-    :func:`_meet_rows`, of the nonzero `members`, as bits; keeps the
-    witness small for readability, correctness never depends on the
-    result being minimum.
+def _minimize_cover(sg, candidates, members, rows):
+    """Greedy removal pass over a cover, the `candidates`, of the nonzero
+    `members`, both bits; keeps the witness small for readability,
+    correctness never depends on the result being minimum.  `rows` keeps
+    each candidate set's members with their ``sg.meet_bits`` rows.
 
     In increasing order, a candidate c is dropped when every member it
     meets is met by another candidate still chosen, which is exactly when
@@ -136,7 +127,12 @@ def _minimize_cover(rows, members):
     after it, so the test is one mask against the union of the kept ones
     and a suffix union.
     """
-    hits = [bits & members for _, bits in rows]
+    got = rows.get(candidates)
+    if got is None:
+        cands = sg.members_of(candidates)
+        got = rows[candidates] = cands, list(map(sg.meet_bits.__getitem__, cands))
+    cands, meets = got
+    hits = [bits & members for bits in meets]
     after = []                        # after[i]: union of the hits past i
     union = 0
     for hit in reversed(hits):
@@ -145,7 +141,7 @@ def _minimize_cover(rows, members):
     after.reverse()
     kept = []
     union = 0
-    for (c, _), hit, rest in zip(rows, hits, after):
+    for c, hit, rest in zip(cands, hits, after):
         if hit & ~(union | rest):     # a member that only c meets
             kept.append(c)
             union |= hit
@@ -165,29 +161,25 @@ def top_free_criterion(sg: InverseSemigroup) -> CriterionResult:
     :func:`_weakly_fixed_flags` with the zero left out, once per distinct
     (candidates, e), all of it on bits: the candidates are
     ``sg.below_bits[e] & sg.below_bits[s]``, the first uncovered member
-    is the lowest bit of ``sg.below_bits[e]`` outside the bits the
-    candidates meet, and a cover is trimmed by :func:`_minimize_cover`,
-    both read off one :func:`_meet_rows`.
+    is the lowest bit of ``sg.below_bits[e]`` outside what the candidates
+    meet, ``sg._met``, and a cover is trimmed by :func:`_minimize_cover`.
     """
     idem, below_bits = sg.idempotent_list(), sg.below_bits
     zero_column = sg.column[sg.zero]
     nonzero = ~(1 << zero_column)
     rows, cols = np.nonzero(_weakly_fixed_flags(sg))
     keep = cols != zero_column
-    failures = []
-    covers = {}
-    memo = {}
+    failures, covers, memo, trim = [], {}, {}, {}
     for s, j in zip(rows[keep].tolist(), cols[keep].tolist()):
         e = idem[j]
         cands = below_bits[e] & below_bits[s] & nonzero
         got = memo.get((cands, e))
         if got is None:
-            meets, met = _meet_rows(sg, cands)
-            missed = below_bits[e] & nonzero & ~met
+            missed = below_bits[e] & nonzero & ~sg._met(cands)
             if missed:
                 got = (idem[(missed & -missed).bit_length() - 1], None)
             else:
-                got = (None, _minimize_cover(meets, below_bits[e] & nonzero))
+                got = (None, _minimize_cover(sg, cands, below_bits[e] & nonzero, trim))
             memo[cands, e] = got
         uncovered, small = got
         if uncovered is None:
@@ -225,9 +217,9 @@ def minimal_criterion(sg: InverseSemigroup) -> CriterionResult:
     Outer covers are monotone, so some finite subfamily works exactly
     when the full family does; a small subfamily is extracted afterwards
     as the witness.  f enters only through the set of its conjugates, its
-    row of :func:`_conjugators` read as bits, so each distinct conjugate
-    set is read once into its :func:`_meet_rows`, and each e is decided
-    against the bits they meet for all its members at once: the first
+    row of :func:`_conjugators` read as bits, so what each distinct
+    conjugate set meets is read once, ``sg._met``, and each e is decided
+    against it for all its members at once: the first
     member of the ideal below e that they miss, the lowest set bit of
     ``sg.below_bits[e]`` outside them, is uncovered.  The witness covers
     are trimmed only when no pair fails, each conjugate c of f paired with
@@ -239,8 +231,8 @@ def minimal_criterion(sg: InverseSemigroup) -> CriterionResult:
     via = _conjugators(sg)
     nonzero = ~(1 << column[sg.zero])
     conjugates = [bits & nonzero for bits in _row_bits(via < sg.size)]
-    meets = {bits: _meet_rows(sg, bits) for bits in set(conjugates)}
-    reach = [meets[conjugates[column[f]]][1] for f in nz]
+    met = {bits: sg._met(bits) for bits in set(conjugates)}
+    reach = [met[conjugates[column[f]]] for f in nz]
     failures = []
     for e in nz:
         below = below_bits[e] & nonzero
@@ -251,7 +243,7 @@ def minimal_criterion(sg: InverseSemigroup) -> CriterionResult:
                 failures.append({"e": e, "f": f, "uncovered": uncovered})
     if failures:
         return CriterionResult(False, witness={"failures": failures})
-    witnesses = {}
+    witnesses, trim = {}, {}
     made = {}                         # (trimmed cover, f) -> its (cover, via) pairs
     for e in nz:
         below = below_bits[e] & nonzero
@@ -260,7 +252,7 @@ def minimal_criterion(sg: InverseSemigroup) -> CriterionResult:
             cands = conjugates[column[f]]
             small = trimmed.get(cands)
             if small is None:
-                small = trimmed[cands] = _minimize_cover(meets[cands][0], below)
+                small = trimmed[cands] = _minimize_cover(sg, cands, below, trim)
             pairs = made.get((small, f))
             if pairs is None:
                 row = via[column[f]]
@@ -464,7 +456,10 @@ def verify_instance(sg: InverseSemigroup, name: str = "S", seed: int = 0):
     its first failing cell, in (s, e) or (s, x) order, and formats its
     instance label (``s=...``, ``J=... C=...``) only then, so it raises
     what a loop element by element would; the test suite keeps that loop
-    as its oracle.
+    as its oracle.  The cover identities hold each ideal J and candidate C
+    as a bit row, and members only in a message: the outer one reads what
+    C meets, ``sg._met``; for C inside J, ``below_bits`` alone, every atom
+    of J below a member of C.
     """
     analysis = analyze(sg, name)
     act = analysis.action
@@ -497,52 +492,41 @@ def verify_instance(sg: InverseSemigroup, name: str = "S", seed: int = 0):
                                bool(pointwise[s, j]), f"{name} s={s} e={idem[j]}")
     checks["weakly_fixed_vs_fixed_points"] = True
 
-    # outer covers match inclusions of domain unions; each idempotent's
-    # domain row packed into one int, a union is one OR per member
-    domain_bits = dict(zip(idem, _row_bits(domains)))
-
-    def union(members):
-        out = 0
-        for f in members:
-            out |= domain_bits[f]
-        return out
-
+    # outer covers match inclusions of domain unions; C inside J covers J,
+    # every atom of J below a member of C, when their unions are equal
+    domain_rows = _row_bits(domains)
+    idem_below = [sg.below_bits[e] for e in idem]
+    atoms = sg.bits(e for e in idem if spectrum_mod._is_atom(sg, e))
+    nonzero, everything = ~(1 << sg.column[zero]), (1 << len(idem)) - 1
     rng = random.Random(seed)
-    ideals = [sg.principal_ideal(e) for e in idem]
-    fixed_ideals = sorted(map(sg.members_of, set(sg.below_bits)))
-    ideals += [Ideal(frozenset(mem)) for mem in fixed_ideals]
-    ideals += [sg.ideal_perp(sg.principal_ideal(e)) for e in idem]
+    ideals = idem_below + sorted(set(sg.below_bits), key=sg.members_of)
+    ideals += [everything & ~sg._met(bits) for bits in idem_below]
     for _ in range(3):
-        seedset = rng.sample(idem, k=min(len(idem), 3))
-        closed = {zero}
-        for e in seedset:
-            closed.update(sg.below(e))
-        ideals.append(sg.ideal(closed))
-    dedup = {ideal.members: ideal for ideal in ideals}
-    all_nonzero = frozenset(sg.nonzero_idempotents())
-    for ideal in dedup.values():
-        members = ideal.members
-        canonical = sg.canonical_cover(ideal)
-        candidates = [canonical, frozenset(), all_nonzero]
-        cc = sorted(canonical)
-        if cc:
-            candidates.append(frozenset(cc[1:]))
-        for _ in range(2):
-            candidates.append(frozenset(rng.sample(idem, k=min(len(idem), 2))))
-        ideal_union = union(members)
+        closed = {zero}.union(*map(sg.below, rng.sample(idem, k=min(len(idem), 3))))
+        sg.ideal(closed)                 # checks the rows read against the slab
+        ideals.append(sg.bits(closed))
+
+    seen = {}                            # candidate -> what it meets, its domain union
+    for ideal in dict.fromkeys(ideals):
+        canonical = sg._maximal(ideal)
+        candidates = [canonical, 0, everything & nonzero]
+        candidates += [canonical & (canonical - 1)] if canonical else []  # lowest dropped
+        candidates += [sg.bits(rng.sample(idem, k=min(len(idem), 2))) for _ in range(2)]
+        ideal_union = sg._met(ideal, domain_rows)
         for cov in candidates:
-            lhs = sg.is_outer_cover(cov, ideal)
-            cov_union = union(cov)
+            if cov not in seen:
+                seen[cov] = sg._met(cov), sg._met(cov, domain_rows)
+            met, cov_union = seen[cov]
+            check = "outer_cover_vs_domain_union"
+            lhs = not ideal & nonzero & ~met
             rhs = not ideal_union & ~cov_union
-            if lhs != rhs:
-                raise TheoremViolation("outer_cover_vs_domain_union", lhs, rhs,
-                                       f"{name} J={sorted(members)} C={sorted(cov)}")
-            if cov <= members:
-                lhs = sg.is_cover(cov, ideal)
+            if lhs == rhs and not cov & ~ideal:
+                check = "cover_vs_domain_equality"
+                lhs = not ideal & atoms & ~sg._met(cov, idem_below)
                 rhs = ideal_union == cov_union
-                if lhs != rhs:
-                    raise TheoremViolation("cover_vs_domain_equality", lhs, rhs,
-                                           f"{name} J={sorted(members)} C={sorted(cov)}")
+            if lhs != rhs:
+                raise TheoremViolation(check, lhs, rhs, f"{name} J={list(sg.members_of(ideal))} "
+                                       f"C={list(sg.members_of(cov))}")
     checks["outer_cover_vs_domain_union"] = True
     checks["cover_vs_domain_equality"] = True
 

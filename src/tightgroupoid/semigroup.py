@@ -21,9 +21,9 @@ readers outside it.  The closure builder keeps its maps as the rows of
 one digit array.
 
 Instances are immutable after construction and safe to share between
-threads; after ``__init__`` only the table, the partial maps and the
-weakly fixed flags of :func:`~tightgroupoid.criteria.weakly_fixed`
-fill, each with the one value its key determines.
+threads; after ``__init__`` only the table, the partial maps, the rows
+the cover routine reads and the weakly fixed flags of
+:func:`~tightgroupoid.criteria.weakly_fixed` fill, each once.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .errors import (
     NotIdempotent,
     NotInjective,
     NoZero,
+    TheoremViolation,
     ZeroNotAbsorbing,
 )
 
@@ -107,7 +108,8 @@ class InverseSemigroup:
         meet_bits: dict from each idempotent e to one integer with bit
             ``column[f]`` set for each idempotent f with e f != 0.  Both
             are one ``np.packbits`` pass over slab rows; :meth:`bits` and
-            :meth:`members_of` convert between idempotents and bits.
+            :meth:`members_of` convert between idempotents and bits, and
+            every cover decision is :meth:`_met`.
         idempotents: frozenset of idempotent indices (the semilattice).
         generators: element indices of which every element is a
             product; the associativity check of :func:`from_table` and the
@@ -219,11 +221,7 @@ class InverseSemigroup:
     def bits(self, idempotents: Iterable[int]) -> int:
         """One integer with bit ``column[f]`` set for each idempotent f of
         `idempotents`."""
-        column = self.column
-        out = 0
-        for f in idempotents:
-            out |= 1 << column[f]
-        return out
+        return sum({1 << self.column[f] for f in idempotents})
 
     def members_of(self, bits: int) -> tuple:
         """The idempotents whose columns are the set bits of `bits`, in
@@ -292,11 +290,7 @@ class InverseSemigroup:
 
     def ideal_perp(self, ideal: Ideal) -> Ideal:
         """Idempotents orthogonal to every member of the given ideal."""
-        met = 0
-        for e in self._checked_members(ideal):
-            met |= self.meet_bits[e]
-        everything = (1 << len(self._idem_sorted)) - 1
-        return Ideal(frozenset(self.members_of(everything & ~met)))
+        return self.constraint_ideal((), self._checked_members(ideal))
 
     def _checked_members(self, ideal: Ideal) -> frozenset:
         if not isinstance(ideal, Ideal):
@@ -316,11 +310,9 @@ class InverseSemigroup:
         below, apart = tuple(below), tuple(apart)
         for x in itertools.chain(below, apart):
             self._require_idempotent(x)
-        out = (1 << len(self._idem_sorted)) - 1
+        out = ~self._met(self.bits(apart)) & (1 << len(self._idem_sorted)) - 1
         for x in below:
             out &= self.below_bits[x]
-        for y in apart:
-            out &= ~self.meet_bits[y]
         return Ideal(frozenset(self.members_of(out)))
 
     def fixed_idempotents(self, s: int) -> Ideal:
@@ -336,24 +328,17 @@ class InverseSemigroup:
 
     def first_uncovered(self, cover, members: Iterable[int]):
         """The first nonzero idempotent of `members`, in their order, that
-        intersects no element of `cover`; None when there is none.  The
-        cover, a collection of idempotents, is read once as bits, and each
-        member is one test of its ``meet_bits`` row against them."""
-        if not self.idempotents.issuperset(cover):
-            for c in cover:
-                self._require_idempotent(c)
-        cover_bits = self.bits(cover)
-        zero, meet_bits = self.zero, self.meet_bits
-        for f in members:
-            if f != zero and not meet_bits[f] & cover_bits:
-                return f
-        return None
+        intersects no element of `cover`, a collection of idempotents, read
+        once into what it meets, :meth:`_met`; None when there is none."""
+        for c in cover:
+            self._require_idempotent(c)
+        met, column, zero = self._met(self.bits(cover)), self.column, self.zero
+        return next((f for f in members if f != zero and not met >> column[f] & 1), None)
 
     def is_outer_cover(self, cover: Iterable[int], ideal: Ideal) -> bool:
         """True when every nonzero member of the ideal intersects some
         element of `cover`.  The cover need not sit inside the ideal."""
-        mem = self._checked_members(ideal)
-        return self.first_uncovered(tuple(cover), mem) is None
+        return self.first_uncovered(tuple(cover), self._checked_members(ideal)) is None
 
     def is_cover(self, cover: Iterable[int], ideal: Ideal) -> bool:
         """An outer cover that moreover lies inside the ideal."""
@@ -361,20 +346,38 @@ class InverseSemigroup:
         return cov <= self._checked_members(ideal) and self.is_outer_cover(cov, ideal)
 
     def canonical_cover(self, ideal: Ideal) -> frozenset:
-        """The maximal nonzero members of an ideal.
-
-        Every nonzero member of the ideal lies below, hence intersects, a
-        maximal one, so the result is always a cover; it is empty exactly
-        when the ideal is {0}.  Returning only maximal elements keeps the
-        witness small; any cover would do for the criteria built on top.
+        """The maximal nonzero members of an ideal, :meth:`_maximal`.
+        Every nonzero member lies below, hence meets, a maximal one, so
+        they always cover it; they are none exactly when the ideal is {0}.
         """
-        mem = self._checked_members(ideal)
-        column = self.column
-        strictly_below = 0              # members below another member
-        for f in mem:
-            strictly_below |= self.below_bits[f] & ~(1 << column[f])
-        nonzero = self.bits(mem) & ~(1 << column[self.zero])
-        return frozenset(self.members_of(nonzero & ~strictly_below))
+        return frozenset(self.members_of(self._maximal(self.bits(self._checked_members(ideal)))))
+
+    def _maximal(self, bits: int) -> int:
+        """The maximal nonzero members of a set of idempotents, as bits."""
+        below, idem = self.below_bits, self._idem_sorted
+        strictly_below, rest = 0, bits
+        while rest:
+            low = rest & -rest
+            strictly_below |= below[idem[low.bit_length() - 1]] & ~low
+            rest ^= low
+        return bits & ~strictly_below & ~(1 << self.column[self.zero])
+
+    @cached_property
+    def _meet_list(self) -> tuple:
+        """The rows of ``meet_bits`` in column order, read on first use."""
+        return tuple(map(self.meet_bits.__getitem__, self._idem_sorted))
+
+    def _met(self, bits: int, rows=None) -> int:
+        """What the members of `bits` meet, as bits: the union of their rows
+        of ``meet_bits``, or of `rows`, any rows in column order.  Every
+        cover decision of the package reads it: a family covers the ideal
+        J when J holds no nonzero idempotent outside what it meets."""
+        rows, out = self._meet_list if rows is None else rows, 0
+        while bits:
+            low = bits & -bits
+            out |= rows[low.bit_length() - 1]
+            bits ^= low
+        return out
 
     # ------------------------------------------------------------- global
 
@@ -459,7 +462,9 @@ def _checked(m: np.ndarray, zero: int, element_names=None) -> InverseSemigroup:
     The inverse s* is the unique t with (s t) s = s and (t s) t = t.  It
     is searched over blocks of `INVERSE_BLOCK_ROWS` elements s, each
     block comparing both products for every t at once; the lowest s with
-    no such t, or with more than one, raises."""
+    no such t, or with more than one, raises.  Last, the slab must equal
+    the table's idempotent columns; a cell (s, e) that differs is a defect,
+    the first raising :class:`TheoremViolation`."""
     n = len(m)
     gens = _right_generators(m)
     if n * n * len(gens) > MAX_TABLE_WORK:
@@ -504,8 +509,14 @@ def _checked(m: np.ndarray, zero: int, element_names=None) -> InverseSemigroup:
     sub = m[np.ix_(el, el)]
     assert np.array_equal(sub, sub.T), "idempotents failed to commute"
 
-    return InverseSemigroup(zero, star, gens, m[star, ar].tolist(), m[:, gens],
-                            element_names)
+    sg = InverseSemigroup(zero, star, gens, m[star, ar].tolist(), m[:, gens],
+                          element_names)
+    bad = sg.slab != np.take(m, el, axis=1)
+    if bad.any():
+        s, j = divmod(int(bad.argmax()), len(el))
+        raise TheoremViolation("slab_columns", int(sg.slab[s, j]), int(m[s, el[j]]),
+                               f"table s={s} e={el[j]}")
+    return sg
 
 
 def _right_generators(m: np.ndarray) -> list:

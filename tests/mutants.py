@@ -1,0 +1,130 @@
+"""Mutation check: every mutant of the package must make its named tests fail.
+
+A mutant is one (file, old text, new text) patch of ``src/tightgroupoid``
+with the tests that must catch it.  Each is applied to its own temporary
+copy of ``src/``, and the named tests run with that copy first on the
+import path.  A mutant is killed when pytest reports failed tests (exit
+code 1).  It survives when the tests pass, and it is an error when its
+old text does not occur exactly once or pytest ends any other way (no
+such test, a collection error), since neither shows that a test caught
+it.  The script exits 1 if any mutant survives or errs, else 0.
+
+Run from anywhere, with the test dependencies installed:
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # the named mutants
+
+The file name keeps it out of the test suite's own collection.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# name -> (file under src/tightgroupoid, old text, new text, tests)
+MUTANTS = {
+    # the cover routine ORs every member's row but the last
+    "met_skips_a_row": (
+        "semigroup.py",
+        "        while bits:\n            low = bits & -bits\n            out |= rows",
+        "        while bits & (bits - 1):\n            low = bits & -bits\n            out |= rows",
+        ["tests/test_semilattice_bits.py::test_semilattice_bits_match_the_meet_table"]),
+    # the maximal members of an ideal keep the zero
+    "maximal_keeps_zero": (
+        "semigroup.py",
+        "return bits & ~strictly_below & ~(1 << self.column[self.zero])",
+        "return bits & ~strictly_below",
+        ["tests/test_semigroup.py::test_canonical_cover"]),
+    # the atoms are the rows of below_bits of popcount 1, not 2
+    "atom_at_popcount_1": (
+        "spectrum.py",
+        "return sg.below_bits[e].bit_count() == 2",
+        "return sg.below_bits[e].bit_count() == 1",
+        ["tests/test_criteria.py::test_harness_failures_keep_their_messages"]),
+    # the trimmed canonical candidate drops its highest member, not its lowest
+    "trimmed_candidate_drops_highest": (
+        "criteria.py",
+        "[canonical & (canonical - 1)]",
+        "[canonical & ~(1 << canonical.bit_length() - 1)]",
+        ["tests/test_criteria.py::test_harness_failures_keep_their_messages"]),
+    # the slab of a table-built instance is checked against the table's
+    # idempotent rows, read as columns: s e against e s
+    "slab_check_reads_rows": (
+        "semigroup.py",
+        "bad = sg.slab != np.take(m, el, axis=1)",
+        "bad = sg.slab != np.take(m.T, el, axis=1)",
+        ["tests/test_fixtures.py::test_named_fixture_cardinalities"]),
+}
+
+
+def run(tests: list, patch: tuple = None):
+    """The pytest exit code of `tests` on a copy of ``src/`` with `patch`,
+    (file, old text, new text), applied, and pytest's output; or None and
+    a message if the patch does not apply or the copy is not imported."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        if patch is not None:
+            file, old, new = patch
+            path = src / "tightgroupoid" / file
+            text = path.read_text(encoding="utf-8")
+            if text.count(old) != 1:
+                return None, f"its old text occurs {text.count(old)} times in {file}"
+            path.write_text(text.replace(old, new), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+        where = subprocess.run(
+            [sys.executable, "-c", "import tightgroupoid; print(tightgroupoid.__file__)"],
+            env=env, capture_output=True, text=True).stdout.strip()
+        if not where.startswith(str(src)):
+            return None, f"the tests would import {where or 'nothing'}, not the copy"
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+            cwd=ROOT, env=env, capture_output=True, text=True)
+    return result.returncode, result.stdout[-2000:]
+
+
+def outcome(name: str) -> str:
+    """'killed', 'survived' or an error, for one mutant."""
+    file, old, new, tests = MUTANTS[name]
+    code, output = run(tests, (file, old, new))
+    if code == 1:
+        return "killed"
+    if code == 0:
+        return "survived"
+    return f"error: {output}" if code is None else f"error: pytest exited {code}\n{output}"
+
+
+def main(argv: list) -> int:
+    names = argv or list(MUTANTS)
+    unknown = [n for n in names if n not in MUTANTS]
+    if unknown:
+        print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    # the named tests must pass on the source as it is, or a failure
+    # would show nothing about a mutant
+    tests = list(dict.fromkeys(t for n in names for t in MUTANTS[n][3]))
+    code, output = run(tests)
+    if code != 0:
+        print(f"the named tests do not pass unpatched:\n{output}", file=sys.stderr)
+        return 1
+    bad = 0
+    for name in names:
+        start = time.perf_counter()
+        result = outcome(name)
+        bad += result != "killed"
+        print(f"{name}: {result} ({time.perf_counter() - start:.1f} s)", flush=True)
+    print(f"{len(names) - bad} of {len(names)} mutants killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -1013,7 +1013,9 @@ def per_element_identities(analysis, name="S", seed=0):
                 raise TheoremViolation("outer_cover_vs_domain_union", lhs, rhs,
                                        f"{name} J={sorted(members)} C={sorted(cov)}")
             if cov <= members:
-                lhs = sg.is_cover(cov, ideal)
+                # a cover inside J reaches below every atom of J
+                lhs = all(any(a in sg.below(c) for c in cov)
+                          for a in members if len(sg.below(a)) == 2)
                 rhs = ideal_union == cov_union
                 if lhs != rhs:
                     raise TheoremViolation("cover_vs_domain_equality", lhs, rhs,

@@ -307,18 +307,7 @@ def test_larger_instances_smoke():
 LABEL_INSTANCES = ("I2", "B2", "Z2z", "E4", "In(3)", "Bn(8)", "Pow(5)", "Cz(7)")
 
 
-def _negate_when_large(method):
-    # flip a cover test only on nonempty covers of ideals of three or more
-    # members, so the label names a nontrivial J and C
-    def flipped(self, cover, ideal):
-        value = method(self, cover, ideal)
-        return not value if cover and len(ideal) > 2 else value
-    return flipped
-
-
 def _mutations():
-    from tightgroupoid import semigroup
-
     flags = criteria._weakly_fixed_flags
 
     def negated_flags(sg):
@@ -335,14 +324,28 @@ def _mutations():
         sg, defined = analysis.semigroup, analysis.action.defined
         mp.setattr(sg, "r", tuple(sg.zero if defined[e].sum() > 1 else e for e in sg.r))
 
-    sg_cls = semigroup.InverseSemigroup
+    def meet_row_loses_own_column(mp, analysis):
+        # the highest idempotent's row of meet_bits without its own bit,
+        # and the rows the cover routine reads made again from it
+        sg = analysis.semigroup
+        e = sg.idempotent_list()[-1]
+        mp.setattr(sg, "meet_bits", {**sg.meet_bits, e: sg.meet_bits[e] & ~(1 << sg.column[e])})
+        mp.delitem(vars(sg), "_meet_list", raising=False)
+
+    def atom_row_loses_own_column(mp, analysis):
+        # the lowest atom's row of below_bits without its own bit
+        sg = analysis.semigroup
+        rows = list(sg.below_bits)
+        a = next(e for e in sg.idempotent_list() if rows[e].bit_count() == 2)
+        rows[a] &= ~(1 << sg.column[a])
+        mp.setattr(sg, "below_bits", tuple(rows))
+
     return {
         "weakly_fixed": (False, patch(criteria, "_weakly_fixed_flags", negated_flags)),
         "weakly_fixed_in_harness": (True, patch(criteria, "_weakly_fixed_flags",
                                                 negated_flags)),
-        "outer_cover": (True, patch(sg_cls, "is_outer_cover",
-                                    _negate_when_large(sg_cls.is_outer_cover))),
-        "cover": (True, patch(sg_cls, "is_cover", _negate_when_large(sg_cls.is_cover))),
+        "outer_cover": (True, meet_row_loses_own_column),
+        "cover": (True, atom_row_loses_own_column),
         "conjugate": (True, conjugates_to_zero),
     }
 
@@ -373,7 +376,10 @@ def harness_failures():
 # before comparing, element by element; formatting labels only on failure,
 # and reading both sides at the first failing cell of a pass, must keep
 # them.  The conjugate rows name the cells where the former mutation of
-# the image of a point set of two or more points was caught
+# the image of a point set of two or more points was caught.  The cover
+# rows corrupt what each cover identity reads of the instance after
+# analyze: a row of meet_bits for the outer one, a row of below_bits for
+# the one inside the ideal
 HARNESS_FAILURES = {
     ('weakly_fixed', 'I2'):
         'topological_freeness: criterion verdict False != direct verdict True on instance I2',
@@ -410,35 +416,35 @@ HARNESS_FAILURES = {
     ('outer_cover', 'I2'):
         'outer_cover_vs_domain_union: criterion verdict False != direct verdict True on instance I2 J=[0, 2, 3, 4] C=[4]',
     ('outer_cover', 'B2'):
-        'outer_cover_vs_domain_union: criterion verdict False != direct verdict True on instance B2 J=[0, 1, 4] C=[1, 4]',
+        'outer_cover_vs_domain_union: criterion verdict False != direct verdict True on instance B2 J=[0, 4] C=[4]',
     ('outer_cover', 'Z2z'):
-        None,
+        'outer_cover_vs_domain_union: criterion verdict False != direct verdict True on instance Z2z J=[0, 1] C=[1]',
     ('outer_cover', 'E4'):
         'outer_cover_vs_domain_union: criterion verdict False != direct verdict True on instance E4 J=[0, 1, 2, 3] C=[3]',
     ('outer_cover', 'In(3)'):
-        'outer_cover_vs_domain_union: criterion verdict False != direct verdict True on instance In(3) J=[0, 3, 7, 9] C=[9]',
+        'outer_cover_vs_domain_union: criterion verdict False != direct verdict True on instance In(3) J=[0, 3, 7, 9, 13, 15, 16, 17] C=[17]',
     ('outer_cover', 'Bn(8)'):
-        'outer_cover_vs_domain_union: criterion verdict False != direct verdict True on instance Bn(8) J=[0, 1, 10, 19, 28, 37, 46, 55, 64] C=[1, 10, 19, 28, 37, 46, 55, 64]',
+        'outer_cover_vs_domain_union: criterion verdict False != direct verdict True on instance Bn(8) J=[0, 64] C=[64]',
     ('outer_cover', 'Pow(5)'):
-        'outer_cover_vs_domain_union: criterion verdict False != direct verdict True on instance Pow(5) J=[0, 1, 2, 6] C=[6]',
+        'outer_cover_vs_domain_union: criterion verdict False != direct verdict True on instance Pow(5) J=[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31] C=[31]',
     ('outer_cover', 'Cz(7)'):
-        None,
+        'outer_cover_vs_domain_union: criterion verdict False != direct verdict True on instance Cz(7) J=[0, 1] C=[1]',
     ('cover', 'I2'):
-        'cover_vs_domain_equality: criterion verdict False != direct verdict True on instance I2 J=[0, 2, 3, 4] C=[4]',
+        'cover_vs_domain_equality: criterion verdict True != direct verdict False on instance I2 J=[0, 2] C=[]',
     ('cover', 'B2'):
-        'cover_vs_domain_equality: criterion verdict False != direct verdict True on instance B2 J=[0, 1, 4] C=[1, 4]',
+        'cover_vs_domain_equality: criterion verdict True != direct verdict False on instance B2 J=[0, 1, 4] C=[4]',
     ('cover', 'Z2z'):
-        None,
+        'cover_vs_domain_equality: criterion verdict True != direct verdict False on instance Z2z J=[0, 1] C=[]',
     ('cover', 'E4'):
-        'cover_vs_domain_equality: criterion verdict False != direct verdict True on instance E4 J=[0, 1, 2, 3] C=[3]',
+        'cover_vs_domain_equality: criterion verdict True != direct verdict False on instance E4 J=[0, 1] C=[]',
     ('cover', 'In(3)'):
-        'cover_vs_domain_equality: criterion verdict False != direct verdict True on instance In(3) J=[0, 3, 7, 9] C=[9]',
+        'cover_vs_domain_equality: criterion verdict True != direct verdict False on instance In(3) J=[0, 3] C=[]',
     ('cover', 'Bn(8)'):
-        'cover_vs_domain_equality: criterion verdict False != direct verdict True on instance Bn(8) J=[0, 1, 10, 19, 28, 37, 46, 55, 64] C=[1, 10, 19, 28, 37, 46, 55, 64]',
+        'cover_vs_domain_equality: criterion verdict True != direct verdict False on instance Bn(8) J=[0, 1, 10, 19, 28, 37, 46, 55, 64] C=[10, 19, 28, 37, 46, 55, 64]',
     ('cover', 'Pow(5)'):
-        'cover_vs_domain_equality: criterion verdict False != direct verdict True on instance Pow(5) J=[0, 1, 2, 6] C=[6]',
+        'cover_vs_domain_equality: criterion verdict True != direct verdict False on instance Pow(5) J=[0, 1, 3, 4, 5, 7, 8, 9, 13, 14, 15, 19, 20, 21, 25, 29] C=[4, 14]',
     ('cover', 'Cz(7)'):
-        None,
+        'cover_vs_domain_equality: criterion verdict True != direct verdict False on instance Cz(7) J=[0, 1] C=[]',
     ('conjugate', 'I2'):
         'conjugated_domains: criterion verdict frozenset({0, 1}) != direct verdict frozenset() on instance I2 s=4 f=4',
     ('conjugate', 'B2'):
