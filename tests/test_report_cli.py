@@ -294,6 +294,29 @@ def test_corpus_reproducer_records_verdicts_as_single_mode(tmp_path, monkeypatch
     assert rebuilt.size == tg.corpus(1, 7)[0][1].size
 
 
+def test_slab_defect_while_building_a_table_file_exits_3(tmp_path, monkeypatch, capsys):
+    # a table file whose slab, read along the spanning tree, differs from
+    # the table's idempotent columns is a defect, not invalid input: exit
+    # 3 with a reproducer naming the first cell; the file reproduces it
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "z2z.isg"
+    path.write_text(tg.format_spec(cli.spec_of_semigroup(tg.build_fixture("Z2z"), "Z2z")))
+    columns = tg.InverseSemigroup._columns
+
+    def shifted(self, wanted):
+        return columns(self, wanted)[:, [*range(1, self.size), 0]]
+
+    monkeypatch.setattr(tg.InverseSemigroup, "_columns", shifted)
+    assert cli.run_cli(["analyze", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "verdict mismatch while building: slab_columns:" in err
+    # each column's cells moved up by one: e = 0's column is all 0, so the
+    # first cell that differs is 0 * 1 read as 1 * 1
+    assert "criterion verdict 1 != direct verdict 0 on instance table s=0 e=1" in err
+    body = json.loads((tmp_path / "violation-Z2z.json").read_text())
+    assert body["property"] == "slab_columns" and "isg" not in body
+
+
 def test_violation_reproducer_round_trips(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     sg = tg.build_fixture("Z2z")
