@@ -5,18 +5,21 @@ collections are emitted in sorted order, and wall-clock timings stay out
 of the payload unless the document was built with them.
 
 Finite carriers repeat witness covers heavily (I5's 1,546 Hausdorff
-covers hold 32 distinct ones), so each is paid for once.  The witness
-renderers memoize per document by the criterion's witness value, so
-equal covers share one list object in the document, and the writer
-writes each list object once per depth: within one top-level call, it
-keeps the text of every list it has written, keyed by the list's
-identity and indent.
+covers hold 32 distinct ones).  The witness renderers name elements from
+one table per document and build each distinct cover's list of names
+once, and each distinct (cover, via) pair's dict once, shared wherever
+the value recurs.  Every JSON text is ``json.dumps(obj, indent=2,
+sort_keys=True)`` byte for byte; orjson writes each part of a value
+whose text is provably the same, and the standard library the rest.
 """
 
 from __future__ import annotations
 
 import json
-from functools import cache, partial
+from functools import cache
+from itertools import chain, compress
+
+import orjson
 
 from .criteria import Analysis
 from .germs import GermGroupoid
@@ -25,48 +28,54 @@ from .semigroup import InverseSemigroup
 SCHEMA_VERSION = 1
 
 
-def _names(sg: InverseSemigroup, items) -> list:
-    return [sg.name_of(i) for i in sorted(items)]
+def _name_table(sg: InverseSemigroup):
+    """Every element's name, index aligned: a document's one lookup."""
+    return sg.element_names or [f"s{s}" for s in range(sg.size)]
 
 
-def _failures(sg: InverseSemigroup, witness: dict) -> dict:
+def _lists(names):
+    """A cover -> its sorted list of names, one list per distinct cover."""
+    return cache(lambda cover: [names[i] for i in sorted(cover)])
+
+
+def _failures(names, witness: dict) -> dict:
     """A refuted criterion's failures, each named key by key; both
     failure shapes hold the output's keys in the output's order."""
-    return {"failures": [{k: sg.name_of(v) for k, v in w.items()}
+    return {"failures": [{k: names[v] for k, v in w.items()}
                          for w in witness["failures"]]}
 
 
-def _hausdorff_witness(sg, witness):
-    names = cache(partial(_names, sg))
-    return {"covers": {sg.name_of(s): names(cov)
-                       for s, cov in sorted(witness.get("covers", {}).items())}}
+def _hausdorff_witness(names, witness):
+    lists = _lists(names)
+    return {"covers": {names[s]: lists(cov)
+                       for s, cov in witness.get("covers", {}).items()}}
 
 
-def _top_free_witness(sg, witness):
+def _top_free_witness(names, witness):
     if "failures" in witness:
-        return _failures(sg, witness)
-    names = cache(partial(_names, sg))
+        return _failures(names, witness)
+    lists = _lists(names)
     return {"fixed_covers": {
-        f"s={sg.name_of(s)} e={sg.name_of(e)}": names(cov)
-        for (s, e), cov in sorted(witness["fixed_covers"].items())}}
+        f"s={names[s]} e={names[e]}": lists(cov)
+        for (s, e), cov in witness["fixed_covers"].items()}}
 
 
-def _minimal_witness(sg, witness):
+def _minimal_witness(names, witness):
     if "failures" in witness:
-        return _failures(sg, witness)
-    pairs = cache(lambda cover: [{"cover": sg.name_of(c), "via": sg.name_of(s)}
-                                 for c, s in cover])
+        return _failures(names, witness)
+    pair = cache(lambda cs: {"cover": names[cs[0]], "via": names[cs[1]]})
+    pairs = cache(lambda cover: list(map(pair, cover)))
     return {"conjugate_covers": {
-        f"e={sg.name_of(e)} f={sg.name_of(f)}": pairs(cover)
-        for (e, f), cover in sorted(witness["conjugate_covers"].items())}}
+        f"e={names[e]} f={names[f]}": pairs(cover)
+        for (e, f), cover in witness["conjugate_covers"].items()}}
 
 
-def _contraction_witness(sg, witness):
+def _contraction_witness(names, witness):
     crit = witness.get("criterion", {})
     out = {"action_reason": witness.get("action_reason"),
            "groupoid_reason": witness.get("groupoid_reason")}
     if "e" in crit:
-        out["refuted_at"] = sg.name_of(crit["e"])
+        out["refuted_at"] = names[crit["e"]]
     return out
 
 
@@ -89,6 +98,7 @@ def build_document(analysis: Analysis, name: str,
     sg = analysis.semigroup
     rep = analysis.report
     pairs = {p: getattr(rep, p) for p in _WITNESSES}
+    names = _name_table(sg)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "instance": {
@@ -106,7 +116,7 @@ def build_document(analysis: Analysis, name: str,
                        for p, pair in pairs.items()},
         "cstar_flags": dict(rep.cstar_flags),
         "conclusions": list(rep.conclusions),
-        "witnesses": {p: render(sg, pairs[p].witness)
+        "witnesses": {p: render(names, pairs[p].witness)
                       for p, render in _WITNESSES.items()},
     }
     if timing is not None:
@@ -123,83 +133,81 @@ def error_payload(name: str, code: str, message: str, **instance) -> dict:
 
 
 _string = json.encoder.encode_basestring_ascii
+_OPTIONS = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS
+_NESTS = frozenset({dict, list, tuple})
+_PLAIN = _NESTS | {str, int, bool, type(None)}
 
 
-def _json(obj, indent: str, texts: dict) -> str:
+def _plain(obj):
+    """True when `obj` holds only dicts, lists, tuples, `str`, `int`,
+    `bool` and None, each of exactly that type: then orjson writes it as
+    ``json.dumps`` does, unless it refuses it (a key that is not exactly
+    `str`, an int past 64 bits, deep nesting) or writes text that is not
+    printable ASCII.  None when a container recurs below the depth it was
+    first met at (a cycle, or one object at two depths), which is left to
+    ``json.dumps`` whole; else False.  The walk goes one depth at a time
+    in passes over the whole depth, and looks into each distinct
+    container once."""
+    if type(obj) not in _NESTS:
+        return type(obj) in _PLAIN
+    level, seen, plain = [obj], {id(obj)}, True
+    while True:
+        items = list(chain.from_iterable(
+            [c.values() if type(c) is dict else c for c in level]))
+        kinds = list(map(type, items))
+        found = set(kinds)
+        plain = plain and found <= _PLAIN
+        if found.isdisjoint(_NESTS):
+            return plain
+        nested = items if found <= _NESTS else list(
+            compress(items, map(_NESTS.__contains__, kinds)))
+        fresh = dict(zip(map(id, nested), nested))
+        if not seen.isdisjoint(fresh):
+            return None
+        seen.update(fresh)
+        level = fresh.values()
+
+
+def _text(obj, indent: str) -> str:
     """`obj` as ``json.dumps(obj, indent=2, sort_keys=True)`` writes it,
-    nested at `indent`.  With an indent the standard library runs its
-    pure-Python encoder; this is the same walk without its generators,
-    for the exact types a report holds (strings through its C escaper).
-    Anything else (the floats of `timing`, tuples, subclasses, dicts with
-    keys that are not strings) goes to ``json.dumps`` and is re-indented.
-    `texts` holds the text of each nonempty list written in this call,
-    keyed by ``(id(obj), indent)``: see :func:`json_text`."""
+    nested at `indent`.  A plain value (see :func:`_plain`) goes to
+    orjson, whose text is kept when it is printable ASCII.  Otherwise a
+    dict with `str` keys, a list or a tuple is written one level here,
+    each member through this function again, and anything else (a float,
+    a subclass, a dict with other keys, a value with a cycle) goes to
+    ``json.dumps``, which raises where the standard library raises."""
+    plain = _plain(obj)
+    if plain:
+        try:
+            out = orjson.dumps(obj, option=_OPTIONS)
+        except TypeError:
+            pass
+        else:
+            if out.isascii() and b"\x7f" not in out:
+                text = out.decode()
+                return text.replace("\n", "\n" + indent) if indent else text
     kind = type(obj)
-    if kind is str:
-        return _string(obj)
-    if kind is dict:
-        return _object(obj, indent, texts)
-    if kind is list:
-        if not obj:
-            return "[]"
-        key = (id(obj), indent)
-        text = texts.get(key)
-        if text is None:
-            text = texts[key] = _array(obj, indent, texts)
-        return text
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if kind is int:
-        return int.__repr__(obj)
-    return _dumps(obj, indent)
-
-
-def _dumps(obj, indent: str) -> str:
+    inner = indent + "  "
+    parts = []
+    if plain is not None and kind is dict:
+        keys = sorted(obj)
+        if set(map(type, keys)) <= {str}:
+            for k in keys:
+                v = obj[k]
+                parts.append(_string(k) + ": "
+                             + (_string(v) if type(v) is str else _text(v, inner)))
+            return "{\n" + inner + (",\n" + inner).join(parts) + "\n" + indent + "}"
+    elif plain is not None and (kind is list or kind is tuple):
+        for v in obj:
+            parts.append(_string(v) if type(v) is str else _text(v, inner))
+        return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + indent + "]"
     return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + indent)
-
-
-def _object(obj, indent: str, texts: dict) -> str:
-    if not obj:
-        return "{}"
-    inner = indent + "  "
-    items = []
-    for k in sorted(obj):
-        if type(k) is not str:
-            return _dumps(obj, indent)
-        v = obj[k]
-        items.append(_string(k) + ": "
-                     + (_string(v) if type(v) is str else _json(v, inner, texts)))
-    return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-
-
-def _array(obj, indent: str, texts: dict) -> str:
-    inner = indent + "  "
-    return ("[\n" + inner + (",\n" + inner).join([
-        _string(v) if type(v) is str else _json(v, inner, texts) for v in obj])
-        + "\n" + indent + "]")
 
 
 def json_text(obj) -> str:
     """The one JSON writer of the package: byte for byte
-    ``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline.
-
-    A list that `obj` holds in several places (a report shares one list
-    per distinct witness cover) is written once per depth and its text
-    reused.  The cache of those texts is keyed by the list's identity,
-    since lists cannot be hashed and comparing their values would cost
-    what writing them does, and by the indent, since the same list nested
-    at another depth is written with other line prefixes.  An identity
-    names one list only while that list is alive, so the cache lives for
-    this one call, during which `obj` holds every list in it, and no
-    longer.  No list of a report holds another, so the texts held add
-    at most one copy of the report's text to the peak of the write.
-    Dicts are written each time they occur: a report's large dicts occur
-    once, and holding their texts too would raise that peak further."""
-    return _json(obj, "", {}) + "\n"
+    ``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline."""
+    return _text(obj, "") + "\n"
 
 
 def _write_corpus(fh, seed: int, count: int, payloads) -> None:
@@ -207,16 +215,14 @@ def _write_corpus(fh, seed: int, count: int, payloads) -> None:
     :func:`json_text` of ``{"schema_version": SCHEMA_VERSION, "corpus":
     {"seed": seed, "count": count}, "instances": list(payloads)}``, one
     payload at a time as `payloads` yields them, so that none is held
-    once written.  Each payload is written with a cache of its own: a
-    payload freed once written frees the identities of its lists for
-    the next one's."""
+    once written."""
     head, tail = json_text({"schema_version": SCHEMA_VERSION,
                             "corpus": {"seed": seed, "count": count},
                             "instances": []}).split("[]")
     fh.write(head)
     written = False
     for payload in payloads:
-        fh.write((",\n    " if written else "[\n    ") + _json(payload, "    ", {}))
+        fh.write((",\n    " if written else "[\n    ") + _text(payload, "    "))
         written = True
     fh.write(("\n  ]" if written else "[]") + tail)
 

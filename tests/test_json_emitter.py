@@ -4,9 +4,15 @@ sort_keys=True)`` plus a newline, byte for byte."""
 
 from __future__ import annotations
 
+import dataclasses
+import datetime
+import enum
 import io
 import json
+import uuid
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -128,4 +134,112 @@ def test_corpus_payloads_freed_one_by_one_are_written_as_held():
             "corpus": {"seed": 3, "count": 40},
             "instances": [payload(i) for i in range(40)]}
     assert len(set(ids[:80])) < 80           # identities were reused
+    assert fh.getvalue() == report.json_text(held) == reference(held)
+
+
+# ------------------------------------------- values orjson must not write
+
+def assert_as_stdlib(obj):
+    """The writer's text equals the standard library's, or both raise
+    exceptions of one type."""
+    try:
+        want = reference(obj)
+    except Exception as exc:
+        with pytest.raises(type(exc)):
+            report.json_text(obj)
+    else:
+        assert report.json_text(obj) == want
+
+
+class Colour(enum.Enum):
+    RED = 1
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+
+
+class Name(str):
+    pass
+
+
+class Table(dict):
+    pass
+
+
+@dataclasses.dataclass
+class Point:
+    x: int
+
+
+def witness_shaped(leaf):
+    """A document shaped as a report's witnesses, `leaf` four levels down
+    among plain names."""
+    return {"witnesses": {"hausdorff": {"covers": {"a": ["0", "b"],
+                                                   "b": ["0", leaf, "c"]}},
+                          "minimal": {"conjugate_covers": {
+                              "e=a f=b": [{"cover": "a", "via": leaf}]}}},
+            "instance": {"name": "x", "elements": 3}}
+
+
+def test_text_that_is_not_printable_ascii_is_escaped_as_the_stdlib_does():
+    for text in ("é", "\x7f", "\U0001f600", "a b", "\x7fé\x00"):
+        assert_as_stdlib({"a": [{"b": [text, "plain"]}], "c": "d"})
+        assert_as_stdlib({"a": {"b": {text: [1, "plain"]}}})
+
+
+def test_ints_past_64_bits_are_written_as_the_stdlib_does():
+    for big in (2 ** 64, -2 ** 63 - 1, 2 ** 200):
+        assert_as_stdlib({"names": ["a", big, "b"], "n": 2 ** 63 - 1})
+
+
+def test_floats_deep_in_a_witness_are_written_as_the_stdlib_does():
+    for leaf in (1e-7, 0.5, -0.0, float("nan"), float("-inf"), float("inf")):
+        assert_as_stdlib(witness_shaped(leaf))
+
+
+@pytest.mark.parametrize("leaf", [
+    Level.LOW, Name("a"), Table(b=1), Table({1: "x"}), Colour.RED,
+    uuid.UUID(int=5), datetime.datetime(2014, 8, 21), Point(1),
+    np.int64(3), np.float64(0.5)], ids=repr)
+def test_subclasses_and_foreign_types_are_left_to_the_stdlib(leaf):
+    assert_as_stdlib(witness_shaped(leaf))
+    assert_as_stdlib([leaf])
+    assert_as_stdlib(leaf)
+
+
+def test_str_subclass_keys_are_written_as_the_stdlib_does():
+    assert_as_stdlib({"a": {Name("k"): 1, "j": [2]}})
+
+
+def test_cycles_raise_as_the_stdlib_does():
+    loop = ["a"]
+    loop.append(loop)
+    ring = {"a": 1.5}
+    ring["self"] = [ring]
+    for obj in (loop, ring, {"doc": [{"x": loop}]}):
+        with pytest.raises(ValueError):
+            reference(obj)
+        with pytest.raises(ValueError):
+            report.json_text(obj)
+
+
+@pytest.mark.parametrize("depth", [301, 600])
+def test_nesting_past_orjsons_limit_is_written_as_the_stdlib_does(depth):
+    nested, keyed = ["leaf"], {"k": "leaf"}
+    for i in range(depth):
+        nested, keyed = [nested, i], {"k": keyed, "i": [i]}
+    assert_as_stdlib(nested)
+    assert_as_stdlib(keyed)
+
+
+def test_corpus_stream_with_a_non_plain_payload_is_written_as_held():
+    payloads = [{"name": "a", "covers": {"x": ["0"]}},
+                {"name": "é", "timing": {"analyze_s": 1e-7}, "big": [2 ** 70]},
+                {"name": "c", "covers": {"y": [Name("0")]}},
+                {"name": "d", "covers": {}}]
+    fh = io.StringIO()
+    report._write_corpus(fh, 7, 4, iter(payloads))
+    held = {"schema_version": report.SCHEMA_VERSION,
+            "corpus": {"seed": 7, "count": 4}, "instances": payloads}
     assert fh.getvalue() == report.json_text(held) == reference(held)
