@@ -271,17 +271,23 @@ class InverseSemigroup:
     # ------------------------------------------------------------- ideals
 
     def ideal(self, members: Iterable[int]) -> Ideal:
-        """Validate a member set and wrap it as an Ideal."""
+        """Validate a member set and wrap it as an Ideal.  Downward
+        closure is one gather of the members' slab rows, e f for every
+        idempotent f; the first product outside the set, members in set
+        order and then f in index order, is the one refused."""
         mem = frozenset(members)
         if self.zero not in mem:
             raise NotAnIdeal("an ideal must contain zero")
         for e in mem:
             if e not in self.idempotents:
                 raise NotAnIdeal(f"member {e} is not idempotent")
-        for e in mem:
-            for f, ef in zip(self._idem_sorted, self.slab[e].tolist()):
-                if ef not in mem:
-                    raise NotAnIdeal(f"not downward closed: {e}*{f} escapes")
+        order = list(mem)
+        inside = np.zeros(self.size, dtype=bool)
+        inside[order] = True
+        escapes = ~inside[self.slab[order]]
+        if escapes.any():
+            i, j = divmod(int(escapes.argmax()), escapes.shape[1])
+            raise NotAnIdeal(f"not downward closed: {order[i]}*{self._idem_sorted[j]} escapes")
         return Ideal(mem)
 
     def principal_ideal(self, e: int) -> Ideal:

@@ -653,6 +653,26 @@ def ideal_escape(sg, slab, members):
     return None
 
 
+def member_loop_ideal(sg, members):
+    """The members of ``sg.ideal(members)``, validated member by member:
+    NotAnIdeal for a set without zero, for its first member in set order
+    that is not idempotent, or for its first member e in set order with an
+    idempotent f, in index order, whose product e f escapes the set."""
+    from tightgroupoid import errors
+
+    mem = frozenset(members)
+    if sg.zero not in mem:
+        raise errors.NotAnIdeal("an ideal must contain zero")
+    for e in mem:
+        if e not in sg.idempotents:
+            raise errors.NotAnIdeal(f"member {e} is not idempotent")
+    for e in mem:
+        for f, ef in zip(sg.idempotent_list(), sg.slab[e].tolist()):
+            if ef not in mem:
+                raise errors.NotAnIdeal(f"not downward closed: {e}*{f} escapes")
+    return mem
+
+
 def per_pair_weakly_fixed(sg, slab, e, s):
     """Whether e (below s*s) is weakly fixed under s, by the per-pair loop
     over the nonzero f below e: each must meet its conjugate s f s*.

@@ -6,6 +6,7 @@ order and error messages included."""
 from __future__ import annotations
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -121,3 +122,39 @@ def test_row_bits_match_the_row_loop():
             got = semigroup._row_bits(flags)
             assert got == oracles.loop_row_bits(flags), (rows, width)
             assert all(type(bits) is int for bits in got), (rows, width)
+
+
+def ideal_outcome(call, members):
+    """The members `call` returns for `members`, or its NotAnIdeal message."""
+    try:
+        got = call(members)
+    except errors.NotAnIdeal as exc:
+        return str(exc)
+    return getattr(got, "members", got)
+
+
+def test_ideal_gather_raises_as_the_member_loop():
+    """``InverseSemigroup.ideal``'s one gather against the member-by-member
+    loop: random closed sets, closed sets grown by random idempotents,
+    random sets of idempotents with and without zero, and sets holding
+    an element that is not idempotent."""
+    instances = [(name, tg.build_fixture(name)) for name in ("In(4)", "Pow(5)")]
+    outcomes = set()
+    for name, sg in instances + tg.corpus(100, 7):
+        rng = random.Random(name)
+        idem = sg.idempotent_list()
+        others = [s for s in sg.elements() if s not in sg.idempotents]
+        for _ in range(12):
+            closed = random_ideal(sg, rng)
+            grown = closed | set(rng.sample(idem, k=rng.randint(1, min(3, len(idem)))))
+            loose = set(rng.sample(idem, k=rng.randint(1, len(idem))))
+            sets = [closed, grown, loose | {sg.zero}, loose - {sg.zero}]
+            if others:
+                sets.append(closed | {rng.choice(others)})
+            for members in sets:
+                want = ideal_outcome(lambda m: oracles.member_loop_ideal(sg, m), members)
+                assert ideal_outcome(sg.ideal, members) == want, (name, members)
+                outcomes.add(re.sub(r"\d+", "#", want) if isinstance(want, str) else "ideal")
+    # no outcome is vacuous
+    assert outcomes == {"ideal", "an ideal must contain zero", "member # is not idempotent",
+                        "not downward closed: #*# escapes"}, outcomes
