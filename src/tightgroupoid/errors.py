@@ -147,7 +147,8 @@ class DslRangeError(TightGroupoidError):
 
 
 class DuplicateName(TightGroupoidError):
-    def __init__(self, name: str, line: int):
-        super().__init__(f"line {line}: duplicate name {name!r}")
+    def __init__(self, name: str, line: int | None = None):
+        where = "" if line is None else f"line {line}: "
+        super().__init__(f"{where}duplicate name {name!r}")
         self.name = name
         self.line = line

@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 import re
+from string import ascii_lowercase
 from typing import Iterator
 
 import numpy as np
@@ -55,6 +56,8 @@ def brandt_semigroup(n: int) -> InverseSemigroup:
     """Matrix units e_ij for i,j in an n point set, plus zero.
 
     Products follow e_ij e_kl = e_il when j = k and vanish otherwise.
+    e_ij is named ``e{i}{j}``, 1-based, with a comma between i and j
+    once n passes 9.
     """
     if n < 1:
         raise DegreeMismatch("need at least one matrix unit index")
@@ -67,7 +70,8 @@ def brandt_semigroup(n: int) -> InverseSemigroup:
     blocks[:, ar, ar, :] = units[:, None, :]  # e_ij e_jl = e_il, else 0
     table = np.zeros((size, size), dtype=np.int32)
     table[1:, 1:] = blocks.reshape(n * n, n * n)
-    names = ["0"] + [f"e{i + 1}{j + 1}" for i in range(n) for j in range(n)]
+    sep = "," if n > 9 else ""       # e1,11 and e11,1 apart
+    names = ["0"] + [f"e{i + 1}{sep}{j + 1}" for i in range(n) for j in range(n)]
     sg = from_table(table, 0, names)
     assert sg.size == n * n + 1
     assert len(sg.idempotents) == n + 1
@@ -110,7 +114,9 @@ def cyclic_group_with_zero(n: int) -> InverseSemigroup:
 
 
 def meet_semilattice_of_subsets(k: int) -> InverseSemigroup:
-    """Subsets of a k point set under intersection, empty set as zero."""
+    """Subsets of a k point set under intersection, empty set as zero.
+    The zero is named 0 and any other subset by its points as letters,
+    a for point 0."""
     _check_cells(k)             # first, so 2^k is formed only for a small k
     _check_cells(2 ** k)
     subsets = list(itertools.chain.from_iterable(
@@ -119,7 +125,7 @@ def meet_semilattice_of_subsets(k: int) -> InverseSemigroup:
     at = np.empty(len(subsets), dtype=np.int32)     # mask -> index
     at[masks] = np.arange(len(subsets), dtype=np.int32)
     table = at[masks[:, None] & masks]
-    names = ["0" if not s else "".join(map(str, s)) for s in subsets]
+    names = ["".join(ascii_lowercase[x] for x in s) or "0" for s in subsets]
     return from_table(table, 0, names)
 
 

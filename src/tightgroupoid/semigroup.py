@@ -39,6 +39,7 @@ import numpy as np
 from .errors import (
     CapExceeded,
     DegreeMismatch,
+    DuplicateName,
     InverseMissing,
     InverseNotUnique,
     NotAnIdeal,
@@ -123,7 +124,8 @@ class InverseSemigroup:
         table: multiplication table, ``table[a][b]`` is the product,
             filled by :meth:`_columns` on first access for readers outside
             the package, which never reads it.
-        element_names: optional printable names, index aligned.
+        element_names: optional printable names, index aligned and
+            distinct.
         partial_maps: for closure-built instances, each element's
             image tuple (None where undefined), read off the digit rows
             on first access; otherwise None.
@@ -155,6 +157,10 @@ class InverseSemigroup:
         self.meet_bits = dict(zip(idem, _row_bits(self.slab[list(idem)] != self.zero)))
         self._table = None
         self.element_names = tuple(element_names) if element_names else None
+        if self.element_names and len(set(self.element_names)) < self.size:
+            seen = set()        # a report keys its witnesses by name
+            raise DuplicateName(next(n for n in self.element_names
+                                     if n in seen or seen.add(n)))
         self._digits = digits
         self._weakly_fixed = None
 
@@ -770,6 +776,8 @@ def from_partial_maps(degree: int, generators: Sequence[Sequence],
     else:
         names = list(map(",".join, cells.tolist()))
     names[0] = "0"
+    if degree == 1 and n == 2:   # the identity's image string, 0, names the zero
+        names[1] = "1"
     return InverseSemigroup(0, star.tolist(), gen_ids, d.tolist(), right,
                             names, maps, tree)
 

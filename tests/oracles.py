@@ -1308,9 +1308,12 @@ def invert_map(f):
 
 
 def map_name(f):
-    """Compact printable form: per-point images, '_' where undefined."""
+    """Compact printable form: per-point images, '_' where undefined; the
+    empty map is 0, so the identity on one point is 1."""
     if all(v is None for v in f):
         return "0"
+    if f == (0,):
+        return "1"
     cells = ["_" if v is None else str(v) for v in f]
     sep = "" if len(f) <= 10 else ","
     return sep.join(cells)

@@ -5,7 +5,7 @@ import math
 import pytest
 
 import tightgroupoid as tg
-from tightgroupoid import cli, errors, fixtures, semigroup
+from tightgroupoid import cli, errors, fixtures, report, semigroup
 
 import oracles
 
@@ -142,3 +142,29 @@ def test_random_instances_are_generator_closed_models():
         assert sg.partial_maps is not None
         empty = sg.partial_maps[sg.zero]
         assert all(v is None for v in empty)
+
+
+def test_every_family_names_each_element_once():
+    """A report keys its witnesses by element name, so two elements with
+    one name would leave one entry for both: every fixture family, at
+    the sizes where its namer changes form, and the one-point generator
+    text give distinct names and one Hausdorff cover per element."""
+    names = ["I2", "B2", "Z2z", "E4", "In(1)", "In(2)", "In(3)", "Bn(1)", "Bn(9)",
+             "Bn(10)", "Bn(11)", "Cz(1)", "Cz(7)", "Pow(1)", "Pow(2)", "Pow(5)"]
+    cases = [(name, tg.build_fixture(name)) for name in names]
+    cases.append(("one point", tg.build_semigroup(
+        tg.parse_spec("semigroup one\npoints 1\ngen a = 0\n"))))
+    for name, sg in cases:
+        assert len(set(map(sg.name_of, sg.elements()))) == sg.size, name
+        doc = report.build_document(tg.analyze(sg, name=name), name)
+        assert len(doc["witnesses"]["hausdorff"]["covers"]) == sg.size, name
+    for name in ("Bn(37)", "In(5)", "Pow(10)"):
+        sg = tg.build_fixture(name)
+        assert len(set(map(sg.name_of, sg.elements()))) == sg.size, name
+    assert tg.build_fixture("Pow(3)").element_names == \
+        ("0", "a", "b", "c", "ab", "ac", "bc", "abc")
+
+
+def test_duplicate_element_names_are_refused():
+    with pytest.raises(errors.DuplicateName, match="duplicate name 'x'"):
+        tg.from_table([[0, 0, 0], [0, 1, 0], [0, 0, 2]], 0, ["0", "x", "x"])
