@@ -148,7 +148,6 @@ class DslRangeError(TightGroupoidError):
 
 class DuplicateName(TightGroupoidError):
     def __init__(self, name: str, line: int | None = None):
-        where = "" if line is None else f"line {line}: "
-        super().__init__(f"{where}duplicate name {name!r}")
+        super().__init__(("" if line is None else f"line {line}: ") + f"duplicate name {name!r}")
         self.name = name
         self.line = line

@@ -6,7 +6,6 @@ import itertools
 import math
 import random
 import re
-from string import ascii_lowercase
 from typing import Iterator
 
 import numpy as np
@@ -56,8 +55,7 @@ def brandt_semigroup(n: int) -> InverseSemigroup:
     """Matrix units e_ij for i,j in an n point set, plus zero.
 
     Products follow e_ij e_kl = e_il when j = k and vanish otherwise.
-    e_ij is named ``e{i}{j}``, 1-based, with a comma between i and j
-    once n passes 9.
+    e_ij is named ``e{i}{j}``, with a comma between i and j past n = 9.
     """
     if n < 1:
         raise DegreeMismatch("need at least one matrix unit index")
@@ -114,9 +112,8 @@ def cyclic_group_with_zero(n: int) -> InverseSemigroup:
 
 
 def meet_semilattice_of_subsets(k: int) -> InverseSemigroup:
-    """Subsets of a k point set under intersection, empty set as zero.
-    The zero is named 0 and any other subset by its points as letters,
-    a for point 0."""
+    """Subsets of a k point set under intersection, empty set as zero,
+    named 0; any other subset is named by its points as letters, a for 0."""
     _check_cells(k)             # first, so 2^k is formed only for a small k
     _check_cells(2 ** k)
     subsets = list(itertools.chain.from_iterable(
@@ -125,7 +122,7 @@ def meet_semilattice_of_subsets(k: int) -> InverseSemigroup:
     at = np.empty(len(subsets), dtype=np.int32)     # mask -> index
     at[masks] = np.arange(len(subsets), dtype=np.int32)
     table = at[masks[:, None] & masks]
-    names = ["".join(ascii_lowercase[x] for x in s) or "0" for s in subsets]
+    names = ["".join(chr(97 + x) for x in s) or "0" for s in subsets]
     return from_table(table, 0, names)
 
 

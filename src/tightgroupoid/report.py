@@ -5,32 +5,25 @@ collections are emitted in sorted order, and wall-clock timings stay out
 of the payload unless the document was built with them.
 
 Finite carriers repeat witness covers heavily (I5's 1,546 Hausdorff
-covers hold 32 distinct ones).  The witness renderers name elements from
-one table per document and build each distinct cover's list of names
-once, and each distinct (cover, via) pair's dict once, shared wherever
-the value recurs.  Every JSON text is ``json.dumps(obj, indent=2,
-sort_keys=True)`` byte for byte; orjson writes each part of a value
-whose text is provably the same, and the standard library the rest.
+covers hold 32 distinct ones), so the renderers build one list per
+distinct cover and one dict per distinct (cover, via) pair, named from
+one table per document.  Every JSON text is ``json.dumps(obj, indent=2,
+sort_keys=True)`` byte for byte: orjson writes the parts whose text is
+sure to be the same, and the standard library the rest.
 """
 
 from __future__ import annotations
 
 import json
 from functools import cache
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 
 import orjson
 
 from .criteria import Analysis
 from .germs import GermGroupoid
-from .semigroup import InverseSemigroup
 
 SCHEMA_VERSION = 1
-
-
-def _name_table(sg: InverseSemigroup):
-    """Every element's name, index aligned: a document's one lookup."""
-    return sg.element_names or [f"s{s}" for s in range(sg.size)]
 
 
 def _lists(names):
@@ -71,11 +64,9 @@ def _minimal_witness(names, witness):
 
 
 def _contraction_witness(names, witness):
-    crit = witness.get("criterion", {})
-    out = {"action_reason": witness.get("action_reason"),
-           "groupoid_reason": witness.get("groupoid_reason")}
-    if "e" in crit:
-        out["refuted_at"] = names[crit["e"]]
+    out = {k: witness.get(k) for k in ("action_reason", "groupoid_reason")}
+    if "e" in witness.get("criterion", {}):
+        out["refuted_at"] = names[witness["criterion"]["e"]]
     return out
 
 
@@ -98,7 +89,7 @@ def build_document(analysis: Analysis, name: str,
     sg = analysis.semigroup
     rep = analysis.report
     pairs = {p: getattr(rep, p) for p in _WITNESSES}
-    names = _name_table(sg)
+    names = sg.element_names or [f"s{s}" for s in range(sg.size)]
     payload = {
         "schema_version": SCHEMA_VERSION,
         "instance": {
@@ -139,15 +130,11 @@ _PLAIN = _NESTS | {str, int, bool, type(None)}
 
 
 def _plain(obj):
-    """True when `obj` holds only dicts, lists, tuples, `str`, `int`,
-    `bool` and None, each of exactly that type: then orjson writes it as
-    ``json.dumps`` does, unless it refuses it (a key that is not exactly
-    `str`, an int past 64 bits, deep nesting) or writes text that is not
-    printable ASCII.  None when a container recurs below the depth it was
-    first met at (a cycle, or one object at two depths), which is left to
-    ``json.dumps`` whole; else False.  The walk goes one depth at a time
-    in passes over the whole depth, and looks into each distinct
-    container once."""
+    """True when `obj` holds only dicts, lists, tuples, `str`, `int`, `bool`
+    and None of exactly those types, which orjson writes as ``json.dumps``
+    does unless it refuses (a key not exactly `str`, an int past 64 bits,
+    deep nesting); None when a container recurs below its first depth (a
+    cycle); else False.  One pass per depth, into each container once."""
     if type(obj) not in _NESTS:
         return type(obj) in _PLAIN
     level, seen, plain = [obj], {id(obj)}, True
@@ -169,13 +156,13 @@ def _plain(obj):
 
 
 def _text(obj, indent: str) -> str:
-    """`obj` as ``json.dumps(obj, indent=2, sort_keys=True)`` writes it,
-    nested at `indent`.  A plain value (see :func:`_plain`) goes to
-    orjson, whose text is kept when it is printable ASCII.  Otherwise a
-    dict with `str` keys, a list or a tuple is written one level here,
-    each member through this function again, and anything else (a float,
-    a subclass, a dict with other keys, a value with a cycle) goes to
-    ``json.dumps``, which raises where the standard library raises."""
+    """`obj` as ``json.dumps(obj, indent=2, sort_keys=True)`` writes it, nested
+    at `indent`: by orjson when plain and its text printable ASCII, else one
+    level here for a dict with `str` keys, a list or a tuple, and by
+    ``json.dumps`` for the rest (floats, subclasses, other keys, cycles)."""
+    kind = type(obj)
+    if kind is str:
+        return _string(obj)
     plain = _plain(obj)
     if plain:
         try:
@@ -186,22 +173,17 @@ def _text(obj, indent: str) -> str:
             if out.isascii() and b"\x7f" not in out:
                 text = out.decode()
                 return text.replace("\n", "\n" + indent) if indent else text
-    kind = type(obj)
+    if plain is None or kind not in _NESTS or kind is dict and not set(map(type, obj)) <= {str}:
+        return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + indent)
     inner = indent + "  "
-    parts = []
-    if plain is not None and kind is dict:
+    if kind is dict:
         keys = sorted(obj)
-        if set(map(type, keys)) <= {str}:
-            for k in keys:
-                v = obj[k]
-                parts.append(_string(k) + ": "
-                             + (_string(v) if type(v) is str else _text(v, inner)))
-            return "{\n" + inner + (",\n" + inner).join(parts) + "\n" + indent + "}"
-    elif plain is not None and (kind is list or kind is tuple):
-        for v in obj:
-            parts.append(_string(v) if type(v) is str else _text(v, inner))
-        return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + indent + "]"
-    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+        items = map("{}: {}".format, map(_string, keys),
+                    map(_text, map(obj.__getitem__, keys), repeat(inner)))
+    else:
+        items = map(_text, obj, repeat(inner))
+    start, end = "{}" if kind is dict else "[]"
+    return start + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + end
 
 
 def json_text(obj) -> str:

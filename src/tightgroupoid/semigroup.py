@@ -277,10 +277,7 @@ class InverseSemigroup:
     # ------------------------------------------------------------- ideals
 
     def ideal(self, members: Iterable[int]) -> Ideal:
-        """Validate a member set and wrap it as an Ideal.  Downward
-        closure is one gather of the members' slab rows, e f for every
-        idempotent f; the first product outside the set, members in set
-        order and then f in index order, is the one refused."""
+        """Validate a member set and wrap it as an Ideal, testing its slab rows at once."""
         mem = frozenset(members)
         if self.zero not in mem:
             raise NotAnIdeal("an ideal must contain zero")
@@ -288,9 +285,7 @@ class InverseSemigroup:
             if e not in self.idempotents:
                 raise NotAnIdeal(f"member {e} is not idempotent")
         order = list(mem)
-        inside = np.zeros(self.size, dtype=bool)
-        inside[order] = True
-        escapes = ~inside[self.slab[order]]
+        escapes = np.isin(self.slab[order], order, invert=True, kind="table")
         if escapes.any():
             i, j = divmod(int(escapes.argmax()), escapes.shape[1])
             raise NotAnIdeal(f"not downward closed: {order[i]}*{self._idem_sorted[j]} escapes")
