@@ -65,8 +65,8 @@ def _significant(text: str):
     tokens), each with the offset in `text` past it."""
     for ln, line in enumerate(_LINE.finditer(text), start=1):
         before = line[1].split("#", 1)[0]
-        if before.split():
-            yield (ln, before, before.split()), line.end()
+        if toks := before.split():
+            yield (ln, before, toks), line.end()
 
 
 def _at(where, i):

@@ -8,15 +8,16 @@ Finite carriers repeat witness covers heavily (I5's 1,546 Hausdorff
 covers hold 32 distinct ones), so the renderers build one list per
 distinct cover and one dict per distinct (cover, via) pair, named from
 one table per document.  Every JSON text is ``json.dumps(obj, indent=2,
-sort_keys=True)`` byte for byte: orjson writes the parts whose text is
-sure to be the same, and the standard library the rest.
+sort_keys=True)`` byte for byte: orjson writes a value whose text is
+sure to be the same, and the standard library every other value.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from functools import cache
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 
 import orjson
 
@@ -124,72 +125,59 @@ def error_payload(name: str, code: str, message: str, **instance) -> dict:
 
 
 _string = json.encoder.encode_basestring_ascii
-_OPTIONS = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS
+_OPTIONS = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE
 _NESTS = frozenset({dict, list, tuple})
-_PLAIN = _NESTS | {str, int, bool, type(None)}
+_PLAIN = _NESTS | {str, int, bool, type(None), float}
+# one character a match: a run pattern (``+``) scans twice as slowly
+_NOT_ASCII = re.compile("[\x7f-\U0010ffff]")
 
 
-def _plain(obj):
-    """True when `obj` holds only dicts, lists, tuples, `str`, `int`, `bool`
-    and None of exactly those types, which orjson writes as ``json.dumps``
-    does unless it refuses (a key not exactly `str`, an int past 64 bits,
-    deep nesting); None when a container recurs below its first depth (a
-    cycle); else False.  One pass per depth, into each container once."""
-    if type(obj) not in _NESTS:
-        return type(obj) in _PLAIN
-    level, seen, plain = [obj], {id(obj)}, True
+def _plain(obj) -> bool:
+    """True when `obj` holds only dicts, lists, tuples, `str`, `int`,
+    `bool`, None and floats of exactly those types, and orjson writes each
+    float as `repr` does (not so 1e-07, which it writes 1e-7, nor NaN): then
+    orjson writes `obj` as ``json.dumps`` does, or refuses it (a key not
+    exactly `str`, an int past 64 bits, deep nesting, a lone surrogate).
+    False for anything else, and when a container recurs below its first
+    depth, as in a cycle.  One pass per depth, into each container once."""
+    items, seen = [obj], set()
     while True:
-        items = list(chain.from_iterable(
-            [c.values() if type(c) is dict else c for c in level]))
         kinds = list(map(type, items))
         found = set(kinds)
-        plain = plain and found <= _PLAIN
+        if not found <= _PLAIN:
+            return False
+        if float in found:
+            floats = [x for x in items if type(x) is float]
+            if list(map(orjson.dumps, floats)) != [repr(x).encode() for x in floats]:
+                return False
         if found.isdisjoint(_NESTS):
-            return plain
+            return True
         nested = items if found <= _NESTS else list(
             compress(items, map(_NESTS.__contains__, kinds)))
         fresh = dict(zip(map(id, nested), nested))
         if not seen.isdisjoint(fresh):
-            return None
+            return False
         seen.update(fresh)
-        level = fresh.values()
-
-
-def _text(obj, indent: str) -> str:
-    """`obj` as ``json.dumps(obj, indent=2, sort_keys=True)`` writes it, nested
-    at `indent`: by orjson when plain and its text printable ASCII, else one
-    level here for a dict with `str` keys, a list or a tuple, and by
-    ``json.dumps`` for the rest (floats, subclasses, other keys, cycles)."""
-    kind = type(obj)
-    if kind is str:
-        return _string(obj)
-    plain = _plain(obj)
-    if plain:
-        try:
-            out = orjson.dumps(obj, option=_OPTIONS)
-        except TypeError:
-            pass
-        else:
-            if out.isascii() and b"\x7f" not in out:
-                text = out.decode()
-                return text.replace("\n", "\n" + indent) if indent else text
-    if plain is None or kind not in _NESTS or kind is dict and not set(map(type, obj)) <= {str}:
-        return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + indent)
-    inner = indent + "  "
-    if kind is dict:
-        keys = sorted(obj)
-        items = map("{}: {}".format, map(_string, keys),
-                    map(_text, map(obj.__getitem__, keys), repeat(inner)))
-    else:
-        items = map(_text, obj, repeat(inner))
-    start, end = "{}" if kind is dict else "[]"
-    return start + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + end
+        items = list(chain.from_iterable(
+            [c.values() if type(c) is dict else c for c in fresh.values()]))
 
 
 def json_text(obj) -> str:
     """The one JSON writer of the package: byte for byte
-    ``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline."""
-    return _text(obj, "") + "\n"
+    ``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline.  orjson
+    writes a plain value (see :func:`_plain`) and the standard library's
+    escaper then its DEL and non-ASCII, which occur only inside strings;
+    ``json.dumps`` writes every other value and any that orjson refuses."""
+    if _plain(obj):
+        try:
+            text = orjson.dumps(obj, option=_OPTIONS).decode()
+        except TypeError:
+            pass
+        else:
+            if text.isascii() and "\x7f" not in text:
+                return text
+            return _NOT_ASCII.sub(lambda ch: _string(ch[0])[1:-1], text)
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _write_corpus(fh, seed: int, count: int, payloads) -> None:
@@ -204,7 +192,8 @@ def _write_corpus(fh, seed: int, count: int, payloads) -> None:
     fh.write(head)
     written = False
     for payload in payloads:
-        fh.write((",\n    " if written else "[\n    ") + _text(payload, "    "))
+        text = json_text(payload)[:-1].replace("\n", "\n    ")
+        fh.write((",\n    " if written else "[\n    ") + text)
         written = True
     fh.write(("\n  ]" if written else "[]") + tail)
 

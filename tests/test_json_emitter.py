@@ -83,8 +83,9 @@ def test_fixture_documents_match_indented_json_dumps():
 
 
 def test_fallback_values_are_reindented_where_they_nest():
-    # a tuple and an int-keyed dict two levels down inside a list go
-    # through json.dumps, whose lines must shift to the depth they sit at
+    # a tuple and an int-keyed dict two levels down inside a list, and a
+    # float beside them: orjson refuses the int keys, so the whole value
+    # goes to json.dumps
     obj = [1, {"a": [(1, "x", {"k": [2.5]}), {2: [True, None], 1: {"k": ()}}],
                "b": {}, "c": []}]
     assert report.json_text(obj) == reference(obj)
@@ -186,6 +187,10 @@ def test_text_that_is_not_printable_ascii_is_escaped_as_the_stdlib_does():
     for text in ("é", "\x7f", "\U0001f600", "a b", "\x7fé\x00"):
         assert_as_stdlib({"a": [{"b": [text, "plain"]}], "c": "d"})
         assert_as_stdlib({"a": {"b": {text: [1, "plain"]}}})
+    # keys on both sides of the BMP/astral border: orjson sorts by UTF-8
+    # bytes, the standard library by code point, which is one order
+    assert_as_stdlib({"\uffff": 1, "\U00010000": [2], "é": {"\x7f": 3},
+                      "\x7f": "é", "": None, "z": "\U00010000"})
 
 
 def test_ints_past_64_bits_are_written_as_the_stdlib_does():
@@ -194,7 +199,10 @@ def test_ints_past_64_bits_are_written_as_the_stdlib_does():
 
 
 def test_floats_deep_in_a_witness_are_written_as_the_stdlib_does():
-    for leaf in (1e-7, 0.5, -0.0, float("nan"), float("-inf"), float("inf")):
+    # leaves on both sides of 1e-4 and of 1e16: between them orjson writes
+    # every float as repr does, outside them not always
+    for leaf in (1e-7, 0.5, -0.0, float("nan"), float("-inf"), float("inf"),
+                 1e-4, 9.999e-5, 1e15, 1e16, 5e-324, 1.7976931348623157e308):
         assert_as_stdlib(witness_shaped(leaf))
 
 
@@ -224,7 +232,7 @@ def test_cycles_raise_as_the_stdlib_does():
             report.json_text(obj)
 
 
-@pytest.mark.parametrize("depth", [301, 600])
+@pytest.mark.parametrize("depth", [301, 600, 800, 900, 1500])
 def test_nesting_past_orjsons_limit_is_written_as_the_stdlib_does(depth):
     nested, keyed = ["leaf"], {"k": "leaf"}
     for i in range(depth):
