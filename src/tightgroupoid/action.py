@@ -188,7 +188,7 @@ def validate_action(action: FiniteAction) -> None:
     # padded last column is all -1, so a gather at -1 gives -1
     padded = np.concatenate((m, np.full((n, 1), -1, dtype=np.int32)), axis=1)
     gen_maps = m[np.array(sg.generators)]
-    step = max(1, max(n * points, 4096) // gen_maps.size)
+    step = max(1, max(n * points, 4096) // max(gen_maps.size, 1))
     for lo in range(0, n, step):
         differs = padded[lo:lo + step, gen_maps] != m[sg.right[lo:lo + step]]
         if differs.any():

@@ -143,31 +143,27 @@ class GermGroupoid:
         composable triple.
 
         A product [s,z][t,x] = [st,x] is defined when the source of the
-        first germ is the target of the second.  Only products of arrow
-        representatives occur, so they are read off one block of the
-        multiplication table, its columns for the representatives taken
-        from the right Cayley graph by
-        :meth:`~tightgroupoid.semigroup.InverseSemigroup._columns` along
-        the instance's spanning tree, ``parent`` and ``letter``; the
-        table itself is never filled.  The checks run in the order of the compose-based
-        reading kept in the test suite, so the first violation raised is
-        the same.
+        first germ is the target of the second.  Cell (i, j) of one (n, n)
+        table is the germ of s_i s_j at x_j, gathered once from the
+        representatives' columns (``_columns``) and ``class_of``; a read
+        cell of -1 raises DomainViolation.  The checks run in the order of
+        the compose-based reading kept in the test suite, so the first
+        violation raised is the same.
         """
         n = len(self.arrows)
         source, target, unit_at = self.source, self.target, self.unit_at
-        arrows, class_of = self.arrows, self.class_of.tolist()
-        sg = self.semigroup
-        reps = sorted({s for s, _ in arrows})
-        block = sg._columns(reps)[:, reps].T.tolist()
-        prod = {a: dict(zip(reps, row)) for a, row in zip(reps, block)}
+        elems, xs = np.array(self.arrows, dtype=np.intp).reshape(n, 2).T
+        reps, rep_of = np.unique(elems, return_inverse=True)
+        st = self.semigroup._columns(reps.tolist())[np.ix_(rep_of, elems)].T
+        table = self.class_of[st, xs].tolist()
 
         def compose(i, j):
             if source[i] != target[j]:
                 return None
-            t, x = arrows[j]
-            st = prod[arrows[i][0]][t]
-            k = class_of[st][x]
-            return self.arrow_of(st, x) if k < 0 else k
+            k = table[i][j]
+            if k < 0:
+                raise DomainViolation(f"point {xs[j]} outside the domain of element {st[i, j]}")
+            return k
 
         for x, u in unit_at.items():
             if source[u] != x or target[u] != x:

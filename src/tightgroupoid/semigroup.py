@@ -285,7 +285,7 @@ class InverseSemigroup:
             if e not in self.idempotents:
                 raise NotAnIdeal(f"member {e} is not idempotent")
         order = list(mem)
-        escapes = np.isin(self.slab[order], order, invert=True, kind="table")
+        escapes = (np.bincount(order, minlength=self.size) == 0)[self.slab[order]]
         if escapes.any():
             i, j = divmod(int(escapes.argmax()), escapes.shape[1])
             raise NotAnIdeal(f"not downward closed: {order[i]}*{self._idem_sorted[j]} escapes")

@@ -82,6 +82,13 @@ MUTANTS = {
         "        if not found <= _PLAIN:\n            return False\n",
         "",
         ["tests/test_json_emitter.py::test_subclasses_and_foreign_types_are_left_to_the_stdlib"]),
+    # the groupoid-axiom table reads each product's germ at the arrow's
+    # target point, not at its own point
+    "table_at_target_point": (
+        "germs.py",
+        "table = self.class_of[st, xs].tolist()",
+        "table = self.class_of[st, list(target)].tolist()",
+        ["tests/test_germs.py::test_verify_axioms_agrees_with_compose_oracle"]),
 }
 
 

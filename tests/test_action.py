@@ -259,6 +259,13 @@ def test_empty_carrier_reported():
     verdict = tg.is_locally_contracting_action(act)
     assert not verdict
     assert verdict.reason == "EmptySpectrum"
+    # the same carrier validates, and its germ groupoid, which has no
+    # arrows, passes both readings of the axioms vacuously
+    tg.validate_action(act)
+    g = tg.build_germ_groupoid(act)
+    assert g.arrows == () and g.units == frozenset()
+    g.verify_axioms()
+    oracles.compose_verify_axioms(g)
 
 
 # ------------------------------------------------------------- invariants

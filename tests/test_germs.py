@@ -280,6 +280,10 @@ def axiom_instances(corpus100):
 def test_verify_axioms_agrees_with_compose_oracle(corpus100):
     for name, g in axiom_instances(corpus100):
         assert both_outcomes(g) == (None, None), name
+    # wider tables: 144 arrows over 12 units, 40 arrows over one unit,
+    # and I5's germs
+    for name in ("Bn(12)", "Cz(40)", "In(5)"):
+        assert both_outcomes(make(name)[2]) == (None, None), name
 
 
 def test_corrupted_groupoids_fail_first_on_the_same_identity(corpus100):
