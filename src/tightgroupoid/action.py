@@ -166,7 +166,7 @@ def validate_action(action: FiniteAction) -> None:
     hits = np.bincount(cells, minlength=n * points).reshape(n, points)
     inverse = np.full(n * points, -1, dtype=np.int32)
     inverse[cells] = xs
-    star, d, r = np.array((sg.star, sg.d, sg.r))
+    star, d, r = sg._index
     checks = np.stack((hits > 1,                               # not injective
                        m[star] != inverse.reshape(n, points),  # s* does not invert s
                        defined != defined[d],                  # domain is not s*s's
@@ -224,7 +224,7 @@ def standard_action(spectrum: TightSpectrum) -> FiniteAction:
     # s e for every element s and point of e; s acts on the point of e
     # when e <= s*s, that is (s*s) e = e, and sends it to s e s*
     block = sg.slab[:, [sg.column[f.min] for f in pts]]
-    d, r = np.array((sg.d, sg.r))
+    _, d, r = sg._index
     defined = block[d] == mins
     image = point_of[r[block]]
     lost = defined & (image < 0)

@@ -21,7 +21,8 @@ only the number of points; :func:`analyze` first checks that the order
 in ``below_bits`` is reflexive and, on a closure-built instance, the
 slab's idempotent rows against the maps.  The criteria read: Hausdorff,
 ``below_bits`` and ``meet_bits``; essential principality and minimality,
-``slab``, ``below_bits`` and ``meet_bits``; local contraction, the
+``slab``, ``below_bits``, ``meet_bits`` and the column of s f s* per slab
+cell, one conjugation array made on first use and kept; local contraction, the
 ``slab`` column of the least atom, found by ``below_bits``.  Of the
 harness's cover identities, the outer one reads ``meet_bits`` and the
 one inside the ideal ``below_bits``, each against the action's domains.
@@ -78,22 +79,35 @@ def hausdorff_criterion(sg: InverseSemigroup) -> CriterionResult:
 
 # -------------------------------------------------- essential principality
 
+def _conjugation(sg: InverseSemigroup) -> np.ndarray:
+    """The criteria's one source for s f s*, made once and kept on the
+    instance: a read-only (|S|, |E|) int32 array whose cell
+    (s, column[f]) is the column of s f s*, the range of the slab cell
+    s f."""
+    if sg._conjugation is None:      # an idempotent's column: idempotents up to it, less 1
+        column_of = np.cumsum(sg._index[1] == np.arange(sg.size), dtype=np.int32) - 1
+        conj = column_of[sg._index[2][sg.slab]]
+        conj.flags.writeable = False
+        sg._conjugation = conj
+    return sg._conjugation
+
+
 def _weakly_fixed_flags(sg: InverseSemigroup) -> np.ndarray:
     """One pass over the whole slab, made once and kept on the instance:
     a read-only (|S|, |E|) bool array whose cell (s, column[e]) is True
     when e lies below s*s and is weakly fixed under s.
 
-    A nonzero f below s*s is bad for s when its conjugate misses it,
-    (s f s*) f = 0, and e is weakly fixed exactly when no bad f lies
-    below e; one product of the bad cells with the order of the
-    semilattice counts the bad f below each e."""
+    A nonzero f below s*s is bad for s when its conjugate (a cell of
+    :func:`_conjugation`) misses it, (s f s*) f = 0 in the meet table, and
+    e is weakly fixed exactly when no bad f lies below e; one product of
+    the bad cells with the semilattice order counts the bad f below e."""
     if sg._weakly_fixed is None:
         slab, zero = sg.slab, sg.zero
         idem = np.array(sg.idempotent_list())
-        below_d = slab[np.array(sg.d)] == idem            # (s, e): e <= s*s
-        conj = np.array(sg.r, dtype=np.int32)[slab]       # (s, f): s f s*
-        bad = below_d & (idem != zero) & (slab[conj, np.arange(len(idem))] == zero)
-        order = (slab[idem] == idem).astype(np.float32)   # (e, f): f <= e
+        meets = slab[idem]                                # (e, f): e f
+        below_d = slab[sg._index[1]] == idem              # (s, e): e <= s*s
+        bad = below_d & (idem != zero) & (meets[_conjugation(sg), np.arange(len(idem))] == zero)
+        order = (meets == idem).astype(np.float32)        # (e, f): f <= e
         flags = below_d & (bad.astype(np.float32) @ order.T == 0)
         flags.flags.writeable = False
         sg._weakly_fixed = flags
@@ -196,16 +210,14 @@ def top_free_criterion(sg: InverseSemigroup) -> CriterionResult:
 def _conjugators(sg: InverseSemigroup) -> np.ndarray:
     """The conjugation relation of the idempotents as one (|E|, |E|)
     int32 array: cell (column[f], column[c]) holds the first s with
-    s f s* = c, or |S| where there is none.  The slab cell (s, f) is s f,
-    whose range is s f s*; one ``np.minimum.at`` scatters every s onto
-    the cell of its (f, s f s*), keeping the least, with no sort."""
+    s f s* = c, or |S| where there is none.  One ``np.minimum.at``
+    scatters every s onto the cell of its (f, s f s*), read off
+    :func:`_conjugation`, keeping the least, with no sort.  Its indices and
+    values are both 1-d: NumPy's fast path (from 1.25) takes no broadcast."""
     n, width = sg.slab.shape
-    column_of = np.zeros(n, dtype=np.int32)
-    column_of[list(sg.idempotent_list())] = np.arange(width)
-    conj = column_of[np.array(sg.r)][sg.slab]         # (s, f): column of s f s*
+    cells = _conjugation(sg) + np.arange(0, width * width, width, dtype=np.int32)
     via = np.full(width * width, n, dtype=np.int32)
-    np.minimum.at(via, conj + np.arange(0, width * width, width, dtype=np.int32),
-                  np.arange(n, dtype=np.int32)[:, None])
+    np.minimum.at(via, cells.ravel(), np.arange(n, dtype=np.int32).repeat(width))
     return via.reshape(width, width)
 
 
@@ -229,6 +241,7 @@ def minimal_criterion(sg: InverseSemigroup) -> CriterionResult:
     nz, idem = sg.nonzero_idempotents(), sg.idempotent_list()
     column, below_bits = sg.column, sg.below_bits
     via = _conjugators(sg)
+    rows = via.tolist()
     nonzero = ~(1 << column[sg.zero])
     conjugates = [bits & nonzero for bits in _row_bits(via < sg.size)]
     met = {bits: sg._met(bits) for bits in set(conjugates)}
@@ -255,8 +268,8 @@ def minimal_criterion(sg: InverseSemigroup) -> CriterionResult:
                 small = trimmed[cands] = _minimize_cover(sg, cands, below, trim)
             pairs = made.get((small, f))
             if pairs is None:
-                row = via[column[f]]
-                pairs = made[small, f] = tuple([(c, int(row[column[c]])) for c in small])
+                row = rows[column[f]]
+                pairs = made[small, f] = tuple([(c, row[column[c]]) for c in small])
             witnesses[(e, f)] = pairs
     return CriterionResult(True, witness={"conjugate_covers": witnesses})
 

@@ -153,8 +153,8 @@ class GermGroupoid:
         n = len(self.arrows)
         source, target, unit_at = self.source, self.target, self.unit_at
         elems, xs = np.array(self.arrows, dtype=np.intp).reshape(n, 2).T
-        reps, rep_of = np.unique(elems, return_inverse=True)
-        st = self.semigroup._columns(reps.tolist())[np.ix_(rep_of, elems)].T
+        reps = np.flatnonzero(np.bincount(elems, minlength=1))
+        st = self.semigroup._columns(reps.tolist())[np.ix_(np.searchsorted(reps, elems), elems)].T
         table = self.class_of[st, xs].tolist()
 
         def compose(i, j):
@@ -201,9 +201,10 @@ def build_germ_groupoid(action: FiniteAction) -> GermGroupoid:
 
     Each pair (s, x) is keyed on (x, s m_x) (see the module docstring),
     which holds for any validated action; the products come from one
-    gather of the slab, and one ``np.unique`` over the keys finds each
-    class and its first, smallest, pair, its representative.  Arrows are
-    sorted by (point, element).
+    gather of the slab; one ``np.minimum.at`` over the points times |S|
+    keys finds each class and its first, smallest, pair, its representative,
+    and a ``cumsum`` of the keys hit numbers them.  Arrows are sorted by
+    (point, element).
     """
     validate_action(action)
     sg = action.semigroup
@@ -215,11 +216,13 @@ def build_germ_groupoid(action: FiniteAction) -> GermGroupoid:
     least = np.where(action.defined[idem], below[:, None], len(idem) + 1).argmin(axis=0)
     elems, xs = np.nonzero(action.defined)
     codes = xs * n + sg.slab[elems, least[xs]]
-    _, first, key_of = np.unique(codes, return_index=True, return_inverse=True)
-    reps, rep_points = elems[first], xs[first]
+    first = np.full(action.points * n, len(codes))     # per key, its first pair
+    np.minimum.at(first, codes, np.arange(len(codes)))
+    hit = first < len(codes)
+    reps, rep_points = elems[first[hit]], xs[first[hit]]
     order = np.argsort(rep_points * n + reps)
     class_of = np.full(action.array.shape, -1, dtype=np.int32)
-    class_of[elems, xs] = np.argsort(order)[key_of]
+    class_of[elems, xs] = np.argsort(order)[(np.cumsum(hit) - 1)[codes]]
     arrows = zip(reps[order].tolist(), rep_points[order].tolist())
     # the unit over x is the germ of m_x
     units = class_of[idem[least], np.arange(action.points)]

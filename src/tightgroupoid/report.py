@@ -14,8 +14,8 @@ sure to be the same, and the standard library every other value.
 
 from __future__ import annotations
 
+import codecs
 import json
-import re
 from functools import cache
 from itertools import chain, compress
 
@@ -128,8 +128,8 @@ _string = json.encoder.encode_basestring_ascii
 _OPTIONS = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE
 _NESTS = frozenset({dict, list, tuple})
 _PLAIN = _NESTS | {str, int, bool, type(None), float}
-# one character a match: a run pattern (``+``) scans twice as slowly
-_NOT_ASCII = re.compile("[\x7f-\U0010ffff]")
+_ESCAPE = "tightgroupoid.json"   # a run of non-ASCII characters, as the stdlib escapes it
+codecs.register_error(_ESCAPE, lambda e: (_string(e.object[e.start:e.end])[1:-1], e.end))
 
 
 def _plain(obj) -> bool:
@@ -165,8 +165,8 @@ def _plain(obj) -> bool:
 def json_text(obj) -> str:
     """The one JSON writer of the package: byte for byte
     ``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline.  orjson
-    writes a plain value (see :func:`_plain`) and the standard library's
-    escaper then its DEL and non-ASCII, which occur only inside strings;
+    writes a plain value (see :func:`_plain`), and the standard library's
+    escaper each run of non-ASCII where the ASCII encoder stops, and DEL;
     ``json.dumps`` writes every other value and any that orjson refuses."""
     if _plain(obj):
         try:
@@ -176,7 +176,7 @@ def json_text(obj) -> str:
         else:
             if text.isascii() and "\x7f" not in text:
                 return text
-            return _NOT_ASCII.sub(lambda ch: _string(ch[0])[1:-1], text)
+            return text.replace("\x7f", "\\u007f").encode("ascii", _ESCAPE).decode()
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 

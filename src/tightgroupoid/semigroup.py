@@ -18,12 +18,13 @@ representatives that the groupoid axiom check reads, and the full table
 are columns read along that tree by one method, ``_columns``.  Nothing
 in the package fills the table; it remains, filled on first access, for
 readers outside it.  The closure builder keeps its maps as the rows of
-one digit array.
+one digit array.  The involution, s*s and ss* are tuples for scalar
+reads and the rows of one int32 array, made once, for array passes.
 
 Instances are immutable after construction and safe to share between
 threads; after ``__init__`` only the table, the partial maps, the rows
-the cover routine reads and the weakly fixed flags of
-:func:`~tightgroupoid.criteria.weakly_fixed` fill, each once.
+the cover routine reads, the conjugation array and the weakly fixed
+flags of :mod:`~tightgroupoid.criteria` fill, each once.
 """
 
 from __future__ import annotations
@@ -96,6 +97,7 @@ class InverseSemigroup:
         star: involution, ``star[s]`` is the unique generalized inverse.
         d: ``d[s]`` is the idempotent s*s, the domain of s.
         r: ``r[s]`` is the idempotent ss*, the range of s.
+        _index: read-only (3, |S|) int32 array, rows ``star``, ``d``, ``r``.
         slab: read-only C-contiguous int32 array of shape (|S|, |E|);
             ``slab[s, column[e]]`` is the product s e, which is s
             restricted to the domain of e, with the idempotents' columns
@@ -141,6 +143,8 @@ class InverseSemigroup:
         self.generators = tuple(map(get, generators))
         self.d = tuple(map(get, d))
         self.r = tuple(map(self.d.__getitem__, self.star))
+        self._index = np.array((self.star, self.d, self.r), dtype=np.int32)
+        self._index.flags.writeable = False
         self._idem_sorted = tuple(s for s, e in zip(ids, self.d) if s == e)
         self.idempotents = frozenset(self._idem_sorted)
         self.right = np.array(right, dtype=np.int32, order="C")
@@ -162,7 +166,7 @@ class InverseSemigroup:
             raise DuplicateName(next(n for n in self.element_names
                                      if n in seen or seen.add(n)))
         self._digits = digits
-        self._weakly_fixed = None
+        self._weakly_fixed = self._conjugation = None
 
     @property
     def table(self) -> tuple:
@@ -193,7 +197,7 @@ class InverseSemigroup:
                 y = parent[y]
             col = cols[y]
             for y in reversed(chain):
-                col = cols[y] = by_gen[letter[y]][col]
+                col = cols[y] = by_gen[letter[y]].take(col)
             out[i] = col
         return out
 
@@ -563,7 +567,7 @@ def _bit_rows(rows, width: int) -> np.ndarray:
     """The inverse of :func:`_row_bits`: a (len(rows), width) bool array
     whose cell (i, j) is bit j of ``rows[i]``."""
     size = (width + 7) // 8
-    raw = b"".join(bits.to_bytes(size, "little") for bits in rows)
+    raw = b"".join(map(int.to_bytes, rows, itertools.repeat(size), itertools.repeat("little")))
     packed = np.frombuffer(raw, np.uint8).reshape(len(rows), size)
     return np.unpackbits(packed, axis=1, count=width, bitorder="little").view(bool)
 

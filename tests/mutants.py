@@ -72,7 +72,7 @@ MUTANTS = {
     # orjson's text is kept though it holds non-ASCII text or DEL
     "escape_pass_skipped": (
         "report.py",
-        "return _NOT_ASCII.sub(lambda ch: _string(ch[0])[1:-1], text)",
+        'return text.replace("\\x7f", "\\\\u007f").encode("ascii", _ESCAPE).decode()',
         "return text",
         ["tests/test_json_emitter.py::test_text_that_is_not_printable_ascii_is_escaped_as_the_stdlib_does"]),
     # a value holding a type outside _PLAIN (a subclass, an Enum, a
@@ -89,6 +89,20 @@ MUTANTS = {
         "table = self.class_of[st, xs].tolist()",
         "table = self.class_of[st, list(target)].tolist()",
         ["tests/test_germs.py::test_verify_axioms_agrees_with_compose_oracle"]),
+    # the conjugators' values laid out f by f, not s by s: the conjugate
+    # sets stay right, but each via cell names the wrong element
+    "conjugator_values_tiled": (
+        "criteria.py",
+        "np.arange(n, dtype=np.int32).repeat(width)",
+        "np.tile(np.arange(n, dtype=np.int32), width)",
+        ["tests/test_array_passes.py::test_array_passes_match_per_element_loops"]),
+    # the germ quotient keeps the last pair of each class as its
+    # representative, not the first
+    "germ_keeps_last_pair": (
+        "germs.py",
+        "np.minimum.at(first, codes, np.arange(len(codes)))",
+        "first[codes] = np.arange(len(codes))",
+        ["tests/test_germs.py::test_canonical_representatives_are_minimal"]),
 }
 
 

@@ -93,6 +93,24 @@ def test_array_passes_match_per_element_loops():
     assert spectra > 1000
 
 
+def test_index_and_conjugation_arrays_are_made_once(corpus100):
+    # the instance's array of star, d and r holds the tuples, and the
+    # conjugation array holds the column of s f s* per cell, each
+    # read-only, the second made on first use and kept
+    instances = [(name, tg.build_fixture(name)) for name in (*NINE_FIXTURES, "In(5)")]
+    for name, sg in instances + list(corpus100):
+        index = sg._index
+        assert index.dtype == np.int32 and not index.flags.writeable, name
+        assert np.array_equal(index, np.array((sg.star, sg.d, sg.r))), name
+        conj = criteria._conjugation(sg)
+        assert conj.dtype == np.int32 and not conj.flags.writeable, name
+        assert conj.shape == sg.slab.shape, name
+        slab = sg.slab.tolist()
+        assert conj.tolist() == [[sg.column[sg.r[slab[s][j]]] for j in range(len(slab[s]))]
+                                 for s in sg.elements()], name
+        assert criteria._conjugation(sg) is conj, name
+
+
 def outcome(check, *args):
     """The exception class and arguments `check` raises, or None when it
     passes."""
