@@ -13,8 +13,9 @@ exactly; semantic validation beyond counts and index ranges
 Integers are an optional ``-`` and ASCII digits.  The text is scanned
 once, and only the header is split into tokens: a table body goes from
 text to an n x n int32 array, the spec's ``rows``, in whole-array passes
-over its bytes, which find the tokens, count them per line, and convert
-and range-check them by digit arithmetic.  A body the passes refuse goes
+over its bytes, which find the tokens' last digits and count them per
+line, and then over those token ends, which read each value back digit
+by digit and range-check it.  A body the passes refuse goes
 to the row reader, which reads the lines after the header and raises at
 the first bad row with the line and column of its first bad token.
 """
@@ -134,7 +135,8 @@ def _parse_table(name, decl, body, rest):
 
 def _table_body(body, n):
     """The rows of a table body as an n x n int32 array, read in
-    whole-array passes over its bytes; None, for the row reader, unless
+    whole-array passes over its bytes, then over the n^2 token ends, each
+    read back a digit at a time; None, for the row reader, unless
     the body, comments removed, is n lines of n tokens of ASCII digits,
     each below n and no longer than n - 1 written out, between spaces,
     tabs and CR or LF line breaks."""
@@ -149,18 +151,19 @@ def _table_body(body, n):
     per_line = np.add.reduceat(last, breaks, dtype=np.intp)
     if np.count_nonzero(per_line == n) != n or np.count_nonzero(last) != n * n:
         return None
-    # the value of the run of digits ending at each byte, up to w digits
+    # each token's value, read back from its end: digit k of a token (0 the
+    # last) is k bytes before it, read for the tokens `longer` than k digits.
+    # The body's leading "\n" ends every token before index 0
+    ends = np.flatnonzero(last)
     w = len(str(n - 1))
-    digits = (raw - np.uint8(ord("0"))) * digit
-    values = digits.astype(np.int32)
-    run = digit.copy()              # a run of k + 1 digits ends here
-    for k in range(1, w + 1):
-        run[k:] &= digit[:-k]
-        values[k:] += np.multiply(digits[:-k], run[k:], dtype=np.int32) * 10 ** k
-    if run.any():
+    values = np.subtract(raw[ends], ord("0"), dtype=np.int32)
+    longer = np.flatnonzero(digit[ends - 1])
+    for k in range(1, w):
+        values[longer] += np.subtract(raw[ends[longer] - k], ord("0"), dtype=np.int32) * 10 ** k
+        longer = longer[digit[ends[longer] - k - 1]]
+    if longer.size or values.max() >= n:        # a token too long, or too high
         return None
-    values = np.compress(last, values)
-    return values.reshape(n, n) if values.max() < n else None
+    return values.reshape(n, n)
 
 
 def _row_entries(row_line, n):

@@ -204,17 +204,17 @@ emit_report = json_text
 
 def emit_dot(gpd: GermGroupoid, graph_name: str = "germs") -> str:
     """One node per unit, one labeled edge per non-unit arrow; labels are
-    the canonical representatives."""
+    the canonical representatives, quoted as ``json.dumps`` quotes them."""
     sg = gpd.semigroup
     act = gpd.action
-    lines = [f"digraph {json.dumps(graph_name)} {{"]
+    lines = [f"digraph {_string(graph_name)} {{"]
     for x in range(act.points):
-        lines.append(f'  u{x} [shape=circle, label={json.dumps(act.label_of(x))}];')
+        lines.append(f'  u{x} [shape=circle, label={_string(act.label_of(x))}];')
     for i, (s, x) in enumerate(gpd.arrows):
         if i in gpd.units:
             continue
         label = f"[{sg.name_of(s)}, {act.label_of(x)}]"
         lines.append(
-            f"  u{gpd.source[i]} -> u{gpd.target[i]} [label={json.dumps(label)}];")
+            f"  u{gpd.source[i]} -> u{gpd.target[i]} [label={_string(label)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -403,6 +403,14 @@ class InverseSemigroup:
 
 # -------------------------------------------------------------- builders
 
+def _integer(v, what: str) -> int:
+    """`v` through ``operator.index``, else :class:`DegreeMismatch` naming it."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise DegreeMismatch(f"{what} {v!r} is not an integer") from None
+
+
 def from_table(table: Sequence[Sequence[int]], zero: int,
                element_names: Sequence[str] | None = None) -> InverseSemigroup:
     """Validate a multiplication table and return the semigroup.
@@ -411,7 +419,9 @@ def from_table(table: Sequence[Sequence[int]], zero: int,
     inverse for every element, from which the involution and the
     idempotents are computed.  The rows, of any integer sequence or array
     type, are converted once into an array; an integer array is read as
-    it is and never written to.  Rows up to the first of
+    it is and never written to.  The first entry in row order that
+    ``operator.index`` refuses, a float or text, raises
+    :class:`DegreeMismatch`.  Rows up to the first of
     the wrong length are range-checked as one array, and the first entry
     out of range in row order, or else that row, raises
     :class:`DegreeMismatch`.  The zero may be any integer type, NumPy's
@@ -440,6 +450,8 @@ def from_table(table: Sequence[Sequence[int]], zero: int,
     if isinstance(rows, np.ndarray) and rows.dtype.kind in "iu":
         m = rows.reshape(square, n)  # an integer array is checked as it is
     else:
+        if np.array(rows).dtype.kind not in "iub":   # floats, text, ints past int64
+            rows = [[_integer(v, "table entry") for v in row] for row in rows]
         try:
             m = np.array(rows, dtype=np.int64).reshape(square, n)
         except OverflowError:        # an entry past int64, out of range below
@@ -460,7 +472,7 @@ def from_table(table: Sequence[Sequence[int]], zero: int,
     return _checked(m.astype(np.int32, copy=False), index, element_names)
 
 
-# Elements per block of the unique-inverse search in `_checked`: its
+# Elements per block of the unique-inverse search, `_searched_inverses`: its
 # transient arrays hold a few blocks of this many rows of the table.
 INVERSE_BLOCK_ROWS = 64
 
@@ -470,12 +482,14 @@ def _checked(m: np.ndarray, zero: int, element_names=None) -> InverseSemigroup:
     whose entries and zero are in range; the instance keeps its involution,
     s*s and the columns of its generators, not the table.
 
-    The inverse s* is the unique t with (s t) s = s and (t s) t = t.  It
-    is searched over blocks of `INVERSE_BLOCK_ROWS` elements s, each
-    block comparing both products for every t at once; the lowest s with
-    no such t, or with more than one, raises.  Last, the slab must equal
-    the table's idempotent columns; a cell (s, e) that differs is a defect,
-    the first raising :class:`TheoremViolation`."""
+    The inverse s* is the unique t with (s t) s = s and (t s) t = t.  Every
+    s* is derived in O(n k) for k generators along the spanning tree of
+    their columns, walked here once, the constructor's too.  A table
+    regular through them whose idempotents commute is inverse (Howie,
+    *Fundamentals of Semigroup Theory*, 1995, Thm 5.1.1), so s* is the only
+    inverse; else the O(n^2) search raises at the lowest s with none, or
+    more.  Last, the slab must equal the table's idempotent columns; a cell
+    (s, e) that differs is a defect, the first raising :class:`TheoremViolation`."""
     n = len(m)
     gens = _right_generators(m)
     if n * n * len(gens) > MAX_TABLE_WORK:
@@ -490,44 +504,75 @@ def _checked(m: np.ndarray, zero: int, element_names=None) -> InverseSemigroup:
             raise NotAssociative(x, g, y)
     del lhs, rhs
 
+    right = m[:, gens]
+    tree = _breadth_first(right, gens)
     ar = np.arange(n, dtype=np.int32)
-    star = np.empty(n, dtype=np.int32)
-    for lo in range(0, n, INVERSE_BLOCK_ROWS):
-        s = ar[lo:lo + INVERSE_BLOCK_ROWS]
-        ts = m[:, s].T                                    # (s, t) -> t s
-        sts = np.take_along_axis(ts, m[s], axis=1)        # (s, t) -> (s t) s
-        tst = m[ts, ar]                                   # (s, t) -> (t s) t
-        both = (sts == s[:, None]) & (tst == ar)
-        count = both.sum(axis=1)
-        if (count != 1).any():
-            i = int(np.argmax(count != 1))
-            if count[i] == 0:
-                raise InverseMissing(lo + i)
-            raise InverseNotUnique(lo + i)
-        star[s] = both.argmax(axis=1)
+    star = _derived_inverses(m, gens, tree)
+    el = np.flatnonzero(m.diagonal() == ar)       # the idempotents
+    sub = m[np.ix_(el, el)]
+    if star is None or not np.array_equal(sub, sub.T):
+        star = _searched_inverses(m)
     star = star.tolist()
 
     bad = np.flatnonzero((m[zero] != zero) | (m[:, zero] != zero))
     if bad.size:
         raise ZeroNotAbsorbing(int(bad[0]))
 
-    idem = frozenset(int(e) for e in np.flatnonzero(m.diagonal() == ar))
-    # Uniqueness of inverses already forces these; they are cheap to
-    # re-assert and catching them here would mean a bug above.
-    assert zero in idem
-    assert all(star[e] == e for e in idem)
-    el = sorted(idem)
-    sub = m[np.ix_(el, el)]
-    assert np.array_equal(sub, sub.T), "idempotents failed to commute"
-
-    sg = InverseSemigroup(zero, star, gens, m[star, ar].tolist(), m[:, gens],
-                          element_names)
+    sg = InverseSemigroup(zero, star, gens, m[star, ar].tolist(), right,
+                          element_names, tree=tree)
     bad = sg.slab != np.take(m, el, axis=1)
     if bad.any():
         s, j = divmod(int(bad.argmax()), len(el))
         raise TheoremViolation("slab_columns", int(sg.slab[s, j]), int(m[s, el[j]]),
                                f"table s={s} e={el[j]}")
     return sg
+
+
+def _inverse_pairs(m: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Cell (i, t) is True when t is an inverse of ``s[i]`` in the table `m`."""
+    ar = np.arange(len(m), dtype=np.int32)
+    ts = m[:, s].T                                    # (s, t) -> t s
+    sts = np.take_along_axis(ts, m[s], axis=1)        # (s, t) -> (s t) s
+    tst = m[ts, ar]                                   # (s, t) -> (t s) t
+    return (sts == s[:, None]) & (tst == ar)
+
+
+def _derived_inverses(m: np.ndarray, gens: list, tree: tuple):
+    """Each s* of the table `m`, derived along `tree` as (p g)* = g* p*
+    from the generators' inverses, if each has exactly one; None unless
+    s s* s = s and s* s s* = s* for every s."""
+    both = _inverse_pairs(m, np.array(gens))
+    if (both.sum(axis=1) != 1).any():
+        return None
+    inverse = both.argmax(axis=1)
+    rows, star = m[inverse].tolist(), dict(zip(gens, inverse.tolist()))
+    parent, letter = tree
+    for y in range(len(m)):
+        chain = []
+        while y not in star:
+            chain.append(y)
+            y = parent[y]
+        for y in reversed(chain):
+            star[y] = rows[letter[y]][star[parent[y]]]   # row j: t -> g_j* t
+    ar = np.arange(len(m), dtype=np.int32)
+    star = np.fromiter(map(star.__getitem__, ar.tolist()), np.int32, len(m))
+    regular = (m[m[ar, star], ar] == ar).all() and (m[m[star, ar], star] == star).all()
+    return star if regular else None
+
+
+def _searched_inverses(m: np.ndarray) -> np.ndarray:
+    """The unique inverse of each s of the table `m`, searched over blocks of
+    `INVERSE_BLOCK_ROWS` elements; the lowest s with none, or more, raises."""
+    star = np.empty(len(m), dtype=np.int32)
+    for lo in range(0, len(m), INVERSE_BLOCK_ROWS):
+        s = np.arange(lo, min(lo + INVERSE_BLOCK_ROWS, len(m)), dtype=np.int32)
+        both = _inverse_pairs(m, s)
+        count = both.sum(axis=1)
+        if (count != 1).any():
+            i = int(np.argmax(count != 1))
+            raise (InverseNotUnique if count[i] else InverseMissing)(lo + i)
+        star[s] = both.argmax(axis=1)
+    return star
 
 
 def _right_generators(m: np.ndarray) -> list:
@@ -609,10 +654,10 @@ BLOCK_CELLS = 1 << 16
 def _check_partial_map(g: Sequence, degree: int, label: str) -> tuple:
     if len(g) != degree:
         raise DegreeMismatch(f"map {label} has {len(g)} entries, expected {degree}")
-    out = []
+    out, what = [], f"map {label} image"
     for v in g:
         if v is not None:
-            v = int(v)
+            v = _integer(v, what)
             if not 0 <= v < degree:
                 raise DegreeMismatch(f"map {label} sends a point to {v}, outside 0..{degree - 1}")
         out.append(v)

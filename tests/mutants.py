@@ -96,6 +96,20 @@ MUTANTS = {
         "np.arange(n, dtype=np.int32).repeat(width)",
         "np.tile(np.arange(n, dtype=np.int32), width)",
         ["tests/test_array_passes.py::test_array_passes_match_per_element_loops"]),
+    # the inverses derived along the spanning tree as p* g*, not g* p*:
+    # the check refuses them, and only the search would find the inverses
+    "derived_inverse_reversed": (
+        "semigroup.py",
+        "star[y] = rows[letter[y]][star[parent[y]]]",
+        "star[y] = int(m[star[parent[y]], inverse[letter[y]]])",
+        ["tests/test_table_input.py::test_valid_tables_never_reach_the_inverse_search"]),
+    # the table parse forgets which tokens are still running: a token
+    # takes digits of the token before, and the row reader reads the text
+    "parse_drops_running_tokens": (
+        "dsl.py",
+        "longer = longer[digit[ends[longer] - k - 1]]",
+        "longer = np.flatnonzero(digit[ends - k - 1])",
+        ["tests/test_table_input.py::test_the_byte_pass_reads_brandt15_and_tokens_of_up_to_w_digits"]),
     # the germ quotient keeps the last pair of each class as its
     # representative, not the first
     "germ_keeps_last_pair": (

@@ -117,7 +117,8 @@ def test_cayley_graph_is_one_packed_int32_array():
 def test_the_cayley_graph_is_walked_once_per_instance(monkeypatch):
     # the closure walk hands its breadth-first tree to the constructor, so
     # a closure-built instance never walks the graph again; a table-built
-    # one is walked once, by the constructor.  The slab, the groupoid
+    # one is walked once, by the table checks, which derive the inverses
+    # along the tree and hand it to the constructor.  The slab, the groupoid
     # axiom check and the rest of the identity harness read columns along
     # that tree and never walk it
     walks = []

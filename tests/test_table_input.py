@@ -1,8 +1,11 @@
 """Table input through the whole-array passes against the row by row and
 per-element readings kept in `oracles`: ``parse_spec`` on table texts,
-``from_table`` on tables of every container type, and the unique-inverse
-search over blocks of rows.  Each pair must give the same spec or
-instance, or the same error with the same message, line and column."""
+``from_table`` on tables of every container type, and the inverses,
+derived along the spanning tree or searched over blocks of rows.  Each
+pair must give the same spec or instance, or the same error with the
+same message, line and column.  The fast paths are also checked not to
+lean on their fallbacks: the byte pass must read the texts it can, and
+a valid table must never reach the inverse search."""
 
 from __future__ import annotations
 
@@ -14,11 +17,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tightgroupoid import dsl, semigroup
+import tightgroupoid as tg
+from tightgroupoid import dsl, fixtures, semigroup
 from tightgroupoid.dsl import SemigroupSpec, format_spec, parse_spec
-from tightgroupoid.errors import InverseMissing, InverseNotUnique
+from tightgroupoid.errors import DegreeMismatch, InverseMissing, InverseNotUnique
 
 import oracles
+from conftest import CORPUS_COUNT, CORPUS_SEED
 from test_families import TABLE_FAMILIES
 from test_input_fuzz import TABLE_TEXTS, outcome
 
@@ -138,7 +143,7 @@ def test_from_table_containers_build_as_row_by_row():
         assert built(semigroup.from_table, table, 0) == want, kind
 
 
-@pytest.mark.parametrize("value", (-1, N, N + 5, 2 ** 40, 2 ** 70))
+@pytest.mark.parametrize("value", (-1, N, N + 5, 2 ** 40, 2 ** 63, 2 ** 70))
 def test_from_table_out_of_range_entries_fail_as_row_by_row(value):
     for r, c in ((0, 0), (6, 11), (N - 1, N - 1)):
         rows = b4_table()
@@ -147,6 +152,28 @@ def test_from_table_out_of_range_entries_fail_as_row_by_row(value):
             got = built(semigroup.from_table, table, 0)
             assert isinstance(got, tuple) and str(value) in got[1], kind
             assert got == built(oracles.per_row_from_table, table, 0), kind
+
+
+def test_entries_and_images_that_are_not_integers_are_refused():
+    # NumPy would round 1.7 down and parse "1"; the first non-integer in
+    # row order is named, and bools pass, as operator.index takes them
+    for table, first in (([[0, 0], [0, 1.7]], 1.7),
+                         (np.array([[0, 0], [0, 1.2]]), np.float64(0)),
+                         ([[0, 0], [0, "1"]], "1"),
+                         ([[0, 2], [0.5, "1"]], 0.5),
+                         ([[0, 0], [0, None]], None),
+                         (["01", "01"], "0")):
+        with pytest.raises(DegreeMismatch) as err:
+            semigroup.from_table(table, 0)
+        assert str(err.value) == f"table entry {first!r} is not an integer"
+    assert fields(semigroup.from_table([[False, False], [False, True]], 0)) == \
+        fields(semigroup.from_table(np.array([[0, 0], [0, 1]]), 0))
+    for image in (1.7, "1", 1.0):
+        with pytest.raises(DegreeMismatch) as err:
+            semigroup.from_partial_maps(2, [(image, 0)])
+        assert str(err.value) == f"map generator 0 image {image!r} is not an integer"
+    assert fields(semigroup.from_partial_maps(2, [(True, np.int64(0))])) == \
+        fields(semigroup.from_partial_maps(2, [(1, 0)]))
 
 
 def test_from_table_ragged_rows_fail_as_row_by_row():
@@ -207,6 +234,34 @@ def test_inverse_search_fails_at_the_lowest_element_in_any_block(monkeypatch, bl
         assert got == built(oracles.per_row_from_table, table, zero), block
 
 
+def valid_tables():
+    """(name, table, zero) of every valid table the inverse checks meet:
+    the table families, a fixture ladder, a corpus as tables, and B15 as
+    the benchmark parses it."""
+    for name in sorted(TABLE_FAMILIES):
+        (table, zero), _, _ = TABLE_FAMILIES[name]
+        yield name, table, zero
+    for name in ("I2", "B2", "Z2z", "E4", "In(4)", "Bn(8)", "Pow(5)", "Cz(40)"):
+        sg = tg.build_fixture(name)
+        yield name, sg.table, sg.zero
+    for name, sg in fixtures.iter_corpus(CORPUS_COUNT, CORPUS_SEED):
+        yield name, sg.table, sg.zero
+    spec = parse_spec(brandt_text(15))
+    yield "brandt15", spec.rows, spec.zero
+
+
+def test_valid_tables_never_reach_the_inverse_search(monkeypatch):
+    # the search is the fallback for tables that are not inverse; a
+    # derivation that failed on a valid table would hide behind it
+    def search(m):
+        raise AssertionError(f"the inverse search ran on a valid table of {len(m)}")
+
+    monkeypatch.setattr(semigroup, "_searched_inverses", search)
+    for name, table, zero in valid_tables():
+        assert semigroup.from_table(table, zero).star == \
+            oracles.per_row_from_table(table, zero).star, name
+
+
 # ------------------------------------------- table texts of every spelling
 
 SEPARATORS = (" ", "  ", "\t", " \t ", "\u00a0", "\x0b", "\x0c", "\x85", "\u2028", "\u2003")
@@ -214,14 +269,17 @@ LINE_ENDS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x85", "\u2028", "\x1e")
 COMMENTS = ("# a comment", "#", "# é   ١ -1 +1", "#\t7 7 7")
 
 
-def odd_token(rng, token):
-    """An entry token spelled with leading zeros, a sign, or far too
-    long."""
-    kind = rng.randrange(3)
+def odd_token(rng, token, w):
+    """An entry token spelled with leading zeros, to exactly w or w + 1
+    digits, w those of the largest entry, or to any length, with a sign,
+    or far too long."""
+    kind = rng.randrange(4)
     if kind == 0:
         return "0" * rng.randrange(1, 4) + token
     if kind == 1:
         return rng.choice(("-", "+")) + token
+    if kind == 2:
+        return token.zfill(w + rng.randrange(2))
     return "0" * rng.choice((8, 40, 5000)) + token
 
 
@@ -247,7 +305,7 @@ def random_table_text(rng):
         r = rng.randrange(len(rows))
     c = rng.randrange(len(rows[r])) if rows[r] else None
     if c is not None and rng.random() < 0.25:
-        rows[r][c] = odd_token(rng, rows[r][c])
+        rows[r][c] = odd_token(rng, rows[r][c], len(str(n - 1)))
     elif c is not None and rng.random() < 0.05:
         rows[r][c] = str(n + rng.choice((0, 1, 10 ** 6)))
     sep = rng.choice((" ", "  ", "\t", " \t "))
@@ -286,3 +344,19 @@ def test_table_text_spellings_read_as_row_by_row(monkeypatch):
     # both readers make specs, and the row reader raises both kinds of error
     assert read["byte pass"] >= 100 and read["spec"] - read["byte pass"] >= 50, read
     assert read["DslSyntaxError"] >= 20 and read["DslRangeError"] >= 5, read
+
+
+def test_the_byte_pass_reads_brandt15_and_tokens_of_up_to_w_digits():
+    # B15 has 226 elements, so w = 3 digits; a token of w + 1 digits goes
+    # to the row reader, which reads it as the same entry
+    text = brandt_text(15)
+    head, rows = text.splitlines()[:2], text.splitlines()[2:]
+    want = oracles.row_by_row_parse_spec(text)
+    padded = [" ".join(t.zfill(3) for t in row.split(" ")) for row in rows]
+    longer = [padded[0].replace("000", "0000", 1), *padded[1:]]
+    for body, read in ((rows, True), (padded, True), (longer, False)):
+        table = dsl._table_body("\n".join(body) + "\n", 226)
+        assert (table is not None) == read
+        if read:
+            assert np.array_equal(table, want.rows)
+        assert parse_spec("\n".join(head + body) + "\n") == want
