@@ -188,10 +188,14 @@ def _analyze_single(args) -> int:
 
 def _corpus_payloads(args):
     """The report of each corpus instance in turn, once its summary line
-    is printed.  Generated instances are valid, so any error one raises
-    is a defect: it writes its reproducer and propagates."""
-    for index, (name, sg) in enumerate(fixtures.iter_corpus(args.corpus, args.seed)):
+    is printed.  Generated instances are valid, so any error one raises,
+    while it is built too, is a defect: it writes its reproducer and
+    propagates."""
+    instances = fixtures.iter_corpus(args.corpus, args.seed)
+    for index in range(args.corpus):
+        name, sg = f"corpus-{args.seed}-{index:03d}", None
         try:
+            name, sg = next(instances)
             analysis, checks = criteria.verify_instance(sg, name, seed=index)
         except TightGroupoidError as exc:
             _report_violation(sg, name, exc, f" on {name}")

@@ -11,7 +11,7 @@ from typing import Iterator
 import numpy as np
 
 from . import semigroup
-from .errors import CapExceeded, DegreeMismatch
+from .errors import CapExceeded, DegreeMismatch, TheoremViolation
 from .semigroup import InverseSemigroup, from_partial_maps, from_table
 
 RANDOM_MIN_IDEMPOTENTS = 2
@@ -25,6 +25,15 @@ def _check_cells(side: int) -> None:
     if side * side > semigroup.MAX_SLAB_CELLS:
         raise CapExceeded(f"fixture needs over {semigroup.MAX_SLAB_CELLS} "
                           "table or slab cells")
+
+
+def _counted(sg: InverseSemigroup, name: str, elements: int, idempotents: int):
+    """`sg`, unless it misses the family's counts of elements and
+    idempotents, a defect that raises :class:`TheoremViolation`."""
+    if (sg.size, len(sg.idempotents)) != (elements, idempotents):
+        raise TheoremViolation("fixture_counts", (sg.size, len(sg.idempotents)),
+                               (elements, idempotents), name)
+    return sg
 
 
 def symmetric_inverse_monoid(n: int) -> InverseSemigroup:
@@ -43,12 +52,9 @@ def symmetric_inverse_monoid(n: int) -> InverseSemigroup:
             tuple(range(n - 1)) + (None,)]
     if n > 1:
         gens.append((1, 0) + tuple(range(2, n)))
-    sg = from_partial_maps(n, gens)
     expected = sum(math.comb(n, k) ** 2 * math.factorial(k)
                    for k in range(n + 1))
-    assert sg.size == expected
-    assert len(sg.idempotents) == 2 ** n
-    return sg
+    return _counted(from_partial_maps(n, gens), f"In({n})", expected, 2 ** n)
 
 
 def brandt_semigroup(n: int) -> InverseSemigroup:
@@ -70,34 +76,26 @@ def brandt_semigroup(n: int) -> InverseSemigroup:
     table[1:, 1:] = blocks.reshape(n * n, n * n)
     sep = "," if n > 9 else ""       # e1,11 and e11,1 apart
     names = ["0"] + [f"e{i + 1}{sep}{j + 1}" for i in range(n) for j in range(n)]
-    sg = from_table(table, 0, names)
-    assert sg.size == n * n + 1
-    assert len(sg.idempotents) == n + 1
-    return sg
+    return _counted(from_table(table, 0, names), f"Bn({n})", size, n + 1)
 
 
 def group_with_zero(table, names=None) -> InverseSemigroup:
     """Adjoin an absorbing zero to a finite group given by its table.
 
-    The input must really be a group; after validation the table is
-    checked to have an identity that every nonzero element inverts to.
+    The input must really be a group.  An inverse semigroup with zero is a
+    group with zero exactly when it has one nonzero idempotent u: then
+    s s* = s* s = u for every nonzero s, and s t = 0 gives u = s* s t t* = 0.
     """
     g = np.array(table, dtype=np.int64)
-    n = len(g)
-    size = n + 1
+    size = len(g) + 1
     out = np.zeros((size, size), dtype=np.int64)
     out[1:, 1:] = g + 1
     if names is not None:
         names = ["0", *names]
     sg = from_table(out, 0, names)
-    idents = [u for u in sg.nonzero_idempotents()
-              if (out[u] == np.arange(size)).all() and (out[:, u] == out[u]).all()]
-    if len(idents) != 1:
-        raise DegreeMismatch("input table is not a group: no two-sided identity")
-    u = idents[0]
-    for s in range(1, size):
-        if sg.r[s] != u:
-            raise DegreeMismatch("input table is not a group: missing inverses")
+    if len(sg.idempotents) != 2:
+        raise DegreeMismatch(f"input table is not a group: {len(sg.idempotents) - 1} "
+                             "nonzero idempotents, not one")
     return sg
 
 

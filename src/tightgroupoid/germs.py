@@ -75,13 +75,6 @@ class GermGroupoid:
         s, x = self.arrows[i]
         return self.arrow_of(self.semigroup.star[s], self.action.apply(s, x))
 
-    def slice_arrows(self, s: int, points) -> frozenset:
-        """The germs of one element over a point set; always a bisection."""
-        pts = frozenset(points)
-        if not pts <= self.action.domain(s):
-            raise DomainViolation(f"slice points escape the domain of {s}")
-        return frozenset(self.arrow_of(s, x) for x in pts)
-
     # ----------------------------------------------------------- isotropy
 
     def isotropy_bundle(self) -> frozenset:

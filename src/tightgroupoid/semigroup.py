@@ -209,11 +209,6 @@ class InverseSemigroup:
     def elements(self) -> range:
         return range(self.size)
 
-    def left(self, e: int, s: int) -> int:
-        """The product e s of an idempotent e and any element s: in an
-        inverse semigroup it is (s* e)*, read off the slab."""
-        return self.star[self.slab[self.star[s], self.column[e]]]
-
     def name_of(self, s: int) -> str:
         return f"s{s}" if self.element_names is None else self.element_names[s]
 
@@ -250,12 +245,6 @@ class InverseSemigroup:
         """Natural partial order: s <= t iff s = t s* s."""
         return bool(self.slab[t, self.column[self.d[s]]] == s)
 
-    def leq_e(self, e: int, f: int) -> bool:
-        """Semilattice order on idempotents: e <= f iff e = ef."""
-        self._require_idempotent(e)
-        self._require_idempotent(f)
-        return bool(self.below_bits[f] >> self.column[e] & 1)
-
     def meet(self, e: int, f: int) -> int:
         """Greatest lower bound of two idempotents; equals their product."""
         self._require_idempotent(e)
@@ -267,10 +256,6 @@ class InverseSemigroup:
         self._require_idempotent(e)
         self._require_idempotent(f)
         return not self.meet_bits[e] >> self.column[f] & 1
-
-    def intersects(self, e: int, f: int) -> bool:
-        """Negation of orthogonality: the product is nonzero."""
-        return not self.orthogonal(e, f)
 
     def below(self, e: int) -> tuple:
         """Idempotents <= the idempotent e, the member tuple of the
@@ -325,15 +310,6 @@ class InverseSemigroup:
         for x in below:
             out &= self.below_bits[x]
         return Ideal(frozenset(self.members_of(out)))
-
-    def fixed_idempotents(self, s: int) -> Ideal:
-        """Idempotents e with e <= s, equivalently s e = e.
-
-        These are exactly the idempotents fixed under left multiplication
-        by s; the set is always an ideal, but not a principal one unless
-        s is itself idempotent.  The members of ``below_bits[s]``.
-        """
-        return Ideal(frozenset(self.members_of(self.below_bits[s])))
 
     # ------------------------------------------------------------- covers
 
@@ -630,7 +606,9 @@ def _breadth_first(right: np.ndarray, generators) -> tuple:
             if parent[y] is None:
                 parent[y], letter[y] = p, j
                 walk.append(y)
-    assert None not in parent, "the generators do not reach every element"
+    if len(walk) < len(rows):
+        raise TheoremViolation("generators_reach", len(walk), len(rows),
+                               f"element {parent.index(None)} unreached")
     return parent, letter
 
 
@@ -670,14 +648,18 @@ def _check_partial_map(g: Sequence, degree: int, label: str) -> tuple:
 def _inverses_and_domains(maps: np.ndarray) -> np.ndarray:
     """The inverse and the domain, the identity on it, of each digit row
     of `maps`, as the two layers of an array of shape (2, *maps.shape):
-    where s sends x to v, s* sends v to x.  Asserts s s* s = s, which
-    fails where two points share an image."""
+    where s sends x to v, s* sends v to x.  Where two points share an
+    image, s s* s differs from s, which raises :class:`TheoremViolation`."""
     out = np.zeros((2, *maps.shape), dtype=maps.dtype)
     r, x = np.nonzero(maps)
     v = maps[r, x].astype(np.intp) - 1
     out[0, r, v] = x + 1
     out[1, r, x] = x + 1
-    assert (out[0, r, v] == x + 1).all(), "s s* s differs from s"
+    bad = np.flatnonzero(out[0, r, v] != x + 1)
+    if bad.size:
+        i = bad[0]
+        raise TheoremViolation("s_star_s", int(out[0, r[i], v[i]]) - 1, int(x[i]),
+                               f"row {r[i]}, image {v[i]}")
     return out
 
 
@@ -725,10 +707,10 @@ def from_partial_maps(degree: int, generators: Sequence[Sequence],
     instance keeps, so the empty map is the zero.  The inverse and s*s of
     every map are formed as arrays and looked up in the sorted rows; the
     idempotents are the partial identities.  The axiom checks of
-    :func:`from_table` hold by construction; what is asserted, in
+    :func:`from_table` hold by construction; what is checked, in
     whole-array passes over |S| times degree cells, is that every inverse
     and domain lies in S, that s s* s = s, and that the empty map is the
-    zero.
+    zero, a failure raising :class:`TheoremViolation`.
     """
     if degree < 1:
         raise DegreeMismatch("degree must be at least 1")
@@ -785,12 +767,17 @@ def from_partial_maps(degree: int, generators: Sequence[Sequence],
     rank = np.empty(n, dtype=np.intp)
     rank[order] = np.arange(n)
     maps = keys.view(digit).reshape(n, degree)
-    assert not maps[0].any(), "the empty map is not the zero"
+    if maps[0].any():
+        raise TheoremViolation("empty_map_zero", _images(maps[:1])[0],
+                               (None,) * degree, "element 0")
     # the inverse and the domain of every map, looked up among the maps
-    want = _inverses_and_domains(maps).reshape(2 * n, degree).view(keys.dtype)
-    at = np.searchsorted(keys, want.ravel())
-    assert (keys[np.minimum(at, n - 1)] == want.ravel()).all(), \
-        "a product escapes the closure"
+    want = _inverses_and_domains(maps).reshape(2 * n, degree).view(keys.dtype).ravel()
+    at = np.searchsorted(keys, want)
+    miss = np.flatnonzero(keys[np.minimum(at, n - 1)] != want)
+    if miss.size:
+        i = int(miss[0])
+        raise TheoremViolation("closure_lookup", 2 * n - miss.size, 2 * n,
+                               f"{('inverse', 'domain')[i // n]} of element {i % n}")
     star, d = at[:n], at[n:]
     idem = int(np.count_nonzero(d == np.arange(n)))   # the partial identities
     if n * idem > MAX_SLAB_CELLS:

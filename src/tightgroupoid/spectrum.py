@@ -71,15 +71,6 @@ class TightSpectrum:
     def __len__(self) -> int:
         return len(self.points)
 
-    def index(self, f: Filter) -> int:
-        try:
-            return self._index[f]
-        except KeyError:
-            raise NotInDomain(f"filter with min {f.min} is not a tight point")
-
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.points)})
-
 
 # ------------------------------------------------------------ filters
 
@@ -139,11 +130,6 @@ def filter_of(sg: InverseSemigroup, c: Character) -> Filter:
         raise NotInDomain("character not multiplicative: its support is "
                           "not the up-set of its meet")
     return Filter(m, up)
-
-
-def validate_character(sg: InverseSemigroup, c: Character) -> None:
-    """Raise unless `c` is a character; see :func:`filter_of`."""
-    filter_of(sg, c)
 
 
 # -------------------------------------------------------- ultrafilters

@@ -26,7 +26,7 @@ def test_hausdorff_criterion_fixtures(named_fixtures):
             if e != sg.zero:
                 assert covers[e] == (e,)
         for s, cover in covers.items():
-            assert sg.is_cover(cover, sg.fixed_idempotents(s))
+            assert sg.is_cover(cover, tg.Ideal(frozenset(sg.members_of(sg.below_bits[s]))))
 
 
 def test_e_star_unitary_gets_empty_covers():

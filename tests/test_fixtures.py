@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
@@ -98,9 +99,21 @@ def test_group_with_zero():
     assert c2.size == 3 and c2.idempotents == {0, 1}
 
 
+def test_group_with_zero_accepts_a_nonabelian_group():
+    # S3 as permutations of three points, composed right to left
+    perms = list(itertools.permutations(range(3)))
+    table = [[perms.index(tuple(p[x] for x in q)) for q in perms] for p in perms]
+    s3 = tg.group_with_zero(table)
+    assert s3.size == 7 and s3.idempotents == {0, 1}
+    assert s3.star[1:] == tuple(1 + perms.index(tuple(p.index(x) for x in range(3)))
+                                for p in perms)
+    assert s3.d[1:] == s3.r[1:] == (1,) * 6
+    assert any(table[a][b] != table[b][a] for a in range(6) for b in range(6))
+
+
 def test_group_with_zero_rejects_monoids():
     # a two-chain semilattice is a monoid but not a group
-    with pytest.raises(errors.TightGroupoidError):
+    with pytest.raises(errors.DegreeMismatch, match="2 nonzero idempotents, not one"):
         tg.group_with_zero([[0, 0], [0, 1]])
 
 

@@ -102,15 +102,18 @@ def test_slices():
     sg, act, g = make("I2")
     byname = {sg.name_of(s): s for s in sg.elements()}
     swap = byname["10"]
-    off_diagonal = g.slice_arrows(swap, act.domain(swap))
+    off_diagonal = {g.arrow_of(swap, x) for x in act.domain(swap)}
     assert len(off_diagonal) == 2
     assert all(g.source[i] != g.target[i] for i in off_diagonal)
     for e in sg.idempotents:
-        units_over = g.slice_arrows(e, act.domain(e))
+        units_over = {g.arrow_of(e, x) for x in act.domain(e)}
         assert units_over == {g.unit_at[x] for x in act.domain(e)}
-    assert g.slice_arrows(swap, ()) == frozenset()
-    with pytest.raises(errors.DomainViolation):
-        g.slice_arrows(byname["0_"], {0, 1})
+    assert oracles.slice_arrows(g, swap, ()) == frozenset()
+    with pytest.raises(errors.DomainViolation, match="slice points escape"):
+        oracles.slice_arrows(g, byname["0_"], {0, 1})
+    outside = min({0, 1} - act.domain(byname["0_"]))
+    with pytest.raises(errors.DomainViolation, match="outside the domain"):
+        g.arrow_of(byname["0_"], outside)
 
 
 def test_slices_are_bisections():

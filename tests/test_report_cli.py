@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import jsonschema
 import pytest
 
 import tightgroupoid as tg
-from tightgroupoid import cli, fixtures, report
+from tightgroupoid import cli, fixtures, report, semigroup
 from tightgroupoid.errors import InvalidAction, TheoremViolation
 
 import oracles
@@ -315,6 +316,33 @@ def test_slab_defect_while_building_a_table_file_exits_3(tmp_path, monkeypatch, 
     assert "criterion verdict 1 != direct verdict 0 on instance table s=0 e=1" in err
     body = json.loads((tmp_path / "violation-Z2z.json").read_text())
     assert body["property"] == "slab_columns" and "isg" not in body
+
+
+def test_closure_defect_while_building_exits_3_in_both_modes(tmp_path, monkeypatch,
+                                                             capsys):
+    # the inverse layer of the sorted maps, broken at its last row, sends
+    # every point to 0, a map outside the closure: the lookup check refuses
+    # the build, with or without python -O, as a defect with a reproducer
+    # named after the instance, in fixture and in corpus mode
+    monkeypatch.chdir(tmp_path)
+    inverses_and_domains = semigroup._inverses_and_domains
+    calls = itertools.count(1)
+
+    def broken(maps):
+        out = inverses_and_domains(maps)
+        if next(calls) % 2 == 0:    # a build's second call: the sorted maps
+            out[0, -1] = 1
+        return out
+
+    monkeypatch.setattr(semigroup, "_inverses_and_domains", broken)
+    for argv, name in ((["--fixture", "In(3)"], "In_3_"),
+                       (["--corpus", "20", "--seed", "7"], "corpus-7-000")):
+        assert cli.run_cli(["analyze", *argv]) == 3
+        err = capsys.readouterr().err
+        assert "closure_lookup:" in err and "Traceback" not in err, err
+        assert f"reproducer written to violation-{name}.json" in err
+        body = json.loads((tmp_path / f"violation-{name}.json").read_text())
+        assert body["property"] == "closure_lookup" and "isg" not in body
 
 
 def test_violation_reproducer_round_trips(tmp_path, monkeypatch):

@@ -244,7 +244,7 @@ def test_idempotent_arguments_are_checked():
         s = next(x for x in sg.elements() if x not in sg.idempotents)
         e = max(sg.idempotents)
         whole = sg.principal_ideal(e)
-        for call in (lambda: sg.leq_e(s, e), lambda: sg.leq_e(e, s),
+        for call in (lambda: sg.meet(s, e), lambda: sg.meet(e, s),
                      lambda: sg.is_outer_cover({s}, whole),
                      lambda: sg.first_uncovered((s,), whole)):
             with pytest.raises(errors.NotIdempotent):
@@ -254,8 +254,8 @@ def test_idempotent_arguments_are_checked():
 def test_orthogonality_examples():
     e4 = tg.build_fixture("E4")
     assert e4.orthogonal(1, 0)
-    assert not e4.intersects(1, 2)
-    assert e4.intersects(1, 3)
+    assert e4.orthogonal(1, 2)
+    assert not e4.orthogonal(1, 3)
     b2 = tg.build_fixture("B2")
     byname = {b2.name_of(s): s for s in b2.elements()}
     assert b2.orthogonal(byname["e11"], byname["e22"])
@@ -288,13 +288,13 @@ def test_constraint_ideal():
 
 def test_fixed_idempotents():
     z2z = tg.build_fixture("Z2z")
-    assert z2z.fixed_idempotents(2).members == {0}
+    assert z2z.members_of(z2z.below_bits[2]) == (0,)
     i2 = tg.build_fixture("I2")
     byname = {i2.name_of(s): s for s in i2.elements()}
-    assert i2.fixed_idempotents(byname["10"]).members == {i2.zero}
+    assert i2.members_of(i2.below_bits[byname["10"]]) == (i2.zero,)
     for sg in SAMPLES:
         for e in sg.idempotents:
-            assert sg.fixed_idempotents(e).members == sg.principal_ideal(e).members
+            assert set(sg.members_of(sg.below_bits[e])) == sg.principal_ideal(e).members
 
 
 def test_ideal_validation():
