@@ -113,6 +113,8 @@ class FiniteAction:
         return y
 
     def label_of(self, x: int) -> str:
+        if not 0 <= x < self.points:
+            raise NotInDomain(f"point {x} is not in the carrier")
         if self.point_labels is not None:
             return self.point_labels[x]
         return f"x{x}"
@@ -155,7 +157,7 @@ def validate_action(action: FiniteAction) -> None:
     rows = m[np.array(sg.idempotent_list())]
     moved = ((rows >= 0) & (rows != np.arange(points))).any(axis=1)
     if moved.any():
-        e = next(e for e in sg.idempotents if moved[sg.column[e]])
+        e = sg.idempotent_list()[int(moved.argmax())]
         raise InvalidAction(f"idempotent {e} does not act as the identity")
     if not (rows >= 0).any(axis=0).all():
         raise DomainNotCovering("idempotent domains do not cover the carrier")

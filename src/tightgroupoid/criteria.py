@@ -20,12 +20,13 @@ principality decisions reads ``below_bits``, and local contraction reads
 only the number of points; :func:`analyze` first checks that the order
 in ``below_bits`` is reflexive and, on a closure-built instance, the
 slab's idempotent rows against the maps.  The criteria read: Hausdorff,
-``below_bits`` and ``meet_bits``; essential principality and minimality,
-``slab``, ``below_bits``, ``meet_bits`` and the column of s f s* per slab
-cell, one conjugation array made on first use and kept; local contraction, the
-``slab`` column of the least atom, found by ``below_bits``.  Of the
-harness's cover identities, the outer one reads ``meet_bits`` and the
-one inside the ideal ``below_bits``, each against the action's domains.
+``below_bits`` and ``meet_bits``; essential principality, those and the
+weakly fixed flags, ``_weakly_fixed``; minimality, those and the column of
+s f s* per slab cell, ``_conjugation``, both arrays made from the ``slab``
+by the constructor; local contraction, the ``slab`` column of the least
+atom, found by ``below_bits``.  Of the harness's cover identities, the
+outer one reads ``meet_bits`` and the one inside the ideal
+``below_bits``, each against the action's domains.
 """
 
 from __future__ import annotations
@@ -79,50 +80,14 @@ def hausdorff_criterion(sg: InverseSemigroup) -> CriterionResult:
 
 # -------------------------------------------------- essential principality
 
-def _conjugation(sg: InverseSemigroup) -> np.ndarray:
-    """The criteria's one source for s f s*, made once and kept on the
-    instance: a read-only (|S|, |E|) int32 array whose cell
-    (s, column[f]) is the column of s f s*, the range of the slab cell
-    s f."""
-    if sg._conjugation is None:      # an idempotent's column: idempotents up to it, less 1
-        column_of = np.cumsum(sg._index[1] == np.arange(sg.size), dtype=np.int32) - 1
-        conj = column_of[sg._index[2][sg.slab]]
-        conj.flags.writeable = False
-        sg._conjugation = conj
-    return sg._conjugation
-
-
-def _weakly_fixed_flags(sg: InverseSemigroup) -> np.ndarray:
-    """One pass over the whole slab, made once and kept on the instance:
-    a read-only (|S|, |E|) bool array whose cell (s, column[e]) is True
-    when e lies below s*s and is weakly fixed under s.
-
-    A nonzero f below s*s is bad for s when its conjugate (a cell of
-    :func:`_conjugation`) misses it, (s f s*) f = 0 in the meet table, and
-    e is weakly fixed exactly when no bad f lies below e; one product of
-    the bad cells with the semilattice order counts the bad f below e."""
-    if sg._weakly_fixed is None:
-        slab, zero = sg.slab, sg.zero
-        idem = np.array(sg.idempotent_list())
-        meets = slab[idem]                                # (e, f): e f
-        below_d = slab[sg._index[1]] == idem              # (s, e): e <= s*s
-        bad = below_d & (idem != zero) & (meets[_conjugation(sg), np.arange(len(idem))] == zero)
-        order = (meets == idem).astype(np.float32)        # (e, f): f <= e
-        flags = below_d & (bad.astype(np.float32) @ order.T == 0)
-        flags.flags.writeable = False
-        sg._weakly_fixed = flags
-    return sg._weakly_fixed
-
-
 def weakly_fixed(sg: InverseSemigroup, e: int, s: int) -> bool:
     """e (below s*s) is weakly fixed under s when every nonzero
     idempotent below e intersects its own conjugate s f s*.  Read off the
-    whole-instance pass of :func:`_weakly_fixed_flags`."""
-    if not 0 <= s < sg.size:
-        raise PreconditionViolated(f"element {s} is outside range({sg.size})")
+    instance's weakly fixed flags, ``sg._weakly_fixed``."""
+    sg._require_element(s)
     j = sg.column.get(e)
     if j is not None:
-        if _weakly_fixed_flags(sg)[s, j]:
+        if sg._weakly_fixed[s, j]:
             return True
         if sg.below_bits[sg.d[s]] >> j & 1:
             return False
@@ -144,7 +109,7 @@ def _minimize_cover(sg, candidates, members, rows):
     got = rows.get(candidates)
     if got is None:
         cands = sg.members_of(candidates)
-        got = rows[candidates] = cands, list(map(sg.meet_bits.__getitem__, cands))
+        got = rows[candidates] = cands, [sg.meet_bits[sg.column[c]] for c in cands]
     cands, meets = got
     hits = [bits & members for bits in meets]
     after = []                        # after[i]: union of the hits past i
@@ -171,17 +136,17 @@ def top_free_criterion(sg: InverseSemigroup) -> CriterionResult:
     If any fixed cover exists it sits inside that set, and enlarging a
     cover inside the same ideal keeps it a cover, so testing the full
     candidate set decides existence.  The cover test runs for the weakly
-    fixed pairs only, read in (s, e) order off one pass of
-    :func:`_weakly_fixed_flags` with the zero left out, once per distinct
-    (candidates, e), all of it on bits: the candidates are
-    ``sg.below_bits[e] & sg.below_bits[s]``, the first uncovered member
-    is the lowest bit of ``sg.below_bits[e]`` outside what the candidates
-    meet, ``sg._met``, and a cover is trimmed by :func:`_minimize_cover`.
+    fixed pairs only, read in (s, e) order off ``sg._weakly_fixed`` with
+    the zero left out, once per distinct (candidates, e), all of it on
+    bits: the candidates are ``sg.below_bits[e] & sg.below_bits[s]``, the
+    first uncovered member is the lowest bit of ``sg.below_bits[e]``
+    outside what the candidates meet, ``sg._met``, and a cover is trimmed
+    by :func:`_minimize_cover`.
     """
     idem, below_bits = sg.idempotent_list(), sg.below_bits
     zero_column = sg.column[sg.zero]
     nonzero = ~(1 << zero_column)
-    rows, cols = np.nonzero(_weakly_fixed_flags(sg))
+    rows, cols = np.nonzero(sg._weakly_fixed)
     keep = cols != zero_column
     failures, covers, memo, trim = [], {}, {}, {}
     for s, j in zip(rows[keep].tolist(), cols[keep].tolist()):
@@ -212,10 +177,10 @@ def _conjugators(sg: InverseSemigroup) -> np.ndarray:
     int32 array: cell (column[f], column[c]) holds the first s with
     s f s* = c, or |S| where there is none.  One ``np.minimum.at``
     scatters every s onto the cell of its (f, s f s*), read off
-    :func:`_conjugation`, keeping the least, with no sort.  Its indices and
+    ``sg._conjugation``, keeping the least, with no sort.  Its indices and
     values are both 1-d: NumPy's fast path (from 1.25) takes no broadcast."""
     n, width = sg.slab.shape
-    cells = _conjugation(sg) + np.arange(0, width * width, width, dtype=np.int32)
+    cells = sg._conjugation + np.arange(0, width * width, width, dtype=np.int32)
     via = np.full(width * width, n, dtype=np.int32)
     np.minimum.at(via, cells.ravel(), np.arange(n, dtype=np.int32).repeat(width))
     return via.reshape(width, width)
@@ -484,7 +449,7 @@ def verify_instance(sg: InverseSemigroup, name: str = "S", seed: int = 0):
     array, defined, trivial = act.array, act.defined, act.trivial
     domains = defined[rows]                                     # (e, x): x in the domain of e
     fixed = array == np.arange(act.points)
-    flags = _weakly_fixed_flags(sg)
+    flags = sg._weakly_fixed
     below = _bit_rows(sg.below_bits, len(idem))                 # (s, e): s e = e
     below_d = below[np.array(sg.d)] & (rows != zero)            # (s, e): 0 != e <= s*s
     checks = {}

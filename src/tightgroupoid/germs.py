@@ -72,6 +72,8 @@ class GermGroupoid:
 
     def inverse(self, i: int) -> int:
         """[s,x] inverts to [s*, image of x]."""
+        if not 0 <= i < len(self.arrows):
+            raise DomainViolation(f"no arrow {i} among {len(self.arrows)}")
         s, x = self.arrows[i]
         return self.arrow_of(self.semigroup.star[s], self.action.apply(s, x))
 

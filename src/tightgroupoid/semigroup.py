@@ -22,9 +22,8 @@ one digit array.  The involution, s*s and ss* are tuples for scalar
 reads and the rows of one int32 array, made once, for array passes.
 
 Instances are immutable after construction and safe to share between
-threads; after ``__init__`` only the table, the partial maps, the rows
-the cover routine reads, the conjugation array and the weakly fixed
-flags of :mod:`~tightgroupoid.criteria` fill, each once.
+threads; after ``__init__`` only the table and the partial maps fill,
+each once, for readers outside the package.
 """
 
 from __future__ import annotations
@@ -48,6 +47,7 @@ from .errors import (
     NotIdempotent,
     NotInjective,
     NoZero,
+    PreconditionViolated,
     TheoremViolation,
     ZeroNotAbsorbing,
 )
@@ -98,6 +98,11 @@ class InverseSemigroup:
         d: ``d[s]`` is the idempotent s*s, the domain of s.
         r: ``r[s]`` is the idempotent ss*, the range of s.
         _index: read-only (3, |S|) int32 array, rows ``star``, ``d``, ``r``.
+        _conjugation: read-only int32 array of the slab's shape; cell
+            (s, column[f]) is the column of s f s*, the range of s f.
+        _weakly_fixed: read-only bool array of the slab's shape; cell
+            (s, column[e]) is True when e <= s*s is weakly fixed under s:
+            no nonzero f <= e has s f s* f = 0.
         slab: read-only C-contiguous int32 array of shape (|S|, |E|);
             ``slab[s, column[e]]`` is the product s e, which is s
             restricted to the domain of e, with the idempotents' columns
@@ -108,11 +113,11 @@ class InverseSemigroup:
         below_bits: tuple, per element s, of one integer with bit
             ``column[f]`` set for each idempotent f <= s, that is s f = f:
             the fixed ideal of s, at an idempotent its down-set.
-        meet_bits: dict from each idempotent e to one integer with bit
-            ``column[f]`` set for each idempotent f with e f != 0.  Both
-            are one ``np.packbits`` pass over slab rows; :meth:`bits` and
-            :meth:`members_of` convert between idempotents and bits, and
-            every cover decision is :meth:`_met`.
+        meet_bits: tuple, per idempotent e in column order, of one
+            integer with bit ``column[f]`` set for each idempotent f with
+            e f != 0.  Both are one ``np.packbits`` pass over slab rows;
+            :meth:`bits` and :meth:`members_of` convert between
+            idempotents and bits, and every cover decision is :meth:`_met`.
         idempotents: frozenset of idempotent indices (the semilattice).
         generators: element indices of which every element is a
             product; the associativity check of :func:`from_table` and the
@@ -157,8 +162,21 @@ class InverseSemigroup:
         self.column = {e: j for j, e in enumerate(idem)}
         self.slab = np.ascontiguousarray(self._columns(idem).T)
         self.slab.flags.writeable = False
-        self.below_bits = tuple(_row_bits(self.slab == np.array(idem)))
-        self.meet_bits = dict(zip(idem, _row_bits(self.slab[list(idem)] != self.zero)))
+        rows, zero = np.array(idem), self.zero
+        below = self.slab == rows                         # (s, f): f <= s
+        meets = self.slab[rows]                           # (e, f): e f
+        self.below_bits = tuple(_row_bits(below))
+        self.meet_bits = tuple(_row_bits(meets != zero))
+        # an idempotent's column: idempotents up to it, less 1
+        column_of = np.cumsum(self._index[1] == np.arange(self.size), dtype=np.int32) - 1
+        self._conjugation = column_of[self._index[2][self.slab]]
+        # f is bad for s when s f s* misses it; e is weakly fixed when no
+        # bad f lies below it, one product of the bad cells with the order
+        below_d = below[self._index[1]]                   # (s, e): e <= s*s
+        bad = below_d & (rows != zero) & (meets[self._conjugation, np.arange(len(idem))] == zero)
+        order = below[rows].T.astype(np.float32)          # (f, e): f <= e
+        self._weakly_fixed = below_d & (bad.astype(np.float32) @ order == 0)
+        self._conjugation.flags.writeable = self._weakly_fixed.flags.writeable = False
         self._table = None
         self.element_names = tuple(element_names) if element_names else None
         if self.element_names and len(set(self.element_names)) < self.size:
@@ -166,7 +184,6 @@ class InverseSemigroup:
             raise DuplicateName(next(n for n in self.element_names
                                      if n in seen or seen.add(n)))
         self._digits = digits
-        self._weakly_fixed = self._conjugation = None
 
     @property
     def table(self) -> tuple:
@@ -210,6 +227,7 @@ class InverseSemigroup:
         return range(self.size)
 
     def name_of(self, s: int) -> str:
+        self._require_element(s)
         return f"s{s}" if self.element_names is None else self.element_names[s]
 
     def idempotent_list(self) -> tuple:
@@ -218,6 +236,10 @@ class InverseSemigroup:
 
     def nonzero_idempotents(self) -> tuple:
         return tuple(e for e in self._idem_sorted if e != self.zero)
+
+    def _require_element(self, s: int) -> None:
+        if not 0 <= s < self.size:
+            raise PreconditionViolated(f"element {s} is outside range({self.size})")
 
     def _require_idempotent(self, e: int) -> None:
         if e not in self.idempotents:
@@ -243,6 +265,8 @@ class InverseSemigroup:
 
     def nat_leq(self, s: int, t: int) -> bool:
         """Natural partial order: s <= t iff s = t s* s."""
+        self._require_element(s)
+        self._require_element(t)
         return bool(self.slab[t, self.column[self.d[s]]] == s)
 
     def meet(self, e: int, f: int) -> int:
@@ -255,7 +279,7 @@ class InverseSemigroup:
         """Two idempotents are orthogonal when their product is zero."""
         self._require_idempotent(e)
         self._require_idempotent(f)
-        return not self.meet_bits[e] >> self.column[f] & 1
+        return not self.meet_bits[self.column[e]] >> self.column[f] & 1
 
     def below(self, e: int) -> tuple:
         """Idempotents <= the idempotent e, the member tuple of the
@@ -349,17 +373,12 @@ class InverseSemigroup:
             rest ^= low
         return bits & ~strictly_below & ~(1 << self.column[self.zero])
 
-    @cached_property
-    def _meet_list(self) -> tuple:
-        """The rows of ``meet_bits`` in column order, read on first use."""
-        return tuple(map(self.meet_bits.__getitem__, self._idem_sorted))
-
     def _met(self, bits: int, rows=None) -> int:
         """What the members of `bits` meet, as bits: the union of their rows
         of ``meet_bits``, or of `rows`, any rows in column order.  Every
         cover decision of the package reads it: a family covers the ideal
         J when J holds no nonzero idempotent outside what it meets."""
-        rows, out = self._meet_list if rows is None else rows, 0
+        rows, out = self.meet_bits if rows is None else rows, 0
         while bits:
             low = bits & -bits
             out |= rows[low.bit_length() - 1]

@@ -117,6 +117,18 @@ MUTANTS = {
         "np.minimum.at(first, codes, np.arange(len(codes)))",
         "first[codes] = np.arange(len(codes))",
         ["tests/test_germs.py::test_canonical_representatives_are_minimal"]),
+    # the constructor's weakly fixed pass reads e <= ss*, not e <= s*s
+    "weakly_fixed_below_range": (
+        "semigroup.py",
+        "below_d = below[self._index[1]]",
+        "below_d = below[self._index[2]]",
+        ["tests/test_array_passes.py::test_array_passes_match_per_element_loops"]),
+    # meet_bits packed from the order block, f <= e, not from e f != 0
+    "meet_bits_from_order": (
+        "semigroup.py",
+        "self.meet_bits = tuple(_row_bits(meets != zero))",
+        "self.meet_bits = tuple(_row_bits(below[rows]))",
+        ["tests/test_semilattice_bits.py::test_semilattice_bits_match_the_meet_table"]),
     # the closure no longer looks up every inverse and domain among its
     # maps: one outside the closure reaches the constructor
     "closure_lookup_dropped": (

@@ -789,7 +789,7 @@ def per_element_validate(sg, points, maps):
                for s, m in maps.items()}
     if domains[sg.zero]:
         raise InvalidAction("zero must act as the empty map")
-    for e in sg.idempotents:
+    for e in sg.idempotent_list():
         if any(maps[e][x] != x for x in domains[e]):
             raise InvalidAction(f"idempotent {e} does not act as the identity")
     covered = set()

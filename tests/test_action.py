@@ -97,6 +97,22 @@ def test_inverse_mismatch_detected():
         tg.validate_action(tg.FiniteAction(z2z, 3, maps))
 
 
+def test_lowest_idempotent_not_acting_as_identity_is_named():
+    # In(4)'s idempotents 4 (___3) and 34 (_1__) each hold one point of
+    # the standard action; each now sends it to the next point.  The set
+    # of idempotents iterates 34 before 4
+    sg, act = make("In(4)")
+    maps = act.array.copy()
+    for e in (34, 4):
+        (x,) = act.domain(e)
+        maps[e, x] = (x + 1) % act.points
+    lowest = "^idempotent 4 does not act as the identity$"
+    with pytest.raises(errors.InvalidAction, match=lowest):
+        tg.validate_action(tg.FiniteAction(sg, act.points, maps))
+    with pytest.raises(errors.InvalidAction, match=lowest):
+        oracles.per_element_validate(sg, act.points, oracles.views(maps)[0])
+
+
 # ----------------------------------------------------- character action
 
 def test_character_action_of_idempotent_is_identity():

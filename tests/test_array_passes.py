@@ -10,15 +10,18 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import tightgroupoid as tg
-from tightgroupoid import action, criteria, errors, germs, spectrum
+from tightgroupoid import action, criteria, errors, germs, report, spectrum
 
 import oracles
+from test_criteria import LABEL_INSTANCES
 from test_families import TABLE_FAMILIES
 
 NINE_FIXTURES = ("I2", "B2", "Z2z", "E4", "In(3)", "In(4)", "Bn(8)", "Pow(5)",
@@ -60,7 +63,7 @@ def test_array_passes_match_per_element_loops():
                     expected[s, j] = oracles.per_pair_weakly_fixed(sg, slab, e, s)
                     assert criteria.weakly_fixed(sg, e, s) is bool(expected[s, j]), \
                         (name, s, e)
-        assert np.array_equal(criteria._weakly_fixed_flags(sg), expected), name
+        assert np.array_equal(sg._weakly_fixed, expected), name
 
         # every cell of the conjugation array: the first s per (f, c),
         # in the order of s, and |S| where there is none
@@ -93,22 +96,61 @@ def test_array_passes_match_per_element_loops():
     assert spectra > 1000
 
 
-def test_index_and_conjugation_arrays_are_made_once(corpus100):
-    # the instance's array of star, d and r holds the tuples, and the
-    # conjugation array holds the column of s f s* per cell, each
-    # read-only, the second made on first use and kept
+def test_constructor_builds_the_index_conjugation_and_weakly_fixed_arrays(corpus100):
+    # right after construction the instance holds its array of star, d
+    # and r, the column of s f s* per slab cell, and the weakly fixed
+    # flags, set only where e <= s*s; each is read-only.  The flags'
+    # cells are checked against the per-pair loop by
+    # test_array_passes_match_per_element_loops
     instances = [(name, tg.build_fixture(name)) for name in (*NINE_FIXTURES, "In(5)")]
     for name, sg in instances + list(corpus100):
-        index = sg._index
+        held = vars(sg)
+        index, conj, flags = held["_index"], held["_conjugation"], held["_weakly_fixed"]
         assert index.dtype == np.int32 and not index.flags.writeable, name
         assert np.array_equal(index, np.array((sg.star, sg.d, sg.r))), name
-        conj = criteria._conjugation(sg)
         assert conj.dtype == np.int32 and not conj.flags.writeable, name
         assert conj.shape == sg.slab.shape, name
-        slab = sg.slab.tolist()
-        assert conj.tolist() == [[sg.column[sg.r[slab[s][j]]] for j in range(len(slab[s]))]
-                                 for s in sg.elements()], name
-        assert criteria._conjugation(sg) is conj, name
+        assert conj.tolist() == [[sg.column[sg.r[c]] for c in row]
+                                 for row in sg.slab.tolist()], name
+        assert flags.dtype == bool and not flags.flags.writeable, name
+        assert flags.shape == sg.slab.shape, name
+        below_d = sg.slab[list(sg.d)] == np.array(sg.idempotent_list())
+        assert not (flags & ~below_d).any(), name
+
+
+def test_nothing_fills_an_instance_after_construction():
+    # the harness, the JSON document and the DOT graph read what the
+    # constructor stored: none of them adds, drops or rebinds an attribute
+    def held(sg):
+        return {k: id(v) for k, v in vars(sg).items()}
+
+    instances = [(name, tg.build_fixture(name)) for name in LABEL_INSTANCES]
+    for name, sg in instances + tg.corpus(20, 7):
+        built = held(sg)
+        analysis, _ = tg.verify_instance(sg, name)
+        assert held(sg) == built, (name, "verify_instance")
+        report.json_text(report.build_document(analysis, name))
+        assert held(sg) == built, (name, "build_document")
+        report.emit_dot(analysis.groupoid, name)
+        assert held(sg) == built, (name, "emit_dot")
+
+
+def test_one_instance_shared_by_four_threads_gives_one_report():
+    # more threads than cores, switching often, each analyzing one shared
+    # instance, write the report one thread writes alone
+    sg = tg.build_fixture("In(4)")
+
+    def text(_=None):
+        return report.json_text(report.build_document(tg.analyze(sg, "In(4)"), "In(4)"))
+
+    alone, interval = text(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            texts = list(pool.map(text, range(4), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert texts == [alone] * 4
 
 
 def outcome(check, *args):
@@ -328,8 +370,7 @@ def harness_corruptions(analysis, rng):
     there is just one, that keeps a non-idempotent row from {0}, else a
     random one.  a and b have one domain, so only the minimum of s a s*
     tells them apart.  Last, one bit of a random idempotent's row of
-    ``meet_bits`` flipped, and the rows the cover routine reads made
-    again from it."""
+    ``meet_bits`` flipped."""
     sg, act = analysis.semigroup, analysis.action
     movable = [s for s in sg.elements() if act.defined[s].sum() > 1]
     if movable:
@@ -338,7 +379,7 @@ def harness_corruptions(analysis, rng):
         yield "image", lambda mp: mp.setattr(act, "array", cells)
     pairs = np.argwhere(sg.slab[list(sg.d)] == np.array(sg.idempotent_list()))
     s, j = rng.choice(pairs.tolist())
-    flags = criteria._weakly_fixed_flags(sg).copy()
+    flags = sg._weakly_fixed.copy()
     flags[s, j] ^= True
     yield "flag", lambda mp: mp.setattr(sg, "_weakly_fixed", flags)
     zero_bit = 1 << sg.column[sg.zero]
@@ -368,12 +409,9 @@ def harness_corruptions(analysis, rng):
         ranges[a] = b
         yield "range", lambda mp: mp.setattr(sg, "r", tuple(ranges))
     e, j = rng.choice(sg.idempotent_list()), rng.randrange(len(sg.idempotents))
-    meets = {**sg.meet_bits, e: sg.meet_bits[e] ^ 1 << j}
-
-    def flip_meet(mp):
-        mp.setattr(sg, "meet_bits", meets)
-        mp.delitem(vars(sg), "_meet_list", raising=False)   # the cover rows, re-read
-    yield "meet_bits", flip_meet
+    meets = list(sg.meet_bits)
+    meets[sg.column[e]] ^= 1 << j
+    yield "meet_bits", lambda mp: mp.setattr(sg, "meet_bits", tuple(meets))
 
 
 def both_harness_outcomes(analysis, name, monkeypatch, change=None):
@@ -418,33 +456,39 @@ def test_harness_passes_fail_as_the_per_element_loops(monkeypatch):
 @pytest.mark.parametrize("read, arg", [
     ("below", -1), ("below", 5), ("below", 2),
     ("weakly_fixed", -1), ("weakly_fixed", 5),
+    ("nat_leq", -1), ("nat_leq", 5), ("name_of", -1), ("name_of", 5),
 ])
 def test_out_of_range_scalar_reads_raise_package_errors(read, arg):
     # B2's idempotents are 0, 1 and 4; element 2 is not one, and NumPy
-    # would wrap -1 to element 4's row
+    # would wrap -1 to element 4's row.  nat_leq is read with `arg` on
+    # either side
     sg = tg.build_fixture("B2")
     assert sg.idempotent_list() == (0, 1, 4) and sg.size == 5
     if read == "below":
         with pytest.raises(errors.NotIdempotent):
             sg.below(arg)
-    else:
+        return
+    reads = {"weakly_fixed": [lambda: criteria.weakly_fixed(sg, 4, arg)],
+             "nat_leq": [lambda: sg.nat_leq(4, arg), lambda: sg.nat_leq(arg, 1)],
+             "name_of": [lambda: sg.name_of(arg)]}[read]
+    for call in reads:
         with pytest.raises(errors.PreconditionViolated):
-            criteria.weakly_fixed(sg, 4, arg)
+            call()
 
 
 @pytest.mark.parametrize("read, s, x", [
     ("apply", 2, -1), ("apply", -1, 1), ("apply", 1, 2), ("apply", 5, 0),
     ("domain", -1, None), ("domain", 5, None),
     ("arrow_of", 2, -1), ("arrow_of", -1, 1), ("arrow_of", 1, 2), ("arrow_of", 5, 0),
+    ("label_of", None, -1), ("label_of", None, 2),
+    ("inverse", -1, None), ("inverse", 4, None),
 ])
 def test_out_of_range_reads_raise_package_errors(read, s, x):
-    # B2 has five elements acting on two points; NumPy would wrap a
-    # negative index to the last row or column
+    # B2 has five elements acting on two points, with four arrows; NumPy
+    # and tuples would wrap a negative index to the last row or column
     act = action.standard_action(spectrum.tight_spectrum(tg.build_fixture("B2")))
-    assert act.array.shape == (5, 2)
-    if read == "arrow_of":
-        with pytest.raises(errors.DomainViolation):
-            germs.build_germ_groupoid(act).arrow_of(s, x)
-    else:
-        with pytest.raises(errors.NotInDomain):
-            getattr(act, read)(*(s,) if x is None else (s, x))
+    gpd = germs.build_germ_groupoid(act)
+    assert act.array.shape == (5, 2) and len(gpd.arrows) == 4
+    on_arrows = read in ("arrow_of", "inverse")
+    with pytest.raises(errors.DomainViolation if on_arrows else errors.NotInDomain):
+        getattr(gpd if on_arrows else act, read)(*(v for v in (s, x) if v is not None))

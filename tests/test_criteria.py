@@ -308,16 +308,12 @@ LABEL_INSTANCES = ("I2", "B2", "Z2z", "E4", "In(3)", "Bn(8)", "Pow(5)", "Cz(7)")
 
 
 def _mutations():
-    flags = criteria._weakly_fixed_flags
-
-    def negated_flags(sg):
+    def negated_flags(mp, analysis):
         # flip every pair (s, e) with e <= s*s, which both top_free_criterion
         # and weakly_fixed read
+        sg = analysis.semigroup
         below_d = sg.slab[list(sg.d)] == np.array(sg.idempotent_list())
-        return flags(sg) ^ below_d
-
-    def patch(obj, attr, value):
-        return lambda mp, analysis: mp.setattr(obj, attr, value)
+        mp.setattr(sg, "_weakly_fixed", sg._weakly_fixed ^ below_d)
 
     def conjugates_to_zero(mp, analysis):
         # every s f s* whose domain holds two points or more read as zero
@@ -325,12 +321,11 @@ def _mutations():
         mp.setattr(sg, "r", tuple(sg.zero if defined[e].sum() > 1 else e for e in sg.r))
 
     def meet_row_loses_own_column(mp, analysis):
-        # the highest idempotent's row of meet_bits without its own bit,
-        # and the rows the cover routine reads made again from it
+        # the highest idempotent's row of meet_bits without its own bit
         sg = analysis.semigroup
-        e = sg.idempotent_list()[-1]
-        mp.setattr(sg, "meet_bits", {**sg.meet_bits, e: sg.meet_bits[e] & ~(1 << sg.column[e])})
-        mp.delitem(vars(sg), "_meet_list", raising=False)
+        rows, j = list(sg.meet_bits), len(sg.idempotents) - 1
+        rows[j] &= ~(1 << j)
+        mp.setattr(sg, "meet_bits", tuple(rows))
 
     def atom_row_loses_own_column(mp, analysis):
         # the lowest atom's row of below_bits without its own bit
@@ -341,9 +336,8 @@ def _mutations():
         mp.setattr(sg, "below_bits", tuple(rows))
 
     return {
-        "weakly_fixed": (False, patch(criteria, "_weakly_fixed_flags", negated_flags)),
-        "weakly_fixed_in_harness": (True, patch(criteria, "_weakly_fixed_flags",
-                                                negated_flags)),
+        "weakly_fixed": (False, negated_flags),
+        "weakly_fixed_in_harness": (True, negated_flags),
         "outer_cover": (True, meet_row_loses_own_column),
         "cover": (True, atom_row_loses_own_column),
         "conjugate": (True, conjugates_to_zero),

@@ -25,7 +25,7 @@ COLUMNS = semigroup.InverseSemigroup._columns
 
 
 def meet_drops_own_idempotent(sg):
-    sg.meet_bits = {e: bits & ~(1 << sg.column[e]) for e, bits in sg.meet_bits.items()}
+    sg.meet_bits = tuple(bits & ~(1 << j) for j, bits in enumerate(sg.meet_bits))
 
 
 def below_marks_zero_products(sg):
