@@ -316,10 +316,14 @@ def orbit_partition(action: FiniteAction) -> OrbitPartition:
     Two points are equivalent when some element moves one onto the
     other; the relation is already transitive (compose the movers), so
     the components of the graph of the distinct one-step moves are it.
+    The moves are the codes x * points + s x hit by some s, in increasing
+    order, read off one ``np.bincount``.
     """
     points = action.points
     elems, xs = np.nonzero(action.defined)
-    sources, targets = np.divmod(np.unique(xs * points + action.array[elems, xs]), points)
+    codes = xs * points + action.array[elems, xs]
+    moves = np.flatnonzero(np.bincount(codes, minlength=points * points))
+    sources, targets = np.divmod(moves, points)
     return OrbitPartition(components(points, zip(sources.tolist(), targets.tolist())))
 
 

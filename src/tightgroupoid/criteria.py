@@ -42,6 +42,10 @@ from . import spectrum as spectrum_mod
 from .errors import PreconditionViolated, TheoremViolation
 from .semigroup import InverseSemigroup, _bit_rows, _row_bits
 
+# Cells per block of the identity harness's pass over (s, f) pairs,
+# bounding its temporaries where |S| times |E| is large.
+HARNESS_BLOCK_CELLS = 1 << 16
+
 
 @dataclass(frozen=True)
 class CriterionResult:
@@ -426,18 +430,25 @@ def verify_instance(sg: InverseSemigroup, name: str = "S", seed: int = 0):
     re-derive both sides independently instead of reusing each other's
     intermediate values wherever the two sides have distinct mechanisms.
 
-    The identities over elements, pairs (s, e) and points are whole-array
-    passes over the action's array, its domain and trivially fixed masks,
-    the fixed mask ``array == arange(points)``, the weakly fixed flags and
-    the slab; the one over (s, f, x) runs in blocks of elements holding at
-    most |S| times the points cells, or 4096.  Each reads both sides at
-    its first failing cell, in (s, e) or (s, x) order, and formats its
-    instance label (``s=...``, ``J=... C=...``) only then, so it raises
-    what a loop element by element would; the test suite keeps that loop
-    as its oracle.  The cover identities hold each ideal J and candidate C
-    as a bit row, and members only in a message: the outer one reads what
-    C meets, ``sg._met``; for C inside J, ``below_bits`` alone, every atom
-    of J below a member of C.
+    Each identity family costs a fixed number of whole-instance passes.
+    Those over elements, pairs (s, e) and points read the action's array,
+    its domain and trivially fixed masks, the fixed mask
+    ``array == arange(points)``, the weakly fixed flags and the slab.  The
+    conjugated domains identity over (s, f) compares two point sets packed
+    into float64 words of 52 points: the image of dom f inside dom s, one
+    product of the powers 2^(s x) with the domain masks, and the packed
+    domain of s f s*.  Each pass reads both sides at its first failing
+    cell, in (s, e), (s, f) or (s, x) order, and formats its instance
+    label (``s=...``, ``J=... C=...``) only then, so it raises what a loop
+    element by element would; the test suite keeps that loop as its
+    oracle.  The cover identities hold each ideal J and candidate C as a
+    bit row, and members only in a message; one `_met` of packed rows gives
+    what a set meets, its domain union, its below-union and what lies
+    strictly below its members, once per distinct ideal and candidate.
+    The outer identity reads what C meets, ``meet_bits``; for C inside J,
+    ``below_bits`` alone, every atom of J below a member of C.  The seeded
+    draws of the candidates and of three closed ideals keep their order.
+    The groupoid axioms are :meth:`GermGroupoid.verify_axioms`.
     """
     analysis = analyze(sg, name)
     act = analysis.action
@@ -451,57 +462,82 @@ def verify_instance(sg: InverseSemigroup, name: str = "S", seed: int = 0):
     fixed = array == np.arange(act.points)
     flags = sg._weakly_fixed
     below = _bit_rows(sg.below_bits, len(idem))                 # (s, e): s e = e
-    below_d = below[np.array(sg.d)] & (rows != zero)            # (s, e): 0 != e <= s*s
+    below_d = below[sg._index[1]] & (rows != zero)            # (s, e): 0 != e <= s*s
     checks = {}
 
     # finite collapse: the tight points are exactly the ultrafilters
     tight = {f.min for f in spec.points}
-    ultra = {f.min for f in spectrum_mod.ultrafilters(sg)}
+    ultra = set(spectrum_mod._maximal_filter_mins(sg))
     _identity("tight_equals_ultra", tight, ultra, name)
     checks["tight_equals_ultra"] = True
 
     # weakly fixed idempotents match pointwise-fixed domains: s moves no
-    # point of the domain of e
-    pointwise = (~fixed).astype(np.float32) @ domains.T.astype(np.float32) == 0
-    failing = below_d & (flags != pointwise)
-    if failing.any():
-        s, j = _first(failing)
-        raise TheoremViolation("weakly_fixed_vs_fixed_points", bool(flags[s, j]),
-                               bool(pointwise[s, j]), f"{name} s={s} e={idem[j]}")
+    # point of the domain of e; over blocks of elements holding about
+    # HARNESS_BLOCK_CELLS (s, e) cells
+    n, width = flags.shape
+    step = max(1, HARNESS_BLOCK_CELLS // width)
+    moved, over = (~fixed).astype(np.float32), domains.T.astype(np.float32)
+    for lo in range(0, n, step):
+        block = slice(lo, lo + step)
+        pointwise = moved[block] @ over == 0
+        failing = below_d[block] & (flags[block] != pointwise)
+        if np.count_nonzero(failing):
+            s, j = _first(failing)
+            raise TheoremViolation("weakly_fixed_vs_fixed_points", bool(flags[lo + s, j]),
+                                   bool(pointwise[s, j]), f"{name} s={lo + s} e={idem[j]}")
     checks["weakly_fixed_vs_fixed_points"] = True
 
     # outer covers match inclusions of domain unions; C inside J covers J,
-    # every atom of J below a member of C, when their unions are equal
-    domain_rows = _row_bits(domains)
+    # every atom of J below a member of C, when their unions are equal.
+    # Each idempotent's column packs, from bit 0 up, its row of meet_bits,
+    # its domain, its down-set and its strict down-set, so one `_met` of a
+    # set of idempotents reads what they meet, their domain union, their
+    # below-union and what lies strictly below them; the canonical cover
+    # of J, its maximal nonzero members, is J outside the last
+    points = act.points
+    everything, zero_bit = (1 << width) - 1, 1 << sg.column[zero]
+    nonzero, all_points = ~zero_bit, (1 << points) - 1
+    down_at, strict = width + points, 2 * width + points
     idem_below = [sg.below_bits[e] for e in idem]
+    packed = [met | dom << width | down << down_at | (down & ~(1 << j)) << strict
+              for j, (met, dom, down) in enumerate(zip(sg.meet_bits, _row_bits(domains), idem_below))]
     atoms = sg.bits(e for e in idem if spectrum_mod._is_atom(sg, e))
-    nonzero, everything = ~(1 << sg.column[zero]), (1 << len(idem)) - 1
     rng = random.Random(seed)
-    ideals = idem_below + sorted(set(sg.below_bits), key=sg.members_of)
+    ideals = idem_below + sorted(set(sg.below_bits).difference(idem_below), key=sg.members_of)
     ideals += [everything & ~sg._met(bits) for bits in idem_below]
-    for _ in range(3):
-        closed = {zero}.union(*map(sg.below, rng.sample(idem, k=min(len(idem), 3))))
-        sg.ideal(closed)                 # checks the rows read against the slab
-        ideals.append(sg.bits(closed))
+    # three closed ideals, each an OR of rows of below_bits, checked
+    # against the slab in one pass: no idempotent the slab puts below a
+    # member, f with e f = f, escapes
+    slab_below, column = _row_bits(sg.slab[rows] == rows), sg.column
+    for pick in [rng.sample(idem, k=min(width, 3)) for _ in range(3)]:
+        closed = zero_bit
+        for e in pick:
+            closed |= idem_below[column[e]]
+        if sg._met(closed, slab_below) & ~closed:
+            sg.ideal({zero}.union(*map(sg.below, pick)))   # raises NotAnIdeal
+        ideals.append(closed)
 
-    seen = {}                            # candidate -> what it meets, its domain union
-    for ideal in dict.fromkeys(ideals):
-        canonical = sg._maximal(ideal)
-        candidates = [canonical, 0, everything & nonzero]
-        candidates += [canonical & (canonical - 1)] if canonical else []  # lowest dropped
-        candidates += [sg.bits(rng.sample(idem, k=min(len(idem), 2))) for _ in range(2)]
-        ideal_union = sg._met(ideal, domain_rows)
-        for cov in candidates:
-            if cov not in seen:
-                seen[cov] = sg._met(cov), sg._met(cov, domain_rows)
-            met, cov_union = seen[cov]
+    ideals = list(dict.fromkeys(ideals))
+    draws = [1 << column[a] | 1 << column[b]            # width >= 2: 0 and an atom
+             for a, b in (rng.sample(idem, k=min(width, 2)) for _ in range(2 * len(ideals)))]
+    seen = {}                            # candidate -> its `_met` of the packed rows
+    for t, ideal in enumerate(ideals):
+        held = sg._met(ideal, packed)
+        ideal_union = held >> width & all_points
+        inside, atoms_in = ideal & nonzero, ideal & atoms
+        canonical = inside & ~(held >> strict)
+        trimmed = (canonical & (canonical - 1),) if canonical else ()   # lowest dropped
+        for cov in (canonical, 0, everything & nonzero, *trimmed, draws[2 * t], draws[2 * t + 1]):
+            held = seen.get(cov)
+            if held is None:
+                held = seen[cov] = sg._met(cov, packed)
             check = "outer_cover_vs_domain_union"
-            lhs = not ideal & nonzero & ~met
-            rhs = not ideal_union & ~cov_union
+            lhs = not inside & ~held
+            rhs = not ideal_union & ~(held >> width)
             if lhs == rhs and not cov & ~ideal:
                 check = "cover_vs_domain_equality"
-                lhs = not ideal & atoms & ~sg._met(cov, idem_below)
-                rhs = ideal_union == cov_union
+                lhs = not atoms_in & ~(held >> down_at)
+                rhs = ideal_union == held >> width & all_points
             if lhs != rhs:
                 raise TheoremViolation(check, lhs, rhs, f"{name} J={list(sg.members_of(ideal))} "
                                        f"C={list(sg.members_of(cov))}")
@@ -513,32 +549,39 @@ def verify_instance(sg: InverseSemigroup, name: str = "S", seed: int = 0):
     checks["slice_unit_identity"] = True
 
     # conjugation carries domains onto domains: s sends the points of the
-    # domain of f inside its own onto the domain of s f s*, over (s, f, x)
-    # in blocks of elements holding at most |S| times the points cells
-    n, points = array.shape
-    conj = np.array(sg.r, dtype=np.int32)[sg.slab]               # (s, f): s f s*
-    step = max(1, max(n * points, 4096) // domains.size)
+    # domain of f inside its own onto the domain of s f s*.  Both sides are
+    # point sets packed into float64, 52 image points a word: the left one
+    # product over x of 2^(s x) with the domain masks, exact since analyze
+    # validated the action, so each map is injective and the sum of its
+    # distinct powers of two is their OR; the right one the packed domain
+    # of r[t] gathered at t = s f.  Blocks of elements hold about
+    # HARNESS_BLOCK_CELLS (s, f) cells
+    r = np.array(sg.r, dtype=np.int32)
+    weights, over = defined.astype(float), domains.T.astype(float)
+    word, bit = np.divmod(array, 52)
+    owns = [(weights[:, lo:lo + 52] @ np.ldexp(1.0, np.arange(min(points - lo, 52))))[r]
+            for lo in range(0, points, 52)]                    # word c of the domain of r[t]
     for lo in range(0, n, step):
-        inside = domains & defined[lo:lo + step, None]
-        b, f, x = np.nonzero(inside)
-        image = np.zeros_like(inside)
-        image[b, f, array[lo + b, x]] = True
-        failing = (image != defined[conj[lo:lo + step]]).any(axis=2)
-        if failing.any():
+        block = slice(lo, lo + step)
+        failing = False
+        for c, own in enumerate(owns):
+            image = np.ldexp(word[block] == c, bit[block], dtype=float) @ over
+            failing = failing | (image != own[sg.slab[block]])
+        if np.count_nonzero(failing):
             s, j = _first(failing)
             raise TheoremViolation("conjugated_domains",
-                                   frozenset(array[lo + s, inside[s, j]].tolist()),
-                                   act.domain(int(conj[lo + s, j])),
+                                   frozenset(array[lo + s, domains[j] & defined[lo + s]].tolist()),
+                                   act.domain(sg.r[sg.slab[lo + s, j]]),
                                    f"{name} s={lo + s} f={idem[j]}")
     checks["conjugated_domains"] = True
 
     # the action preserves ultrafilters, read off the slab, not the point list
     mins = np.array([p.min for p in spec.points])
-    image = conj[:, [sg.column[a] for a in mins.tolist()]]      # (s, x): s min(x) s*
+    image = r[sg.slab[:, [sg.column[a] for a in mins.tolist()]]]  # (s, x): s min(x) s*
     is_ultra = np.zeros(n, dtype=bool)
     is_ultra[list(ultra)] = True
     failing = defined & ~(is_ultra[image] & (image == mins[array]))
-    if failing.any():
+    if np.count_nonzero(failing):
         s, x = _first(failing)
         raise TheoremViolation("ultrafilter_preserved", True, False, f"{name} s={s} x={x}")
     checks["ultrafilter_preserved"] = True
@@ -546,10 +589,10 @@ def verify_instance(sg: InverseSemigroup, name: str = "S", seed: int = 0):
     # trivial fixed points are fixed points; the ultrafilter reading of
     # topological freeness: every fixed ultrafilter is trivially fixed
     failing = (trivial & ~fixed).any(axis=1)
-    if failing.any():
+    if np.count_nonzero(failing):
         raise TheoremViolation("trivial_fixed_subset_fixed", False, True,
                                f"{name} s={int(failing.argmax())}")
-    cond_iii = not (fixed & is_ultra[mins] & ~trivial).any()
+    cond_iii = not np.count_nonzero(fixed & is_ultra[mins] & ~trivial)
     checks["trivial_fixed_subset_fixed"] = True
 
     # three equivalent readings of topological freeness
@@ -570,7 +613,7 @@ def verify_instance(sg: InverseSemigroup, name: str = "S", seed: int = 0):
                   analysis.report.hausdorff.criterion, True, name)
         failing = trivial.any(axis=1)
         failing[rows] = False
-        if failing.any():
+        if np.count_nonzero(failing):
             s = int(failing.argmax())
             raise TheoremViolation("estar_trivial_fixed_empty",
                                    action_mod.trivial_fixed_points(act, s),
@@ -578,7 +621,7 @@ def verify_instance(sg: InverseSemigroup, name: str = "S", seed: int = 0):
     checks["estar_implications"] = True
 
     failing = below & below_d & ~flags
-    if failing.any():
+    if np.count_nonzero(failing):
         s, j = _first(failing)
         raise TheoremViolation("fixed_implies_weakly_fixed", False, True,
                                f"{name} s={s} e={idem[j]}")

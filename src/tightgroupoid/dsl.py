@@ -147,14 +147,15 @@ def _table_body(body, n):
     digit = raw >= ord("0")
     last = np.zeros(len(raw), dtype=bool)        # the last digit of a token
     np.greater(digit[:-1], digit[1:], out=last[:-1])
+    # tokens per line, counted from the token ends between line breaks
+    ends = np.flatnonzero(last)
     breaks = np.flatnonzero((raw == ord("\n")) | (raw == ord("\r")))
-    per_line = np.add.reduceat(last, breaks, dtype=np.intp)
-    if np.count_nonzero(per_line == n) != n or np.count_nonzero(last) != n * n:
+    per_line = np.diff(np.searchsorted(ends, breaks), append=ends.size)
+    if np.count_nonzero(per_line == n) != n or ends.size != n * n:
         return None
     # each token's value, read back from its end: digit k of a token (0 the
     # last) is k bytes before it, read for the tokens `longer` than k digits.
     # The body's leading "\n" ends every token before index 0
-    ends = np.flatnonzero(last)
     w = len(str(n - 1))
     values = np.subtract(raw[ends], ord("0"), dtype=np.int32)
     longer = np.flatnonzero(digit[ends - 1])

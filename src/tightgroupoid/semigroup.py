@@ -737,7 +737,15 @@ def from_partial_maps(degree: int, generators: Sequence[Sequence],
     for i, g in enumerate(generators):
         label = labels[i] if labels else f"generator {i}"
         gens.append(_check_partial_map(g, degree, label))
+    # the walk's maps, lookups and edges are gone before the constructor
+    # builds its arrays: the helper returns only what it needs
+    return InverseSemigroup(0, *_closure(degree, gens))
 
+
+def _closure(degree: int, gens: list) -> tuple:
+    """The closure walk of :func:`from_partial_maps` over the checked maps
+    `gens`, and its checks: the constructor's arguments past the zero,
+    element 0."""
     digit = np.min_scalar_type(degree).newbyteorder(">")
     key = np.dtype(f"S{degree * digit.itemsize}")    # a digit row as bytes
     rows = np.array([[0 if v is None else v + 1 for v in g] for g in gens],
@@ -828,8 +836,7 @@ def from_partial_maps(degree: int, generators: Sequence[Sequence],
     names[0] = "0"
     if degree == 1 and n == 2:   # the identity's image string, 0, names the zero
         names[1] = "1"
-    return InverseSemigroup(0, star.tolist(), gen_ids, d.tolist(), right,
-                            names, maps, tree)
+    return star.tolist(), gen_ids, d.tolist(), right, names, maps, tree
 
 
 def _images(digits: np.ndarray) -> tuple:

@@ -52,8 +52,8 @@ MUTANTS = {
     # the trimmed canonical candidate drops its highest member, not its lowest
     "trimmed_candidate_drops_highest": (
         "criteria.py",
-        "[canonical & (canonical - 1)]",
-        "[canonical & ~(1 << canonical.bit_length() - 1)]",
+        "(canonical & (canonical - 1),)",
+        "(canonical & ~(1 << canonical.bit_length() - 1),)",
         ["tests/test_criteria.py::test_harness_failures_keep_their_messages"]),
     # the slab of a table-built instance is checked against the table's
     # idempotent rows, read as columns: s e against e s
@@ -86,8 +86,8 @@ MUTANTS = {
     # target point, not at its own point
     "table_at_target_point": (
         "germs.py",
-        "table = self.class_of[st, xs].tolist()",
-        "table = self.class_of[st, list(target)].tolist()",
+        "table = self.class_of[st, xs]\n",
+        "table = self.class_of[st, list(tgt)]\n",
         ["tests/test_germs.py::test_verify_axioms_agrees_with_compose_oracle"]),
     # the conjugators' values laid out f by f, not s by s: the conjugate
     # sets stay right, but each via cell names the wrong element
@@ -136,6 +136,45 @@ MUTANTS = {
         "    if miss.size:\n",
         "    if False:\n",
         ["tests/test_report_cli.py::test_closure_defect_while_building_exits_3_in_both_modes"]),
+    # the groupoid axioms' associativity pass skips its last block of j,
+    # which on a groupoid of one block is every j
+    "associativity_skips_last_block": (
+        "germs.py",
+        "for lo in range(0, n, step):",
+        "for lo in range(0, n - step, step):",
+        ["tests/test_germs.py::test_wide_groupoids_agree_with_compose_oracle_clean_and_corrupted"]),
+    # the laws pass marks an arrow only for its right inverse law
+    "laws_pass_reads_one_law": (
+        "germs.py",
+        "broken = (laws != np.array((utgt, usrc, ar, ar))).any(axis=0)",
+        "broken = (laws != np.array((utgt, usrc, ar, ar)))[0]",
+        ["tests/test_germs.py::test_wide_groupoids_agree_with_compose_oracle_clean_and_corrupted"]),
+    # the conjugated domains pass reads only the first 52-point word
+    "conjugation_reads_first_word": (
+        "criteria.py",
+        "for lo in range(0, points, 52)]",
+        "for lo in range(0, min(points, 52), 52)]",
+        ["tests/test_array_passes.py::test_conjugated_domains_reads_every_52_point_word"]),
+    # a candidate's met set, domain union and below-union are read off the
+    # ideal's members, cached under the candidate's key
+    "candidate_held_under_ideal": (
+        "criteria.py",
+        "held = seen[cov] = sg._met(cov, packed)",
+        "held = seen[cov] = sg._met(ideal, packed)",
+        ["tests/test_criteria.py::test_harness_failures_keep_their_messages"]),
+    # the three closed ideals go unchecked against the slab
+    "closed_ideals_unchecked": (
+        "criteria.py",
+        "        if sg._met(closed, slab_below) & ~closed:\n",
+        "        if False:\n",
+        ["tests/test_array_passes.py::test_harness_passes_fail_as_the_per_element_loops"]),
+    # a filter counts as inside another when its row equals that one's:
+    # every filter lies in itself, and none is maximal
+    "filter_inside_itself": (
+        "spectrum.py",
+        "if not any(row & ~other == 0 and row != other for other in rows)]",
+        "if not any(row & ~other == 0 for other in rows)]",
+        ["tests/test_spectrum.py::test_ultrafilters_match_bruteforce"]),
 }
 
 

@@ -492,3 +492,62 @@ def test_out_of_range_reads_raise_package_errors(read, s, x):
     on_arrows = read in ("arrow_of", "inverse")
     with pytest.raises(errors.DomainViolation if on_arrows else errors.NotInDomain):
         getattr(gpd if on_arrows else act, read)(*(v for v in (s, x) if v is not None))
+
+
+def test_harness_on_wide_groupoids_fails_as_the_per_element_loops(monkeypatch):
+    # S4 with a zero (24 arrows on one point), Bn(6) and Pow(4), the
+    # instances test_germs.py holds against the compose oracle: the
+    # harness as built, after each image of the action's array is moved to
+    # each other point, and after the corruptions of harness_corruptions,
+    # raises what the per-element loops raise.  On Bn(6) every element
+    # acts on one point, so an image moved off both its point and its old
+    # image leaves the weakly fixed flags standing and makes the
+    # conjugated domains identity fail first
+    from test_germs import wide_instances
+
+    rng = random.Random(1408)
+    failed = Counter()
+    for name, sg in wide_instances():
+        analysis = tg.analyze(sg, name)
+        got, want = both_harness_outcomes(analysis, name, monkeypatch)
+        assert got == want and isinstance(got, dict), name
+        act = analysis.action
+        changes = []
+        for s, x in zip(*np.nonzero(act.defined)):
+            for y in range(act.points):
+                if y != act.array[s, x]:
+                    cells = act.array.copy()
+                    cells[s, x] = y
+                    changes.append((f"image {s} {x} {y}", lambda mp, cells=cells:
+                                    mp.setattr(act, "array", cells)))
+        changes += list(harness_corruptions(analysis, rng))
+        for kind, change in changes:
+            got, want = both_harness_outcomes(analysis, name, monkeypatch, change)
+            assert got == want, (name, kind)
+            failed[got[1].split(":")[0] if isinstance(got, tuple) else None] += 1
+    assert {None, "weakly_fixed_vs_fixed_points", "conjugated_domains"} <= set(failed), failed
+
+
+def test_conjugated_domains_reads_every_52_point_word(monkeypatch):
+    # the conjugated domains pass packs point sets into float64 words of 52
+    # points.  A 60-cycle and the identity on point 0 close to 3,661
+    # elements acting on 60 points; two images at 52 and above swapped on
+    # a power of the cycle differ only in the second word, where the pass
+    # must find what the per-element loop finds first
+    m = 60
+    sg = tg.from_partial_maps(m, [tuple((x + 1) % m for x in range(m)),
+                                  (0,) + (None,) * (m - 1)])
+    analysis = tg.analyze(sg, "C60")
+    act = analysis.action
+    assert (sg.size, act.points) == (3661, 60)
+    got, want = both_harness_outcomes(analysis, "C60", monkeypatch)
+    assert got == want and isinstance(got, dict)
+    s = next(s for s in sg.elements()
+             if act.defined[s].all() and (act.array[s] != np.arange(m)).all())
+    x, y = np.flatnonzero(act.array[s] >= 52)[:2]
+    cells = act.array.copy()
+    cells[s, [x, y]] = cells[s, [y, x]]
+    got, want = both_harness_outcomes(analysis, "C60", monkeypatch,
+                                      lambda mp: mp.setattr(act, "array", cells))
+    assert got == want
+    assert got[1].startswith("conjugated_domains: criterion verdict frozenset({5")

@@ -18,6 +18,10 @@ def make(name):
     return sg, act, tg.build_germ_groupoid(act)
 
 
+def make_from(sg):
+    return tg.build_germ_groupoid(tg.standard_action(tg.tight_spectrum(sg)))
+
+
 def is_pair_groupoid(g):
     units = len(g.units)
     if len(g.arrows) != units * units:
@@ -383,3 +387,89 @@ def test_corrupted_products_fail_first_on_the_same_identity(corpus100,
             first[fast and fast[1 if fast[0] == "TheoremViolation" else 0]] += 1
     assert {None, "DomainViolation", "composition_bookkeeping",
             "associativity"} <= set(first)
+
+
+# ------------------------------------- many arrows per point, against the oracle
+
+S4_WITH_ZERO = "semigroup S4z\npoints 4\ngen c = 1 2 3 0\ngen t = 1 0 2 3\n"
+
+
+def wide_instances():
+    """S4 with a zero adjoined, read from the generator text of a 4-cycle
+    and a transposition (25 elements, 24 arrows on one point), Bn(6) (36
+    arrows on 6 points, one between each two) and Pow(4) (4 units): the
+    first two above the size where verify_axioms runs its array passes,
+    the last below it."""
+    yield "S4+0", tg.build_semigroup(tg.parse_spec(S4_WITH_ZERO))
+    for name in ("Bn(6)", "Pow(4)"):
+        yield name, tg.build_fixture(name)
+
+
+def test_wide_groupoids_agree_with_compose_oracle_clean_and_corrupted(monkeypatch):
+    # clean, then every class_of cell of a defined pair moved to the next
+    # arrow, then products of two representatives changed in both places
+    # they are read, as test_corrupted_products_fail_first_on_the_same_identity
+    # does: each product once at random, and on In(4) each one read as
+    # each of the elements 0 to 3.  On the three wide groupoids every
+    # product of two representatives is a representative's own cell, so a
+    # class_of change breaks a unit or an inverse law first; a changed
+    # product reaches associativity, and on In(4) composition bookkeeping
+    import random
+    from collections import Counter
+
+    columns = tg.InverseSemigroup._columns
+    corrupt = {}                       # (a, b) -> the wrong product a b
+
+    def corrupted_columns(sg, wanted):
+        out = columns(sg, wanted)
+        for (a, b), ab in corrupt.items():
+            out[list(wanted).index(b), a] = ab
+        return out
+
+    monkeypatch.setattr(tg.InverseSemigroup, "_columns", corrupted_columns)
+    rng = random.Random(5278)
+    first = Counter()
+
+    def record(outcome):
+        first[outcome and outcome[1 if outcome[0] == "TheoremViolation" else 0]] += 1
+
+    shapes = {}
+    instances = [*wide_instances(), ("In(4)", tg.build_fixture("In(4)"))]
+    for name, sg in instances:
+        g = make_from(sg)
+        n = len(g.arrows)
+        shapes[name] = (sg.size, g.action.points, n)
+        assert both_outcomes(g) == (None, None), name
+        clean = g.class_of
+        for (s, x), k in sorted(oracles.class_pairs(g).items()):
+            g.class_of = clean.copy()
+            g.class_of[s, x] = (k + 1) % n
+            try:
+                fast, oracle = both_outcomes(g)
+            finally:
+                g.class_of = clean
+            assert fast == oracle, (name, s, x)
+            record(fast)
+        table = sg.table
+        reps = sorted({s for s, _ in g.arrows})
+        wrong = [(a, b, (table[a][b] + 1 + rng.randrange(sg.size - 1)) % sg.size)
+                 for a in reps for b in reps]
+        if name == "In(4)":
+            wrong += [(a, b, ab) for a in reps for b in reps for ab in range(4)
+                      if ab != table[a][b]]
+        for a, b, ab in wrong:
+            corrupt[a, b] = ab
+            row = list(table[a])
+            row[b] = ab
+            sg._table = table[:a] + (tuple(row),) + table[a + 1:]
+            try:
+                fast, oracle = both_outcomes(g)
+            finally:
+                sg._table = table
+                corrupt.clear()
+            assert fast == oracle, (name, a, b, ab)
+            record(fast)
+    assert shapes == {"S4+0": (25, 1, 24), "Bn(6)": (37, 6, 36), "Pow(4)": (16, 4, 4),
+                      "In(4)": (209, 4, 16)}
+    assert {None, "DomainViolation", "associativity", "composition_bookkeeping",
+            "right_inverse_law", "right_unit_law"} <= set(first), first

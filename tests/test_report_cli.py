@@ -427,3 +427,26 @@ def test_cli_stops_quietly_when_stdout_closes(args):
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (0, b"")
+
+
+def test_a_run_never_imports_numpy_ma():
+    # numpy.ma costs about 10 ms to import, which a one-shot `analyze`
+    # would pay on every run: np.unique imports it on first use.  The
+    # harness, the JSON report and the DOT graph of fixtures and corpus
+    # instances, each in a fresh interpreter, must leave it unimported
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    script = (
+        "import sys\n"
+        "import tightgroupoid as tg\n"
+        "from tightgroupoid import report\n"
+        "named = [(n, tg.build_fixture(n)) for n in ('In(4)', 'B2', 'Bn(8)', 'Pow(4)')]\n"
+        "for name, sg in named + tg.corpus(20, 7):\n"
+        "    analysis, _ = tg.verify_instance(sg, name)\n"
+        "    report.emit_report(report.build_document(analysis, name))\n"
+        "    report.emit_dot(analysis.groupoid, name)\n"
+        "print('numpy.ma' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
