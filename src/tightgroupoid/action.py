@@ -29,7 +29,7 @@ from .errors import (
     NotInDomain,
     TheoremViolation,
 )
-from .semigroup import InverseSemigroup, _bit_rows
+from .semigroup import InverseSemigroup, _bit_rows, _block_rows, _first
 from .spectrum import TightSpectrum
 
 
@@ -140,11 +140,10 @@ def validate_action(action: FiniteAction) -> None:
     a concrete triple (s, g, x).
 
     Every check compares whole arrays at once; the composition check
-    compares blocks of elements, each holding at most |S| times the
-    points cells (or 4096) whatever the number of generators.  A failure
-    raises what a scan element by element would: the first failing check
-    of the lowest failing element, in that order, then the first
-    (s, g, x) whose composite differs.
+    compares blocks of elements, `semigroup._block_rows` of generators
+    times points cells.  A failure raises what a scan element by
+    element would: the first failing check of the lowest failing element,
+    in that order, then the first (s, g, x) whose composite differs.
     """
     if action._validated:
         return
@@ -174,9 +173,7 @@ def validate_action(action: FiniteAction) -> None:
                        defined != defined[d],                  # domain is not s*s's
                        (hits > 0) != defined[r]))              # range is not ss*'s
     if checks.any():
-        failing = checks.any(axis=2)
-        s = int(failing.any(axis=0).argmax())
-        check = failing[:, s].argmax()
+        s, check = _first(checks.any(axis=2).T)
         if check == 0:
             raise InvalidAction(f"element {s} does not act injectively")
         if check == 1:
@@ -186,16 +183,15 @@ def validate_action(action: FiniteAction) -> None:
         raise InvalidAction(f"range of {s} differs from the domain of ss*")
 
     # (s, j, x): s after generator j at x, against s g_j at x, over blocks
-    # of elements holding at most |S| times the points cells, or 4096; the
-    # padded last column is all -1, so a gather at -1 gives -1
+    # of elements; the padded last column is all -1, so a gather at -1
+    # gives -1
     padded = np.concatenate((m, np.full((n, 1), -1, dtype=np.int32)), axis=1)
     gen_maps = m[np.array(sg.generators)]
-    step = max(1, max(n * points, 4096) // max(gen_maps.size, 1))
+    step = _block_rows(gen_maps.size)
     for lo in range(0, n, step):
         differs = padded[lo:lo + step, gen_maps] != m[sg.right[lo:lo + step]]
         if differs.any():
-            s, rest = divmod(int(differs.argmax()), differs[0].size)
-            j, x = divmod(rest, points)
+            s, j, x = _first(differs)
             raise CompositionMismatch(lo + s, sg.generators[j], x)
     action._validated = True
 

@@ -40,11 +40,7 @@ from . import action as action_mod
 from . import germs as germs_mod
 from . import spectrum as spectrum_mod
 from .errors import PreconditionViolated, TheoremViolation
-from .semigroup import InverseSemigroup, _bit_rows, _row_bits
-
-# Cells per block of the identity harness's pass over (s, f) pairs,
-# bounding its temporaries where |S| times |E| is large.
-HARNESS_BLOCK_CELLS = 1 << 16
+from .semigroup import InverseSemigroup, _bit_rows, _block_rows, _first, _row_bits
 
 
 @dataclass(frozen=True)
@@ -417,11 +413,6 @@ def analyze(sg: InverseSemigroup, name: str = "S") -> Analysis:
 
 # ------------------------------------------------------ identity harness
 
-def _first(failing: np.ndarray) -> tuple:
-    """The first True cell (row, column) of a 2-d bool array, row by row."""
-    return divmod(int(failing.argmax()), failing.shape[1])
-
-
 def verify_instance(sg: InverseSemigroup, name: str = "S", seed: int = 0):
     """Run every theorem-backed identity on one instance.
 
@@ -437,13 +428,14 @@ def verify_instance(sg: InverseSemigroup, name: str = "S", seed: int = 0):
     conjugated domains identity over (s, f) compares two point sets packed
     into float64 words of 52 points: the image of dom f inside dom s, one
     product of the powers 2^(s x) with the domain masks, and the packed
-    domain of s f s*.  Each pass reads both sides at its first failing
-    cell, in (s, e), (s, f) or (s, x) order, and formats its instance
-    label (``s=...``, ``J=... C=...``) only then, so it raises what a loop
-    element by element would; the test suite keeps that loop as its
-    oracle.  The cover identities hold each ideal J and candidate C as a
-    bit row, and members only in a message; one `_met` of packed rows gives
-    what a set meets, its domain union, its below-union and what lies
+    domain of s f s*; it and the weakly fixed pass run in blocks of
+    elements, ``_block_rows`` of |E| cells.  Each pass reads both sides at
+    its first failing cell, in (s, e), (s, f) or (s, x) order, and formats
+    its instance label (``s=...``, ``J=... C=...``) only then, so it raises
+    what a loop element by element would; the test suite keeps that loop
+    as its oracle.  The cover identities hold each ideal J and candidate C
+    as a bit row, and members only in a message; one `_met` of packed rows
+    gives what a set meets, its domain union, its below-union and what lies
     strictly below its members, once per distinct ideal and candidate.
     The outer identity reads what C meets, ``meet_bits``; for C inside J,
     ``below_bits`` alone, every atom of J below a member of C.  The seeded
@@ -472,10 +464,9 @@ def verify_instance(sg: InverseSemigroup, name: str = "S", seed: int = 0):
     checks["tight_equals_ultra"] = True
 
     # weakly fixed idempotents match pointwise-fixed domains: s moves no
-    # point of the domain of e; over blocks of elements holding about
-    # HARNESS_BLOCK_CELLS (s, e) cells
+    # point of the domain of e, in blocks of elements
     n, width = flags.shape
-    step = max(1, HARNESS_BLOCK_CELLS // width)
+    step = _block_rows(width)
     moved, over = (~fixed).astype(np.float32), domains.T.astype(np.float32)
     for lo in range(0, n, step):
         block = slice(lo, lo + step)
@@ -554,8 +545,7 @@ def verify_instance(sg: InverseSemigroup, name: str = "S", seed: int = 0):
     # product over x of 2^(s x) with the domain masks, exact since analyze
     # validated the action, so each map is injective and the sum of its
     # distinct powers of two is their OR; the right one the packed domain
-    # of r[t] gathered at t = s f.  Blocks of elements hold about
-    # HARNESS_BLOCK_CELLS (s, f) cells
+    # of r[t] gathered at t = s f, in the weakly fixed pass's blocks
     r = np.array(sg.r, dtype=np.int32)
     weights, over = defined.astype(float), domains.T.astype(float)
     word, bit = np.divmod(array, 52)

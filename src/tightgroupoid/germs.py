@@ -29,14 +29,13 @@ from .action import (
     validate_action,
 )
 from .errors import DomainViolation, TheoremViolation
+from .semigroup import _block_rows
 
 # `GermGroupoid.verify_axioms` on at most AXIOM_LOOP_ARROWS arrows runs the
 # compose-based loop alone: below six arrows the loop costs less than the
 # fixed cost of the array passes (25-51 us against 64-68 us an instance
-# on a 2-vCPU host).  Above, the associativity pass compares about
-# AXIOM_BLOCK_CELLS cells per block of j.
+# on a 2-vCPU host).
 AXIOM_LOOP_ARROWS = 5
-AXIOM_BLOCK_CELLS = 1 << 20
 
 
 class GermGroupoid:
@@ -156,7 +155,8 @@ class GermGroupoid:
         arrows are one gather at their inverses, read as ``inverse`` reads
         them, and their units, and composition bookkeeping and
         associativity, C[C[k, i], j] == C[k, C[i, j]], run over the
-        composable pairs and triples of blocks of j.  A pass only marks the
+        composable pairs and triples of blocks of j, a j counted as every
+        composable pair by `semigroup._block_rows`.  A pass only marks the
         arrows, or the j, where something fails.  The compose-based loop,
         in the order of the reading kept in the test suite, then runs for
         the marked ones alone, or for all of them on a few arrows, so the
@@ -233,9 +233,9 @@ class GermGroupoid:
         broken = (laws != np.array((utgt, usrc, ar, ar))).any(axis=0) | (image < 0)
         if np.count_nonzero(broken):
             loop(np.flatnonzero(broken).tolist(), ())
-        # composable pairs (i, j) and triples (k, i, j) over blocks of j,
-        # each comparing about AXIOM_BLOCK_CELLS (k, (i, j)) cells
-        step = max(1, AXIOM_BLOCK_CELLS // max(1, np.count_nonzero(composable)))
+        # composable pairs (i, j) and triples (k, i, j) over blocks of j, of
+        # at most BLOCK_CELLS (k, (i, j)) cells or one j: no j has more triples than pairs
+        step = _block_rows(np.count_nonzero(composable))
         for lo in range(0, n, step):
             i, j = np.nonzero(composable[:, lo:lo + step])
             j += lo

@@ -66,6 +66,17 @@ MAX_SIZE = 20_000
 MAX_SLAB_CELLS = 2_000_000
 MAX_TABLE_WORK = 200_000_000
 
+# Cells per block of every pass cut into blocks of rows, `_block_rows` of
+# its cells per row: the closure walk (letters times degree a map), Light's
+# test and the inverse search of a table (n an element), the composition
+# check of `action.validate_action` (generators times points an element),
+# the harness's weakly fixed and conjugated-domains passes (|E| an
+# element) and the pair and triple pass of `GermGroupoid.verify_axioms`
+# (the composable pairs, at least a j's triples).  A block's transient
+# arrays take a few bytes a cell; I5, I6 and small corpus instances build
+# in the same time from 2^10 to 2^20 cells.
+BLOCK_CELLS = 1 << 16
+
 
 @dataclass(frozen=True)
 class Ideal:
@@ -300,7 +311,7 @@ class InverseSemigroup:
         order = list(mem)
         escapes = (np.bincount(order, minlength=self.size) == 0)[self.slab[order]]
         if escapes.any():
-            i, j = divmod(int(escapes.argmax()), escapes.shape[1])
+            i, j = _first(escapes)
             raise NotAnIdeal(f"not downward closed: {order[i]}*{self._idem_sorted[j]} escapes")
         return Ideal(mem)
 
@@ -467,37 +478,37 @@ def from_table(table: Sequence[Sequence[int]], zero: int,
     return _checked(m.astype(np.int32, copy=False), index, element_names)
 
 
-# Elements per block of the unique-inverse search, `_searched_inverses`: its
-# transient arrays hold a few blocks of this many rows of the table.
-INVERSE_BLOCK_ROWS = 64
-
-
 def _checked(m: np.ndarray, zero: int, element_names=None) -> InverseSemigroup:
     """The axiom checks of :func:`from_table` on a square int32 table `m`
     whose entries and zero are in range; the instance keeps its involution,
     s*s and the columns of its generators, not the table.
 
-    The inverse s* is the unique t with (s t) s = s and (t s) t = t.  Every
-    s* is derived in O(n k) for k generators along the spanning tree of
-    their columns, walked here once, the constructor's too.  A table
-    regular through them whose idempotents commute is inverse (Howie,
-    *Fundamentals of Semigroup Theory*, 1995, Thm 5.1.1), so s* is the only
-    inverse; else the O(n^2) search raises at the lowest s with none, or
-    more.  Last, the slab must equal the table's idempotent columns; a cell
-    (s, e) that differs is a defect, the first raising :class:`TheoremViolation`."""
+    Light's test compares (x g) y with x (g y) for each generator g in
+    blocks of rows x, `_block_rows` of n cells, and raises at the first
+    failing (g, x, y).  The inverse s* is the unique t with (s t) s = s and
+    (t s) t = t.  Every s* is derived in O(n k) for k generators along the
+    spanning tree of their columns, walked here once, the constructor's
+    too.  A table regular through them whose idempotents commute is inverse
+    (Howie, *Fundamentals of Semigroup Theory*, 1995, Thm 5.1.1), so s* is
+    the only inverse; else the O(n^2) search, in blocks of rows s alike,
+    raises at the lowest s with none, or more.  A search that finds each
+    inverse unique is a defect: unique inverses make a table inverse.  Last,
+    the slab must equal the table's idempotent columns; a cell (s, e) that
+    differs is a defect, the first raising :class:`TheoremViolation`."""
     n = len(m)
     gens = _right_generators(m)
     if n * n * len(gens) > MAX_TABLE_WORK:
         raise CapExceeded(f"table of {n} elements with {len(gens)} generators "
                           f"needs {n * n * len(gens)} associativity checks, "
                           f"over the cap of {MAX_TABLE_WORK}")
+    step = _block_rows(n)
     for g in gens:
-        lhs = m[m[:, g], :]       # (x, y) -> (x g) y
-        rhs = m[:, m[g]]          # (x, y) -> x (g y)
-        if not np.array_equal(lhs, rhs):
-            x, y = map(int, np.argwhere(lhs != rhs)[0])
-            raise NotAssociative(x, g, y)
-    del lhs, rhs
+        for lo in range(0, n, step):
+            lhs = m[m[lo:lo + step, g]]           # (x, y) -> (x g) y
+            rhs = m[lo:lo + step, m[g]]           # (x, y) -> x (g y)
+            if not np.array_equal(lhs, rhs):
+                x, y = _first(lhs != rhs)
+                raise NotAssociative(lo + x, g, y)
 
     right = m[:, gens]
     tree = _breadth_first(right, gens)
@@ -506,7 +517,9 @@ def _checked(m: np.ndarray, zero: int, element_names=None) -> InverseSemigroup:
     el = np.flatnonzero(m.diagonal() == ar)       # the idempotents
     sub = m[np.ix_(el, el)]
     if star is None or not np.array_equal(sub, sub.T):
-        star = _searched_inverses(m)
+        _searched_inverses(m)
+        raise TheoremViolation("inverse_search", False, True,
+                               f"table of {n} elements, each with one inverse")
     star = star.tolist()
 
     bad = np.flatnonzero((m[zero] != zero) | (m[:, zero] != zero))
@@ -517,7 +530,7 @@ def _checked(m: np.ndarray, zero: int, element_names=None) -> InverseSemigroup:
                           element_names, tree=tree)
     bad = sg.slab != np.take(m, el, axis=1)
     if bad.any():
-        s, j = divmod(int(bad.argmax()), len(el))
+        s, j = _first(bad)
         raise TheoremViolation("slab_columns", int(sg.slab[s, j]), int(m[s, el[j]]),
                                f"table s={s} e={el[j]}")
     return sg
@@ -555,19 +568,15 @@ def _derived_inverses(m: np.ndarray, gens: list, tree: tuple):
     return star if regular else None
 
 
-def _searched_inverses(m: np.ndarray) -> np.ndarray:
-    """The unique inverse of each s of the table `m`, searched over blocks of
-    `INVERSE_BLOCK_ROWS` elements; the lowest s with none, or more, raises."""
-    star = np.empty(len(m), dtype=np.int32)
-    for lo in range(0, len(m), INVERSE_BLOCK_ROWS):
-        s = np.arange(lo, min(lo + INVERSE_BLOCK_ROWS, len(m)), dtype=np.int32)
-        both = _inverse_pairs(m, s)
-        count = both.sum(axis=1)
+def _searched_inverses(m: np.ndarray) -> None:
+    """Raise at the lowest s of the table `m` with no inverse, or more than
+    one, searched over blocks of rows s of n cells each, `_block_rows`."""
+    step = _block_rows(len(m))
+    for lo in range(0, len(m), step):
+        count = _inverse_pairs(m, np.arange(lo, min(lo + step, len(m)), dtype=np.int32)).sum(axis=1)
         if (count != 1).any():
             i = int(np.argmax(count != 1))
             raise (InverseNotUnique if count[i] else InverseMissing)(lo + i)
-        star[s] = both.argmax(axis=1)
-    return star
 
 
 def _right_generators(m: np.ndarray) -> list:
@@ -593,6 +602,17 @@ def _right_generators(m: np.ndarray) -> list:
             reached |= hit
             fresh = m[hit][:, gens].ravel()
     return gens
+
+
+def _block_rows(cells_per_row: int) -> int:
+    """Rows per block of `cells_per_row` cells each: as many as
+    `BLOCK_CELLS` holds, at least one."""
+    return max(1, BLOCK_CELLS // max(1, cells_per_row))
+
+
+def _first(failing: np.ndarray) -> tuple:
+    """The index of the first True cell of a bool array, in C order."""
+    return tuple(map(int, np.unravel_index(int(failing.argmax()), failing.shape)))
 
 
 def _row_bits(flags: np.ndarray) -> list:
@@ -639,14 +659,6 @@ def _cayley_table(sg: InverseSemigroup) -> tuple:
 
 
 # ------------------------------------------------------ partial map model
-
-# Product cells per block of the closure walk: a block is as many maps of
-# the walk's frontier as fit, times every letter, times the degree, and
-# holds at least one map.  The bound keeps a block's transient arrays to
-# a few bytes a cell; the builds of I5, I6 and small corpus instances take
-# the same time from 2^10 to 2^20 cells.
-BLOCK_CELLS = 1 << 16
-
 
 def _check_partial_map(g: Sequence, degree: int, label: str) -> tuple:
     if len(g) != degree:
@@ -745,7 +757,8 @@ def from_partial_maps(degree: int, generators: Sequence[Sequence],
 def _closure(degree: int, gens: list) -> tuple:
     """The closure walk of :func:`from_partial_maps` over the checked maps
     `gens`, and its checks: the constructor's arguments past the zero,
-    element 0."""
+    element 0.  Its blocks of maps, letters times the degree cells a map,
+    are `_block_rows` long."""
     digit = np.min_scalar_type(degree).newbyteorder(">")
     key = np.dtype(f"S{degree * digit.itemsize}")    # a digit row as bytes
     rows = np.array([[0 if v is None else v + 1 for v in g] for g in gens],
@@ -771,7 +784,7 @@ def _closure(degree: int, gens: list) -> tuple:
     admit(len(found))
     limit = min(MAX_SIZE, MAX_SLAB_CELLS // degree)  # most maps both caps pass
     by_letter = digits(letters).astype(np.intp)
-    step = max(1, BLOCK_CELLS // max(1, len(letters) * degree))
+    step = _block_rows(len(letters) * degree)
     edges = []                       # found[i] * letters[j], row-major in (i, j)
     lo = 0
     while lo < len(found):           # the list grows while it is walked

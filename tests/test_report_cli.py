@@ -318,6 +318,27 @@ def test_slab_defect_while_building_a_table_file_exits_3(tmp_path, monkeypatch, 
     assert body["property"] == "slab_columns" and "isg" not in body
 
 
+@pytest.mark.parametrize("name, size", [("B2", 5), ("Bn(8)", 65)])
+def test_inverse_search_that_finds_one_inverse_each_is_a_defect(tmp_path, monkeypatch,
+                                                                 capsys, name, size):
+    # a table in which every element has exactly one inverse is inverse,
+    # where the derivation along the spanning tree holds; with the
+    # derivation failed, the search is the only source of s* left, and it
+    # only raises: finding one inverse each is a defect, exit 3
+    monkeypatch.chdir(tmp_path)
+    sg = tg.build_fixture(name)
+    path = tmp_path / "table.isg"
+    path.write_text(tg.format_spec(cli.spec_of_semigroup(sg, "table")))
+    monkeypatch.setattr(semigroup, "_derived_inverses", lambda m, gens, tree: None)
+    want = (f"inverse_search: criterion verdict False != direct verdict True on "
+            f"instance table of {size} elements, each with one inverse")
+    with pytest.raises(TheoremViolation) as caught:
+        tg.from_table(sg.table, sg.zero)
+    assert str(caught.value) == want
+    assert cli.run_cli(["analyze", str(path)]) == 3
+    assert want in capsys.readouterr().err
+
+
 def test_closure_defect_while_building_exits_3_in_both_modes(tmp_path, monkeypatch,
                                                              capsys):
     # the inverse layer of the sorted maps, broken at its last row, sends

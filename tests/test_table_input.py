@@ -209,10 +209,10 @@ def parts_table(kinds):
     return table
 
 
-@pytest.mark.parametrize("block", (1, 3, semigroup.INVERSE_BLOCK_ROWS))
+@pytest.mark.parametrize("block", (10, 30, semigroup.BLOCK_CELLS))
 def test_inverse_search_fails_at_the_lowest_element_in_any_block(monkeypatch, block):
-    monkeypatch.setattr(semigroup, "INVERSE_BLOCK_ROWS", block)
-    size = 10                          # blocks of 3 end at 2, 5 and 8
+    monkeypatch.setattr(semigroup, "BLOCK_CELLS", block)
+    size = 10                          # rows of 10 cells: blocks of 3 end at 2, 5 and 8
     for first in range(1, size):
         for bad in ("n", "lr"):
             head = "a" * (first - 1) + bad
