@@ -95,7 +95,7 @@ class FiniteAction:
         sg = self.semigroup
         idem = sg.idempotent_list()
         below = _bit_rows(sg.below_bits, len(idem))
-        return below.astype(np.float32) @ self.defined[np.array(idem)] > 0
+        return below.astype(np.float32) @ self.defined.take(idem, axis=0) > 0
 
     def _element(self, s: int) -> int:
         """s, when it is an element of the acting semigroup."""
@@ -153,7 +153,7 @@ def validate_action(action: FiniteAction) -> None:
     defined = action.defined
     if defined[sg.zero].any():
         raise InvalidAction("zero must act as the empty map")
-    rows = m[np.array(sg.idempotent_list())]
+    rows = m.take(sg.idempotent_list(), axis=0)
     moved = ((rows >= 0) & (rows != np.arange(points))).any(axis=1)
     if moved.any():
         e = sg.idempotent_list()[int(moved.argmax())]
@@ -168,10 +168,10 @@ def validate_action(action: FiniteAction) -> None:
     inverse = np.full(n * points, -1, dtype=np.int32)
     inverse[cells] = xs
     star, d, r = sg._index
-    checks = np.stack((hits > 1,                               # not injective
-                       m[star] != inverse.reshape(n, points),  # s* does not invert s
-                       defined != defined[d],                  # domain is not s*s's
-                       (hits > 0) != defined[r]))              # range is not ss*'s
+    checks = np.stack((hits > 1,                                    # not injective
+                       m.take(star, axis=0) != inverse.reshape(n, points),  # s* not inverse
+                       defined != defined.take(d, axis=0),          # domain is not s*s's
+                       (hits > 0) != defined.take(r, axis=0)))      # range is not ss*'s
     if checks.any():
         s, check = _first(checks.any(axis=2).T)
         if check == 0:
@@ -189,7 +189,7 @@ def validate_action(action: FiniteAction) -> None:
     gen_maps = m[np.array(sg.generators)]
     step = _block_rows(gen_maps.size)
     for lo in range(0, n, step):
-        differs = padded[lo:lo + step, gen_maps] != m[sg.right[lo:lo + step]]
+        differs = padded[lo:lo + step, gen_maps] != m.take(sg.right[lo:lo + step], axis=0)
         if differs.any():
             s, j, x = _first(differs)
             raise CompositionMismatch(lo + s, sg.generators[j], x)
@@ -221,10 +221,10 @@ def standard_action(spectrum: TightSpectrum) -> FiniteAction:
     point_of[mins] = np.arange(len(pts))
     # s e for every element s and point of e; s acts on the point of e
     # when e <= s*s, that is (s*s) e = e, and sends it to s e s*
-    block = sg.slab[:, [sg.column[f.min] for f in pts]]
+    block = sg.slab.take([sg.column[f.min] for f in pts], axis=1)
     _, d, r = sg._index
-    defined = block[d] == mins
-    image = point_of[r[block]]
+    defined = block.take(d, axis=0) == mins
+    image = point_of.take(r).take(block)                # point of s e s*
     lost = defined & (image < 0)
     if lost.any():
         raise TheoremViolation(

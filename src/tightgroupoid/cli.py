@@ -17,7 +17,7 @@ import time
 
 from . import criteria, fixtures, report
 from .dsl import SemigroupSpec, build_semigroup, format_spec, parse_spec
-from .errors import EmptySpectrum, TheoremViolation, TightGroupoidError
+from .errors import EmptySpectrum, InvariantViolation, TheoremViolation, TightGroupoidError
 from .semigroup import InverseSemigroup, _images
 
 CHECK_NAMES = {
@@ -112,7 +112,10 @@ def _dump_violation(sg: InverseSemigroup | None, name: str,
                     exc: TightGroupoidError) -> str | None:
     path = _violation_path(name)
     body = {"instance": name, "error": type(exc).__name__, "message": str(exc)}
-    if isinstance(exc, TheoremViolation):
+    if isinstance(exc, InvariantViolation):
+        body |= {"property": exc.property, "found": repr(exc.found),
+                 "expected": repr(exc.expected), "detail": exc.instance}
+    elif isinstance(exc, TheoremViolation):
         body |= {"property": exc.property, "criterion": repr(exc.criterion),
                  "direct": repr(exc.direct), "detail": exc.instance}
     if sg is not None:      # else it failed while building, from its input
@@ -121,8 +124,10 @@ def _dump_violation(sg: InverseSemigroup | None, name: str,
 
 
 def _report_violation(sg, name, exc, where="") -> None:
-    """A verdict mismatch or defect, and where its reproducer went, on stderr."""
-    kind = "verdict mismatch" if isinstance(exc, TheoremViolation) else type(exc).__name__
+    """A verdict mismatch, invariant violation or other defect, and where
+    its reproducer went, on stderr."""
+    kind = ("invariant violation" if isinstance(exc, InvariantViolation) else
+            "verdict mismatch" if isinstance(exc, TheoremViolation) else type(exc).__name__)
     print(f"{kind}{where}: {exc}", file=sys.stderr)
     if path := _dump_violation(sg, name, exc):
         print(f"reproducer written to {path}", file=sys.stderr)

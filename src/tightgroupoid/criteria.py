@@ -23,8 +23,10 @@ slab's idempotent rows against the maps.  The criteria read: Hausdorff,
 ``below_bits`` and ``meet_bits``; essential principality, those and the
 weakly fixed flags, ``_weakly_fixed``; minimality, those and the column of
 s f s* per slab cell, ``_conjugation``, both arrays made from the ``slab``
-by the constructor; local contraction, the ``slab`` column of the least
-atom, found by ``below_bits``.  Of the harness's cover identities, the
+by the constructor, and its witness the ``meet_bits`` rows of each
+conjugate set against every ``below_bits`` row of a nonzero idempotent,
+packed side by side in one integer; local contraction, the ``slab``
+column of the least atom, found by ``below_bits``.  Of the harness's cover identities, the
 outer one reads ``meet_bits`` and the one inside the ideal
 ``below_bits``, each against the action's domains.
 """
@@ -39,7 +41,7 @@ import numpy as np
 from . import action as action_mod
 from . import germs as germs_mod
 from . import spectrum as spectrum_mod
-from .errors import PreconditionViolated, TheoremViolation
+from .errors import InvariantViolation, PreconditionViolated, TheoremViolation
 from .semigroup import InverseSemigroup, _bit_rows, _block_rows, _first, _row_bits
 
 
@@ -94,6 +96,15 @@ def weakly_fixed(sg: InverseSemigroup, e: int, s: int) -> bool:
     raise PreconditionViolated(f"idempotent {e} does not lie below s*s for s={s}")
 
 
+def _later_unions(hits: list) -> list:
+    """Item i: the union of the hits past i."""
+    after, union = [], 0
+    for hit in reversed(hits):
+        after.append(union)
+        union |= hit
+    return after[::-1]
+
+
 def _minimize_cover(sg, candidates, members, rows):
     """Greedy removal pass over a cover, the `candidates`, of the nonzero
     `members`, both bits; keeps the witness small for readability,
@@ -104,7 +115,9 @@ def _minimize_cover(sg, candidates, members, rows):
     meets is met by another candidate still chosen, which is exactly when
     the rest still covers: the candidates kept before c and all those
     after it, so the test is one mask against the union of the kept ones
-    and a suffix union.
+    and a suffix union.  The top-free criterion trims its covers one by
+    one here; :func:`minimal_criterion` runs the same pass for every ideal
+    of one conjugate set at once, on packed lanes.
     """
     got = rows.get(candidates)
     if got is None:
@@ -112,15 +125,9 @@ def _minimize_cover(sg, candidates, members, rows):
         got = rows[candidates] = cands, [sg.meet_bits[sg.column[c]] for c in cands]
     cands, meets = got
     hits = [bits & members for bits in meets]
-    after = []                        # after[i]: union of the hits past i
-    union = 0
-    for hit in reversed(hits):
-        after.append(union)
-        union |= hit
-    after.reverse()
     kept = []
     union = 0
-    for c, hit, rest in zip(cands, hits, after):
+    for c, hit, rest in zip(cands, hits, _later_unions(hits)):
         if hit & ~(union | rest):     # a member that only c meets
             kept.append(c)
             union |= hit
@@ -146,7 +153,7 @@ def top_free_criterion(sg: InverseSemigroup) -> CriterionResult:
     idem, below_bits = sg.idempotent_list(), sg.below_bits
     zero_column = sg.column[sg.zero]
     nonzero = ~(1 << zero_column)
-    rows, cols = np.nonzero(sg._weakly_fixed)
+    rows, cols = np.divmod(np.flatnonzero(sg._weakly_fixed), len(idem))
     keep = cols != zero_column
     failures, covers, memo, trim = [], {}, {}, {}
     for s, j in zip(rows[keep].tolist(), cols[keep].tolist()):
@@ -202,6 +209,18 @@ def minimal_criterion(sg: InverseSemigroup) -> CriterionResult:
     are trimmed only when no pair fails, each conjugate c of f paired with
     its cell of :func:`_conjugators`, and the (e, f) with one trimmed cover
     and one f share one tuple of (cover, via) pairs, built once.
+
+    The trimming is :func:`_minimize_cover`'s greedy pass, run for every
+    nonzero idempotent e at once, once per distinct conjugate set.  Lane k
+    of one integer, `field` = |E| + 1 bits from bit k * field, holds the
+    members of the ideal below the k-th nonzero idempotent, and its top
+    bit is a guard, never a member.  A candidate c's ``meet_bits`` row
+    times `rep`, bit 0 of every lane, masked by the members, is what it
+    meets in every ideal at once, its hit.  In increasing order, as the
+    single pass walks them, c is kept in the lanes where its hit holds a
+    member that neither the kept union nor the union of the later hits
+    does: adding 2^|E| - 1 to every lane carries exactly those lanes into
+    their guard bit, and the kept union takes c's hit in those lanes only.
     """
     nz, idem = sg.nonzero_idempotents(), sg.idempotent_list()
     column, below_bits = sg.column, sg.below_bits
@@ -221,21 +240,37 @@ def minimal_criterion(sg: InverseSemigroup) -> CriterionResult:
                 failures.append({"e": e, "f": f, "uncovered": uncovered})
     if failures:
         return CriterionResult(False, witness={"failures": failures})
-    witnesses, trim = {}, {}
-    made = {}                         # (trimmed cover, f) -> its (cover, via) pairs
-    for e in nz:
-        below = below_bits[e] & nonzero
-        trimmed = {}
-        for f in nz:
-            cands = conjugates[column[f]]
-            small = trimmed.get(cands)
-            if small is None:
-                small = trimmed[cands] = _minimize_cover(sg, cands, below, trim)
-            pairs = made.get((small, f))
-            if pairs is None:
-                row = rows[column[f]]
-                pairs = made[small, f] = tuple([(c, row[column[c]]) for c in small])
-            witnesses[(e, f)] = pairs
+    width = len(idem)
+    field, ones = width + 1, (1 << width) - 1
+    rep = ((1 << field * len(nz)) - 1) // ((1 << field) - 1)   # bit 0 of each lane
+    guard, fill = rep << width, rep * ones
+    members = 0
+    for k, e in enumerate(nz):
+        members |= (below_bits[e] & nonzero) << k * field
+    trimmed = {}                      # conjugate set -> per lane, its cover's index
+    covers = {}                       # trimmed cover -> its index
+    for cands in dict.fromkeys(conjugates[column[f]] for f in nz):
+        cover = sg.members_of(cands)
+        hits = [sg.meet_bits[column[c]] * rep & members for c in cover]
+        lanes = [[] for _ in nz]
+        kept = 0
+        for c, hit, rest in zip(cover, hits, _later_unions(hits)):
+            # the guard bits of the lanes where c alone meets a member
+            keep = ((hit & ~(kept | rest)) + fill) & guard
+            kept |= hit & (keep >> width) * ones
+            while keep:
+                low = keep & -keep
+                lanes[(low.bit_length() - 1) // field].append(c)
+                keep ^= low
+        trimmed[cands] = [covers.setdefault(tuple(lane), len(covers)) for lane in lanes]
+    covers = list(covers)
+    by_f = []                         # per f, per lane: its (cover, via) pairs
+    for f in nz:
+        row, lanes = rows[column[f]], trimmed[conjugates[column[f]]]
+        made = {i: tuple([(c, row[column[c]]) for c in covers[i]]) for i in dict.fromkeys(lanes)}
+        by_f.append([made[i] for i in lanes])
+    pairs = [p for at_e in zip(*by_f) for p in at_e]    # in (e, f) order
+    witnesses = dict(zip([(e, f) for e in nz for f in nz], pairs))
     return CriterionResult(True, witness={"conjugate_covers": witnesses})
 
 
@@ -374,7 +409,7 @@ def analyze(sg: InverseSemigroup, name: str = "S") -> Analysis:
         bad = (sg._digits[sg.slab[idem]] != np.minimum(ids[:, None], ids)).any(axis=2)
         if bad.any():
             i, j = _first(bad)
-            raise TheoremViolation("idempotent_products", [], [(idem[i], idem[j])], name)
+            raise InvariantViolation("idempotent_products", [(idem[i], idem[j])], [], name)
     spec = spectrum_mod.tight_spectrum(sg)    # refuses E(S) = {0}
     # every nonzero idempotent lies above an atom, so some point is tight
     _identity("nonempty_spectrum", bool(spec.points), len(sg.idempotents) > 1, name)

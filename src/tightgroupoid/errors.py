@@ -124,6 +124,18 @@ class TheoremViolation(TightGroupoidError):
         self.instance = instance
 
 
+class InvariantViolation(TheoremViolation):
+    """A stored form, or a builder's result, differs from what it is
+    checked against; a defect like any TheoremViolation, named as a check
+    with what was found and what was expected, not as two verdicts."""
+
+    def __init__(self, check: str, found: object, expected: object, where: str):
+        super().__init__(check, found, expected, where)
+        self.args = (f"{check}: found {found!r}, expected {expected!r} at {where}",)
+        self.found = found
+        self.expected = expected
+
+
 # -------------------------------------------------------------- frontend
 
 class CapExceeded(TightGroupoidError):

@@ -11,7 +11,7 @@ from typing import Iterator
 import numpy as np
 
 from . import semigroup
-from .errors import CapExceeded, DegreeMismatch, TheoremViolation
+from .errors import CapExceeded, DegreeMismatch, InvariantViolation
 from .semigroup import InverseSemigroup, from_partial_maps, from_table
 
 RANDOM_MIN_IDEMPOTENTS = 2
@@ -29,10 +29,10 @@ def _check_cells(side: int) -> None:
 
 def _counted(sg: InverseSemigroup, name: str, elements: int, idempotents: int):
     """`sg`, unless it misses the family's counts of elements and
-    idempotents, a defect that raises :class:`TheoremViolation`."""
+    idempotents, a defect that raises :class:`InvariantViolation`."""
     if (sg.size, len(sg.idempotents)) != (elements, idempotents):
-        raise TheoremViolation("fixture_counts", (sg.size, len(sg.idempotents)),
-                               (elements, idempotents), name)
+        raise InvariantViolation("fixture_counts", (sg.size, len(sg.idempotents)),
+                                 (elements, idempotents), name)
     return sg
 
 

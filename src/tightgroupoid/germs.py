@@ -147,14 +147,14 @@ class GermGroupoid:
         A product [s,z][t,x] = [st,x] is defined when the source of the
         first germ is the target of the second.  Cell (i, j) of one (n, n)
         table is the germ of s_i s_j at x_j, gathered once from the
-        representatives' columns (``_columns``) and ``class_of``; a read
-        cell of -1 raises DomainViolation.  Above `AXIOM_LOOP_ARROWS`
-        arrows each family of laws is a whole-array pass over that table,
-        bordered by a row and a column of -1 that stand for every product
-        the loop below does not return: the unit and inverse laws of all
-        arrows are one gather at their inverses, read as ``inverse`` reads
-        them, and their units, and composition bookkeeping and
-        associativity, C[C[k, i], j] == C[k, C[i, j]], run over the
+        representatives' columns read at their own rows (``_columns``)
+        and ``class_of``; a read cell of -1 raises DomainViolation.  Above
+        `AXIOM_LOOP_ARROWS` arrows each family of laws is a whole-array
+        pass over that table, bordered by a row and a column of -1 that
+        stand for every product the loop below does not return: the unit
+        and inverse laws of all arrows are one gather at their inverses,
+        read as ``inverse`` reads them, and their units, and composition
+        bookkeeping and associativity, C[C[k, i], j] == C[k, C[i, j]], run over the
         composable pairs and triples of blocks of j, a j counted as every
         composable pair by `semigroup._block_rows`.  A pass only marks the
         arrows, or the j, where something fails.  The compose-based loop,
@@ -168,7 +168,7 @@ class GermGroupoid:
         reps = list(dict.fromkeys(elems.tolist()))            # each once, in arrow order
         row_of = dict(zip(reps, range(len(reps))))
         rows = np.array([row_of[s] for s in elems.tolist()], dtype=np.intp)
-        st = self.semigroup._columns(reps)[rows[:, None], elems].T       # (i, j): s_i s_j
+        st = self.semigroup._columns(reps, reps)[rows[:, None], rows].T   # (i, j): s_i s_j
         table = self.class_of[st, xs]
 
         def loop(laws_at, products_at):
@@ -268,7 +268,7 @@ def build_germ_groupoid(action: FiniteAction) -> GermGroupoid:
     below = (sg.slab[idem] == idem).sum(axis=1)
     least = np.where(action.defined[idem], below[:, None], len(idem) + 1).argmin(axis=0)
     elems, xs = np.nonzero(action.defined)
-    codes = xs * n + sg.slab[elems, least[xs]]
+    codes = xs * n + sg.slab.take(elems * len(idem) + least.take(xs))
     first = np.full(action.points * n, len(codes))     # per key, its first pair
     np.minimum.at(first, codes, np.arange(len(codes)))
     hit = first < len(codes)

@@ -42,13 +42,13 @@ from .errors import (
     DuplicateName,
     InverseMissing,
     InverseNotUnique,
+    InvariantViolation,
     NotAnIdeal,
     NotAssociative,
     NotIdempotent,
     NotInjective,
     NoZero,
     PreconditionViolated,
-    TheoremViolation,
     ZeroNotAbsorbing,
 )
 
@@ -178,13 +178,17 @@ class InverseSemigroup:
         meets = self.slab[rows]                           # (e, f): e f
         self.below_bits = tuple(_row_bits(below))
         self.meet_bits = tuple(_row_bits(meets != zero))
-        # an idempotent's column: idempotents up to it, less 1
+        # an idempotent's column: idempotents up to it, less 1; composed
+        # with ss* first, so the slab is read by one `take`
         column_of = np.cumsum(self._index[1] == np.arange(self.size), dtype=np.int32) - 1
-        self._conjugation = column_of[self._index[2][self.slab]]
+        self._conjugation = column_of.take(self._index[2]).take(self.slab)
         # f is bad for s when s f s* misses it; e is weakly fixed when no
-        # bad f lies below it, one product of the bad cells with the order
+        # bad f lies below it, one product of the bad cells with the order.
+        # (s f s*) f is cell (f, s f s*) of `meets`, since e f = f e
+        width = len(idem)
         below_d = below[self._index[1]]                   # (s, e): e <= s*s
-        bad = below_d & (rows != zero) & (meets[self._conjugation, np.arange(len(idem))] == zero)
+        missed = meets.take(self._conjugation + np.arange(0, width * width, width)) == zero
+        bad = below_d & (rows != zero) & missed
         order = below[rows].T.astype(np.float32)          # (f, e): f <= e
         self._weakly_fixed = below_d & (bad.astype(np.float32) @ order == 0)
         self._conjugation.flags.writeable = self._weakly_fixed.flags.writeable = False
@@ -206,18 +210,20 @@ class InverseSemigroup:
     def partial_maps(self):
         return None if self._digits is None else _images(self._digits)
 
-    def _columns(self, wanted) -> np.ndarray:
+    def _columns(self, wanted, rows=None) -> np.ndarray:
         """Columns x -> x y of the table for each y in `wanted`, as the
-        rows of an int32 array (Froidure & Pin, "Algorithms for computing
-        finite semigroups", 1997).  Column j of ``right`` is the column of
-        g_j = ``generators[j]``; any other y is p g_j for p = ``parent[y]``
-        and j = ``letter[y]``, and column y, x -> x y = (x p) g_j, is
-        column p sent through column j: one gather, kept along the tree
-        paths of `wanted`, so that no column costs two."""
+        rows of an int32 array, each read at the elements x of `rows`, by
+        default all (Froidure & Pin, "Algorithms for computing finite
+        semigroups", 1997).  Column j of ``right`` is the column of g_j =
+        ``generators[j]``; any other y is p g_j for p = ``parent[y]`` and
+        j = ``letter[y]``, and column y, x -> x y = (x p) g_j, is column p
+        sent through column j: one gather of as many cells as `rows`, kept
+        along the tree paths of `wanted`, so that no column costs two."""
         by_gen = np.ascontiguousarray(self.right.T)   # contiguous gathers
-        cols = {g: by_gen[j] for j, g in enumerate(self.generators)}
+        start = by_gen if rows is None else by_gen.take(rows, axis=1)
+        cols = {g: start[j] for j, g in enumerate(self.generators)}
         parent, letter = self.parent.tolist(), self.letter.tolist()
-        out = np.empty((len(wanted), self.size), dtype=np.int32)
+        out = np.empty((len(wanted), start.shape[1]), dtype=np.int32)
         for i, y in enumerate(wanted):
             chain = []
             while y not in cols:
@@ -494,7 +500,7 @@ def _checked(m: np.ndarray, zero: int, element_names=None) -> InverseSemigroup:
     raises at the lowest s with none, or more.  A search that finds each
     inverse unique is a defect: unique inverses make a table inverse.  Last,
     the slab must equal the table's idempotent columns; a cell (s, e) that
-    differs is a defect, the first raising :class:`TheoremViolation`."""
+    differs is a defect, the first raising :class:`InvariantViolation`."""
     n = len(m)
     gens = _right_generators(m)
     if n * n * len(gens) > MAX_TABLE_WORK:
@@ -518,8 +524,8 @@ def _checked(m: np.ndarray, zero: int, element_names=None) -> InverseSemigroup:
     sub = m[np.ix_(el, el)]
     if star is None or not np.array_equal(sub, sub.T):
         _searched_inverses(m)
-        raise TheoremViolation("inverse_search", False, True,
-                               f"table of {n} elements, each with one inverse")
+        raise InvariantViolation("inverse_search", "one inverse each",
+                                 "an element with none or several", f"table of {n} elements")
     star = star.tolist()
 
     bad = np.flatnonzero((m[zero] != zero) | (m[:, zero] != zero))
@@ -531,8 +537,8 @@ def _checked(m: np.ndarray, zero: int, element_names=None) -> InverseSemigroup:
     bad = sg.slab != np.take(m, el, axis=1)
     if bad.any():
         s, j = _first(bad)
-        raise TheoremViolation("slab_columns", int(sg.slab[s, j]), int(m[s, el[j]]),
-                               f"table s={s} e={el[j]}")
+        raise InvariantViolation("slab_columns", int(sg.slab[s, j]), int(m[s, el[j]]),
+                                 f"table s={s} e={el[j]}")
     return sg
 
 
@@ -646,8 +652,8 @@ def _breadth_first(right: np.ndarray, generators) -> tuple:
                 parent[y], letter[y] = p, j
                 walk.append(y)
     if len(walk) < len(rows):
-        raise TheoremViolation("generators_reach", len(walk), len(rows),
-                               f"element {parent.index(None)} unreached")
+        raise InvariantViolation("generators_reach", len(walk), len(rows),
+                                 f"element {parent.index(None)} unreached")
     return parent, letter
 
 
@@ -680,7 +686,7 @@ def _inverses_and_domains(maps: np.ndarray) -> np.ndarray:
     """The inverse and the domain, the identity on it, of each digit row
     of `maps`, as the two layers of an array of shape (2, *maps.shape):
     where s sends x to v, s* sends v to x.  Where two points share an
-    image, s s* s differs from s, which raises :class:`TheoremViolation`."""
+    image, s s* s differs from s, which raises :class:`InvariantViolation`."""
     out = np.zeros((2, *maps.shape), dtype=maps.dtype)
     r, x = np.nonzero(maps)
     v = maps[r, x].astype(np.intp) - 1
@@ -689,8 +695,8 @@ def _inverses_and_domains(maps: np.ndarray) -> np.ndarray:
     bad = np.flatnonzero(out[0, r, v] != x + 1)
     if bad.size:
         i = bad[0]
-        raise TheoremViolation("s_star_s", int(out[0, r[i], v[i]]) - 1, int(x[i]),
-                               f"row {r[i]}, image {v[i]}")
+        raise InvariantViolation("s_star_s", int(out[0, r[i], v[i]]) - 1, int(x[i]),
+                                 f"row {r[i]}, image {v[i]}")
     return out
 
 
@@ -741,7 +747,7 @@ def from_partial_maps(degree: int, generators: Sequence[Sequence],
     :func:`from_table` hold by construction; what is checked, in
     whole-array passes over |S| times degree cells, is that every inverse
     and domain lies in S, that s s* s = s, and that the empty map is the
-    zero, a failure raising :class:`TheoremViolation`.
+    zero, a failure raising :class:`InvariantViolation`.
     """
     if degree < 1:
         raise DegreeMismatch("degree must be at least 1")
@@ -758,7 +764,10 @@ def _closure(degree: int, gens: list) -> tuple:
     """The closure walk of :func:`from_partial_maps` over the checked maps
     `gens`, and its checks: the constructor's arguments past the zero,
     element 0.  Its blocks of maps, letters times the degree cells a map,
-    are `_block_rows` long."""
+    are `_block_rows` long.  The maps found are put in the bytes order of
+    their rows by ``np.lexsort`` over their digit columns, one radix pass
+    a point, when there are at least as many maps as points; fewer maps,
+    wide rows, are sorted as byte strings."""
     digit = np.min_scalar_type(degree).newbyteorder(">")
     key = np.dtype(f"S{degree * digit.itemsize}")    # a digit row as bytes
     rows = np.array([[0 if v is None else v + 1 for v in g] for g in gens],
@@ -802,22 +811,25 @@ def _closure(degree: int, gens: list) -> tuple:
 
     n = len(found)
     keys = np.array(found, dtype=key)
-    order = np.argsort(keys)
+    if n >= degree:              # else a sort per point costs more than the maps
+        order = np.lexsort(keys.view(digit).reshape(n, degree).T[::-1])
+    else:
+        order = np.argsort(keys)
     keys = keys[order]
     rank = np.empty(n, dtype=np.intp)
     rank[order] = np.arange(n)
     maps = keys.view(digit).reshape(n, degree)
     if maps[0].any():
-        raise TheoremViolation("empty_map_zero", _images(maps[:1])[0],
-                               (None,) * degree, "element 0")
+        raise InvariantViolation("empty_map_zero", _images(maps[:1])[0],
+                                 (None,) * degree, "element 0")
     # the inverse and the domain of every map, looked up among the maps
     want = _inverses_and_domains(maps).reshape(2 * n, degree).view(keys.dtype).ravel()
     at = np.searchsorted(keys, want)
     miss = np.flatnonzero(keys[np.minimum(at, n - 1)] != want)
     if miss.size:
         i = int(miss[0])
-        raise TheoremViolation("closure_lookup", 2 * n - miss.size, 2 * n,
-                               f"{('inverse', 'domain')[i // n]} of element {i % n}")
+        raise InvariantViolation("closure_lookup", 2 * n - miss.size, 2 * n,
+                                 f"{('inverse', 'domain')[i // n]} of element {i % n}")
     star, d = at[:n], at[n:]
     idem = int(np.count_nonzero(d == np.arange(n)))   # the partial identities
     if n * idem > MAX_SLAB_CELLS:

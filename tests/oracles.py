@@ -918,8 +918,10 @@ def count_decide_cover(sg, candidates, members):
     """The cover decision of the criteria by the cell by cell
     :func:`first_uncovered` and a greedy removal pass that counts, per
     member, the chosen candidates meeting it: a stand-in for the
-    library's bit-mask version."""
-    table = dict_slab(sg)
+    library's bit-mask version.  It reads the slab's rows at the members
+    alone, idempotents, as dicts."""
+    idem = sg.idempotent_list()
+    table = {f: dict(zip(idem, sg.slab[f].tolist())) for f in members}
     uncovered = first_uncovered(sg, table, candidates, members)
     if uncovered is not None:
         return uncovered, None

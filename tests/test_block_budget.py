@@ -126,10 +126,11 @@ def test_blocked_passes_fail_first_as_at_the_default_budget(monkeypatch, cells):
     columns = tg.InverseSemigroup._columns
     corrupt = {}                       # (a, b) -> the wrong product a b
 
-    def corrupted_columns(sg, wanted):
-        out = columns(sg, wanted)
+    def corrupted_columns(sg, wanted, rows=None):
+        out = columns(sg, wanted, rows)
+        at = list(range(sg.size) if rows is None else rows)
         for (a, b), ab in corrupt.items():
-            out[list(wanted).index(b), a] = ab
+            out[list(wanted).index(b), at.index(a)] = ab
         return out
 
     monkeypatch.setattr(tg.InverseSemigroup, "_columns", corrupted_columns)

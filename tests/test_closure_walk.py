@@ -118,6 +118,6 @@ def test_s_star_s_assert_catches_a_map_that_is_not_injective(monkeypatch):
     # the generator check refuses such a map first; past it, the whole-array
     # pass checks s s* s = s, with or without python -O
     monkeypatch.setattr(semigroup, "_check_partial_map", lambda g, degree, label: tuple(g))
-    with pytest.raises(errors.TheoremViolation, match=r"s_star_s: criterion verdict 1 != "
-                       r"direct verdict 0 on instance row 0, image 0"):
+    with pytest.raises(errors.InvariantViolation,
+                       match=r"s_star_s: found 1, expected 0 at row 0, image 0"):
         tg.from_partial_maps(3, [(0, 0, 1)])

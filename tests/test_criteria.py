@@ -112,6 +112,35 @@ def test_minimal_witness_families_cover(named_fixtures):
             assert sg.is_outer_cover(cover, sg.principal_ideal(e))
 
 
+def test_minimal_witness_matches_the_pairwise_oracle():
+    # the criterion trims the covers of every nonzero idempotent e at once,
+    # one lane of |E| + 1 bits per e in one integer, where the oracle trims
+    # each (e, conjugate set) on its own: the same witness, in the same
+    # (e, f) order, with one tuple shared by the pairs of one trimmed cover
+    # and one f.  In(6) packs 63 lanes of 65 bits, past a machine word,
+    # for six conjugate sets; Pow(5) and E4 take the failing path
+    cases = [(name, tg.build_fixture(name))
+             for name in (*LABEL_INSTANCES, "In(4)", "In(5)", "In(6)")]
+    cases += tg.corpus(300, 7) + tg.corpus(300, 5278)
+    shared, failing = {}, set()
+    for name, sg in cases:
+        got, want = tg.minimal_criterion(sg), oracles.pairwise_minimal_criterion(sg)
+        assert (got.value, got.witness) == (want.value, want.witness), name
+        if not got.value:
+            failing.add(name)
+            continue
+        covers = got.witness["conjugate_covers"]
+        assert list(covers) == list(want.witness["conjugate_covers"]), name
+        made = {}                      # (trimmed cover, f) -> ids of its tuples
+        for (e, f), pairs in covers.items():
+            made.setdefault((tuple(c for c, _ in pairs), f), set()).add(id(pairs))
+        assert all(len(ids) == 1 for ids in made.values()), name
+        assert len({id(pairs) for pairs in covers.values()}) == len(made), name
+        shared[name] = len(made)
+    assert shared["In(5)"] == 391
+    assert {"E4", "Pow(5)"} <= failing and "In(6)" in shared
+
+
 # ------------------------------------------------------- local contraction
 
 def brute_locally_contracting(sg):

@@ -359,10 +359,11 @@ def test_corrupted_products_fail_first_on_the_same_identity(corpus100,
     columns = tg.InverseSemigroup._columns
     corrupt = {}                       # (a, b) -> the wrong product a b
 
-    def corrupted_columns(sg, wanted):
-        out = columns(sg, wanted)
+    def corrupted_columns(sg, wanted, rows=None):
+        out = columns(sg, wanted, rows)
+        at = list(range(sg.size) if rows is None else rows)
         for (a, b), ab in corrupt.items():
-            out[list(wanted).index(b), a] = ab
+            out[list(wanted).index(b), at.index(a)] = ab
         return out
 
     monkeypatch.setattr(tg.InverseSemigroup, "_columns", corrupted_columns)
@@ -420,10 +421,11 @@ def test_wide_groupoids_agree_with_compose_oracle_clean_and_corrupted(monkeypatc
     columns = tg.InverseSemigroup._columns
     corrupt = {}                       # (a, b) -> the wrong product a b
 
-    def corrupted_columns(sg, wanted):
-        out = columns(sg, wanted)
+    def corrupted_columns(sg, wanted, rows=None):
+        out = columns(sg, wanted, rows)
+        at = list(range(sg.size) if rows is None else rows)
         for (a, b), ab in corrupt.items():
-            out[list(wanted).index(b), a] = ab
+            out[list(wanted).index(b), at.index(a)] = ab
         return out
 
     monkeypatch.setattr(tg.InverseSemigroup, "_columns", corrupted_columns)

@@ -304,16 +304,17 @@ def test_slab_defect_while_building_a_table_file_exits_3(tmp_path, monkeypatch, 
     path.write_text(tg.format_spec(cli.spec_of_semigroup(tg.build_fixture("Z2z"), "Z2z")))
     columns = tg.InverseSemigroup._columns
 
-    def shifted(self, wanted):
-        return columns(self, wanted)[:, [*range(1, self.size), 0]]
+    def shifted(self, wanted, rows=None):
+        out = columns(self, wanted, rows)
+        return out[:, [*range(1, out.shape[1]), 0]]
 
     monkeypatch.setattr(tg.InverseSemigroup, "_columns", shifted)
     assert cli.run_cli(["analyze", str(path)]) == 3
     err = capsys.readouterr().err
-    assert "verdict mismatch while building: slab_columns:" in err
+    assert "invariant violation while building: slab_columns:" in err
     # each column's cells moved up by one: e = 0's column is all 0, so the
     # first cell that differs is 0 * 1 read as 1 * 1
-    assert "criterion verdict 1 != direct verdict 0 on instance table s=0 e=1" in err
+    assert "slab_columns: found 1, expected 0 at table s=0 e=1" in err
     body = json.loads((tmp_path / "violation-Z2z.json").read_text())
     assert body["property"] == "slab_columns" and "isg" not in body
 
@@ -330,8 +331,8 @@ def test_inverse_search_that_finds_one_inverse_each_is_a_defect(tmp_path, monkey
     path = tmp_path / "table.isg"
     path.write_text(tg.format_spec(cli.spec_of_semigroup(sg, "table")))
     monkeypatch.setattr(semigroup, "_derived_inverses", lambda m, gens, tree: None)
-    want = (f"inverse_search: criterion verdict False != direct verdict True on "
-            f"instance table of {size} elements, each with one inverse")
+    want = (f"inverse_search: found 'one inverse each', expected 'an element with none "
+            f"or several' at table of {size} elements")
     with pytest.raises(TheoremViolation) as caught:
         tg.from_table(sg.table, sg.zero)
     assert str(caught.value) == want
@@ -364,6 +365,61 @@ def test_closure_defect_while_building_exits_3_in_both_modes(tmp_path, monkeypat
         assert f"reproducer written to violation-{name}.json" in err
         body = json.loads((tmp_path / f"violation-{name}.json").read_text())
         assert body["property"] == "closure_lookup" and "isg" not in body
+
+
+def test_failed_invariants_read_as_invariants_in_both_modes(tmp_path, monkeypatch, capsys):
+    # a builder invariant that fails is named as its check, with what was
+    # found and what was expected, not as two verdicts: the closure's
+    # lookup of inverses (the inverse layer of the sorted maps broken at
+    # its last row), and the slab's zero column read as e 0 = e at the
+    # highest idempotent e, which a table file's own columns refuse while
+    # it is built and a corpus instance's maps refuse in `analyze`
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "z2z.isg"
+    path.write_text(tg.format_spec(cli.spec_of_semigroup(tg.build_fixture("Z2z"), "Z2z")))
+    inverses_and_domains = semigroup._inverses_and_domains
+    columns = tg.InverseSemigroup._columns
+    calls = itertools.count(1)
+
+    def broken_inverses(maps):
+        out = inverses_and_domains(maps)
+        if next(calls) % 2 == 0:    # a build's second call: the sorted maps
+            out[0, -1] = 1
+        return out
+
+    def zero_column_moved(self, wanted, rows=None):
+        out = columns(self, wanted, rows)
+        if not hasattr(self, "slab"):     # the constructor's read of the slab
+            e = max(wanted)
+            out[list(wanted).index(self.zero), e] = e
+        return out
+
+    runs = [
+        (semigroup, "_inverses_and_domains", broken_inverses, ["--fixture", "In(3)"], "In_3_",
+         "invariant violation while building: closure_lookup: found 67, expected 68 "
+         "at inverse of element 33", ("67", "68")),
+        (semigroup, "_inverses_and_domains", broken_inverses, ["--corpus", "20", "--seed", "7"],
+         "corpus-7-000", "invariant violation on corpus-7-000: closure_lookup: found 9, "
+         "expected 10 at inverse of element 4", ("9", "10")),
+        (tg.InverseSemigroup, "_columns", zero_column_moved, [str(path)], "Z2z",
+         "invariant violation while building: slab_columns: found 1, expected 0 "
+         "at table s=1 e=0", ("1", "0")),
+        (tg.InverseSemigroup, "_columns", zero_column_moved, ["--corpus", "20", "--seed", "7"],
+         "corpus-7-000",
+         "invariant violation on corpus-7-000: idempotent_products: found [(3, 0)], "
+         "expected [] at corpus-7-000", ("[(3, 0)]", "[]")),
+    ]
+    for owner, attr, patch, argv, name, line, (found, expected) in runs:
+        with monkeypatch.context() as mp:
+            mp.setattr(owner, attr, patch)
+            assert cli.run_cli(["analyze", *argv]) == 3
+        err = capsys.readouterr().err
+        assert err.splitlines() == [line, f"reproducer written to violation-{name}.json"]
+        body = json.loads((tmp_path / f"violation-{name}.json").read_text())
+        assert (body["error"], body["found"], body["expected"]) == \
+            ("InvariantViolation", found, expected)
+        assert "criterion" not in body and "direct" not in body
+        assert body["property"] in line
 
 
 def test_violation_reproducer_round_trips(tmp_path, monkeypatch):

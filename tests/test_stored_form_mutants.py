@@ -64,12 +64,12 @@ def letter_off_by_one(sg, parent, letter):
         letter[off[-1]] = (letter[off[-1]] + 1) % len(sg.generators)
 
 
-def column_one_gather_short(sg, wanted, out):
+def column_one_gather_short(sg, wanted, rows, out):
     # the highest wanted element off the generators is given its parent's
     # column, x -> x p, in place of x -> x p g
     off = [i for i, y in enumerate(wanted) if sg.parent[y] >= 0]
     if off:
-        out[off[-1]] = COLUMNS(sg, [int(sg.parent[wanted[off[-1]]])])[0]
+        out[off[-1]] = COLUMNS(sg, [int(sg.parent[wanted[off[-1]]])], rows)[0]
 
 
 def row_bits_off_by_one(flags):
@@ -93,12 +93,12 @@ def in_the_tree(corrupt):
     def apply(mp):
         columns = semigroup.InverseSemigroup._columns
 
-        def mutated(self, wanted):
+        def mutated(self, wanted, rows=None):
             if not hasattr(self, "slab"):     # the constructor's first read
                 parent, letter = self.parent.copy(), self.letter.copy()
                 corrupt(self, parent, letter)
                 self.parent, self.letter = parent, letter
-            return columns(self, wanted)
+            return columns(self, wanted, rows)
 
         mp.setattr(semigroup.InverseSemigroup, "_columns", mutated)
     return corrupt.__name__, apply
@@ -106,9 +106,9 @@ def in_the_tree(corrupt):
 
 def in_the_columns(corrupt):
     def apply(mp):
-        def mutated(self, wanted):
-            out = COLUMNS(self, wanted)
-            corrupt(self, list(wanted), out)
+        def mutated(self, wanted, rows=None):
+            out = COLUMNS(self, wanted, rows)
+            corrupt(self, list(wanted), rows, out)
             return out
 
         mp.setattr(semigroup.InverseSemigroup, "_columns", mutated)
